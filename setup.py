@@ -1,23 +1,5 @@
-"""Build script: compiles the optional enumeration kernel.
+"""Build script; the package is pure Python and all metadata is in pyproject.toml."""
 
-Set FMEAS_PURE=1 to skip the compiled extension entirely; the package
-then runs on the pure-Python fallback selected at import time.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("FMEAS_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("fmeas._speedups", ["src/fmeas/_speedups.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

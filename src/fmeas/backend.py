@@ -1,37 +1,57 @@
-"""Selects the tuple-walk kernel at import time.
+"""The pure-Python tuple walk, kept as the tests' enumeration oracle.
 
-The compiled extension is preferred when it imports; otherwise the
-pure-Python fallback takes over with identical semantics.  Set
-FMEAS_BACKEND=pure or FMEAS_BACKEND=compiled to force one side
-(forcing the compiled side raises if the extension is missing).
+The engine counts translate tuples by P. Hall's closed form (see
+measure._hall_counts) and never calls walk_product; the tests run it
+over a layered step table to count the same tuples one by one.
+BACKEND names the walk implementation for benchmark records and is
+always "pure".
 """
 
 from __future__ import annotations
 
-import os
+from typing import MutableSequence, Sequence
 
-from . import _fallback
+BACKEND = "pure"
 
-_forced = os.environ.get("FMEAS_BACKEND", "").strip().lower()
 
-if _forced in ("", "auto"):
-    try:
-        from . import _speedups as _active
+def walk_product(
+    steps: Sequence[int],
+    n: int,
+    n_states: int,
+    b: int,
+    start_state: int,
+    begin: int,
+    end: int,
+    counts: MutableSequence[int],
+) -> None:
+    """Accumulate final-state counts for tuple indices in [begin, end).
 
-        BACKEND = "compiled"
-    except ImportError:
-        _active = _fallback
-        BACKEND = "pure"
-elif _forced == "pure":
-    _active = _fallback
-    BACKEND = "pure"
-elif _forced == "compiled":
-    from . import _speedups as _active
-
-    BACKEND = "compiled"
-else:
-    raise RuntimeError(
-        "FMEAS_BACKEND must be 'pure', 'compiled', or 'auto', not %r" % _forced
-    )
-
-walk_product = _active.walk_product
+    steps is a flat table: steps[(k * n_states + s) * b + t] is the
+    state after feeding digit t at level k in state s.  Tuple indices
+    encode digits big-endian, so index 0 is the all-zero tuple and the
+    last digit varies fastest.  counts[s] is incremented once per tuple
+    whose final state is s; entries are added to, never reset.
+    """
+    if begin >= end:
+        return
+    digits = [0] * n
+    rem = begin
+    for k in range(n - 1, -1, -1):
+        rem, digits[k] = divmod(rem, b)
+    stack = [start_state] * (n + 1)
+    for k in range(n):
+        stack[k + 1] = steps[(k * n_states + stack[k]) * b + digits[k]]
+    idx = begin
+    last = n - 1
+    while True:
+        counts[stack[n]] += 1
+        idx += 1
+        if idx >= end:
+            return
+        k = last
+        while digits[k] == b - 1:
+            digits[k] = 0
+            k -= 1
+        digits[k] += 1
+        for j in range(k, n):
+            stack[j + 1] = steps[(j * n_states + stack[j]) * b + digits[j]]

@@ -1,7 +1,8 @@
 """Command-line front end: exact rational tables from JSON setup files.
 
 Commands: lattice, measure, verify, frattini, embedding, invsys.  All
-output is deterministic; FMEAS_THREADS changes speed, never bytes.
+output is deterministic; FMEAS_THREADS is validated but changes neither
+speed nor bytes.
 Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 a
 verification suite reported a failure.
 """
@@ -22,7 +23,6 @@ from .frattini import (
 )
 from .groups import (
     CapExceeded,
-    FiniteGroup,
     GroupError,
     GroupHom,
     Subgroup,
@@ -43,10 +43,6 @@ def _fmt(x: Fraction) -> str:
     if x.denominator == 1:
         return "%d" % x.numerator
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def _sub_name(G: FiniteGroup, H: Subgroup) -> str:
-    return "<%s>" % ",".join(G.label(g) for g in H.canonical_generators())
 
 
 def _vector_line(values) -> str:
@@ -95,7 +91,7 @@ def cmd_frattini(args) -> int:
     loaded = load_setup(args.file)
     report = frattini_subgroup(loaded.group)
     phi = report.frattini_subgroup
-    print("Phi = %s" % _sub_name(loaded.group, phi))
+    print("Phi = %s" % phi.display_name())
     print("order = %d" % phi.order)
     print("maximal subgroups = %d" % len(report.maximal_subgroups))
     return 0
@@ -160,7 +156,7 @@ def _check_lifts(loaded: LoadedSetup, cap: int):
                 baseline, first = v, lift
             elif v != baseline:
                 return False, [
-                    "member %s: lifts %r and %r disagree" % (_sub_name(setup.group, H), first, lift),
+                    "member %s: lifts %r and %r disagree" % (H.display_name(), first, lift),
                     "  %s vs %s" % (_vector_line(baseline.values), _vector_line(v.values)),
                 ]
     return True, []
@@ -228,7 +224,7 @@ def _frattini_checks(loaded: LoadedSetup):
             is_frattini_cover(pi)
         except RuntimeError as e:
             routes_ok = False
-            routes_detail.append("kernel %s: %s" % (_sub_name(G, N), e))
+            routes_detail.append("kernel %s: %s" % (N.display_name(), e))
         projections.append((N, pi))
     yield "frattini-cover-routes", routes_ok, routes_detail
 
@@ -247,7 +243,7 @@ def _frattini_checks(loaded: LoadedSetup):
                 is_frattini_cover(p1) and is_frattini_cover(mid)
             )
             if not law:
-                bad.append("chain %s then %s" % (_sub_name(G, N1), _sub_name(G, N2)))
+                bad.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
     yield "frattini-composition", not bad, bad
 
     lat = SubextLattice(loaded.setup, loaded.base)

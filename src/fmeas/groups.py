@@ -85,7 +85,6 @@ class FiniteGroup:
         self._mask_elems: dict[int, tuple[int, ...]] = {1: (0,)}
         self._extend_memo: dict[tuple[int, int], int] = {}
         self._subgroups: Optional[tuple["Subgroup", ...]] = None
-        self._subgroup_index: Optional[dict[int, int]] = None
         self._quotients: dict[int, tuple["FiniteGroup", "GroupHom"]] = {}
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
@@ -401,6 +400,10 @@ class Subgroup:
                 break
         return tuple(gens)
 
+    def display_name(self) -> str:
+        """Stable name from the canonical generators, as "<g1,g2>"; the trivial subgroup is <>."""
+        return "<%s>" % ",".join(self.group.label(g) for g in self.canonical_generators())
+
 
 class GroupHom:
     """A verified homomorphism between finite groups, as a total image table.
@@ -566,15 +569,7 @@ def all_subgroups(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> tupl
     subs = [Subgroup(G, gens, elements=G.elems_of_mask(mask)) for mask, gens in built.items()]
     subs.sort(key=lambda H: (H.order, H.elements))
     G._subgroups = tuple(subs)
-    G._subgroup_index = {H.mask: i for i, H in enumerate(G._subgroups)}
     return G._subgroups
-
-
-def subgroup_index(G: FiniteGroup) -> dict[int, int]:
-    """Mask -> position in all_subgroups(G)."""
-    all_subgroups(G)
-    assert G._subgroup_index is not None
-    return G._subgroup_index
 
 
 def subgroup_masks_within(G: FiniteGroup, universe: int) -> list[int]:

@@ -158,10 +158,8 @@ class SubextLattice:
         return mj & self.members[i].mask == mj
 
     def member_name(self, i: int) -> str:
-        """Stable display name from canonical generators; the trivial subgroup is <>."""
-        H = self.members[i]
-        gens = H.canonical_generators()
-        return "<%s>" % ",".join(self.setup.group.label(g) for g in gens)
+        """Stable display name of member i, from its canonical generators."""
+        return self.members[i].display_name()
 
     def __repr__(self) -> str:
         return "SubextLattice(%d members, %d maximal)" % (

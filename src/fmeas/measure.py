@@ -1,28 +1,25 @@
 """Measures on subextension lattices.
 
-mu1 walks every translate tuple of the deterministic lift and counts
-which member each tuple generates; iterated measures push a point mass
-through the transition matrix; the limit measure solves the absorbing
-chain equations by forward substitution.  Every value is an exact
-Fraction; no floating point enters the engine.
+mu1 and the transition rows count translate tuples by the member they
+generate, through P. Hall's Eulerian-function inversion over the member
+poset rather than by enumerating the tuples; iterated measures push a
+point mass through the transition matrix; the limit measure solves the
+absorbing chain equations by forward substitution.  Every value is an
+exact Fraction; no floating point enters the engine.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .backend import walk_product
 from .groups import CapExceeded, GroupError, GroupHom, Subgroup
 from .lattice import GaloisSetup, SubextLattice
 
+# default bound on |H n N|^n per row: a policy on the inputs accepted,
+# not a work bound, since the closed form never enumerates the tuples
 TUPLE_CAP = 10_000_000
-
-# one-piece walk below this many tuples, regardless of thread count
-_CHUNK_MIN = 1 << 16
 
 
 def format_rational(value) -> str:
@@ -32,6 +29,12 @@ def format_rational(value) -> str:
 
 
 def _thread_count(threads: Optional[int]) -> int:
+    """Validated thread count, from the argument or FMEAS_THREADS.
+
+    Nothing in the engine runs on threads, so the count changes neither
+    speed nor output; it is still checked, so a bad value stays an
+    error.
+    """
     if threads is None:
         env = os.environ.get("FMEAS_THREADS", "").strip()
         if not env:
@@ -201,103 +204,44 @@ def _check_lift(setup: GaloisSetup, H: Subgroup, lift: tuple[int, ...]) -> None:
             raise GroupError("lift entry %d is in the wrong coset" % x)
 
 
-def _walk_counts(
-    steps: array, n: int, n_states: int, b: int, total: int, threads: int
-) -> array:
-    counts = array("q", [0]) * n_states
-    if threads <= 1 or total < _CHUNK_MIN:
-        walk_product(steps, n, n_states, b, 0, 0, total, counts)
-        return counts
-    # fixed chunk bounds, deterministic integer reduction
-    pieces = threads * 4
-    bounds = [total * i // pieces for i in range(pieces + 1)]
-    parts = [array("q", [0]) * n_states for _ in range(pieces)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(walk_product, steps, n, n_states, b, 0, lo, hi, part)
-            for lo, hi, part in zip(bounds, bounds[1:], parts)
-        ]
-        for f in futures:
-            f.result()
-    for part in parts[1:]:
-        for i in range(n_states):
-            parts[0][i] += part[i]
-    return parts[0]
+def _hall_counts(
+    lattice: SubextLattice, cap: int, rows: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Exact tuple counts per member, with no enumeration (P. Hall, 1936).
 
-
-def _row_counts(
-    setup: GaloisSetup,
-    lattice: SubextLattice,
-    base_index: int,
-    lift: Optional[tuple[int, ...]],
-    cap: int,
-    threads: int,
-) -> tuple[list[int], int]:
-    """Tuple counts per member for one row, plus the tuple total."""
-    G = setup.group
-    H = lattice.members[base_index]
+    A member H maps onto Q, so it meets each lift coordinate's coset of
+    N in exactly |H n N| translates, whichever valid lift is used: f[j]
+    = |H_j n N|^n translate tuples land inside H_j.  The tuples landing
+    exactly on H_j number g[j] = f[j] minus g over the proper
+    sub-members of H_j, which all come earlier in the canonical order.
+    g does not depend on the row's base, so one pass serves every row.
+    Each of the given rows must have at most cap tuples.
+    """
+    setup = lattice.setup
     n_mask = setup.n_sub.mask
-    tau = [x for x in H.elements if n_mask >> x & 1]
-    b = len(tau)
-    n = setup.n
-    total = b**n
-    if total > cap:
-        raise CapExceeded(
-            "member %d needs %d tuples, over the cap of %d" % (base_index, total, cap)
-        )
-    if lift is None:
-        lift = setup.lift_into(H.mask)
-    else:
-        lift = tuple(lift)
-        _check_lift(setup, H, lift)
+    masks = [H.mask for H in lattice.members]
+    f = [bin(m & n_mask).count("1") ** setup.n for m in masks]
+    for i in rows:
+        if f[i] > cap:
+            raise CapExceeded("member %d needs %d tuples, over the cap of %d" % (i, f[i], cap))
+    g: list[int] = []
+    for j, mj in enumerate(masks):
+        gj = f[j] - sum(g[k] for k in range(j) if masks[k] & mj == masks[k])
+        if gj < 0:
+            raise RuntimeError("internal error: member %d has a negative exact count" % j)
+        g.append(gj)
+    return f, g
 
-    # layered state machine over subgroup masks: state after k digits is
-    # the closure of the first k generators, so the walk only ever needs
-    # one table lookup per digit
-    table = G.table
-    masks = [1]
-    state_of = {1: 0}
-    layers: list[dict[int, list[int]]] = []
-    frontier = {0}
-    for k in range(n):
-        gen_row = table[lift[k]]
-        layer: dict[int, list[int]] = {}
-        nxt: set[int] = set()
-        for s in sorted(frontier):
-            src = masks[s]
-            row = []
-            for t in tau:
-                m2 = G.extend_mask(src, gen_row[t])
-                sid = state_of.get(m2)
-                if sid is None:
-                    sid = len(masks)
-                    state_of[m2] = sid
-                    masks.append(m2)
-                row.append(sid)
-                nxt.add(sid)
-            layer[s] = row
-        layers.append(layer)
-        frontier = nxt
 
-    n_states = len(masks)
-    steps = array("i", [0]) * (n * n_states * b)
-    for k, layer in enumerate(layers):
-        base_k = k * n_states * b
-        for s, row in layer.items():
-            off = base_k + s * b
-            for t, sid in enumerate(row):
-                steps[off + t] = sid
-
-    counts = _walk_counts(steps, n, n_states, b, total, threads)
-
-    member_counts = [0] * len(lattice.members)
-    for sid, c in enumerate(counts):
-        if c:
-            idx = lattice.index_of.get(masks[sid])
-            if idx is None:
-                raise RuntimeError("internal error: a generated subgroup is not a member")
-            member_counts[idx] += c
-    return member_counts, total
+def _row(lattice: SubextLattice, f: Sequence[int], g: Sequence[int], i: int) -> list[Fraction]:
+    """mu1 rebased at member i: g[j] / f[i] on every member j inside member i."""
+    mi = lattice.members[i].mask
+    total = f[i]
+    zero = Fraction(0)
+    return [
+        Fraction(gj, total) if H.mask & mi == H.mask else zero
+        for H, gj in zip(lattice.members, g)
+    ]
 
 
 def mu1(
@@ -312,20 +256,18 @@ def mu1(
     """One-step distribution over the lattice of K_subgroup.
 
     Each translate tuple contributes 1/|H_K n N|^n to the member its
-    translated lift generates.  lift overrides the deterministic lift
-    (the result is the same for every valid lift); cap bounds the
-    number of tuples and is enforced loudly.
+    translated lift generates; the counts come from _hall_counts.  lift
+    is validated but cannot change the result, which is the same for
+    every valid lift; cap bounds the number of tuples |H_K n N|^n and is
+    enforced loudly.
     """
     lat = _resolve_lattice(setup, K_subgroup, lattice)
-    counts, total = _row_counts(
-        setup,
-        lat,
-        len(lat.members) - 1,
-        None if lift is None else tuple(lift),
-        cap,
-        _thread_count(threads),
-    )
-    return MeasureVector(lat, [Fraction(c, total) for c in counts])
+    _thread_count(threads)
+    base = len(lat.members) - 1
+    f, g = _hall_counts(lat, cap, (base,))
+    if lift is not None:
+        _check_lift(setup, lat.members[base], tuple(lift))
+    return MeasureVector(lat, _row(lat, f, g, base))
 
 
 def transition_matrix(
@@ -336,25 +278,12 @@ def transition_matrix(
     threads: Optional[int] = None,
     lattice: Optional[SubextLattice] = None,
 ) -> TransitionMatrix:
-    """Row i is mu1 rebased at member i, with a fresh deterministic lift.
-
-    Rows are independent; with threads > 1 they are computed on a pool,
-    and the result is bit-identical to the serial run.
-    """
+    """Row i is mu1 rebased at member i; every row shares one count vector."""
     lat = _resolve_lattice(setup, K_subgroup, lattice)
-    nthreads = _thread_count(threads)
+    _thread_count(threads)
     m = len(lat.members)
-
-    def build(i: int) -> tuple[Fraction, ...]:
-        counts, total = _row_counts(setup, lat, i, None, cap, 1)
-        return tuple(Fraction(c, total) for c in counts)
-
-    if nthreads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            rows = list(pool.map(build, range(m)))
-    else:
-        rows = [build(i) for i in range(m)]
-    return TransitionMatrix(lat, rows)
+    f, g = _hall_counts(lat, cap, range(m))
+    return TransitionMatrix(lat, [_row(lat, f, g, i) for i in range(m)])
 
 
 def _step(values: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:

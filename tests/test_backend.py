@@ -1,22 +1,27 @@
-"""Walk kernels: the compiled extension and the pure fallback must agree
-bit for bit, on full ranges, on partial ranges, and inside the engine."""
+"""The pure tuple walk as an enumeration oracle for the closed form.
+
+backend.walk_product is checked digit by digit against brute force;
+then a layered step table over subgroup masks turns it into a count of
+translate tuples per generated member, which must equal the engine's
+closed-form rows exactly, including on inputs too large for brute force.
+"""
 
 import random
-import subprocess
-import sys
 from array import array
 
 import pytest
 
+import corpus
+import fmeas
 import setups
-from fmeas import _fallback, backend
+from fmeas import backend
+from fmeas.groups import Subgroup
+from fmeas.lattice import SubextLattice, make_setup
 from fmeas.measure import mu1, transition_matrix
-
-speedups = pytest.importorskip("fmeas._speedups")
 
 
 def brute_counts(steps, n, n_states, b, start_state, begin, end):
-    """Digit-by-digit reference, independent of both kernels."""
+    """Digit-by-digit reference, independent of the walk."""
     counts = [0] * n_states
     for idx in range(begin, end):
         digits = []
@@ -39,14 +44,14 @@ def random_machine(rng, n, n_states, b):
     return steps
 
 
-def run(kernel, steps, n, n_states, b, start, begin, end):
+def run(steps, n, n_states, b, start, begin, end):
     counts = array("q", [0]) * n_states
-    kernel(steps, n, n_states, b, start, begin, end, counts)
+    backend.walk_product(steps, n, n_states, b, start, begin, end, counts)
     return list(counts)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_kernels_match_brute_force(seed):
+def test_walk_matches_brute_force(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     b = rng.randint(1, 6)
@@ -55,8 +60,7 @@ def test_kernels_match_brute_force(seed):
     steps = random_machine(rng, n, n_states, b)
     total = b**n
     want = brute_counts(steps, n, n_states, b, start, 0, total)
-    assert run(_fallback.walk_product, steps, n, n_states, b, start, 0, total) == want
-    assert run(speedups.walk_product, steps, n, n_states, b, start, 0, total) == want
+    assert run(steps, n, n_states, b, start, 0, total) == want
     assert sum(want) == total
 
 
@@ -70,19 +74,17 @@ def test_partial_ranges_sum_to_full(seed):
     total = b**n
     cuts = sorted(rng.randrange(total + 1) for _ in range(3))
     bounds = [0] + cuts + [total]
-    for kernel in (_fallback.walk_product, speedups.walk_product):
-        counts = array("q", [0]) * n_states
-        for lo, hi in zip(bounds, bounds[1:]):
-            kernel(steps, n, n_states, b, 0, lo, hi, counts)
-        assert list(counts) == brute_counts(steps, n, n_states, b, 0, 0, total)
+    counts = array("q", [0]) * n_states
+    for lo, hi in zip(bounds, bounds[1:]):
+        backend.walk_product(steps, n, n_states, b, 0, lo, hi, counts)
+    assert list(counts) == brute_counts(steps, n, n_states, b, 0, 0, total)
 
 
 def test_empty_range_is_a_noop():
     steps = array("i", [0, 0])
-    for kernel in (_fallback.walk_product, speedups.walk_product):
-        counts = array("q", [7])
-        kernel(steps, 1, 1, 2, 0, 3, 3, counts)
-        assert list(counts) == [7]
+    counts = array("q", [7])
+    backend.walk_product(steps, 1, 1, 2, 0, 3, 3, counts)
+    assert list(counts) == [7]
 
 
 def test_single_tuple_mid_range():
@@ -90,60 +92,108 @@ def test_single_tuple_mid_range():
     steps = random_machine(rng, 3, 5, 4)
     for idx in (0, 17, 63):
         want = brute_counts(steps, 3, 5, 4, 1, idx, idx + 1)
-        assert run(_fallback.walk_product, steps, 3, 5, 4, 1, idx, idx + 1) == want
-        assert run(speedups.walk_product, steps, 3, 5, 4, 1, idx, idx + 1) == want
+        assert run(steps, 3, 5, 4, 1, idx, idx + 1) == want
 
 
 def test_counts_accumulate_across_calls():
     steps = array("i", [0, 1, 1, 1])  # 1 level, 2 states, 2 digits
     counts = array("q", [0, 0])
-    speedups.walk_product(steps, 1, 2, 2, 0, 0, 2, counts)
-    speedups.walk_product(steps, 1, 2, 2, 0, 0, 2, counts)
+    backend.walk_product(steps, 1, 2, 2, 0, 0, 2, counts)
+    backend.walk_product(steps, 1, 2, 2, 0, 0, 2, counts)
     assert list(counts) == [2, 2]
 
 
-def test_compiled_rejects_oversized_tuple_length():
-    steps = array("i", [0] * 65)
-    counts = array("q", [0])
-    with pytest.raises(ValueError, match="length"):
-        speedups.walk_product(steps, 65, 1, 1, 0, 0, 1, counts)
-
-
-def test_default_backend_is_one_of_the_two():
-    assert backend.BACKEND in ("compiled", "pure")
+def test_backend_is_the_pure_walk():
+    assert fmeas.BACKEND == backend.BACKEND == "pure"
     assert callable(backend.walk_product)
 
 
-def _backend_in_subprocess(env_value):
-    code = "import fmeas.backend as b; print(b.BACKEND)"
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "", "FMEAS_BACKEND": env_value},
+# -- the walk as the engine's mid-size oracle -------------------------------
+
+
+def walk_row(setup, lattice, base_index, lift):
+    """Translate-tuple counts per member at one base, by the tuple walk.
+
+    The state after k digits is the closure of the first k translated
+    lift entries, so the step table is built one layer at a time over
+    the subgroup masks that can occur, and the walk needs one lookup per
+    digit.
+    """
+    G = setup.group
+    H = lattice.members[base_index]
+    tau = [x for x in H.elements if setup.n_sub.mask >> x & 1]
+    b, n = len(tau), setup.n
+    masks = [1]
+    state_of = {1: 0}
+    layers = []
+    frontier = {0}
+    for k in range(n):
+        gen_row = G.table[lift[k]]
+        layer = {}
+        for s in sorted(frontier):
+            row = []
+            for t in tau:
+                m2 = G.extend_mask(masks[s], gen_row[t])
+                sid = state_of.get(m2)
+                if sid is None:
+                    sid = state_of[m2] = len(masks)
+                    masks.append(m2)
+                row.append(sid)
+            layer[s] = row
+        layers.append(layer)
+        frontier = {sid for row in layer.values() for sid in row}
+    n_states = len(masks)
+    steps = array("i", [0]) * (n * n_states * b)
+    for k, layer in enumerate(layers):
+        for s, row in layer.items():
+            off = (k * n_states + s) * b
+            steps[off : off + b] = array("i", row)
+    counts = array("q", [0]) * n_states
+    backend.walk_product(steps, n, n_states, b, 0, 0, b**n, counts)
+    member_counts = [0] * len(lattice.members)
+    for sid, c in enumerate(counts):
+        if c:
+            member_counts[lattice.index_of[masks[sid]]] += c
+    return member_counts
+
+
+def greatest_lift(setup, H):
+    """The largest element of H in each lift coordinate's coset: a valid
+    lift that differs from the deterministic least one wherever it can."""
+    r_img = setup.r.image_of
+    return tuple(
+        max(h for h in H.elements if r_img[h] == r_img[s]) for s in setup.sigma_prime
     )
 
 
-def test_env_forces_pure_backend():
-    out = _backend_in_subprocess("pure")
-    assert out.returncode == 0 and out.stdout.strip() == "pure"
+def assert_rows_match_walk(setup, K, lat, lift_of):
+    T = transition_matrix(setup, K, lattice=lat)
+    for i, H in enumerate(lat.members):
+        total = len([x for x in H.elements if x in setup.n_sub]) ** setup.n
+        counts = walk_row(setup, lat, i, lift_of(setup, H))
+        assert sum(counts) == total
+        assert [v * total for v in T.rows[i]] == counts, "row %d" % i
+    assert mu1(setup, K, lattice=lat).values == T.rows[-1]
 
 
-def test_env_forces_compiled_backend():
-    out = _backend_in_subprocess("compiled")
-    assert out.returncode == 0 and out.stdout.strip() == "compiled"
-
-
-def test_env_rejects_unknown_backend():
-    out = _backend_in_subprocess("turbo")
-    assert out.returncode != 0 and "FMEAS_BACKEND" in out.stderr
-
-
-@pytest.mark.parametrize("name", ["Klein-first", "C13-n2", "C2^4-mid", "S4-full"])
-def test_engine_identical_on_both_kernels(name, monkeypatch):
+@pytest.mark.parametrize("name", setups.NAMES)
+def test_closed_form_rows_equal_walk_counts(name):
     setup, K, lat = setups.get(name)
-    compiled = transition_matrix(setup, K, lattice=lat)
-    monkeypatch.setattr("fmeas.measure.walk_product", _fallback.walk_product)
-    pure = transition_matrix(setup, K, lattice=lat)
-    assert compiled.rows == pure.rows
-    assert mu1(setup, K, lattice=lat).values == compiled.rows[-1]
+    assert_rows_match_walk(setup, K, lat, lambda s, H: s.lift_into(H.mask))
+
+
+@pytest.mark.parametrize("name", setups.NAMES)
+def test_closed_form_rows_equal_walk_counts_under_another_lift(name):
+    setup, K, lat = setups.get(name)
+    assert_rows_match_walk(setup, K, lat, greatest_lift)
+
+
+def test_closed_form_matches_walk_beyond_brute_force():
+    # C2^4 with N the whole group and n = 5: the base row alone is
+    # 16^5 = 1,048,576 tuples, the 67 rows together about 1.6 million
+    G = corpus.group("C2^4")
+    setup = make_setup(G, [1, 2, 4, 8], (1, 2, 4, 8, 15))
+    K = Subgroup(G, range(16))
+    lat = SubextLattice(setup, K)
+    assert len(lat.members) == 67
+    assert_rows_match_walk(setup, K, lat, lambda s, H: s.lift_into(H.mask))

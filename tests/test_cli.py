@@ -156,6 +156,17 @@ def test_cap_exceeded_is_exit_three(capsys):
     )
 
 
+def test_default_cap_still_binds_the_closed_form(tmp_path, capsys):
+    # C2^4, N the whole group, n = 12: the closed form could answer at
+    # once, but 16^12 tuples exceed TUPLE_CAP, and the cap is a policy
+    p = tmp_path / "c2_4_n12.json"
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8], "sigma": [1, 2, 4, 8] * 3}
+    p.write_text(json.dumps(setup))
+    err = expect_error(["measure", str(p), "--mode", "mu1"], capsys, "over the cap", 3)
+    assert err == "error: member 66 needs 281474976710656 tuples, over the cap of 10000000\n"
+
+
 def test_tower_suite_needs_tower_section(capsys):
     expect_error(
         ["verify", str(FIXTURES / "klein.json"), "--suite", "tower"],

@@ -1,6 +1,7 @@
 """Measure engine: an independent enumeration oracle, the worked
 examples, chain and limit invariants, and tower pushforwards."""
 
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -487,10 +488,11 @@ def test_serialized_values_are_lowest_terms(name):
         assert gcd(x.numerator, x.denominator) == 1
 
 
-# -- parallelism ----------------------------------------------------------------
+# -- thread counts and large inputs ----------------------------------------------
 
 
 def test_transition_rows_identical_across_thread_counts():
+    # the thread count is validated, then changes nothing
     for name in ("C2^4-mid", "S4-full"):
         setup, K, lat = setups.get(name)
         serial = transition_matrix(setup, K, threads=1, lattice=lat)
@@ -499,7 +501,8 @@ def test_transition_rows_identical_across_thread_counts():
 
 
 def test_chunked_walk_matches_serial():
-    # 16^4 = 65536 tuples crosses the chunking threshold
+    # 16^4 = 65536 tuples at the base: a thread count, though validated,
+    # must not change the answer
     G = corpus.group("C2^4")
     setup = make_setup(G, [1, 2, 4, 8], (1, 2, 4, 8))
     K = Subgroup(G, range(16))
@@ -508,6 +511,40 @@ def test_chunked_walk_matches_serial():
     chunked = mu1(setup, K, threads=3, lattice=lat)
     assert chunked == serial
     assert sum(chunked.values) == 1
+
+
+@pytest.mark.parametrize(
+    "normal,sigma",
+    [([1, 2, 4, 8], (1, 2, 4, 8)), ([1, 2, 4], (8, 1, 2, 4))],
+    ids=["N=G", "N=C2^3"],
+)
+def test_inputs_beyond_the_default_cap_are_cheap(normal, sigma):
+    # C2^4 with n = 12 is up to 16^12 (about 2.8e14) tuples per row: far
+    # past any enumeration, while the closed form takes milliseconds
+    # (about 50 ms with the lattice on a 2-core x86-64 machine, CPython
+    # 3.11); the 2 s bound leaves room for a loaded machine
+    G = corpus.group("C2^4")
+    setup = make_setup(G, normal, sigma * 3)
+    K = Subgroup(G, range(16))
+    start = time.perf_counter()
+    lat = SubextLattice(setup, K)
+    T = transition_matrix(setup, K, cap=16**12, lattice=lat)
+    one = mu1(setup, K, cap=16**12, lattice=lat)
+    inf = mu_infinity(setup, K, cap=16**12, lattice=lat)
+    elapsed = time.perf_counter() - start
+    assert all(sum(row) == 1 for row in T.rows)
+    assert one.values == T.rows[-1]
+    assert lat.n_maximal >= 1
+    for a in range(lat.n_maximal):
+        assert 0 < one.values[a] <= inf.values[a]
+    assert elapsed < 2.0, "took %.2f s" % elapsed
+    base = len(lat.members) - 1
+    with pytest.raises(
+        CapExceeded,
+        match="member %d needs %d tuples, over the cap of 10000000"
+        % (base, (2 ** len(normal)) ** 12),
+    ):
+        mu1(setup, K, lattice=lat)
 
 
 def test_threads_env_variable(monkeypatch):
