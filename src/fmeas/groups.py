@@ -536,22 +536,23 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(gens))
 
 
-def all_subgroups(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
-    """Every subgroup exactly once, ordered by size then element tuple.
+def _subgroups_within(G: FiniteGroup, universe: int, order_cap: int) -> dict[int, tuple[int, ...]]:
+    """Every subgroup inside the subgroup with this mask, with generators.
 
     Bottom-up: cyclic subgroups first, then closures of single-element
-    extensions of known subgroups until no new subgroup appears.
+    extensions of known subgroups until no new subgroup appears.  Maps
+    each subgroup mask to a tuple generating it.  The universe must
+    itself be a subgroup of order at most order_cap.
     """
-    if G.order > order_cap:
+    elems = G.elems_of_mask(universe)
+    if len(elems) > order_cap:
         raise CapExceeded(
             "subgroup enumeration capped at order %d (group has order %d)"
-            % (order_cap, G.order)
+            % (order_cap, len(elems))
         )
-    if G._subgroups is not None:
-        return G._subgroups
     built: dict[int, tuple[int, ...]] = {1: ()}
     work = [1]
-    for x in range(1, G.order):
+    for x in elems[1:]:
         m = G.closure_mask((x,))
         if m not in built:
             built[m] = (x,)
@@ -559,44 +560,34 @@ def all_subgroups(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> tupl
     while work:
         mask = work.pop()
         gens = built[mask]
-        for x in range(1, G.order):
+        for x in elems:
             if mask >> x & 1:
                 continue
             bigger = G.extend_mask(mask, x)
             if bigger not in built:
                 built[bigger] = gens + (x,)
                 work.append(bigger)
-    subs = [Subgroup(G, gens, elements=G.elems_of_mask(mask)) for mask, gens in built.items()]
-    subs.sort(key=lambda H: (H.order, H.elements))
-    G._subgroups = tuple(subs)
+    return built
+
+
+def all_subgroups(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
+    """Every subgroup exactly once, ordered by size then element tuple."""
+    # above the cap the loop raises, whether or not the subgroups are cached
+    if G._subgroups is None or G.order > order_cap:
+        built = _subgroups_within(G, (1 << G.order) - 1, order_cap)
+        subs = [Subgroup(G, gens, elements=G.elems_of_mask(mask)) for mask, gens in built.items()]
+        subs.sort(key=lambda H: (H.order, H.elements))
+        G._subgroups = tuple(subs)
     return G._subgroups
 
 
 def subgroup_masks_within(G: FiniteGroup, universe: int) -> list[int]:
     """Masks of all subgroups of G contained in the subgroup with this mask.
 
-    Same bottom-up closure as all_subgroups, restricted to the elements
-    of the universe mask; the universe must itself be a subgroup.
+    Ordered like all_subgroups; the universe must itself be a subgroup,
+    of order at most DEFAULT_ORDER_CAP.
     """
-    elems = G.elems_of_mask(universe)
-    built = {1}
-    work = [1]
-    for x in elems:
-        if x == 0:
-            continue
-        m = G.closure_mask((x,))
-        if m not in built:
-            built.add(m)
-            work.append(m)
-    while work:
-        mask = work.pop()
-        for x in elems:
-            if mask >> x & 1:
-                continue
-            bigger = G.extend_mask(mask, x)
-            if bigger not in built:
-                built.add(bigger)
-                work.append(bigger)
+    built = _subgroups_within(G, universe, DEFAULT_ORDER_CAP)
     return sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
 
 
@@ -672,6 +663,17 @@ def _hom_images_from_generators(
             if phi[tg[x][g]] != th[px][imgs[s]]:
                 return None
     return tuple(phi)
+
+
+def hom_from_images(
+    G: FiniteGroup, H: FiniteGroup, gens: Sequence[int], imgs: Sequence[int]
+) -> Optional[GroupHom]:
+    """The homomorphism G -> H sending gens[s] to imgs[s], or None if none exists.
+
+    gens must generate G.
+    """
+    images = _hom_images_from_generators(G, H, gens, _bfs_edges(G, gens), imgs)
+    return None if images is None else GroupHom(G, H, images)
 
 
 def isomorphic(G: FiniteGroup, H: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> bool:

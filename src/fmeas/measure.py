@@ -1,16 +1,19 @@
 """Measures on subextension lattices.
 
-mu1 and the transition rows count translate tuples by the member they
-generate, through P. Hall's Eulerian-function inversion over the member
-poset rather than by enumerating the tuples; iterated measures push a
-point mass through the transition matrix; the limit measure solves the
-absorbing chain equations by forward substitution.  Every value is an
-exact Fraction; no floating point enters the engine.
+Every measure works from two integer vectors per lattice: f[j], the
+number of translate tuples landing inside member j, and g[j], the number
+generating exactly member j, both from P. Hall's Eulerian-function
+inversion over the member poset rather than by enumerating the tuples.
+A step of the chain sends mass v[i] / f[i] from each member i to each
+member j inside it, weighted by g[j]; iterated measures take such steps
+from the point mass at the base, and the limit measure solves the
+absorbing chain equations by forward substitution.  The Fraction
+transition matrix is built only by transition_matrix.  Every value is
+exact; no floating point enters the engine.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -26,26 +29,6 @@ def format_rational(value) -> str:
     """Serialize an exact rational as "p/q" in lowest terms with q >= 1."""
     f = Fraction(value)
     return "%d/%d" % (f.numerator, f.denominator)
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    """Validated thread count, from the argument or FMEAS_THREADS.
-
-    Nothing in the engine runs on threads, so the count changes neither
-    speed nor output; it is still checked, so a bad value stays an
-    error.
-    """
-    if threads is None:
-        env = os.environ.get("FMEAS_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise GroupError("FMEAS_THREADS must be an integer, not %r" % env) from None
-    if threads < 1:
-        raise GroupError("thread count must be at least 1")
-    return threads
 
 
 class MeasureVector:
@@ -206,16 +189,17 @@ def _check_lift(setup: GaloisSetup, H: Subgroup, lift: tuple[int, ...]) -> None:
 
 def _hall_counts(
     lattice: SubextLattice, cap: int, rows: Iterable[int]
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], list[list[int]]]:
     """Exact tuple counts per member, with no enumeration (P. Hall, 1936).
 
     A member H maps onto Q, so it meets each lift coordinate's coset of
     N in exactly |H n N| translates, whichever valid lift is used: f[j]
     = |H_j n N|^n translate tuples land inside H_j.  The tuples landing
     exactly on H_j number g[j] = f[j] minus g over the proper
-    sub-members of H_j, which all come earlier in the canonical order.
-    g does not depend on the row's base, so one pass serves every row.
-    Each of the given rows must have at most cap tuples.
+    sub-members of H_j, which all come earlier in the canonical order
+    and are listed in below[j].  g does not depend on the row's base, so
+    one pass serves every row.  Each of the given rows must have at most
+    cap tuples.
     """
     setup = lattice.setup
     n_mask = setup.n_sub.mask
@@ -225,23 +209,54 @@ def _hall_counts(
         if f[i] > cap:
             raise CapExceeded("member %d needs %d tuples, over the cap of %d" % (i, f[i], cap))
     g: list[int] = []
+    below: list[list[int]] = []
     for j, mj in enumerate(masks):
-        gj = f[j] - sum(g[k] for k in range(j) if masks[k] & mj == masks[k])
+        sub = [k for k in range(j) if masks[k] & mj == masks[k]]
+        gj = f[j] - sum(g[k] for k in sub)
         if gj < 0:
             raise RuntimeError("internal error: member %d has a negative exact count" % j)
         g.append(gj)
-    return f, g
+        below.append(sub)
+    return f, g, below
 
 
-def _row(lattice: SubextLattice, f: Sequence[int], g: Sequence[int], i: int) -> list[Fraction]:
+def _row(
+    f: Sequence[int], g: Sequence[int], below: Sequence[Sequence[int]], i: int
+) -> list[Fraction]:
     """mu1 rebased at member i: g[j] / f[i] on every member j inside member i."""
-    mi = lattice.members[i].mask
-    total = f[i]
-    zero = Fraction(0)
-    return [
-        Fraction(gj, total) if H.mask & mi == H.mask else zero
-        for H, gj in zip(lattice.members, g)
-    ]
+    row = [Fraction(0)] * len(f)
+    for j in below[i]:
+        row[j] = Fraction(g[j], f[i])
+    row[i] = Fraction(g[i], f[i])
+    return row
+
+
+def _step(
+    counts: Sequence[int], f: Sequence[int], g: Sequence[int], below: Sequence[Sequence[int]]
+) -> list[int]:
+    """One chain step on integer numerators over a common denominator.
+
+    out[j] = g[j] times the sum of v[i] / f[i] over the members i that
+    contain member j.  Every f[i] divides f[-1], since H_i n N is a
+    subgroup of K n N, so numerators over D come back over D * f[-1].
+    """
+    top = f[-1]
+    acc = [0] * len(counts)
+    for i, c in enumerate(counts):
+        if c:
+            w = c * (top // f[i])
+            acc[i] += w
+            for j in below[i]:
+                acc[j] += w
+    return [a * gj for a, gj in zip(acc, g)]
+
+
+def _point_mass(lattice: SubextLattice) -> list[int]:
+    return [0] * (len(lattice.members) - 1) + [1]
+
+
+def _over(counts: Sequence[int], denominator: int) -> list[Fraction]:
+    return [Fraction(c, denominator) for c in counts]
 
 
 def mu1(
@@ -250,7 +265,6 @@ def mu1(
     *,
     lift: Optional[Sequence[int]] = None,
     cap: int = TUPLE_CAP,
-    threads: Optional[int] = None,
     lattice: Optional[SubextLattice] = None,
 ) -> MeasureVector:
     """One-step distribution over the lattice of K_subgroup.
@@ -262,12 +276,11 @@ def mu1(
     enforced loudly.
     """
     lat = _resolve_lattice(setup, K_subgroup, lattice)
-    _thread_count(threads)
     base = len(lat.members) - 1
-    f, g = _hall_counts(lat, cap, (base,))
+    f, g, below = _hall_counts(lat, cap, (base,))
     if lift is not None:
         _check_lift(setup, lat.members[base], tuple(lift))
-    return MeasureVector(lat, _row(lat, f, g, base))
+    return MeasureVector(lat, _row(f, g, below, base))
 
 
 def transition_matrix(
@@ -275,31 +288,16 @@ def transition_matrix(
     K_subgroup: Subgroup,
     *,
     cap: int = TUPLE_CAP,
-    threads: Optional[int] = None,
     lattice: Optional[SubextLattice] = None,
 ) -> TransitionMatrix:
-    """Row i is mu1 rebased at member i; every row shares one count vector."""
+    """Row i is mu1 rebased at member i, as an explicit Fraction matrix.
+
+    The measures never build it; it serves callers that want the rows.
+    """
     lat = _resolve_lattice(setup, K_subgroup, lattice)
-    _thread_count(threads)
     m = len(lat.members)
-    f, g = _hall_counts(lat, cap, range(m))
-    return TransitionMatrix(lat, [_row(lat, f, g, i) for i in range(m)])
-
-
-def _step(values: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    out = [Fraction(0)] * len(values)
-    for i, vi in enumerate(values):
-        if vi:
-            for j, p in enumerate(rows[i]):
-                if p:
-                    out[j] += vi * p
-    return out
-
-
-def _point_mass(lattice: SubextLattice) -> list[Fraction]:
-    vals = [Fraction(0)] * len(lattice.members)
-    vals[-1] = Fraction(1)
-    return vals
+    f, g, below = _hall_counts(lat, cap, range(m))
+    return TransitionMatrix(lat, [_row(f, g, below, i) for i in range(m)])
 
 
 def mu_i(
@@ -308,19 +306,20 @@ def mu_i(
     i: int,
     *,
     cap: int = TUPLE_CAP,
-    threads: Optional[int] = None,
     lattice: Optional[SubextLattice] = None,
 ) -> MeasureVector:
-    """The point mass at K propagated i steps through the transition matrix."""
+    """The point mass at K propagated i steps along the chain."""
     if not isinstance(i, int) or i < 0:
         raise GroupError("step count must be a nonnegative integer")
     lat = _resolve_lattice(setup, K_subgroup, lattice)
-    values = _point_mass(lat)
+    counts = _point_mass(lat)
+    denominator = 1
     if i > 0:
-        matrix = transition_matrix(setup, K_subgroup, cap=cap, threads=threads, lattice=lat)
+        f, g, below = _hall_counts(lat, cap, range(len(lat.members)))
         for _ in range(i):
-            values = _step(values, matrix.rows)
-    return MeasureVector(lat, values)
+            counts = _step(counts, f, g, below)
+        denominator = f[-1] ** i
+    return MeasureVector(lat, _over(counts, denominator))
 
 
 def mu_infinity(
@@ -328,43 +327,41 @@ def mu_infinity(
     K_subgroup: Subgroup,
     *,
     cap: int = TUPLE_CAP,
-    threads: Optional[int] = None,
     lattice: Optional[SubextLattice] = None,
 ) -> MeasureVector:
     """Exact limit distribution: the absorbing-chain solve, never iteration.
 
-    With maximal members first, the transient block is lower triangular,
-    so (I - Q)B = R is solved by forward substitution with exact pivots.
-    The result vanishes off the maximal members and is strictly positive
-    on each of them.
+    The probability h(i) of ending at each maximal member from member i
+    is a unit vector on maximal members and, for a transient member,
+    the sum of g[j] h(j) over its proper sub-members j divided by
+    f[i] - g[i].  Sub-members come first in the canonical order, so one
+    forward pass solves it with integer coefficients and one division
+    per maximal coordinate.  The result vanishes off the maximal members
+    and is strictly positive on each of them.
     """
     lat = _resolve_lattice(setup, K_subgroup, lattice)
-    matrix = transition_matrix(setup, K_subgroup, cap=cap, threads=threads, lattice=lat)
     m = len(lat.members)
+    f, g, below = _hall_counts(lat, cap, range(m))
     ell = lat.n_maximal
     if ell == m:
         # single-member lattice: the base is already maximal
         return MeasureVector(lat, [Fraction(1)])
     # absorb[t][a] = probability of ending at maximal a from member ell+t
     absorb: list[list[Fraction]] = []
-    for t in range(m - ell):
-        row = matrix.rows[ell + t]
-        pivot = 1 - row[ell + t]
+    for i in range(ell, m):
+        pivot = f[i] - g[i]
         if pivot == 0:
             raise RuntimeError("internal error: zero pivot in the absorbing solve")
-        here = []
-        for a in range(ell):
-            acc = row[a]
-            for s in range(t):
-                q = row[ell + s]
-                if q:
-                    acc += q * absorb[s][a]
-            here.append(acc / pivot)
-        absorb.append(here)
-    values = list(absorb[-1]) + [Fraction(0)] * (m - ell)
+        acc = [0] * ell
+        for j in below[i]:
+            if j < ell:
+                acc[j] += g[j]
+            elif g[j]:
+                acc = [x + g[j] * y for x, y in zip(acc, absorb[j - ell])]
+        absorb.append([Fraction(x, pivot) for x in acc])
     if any(v == 0 for v in absorb[-1]):
         raise RuntimeError("internal error: limit measure vanishes on a maximal member")
-    return MeasureVector(lat, values)
+    return MeasureVector(lat, absorb[-1] + [Fraction(0)] * (m - ell))
 
 
 def measure_event(
@@ -373,7 +370,6 @@ def measure_event(
     X: Iterable[Union[Subgroup, int]],
     *,
     cap: int = TUPLE_CAP,
-    threads: Optional[int] = None,
     lattice: Optional[SubextLattice] = None,
 ) -> Fraction:
     """Limit measure of an event: the mu_infinity mass summed over X."""
@@ -388,7 +384,7 @@ def measure_event(
             indices.add(x)
         else:
             raise GroupError("event entries must be members or member indices")
-    inf = mu_infinity(setup, K_subgroup, cap=cap, threads=threads, lattice=lat)
+    inf = mu_infinity(setup, K_subgroup, cap=cap, lattice=lat)
     return sum((inf.values[i] for i in sorted(indices)), Fraction(0))
 
 
@@ -398,7 +394,6 @@ def pushforward_check(
     *,
     max_i: int = 8,
     cap: int = TUPLE_CAP,
-    threads: Optional[int] = None,
 ) -> PushforwardReport:
     """Compare pushed upper measures with lower measures at each step.
 
@@ -428,20 +423,20 @@ def pushforward_check(
                 out[j] += v
         return MeasureVector(low_lat, out)
 
-    up_matrix = transition_matrix(up, K_subgroup_upper, cap=cap, threads=threads, lattice=up_lat)
-    low_matrix = transition_matrix(low, low_base, cap=cap, threads=threads, lattice=low_lat)
+    up_f, up_g, up_below = _hall_counts(up_lat, cap, range(len(up_lat.members)))
+    low_f, low_g, low_below = _hall_counts(low_lat, cap, range(len(low_lat.members)))
     entries = []
-    v_up = _point_mass(up_lat)
-    v_low = _point_mass(low_lat)
+    c_up = _point_mass(up_lat)
+    c_low = _point_mass(low_lat)
     for i in range(max_i + 1):
-        pushed = pushed_vector(v_up)
-        lower_vec = MeasureVector(low_lat, v_low)
+        pushed = pushed_vector(_over(c_up, up_f[-1] ** i))
+        lower_vec = MeasureVector(low_lat, _over(c_low, low_f[-1] ** i))
         entries.append(("%d" % i, pushed, lower_vec, pushed.values == lower_vec.values))
         if i < max_i:
-            v_up = _step(v_up, up_matrix.rows)
-            v_low = _step(v_low, low_matrix.rows)
-    inf_up = mu_infinity(up, K_subgroup_upper, cap=cap, threads=threads, lattice=up_lat)
-    inf_low = mu_infinity(low, low_base, cap=cap, threads=threads, lattice=low_lat)
+            c_up = _step(c_up, up_f, up_g, up_below)
+            c_low = _step(c_low, low_f, low_g, low_below)
+    inf_up = mu_infinity(up, K_subgroup_upper, cap=cap, lattice=up_lat)
+    inf_low = mu_infinity(low, low_base, cap=cap, lattice=low_lat)
     pushed_inf = pushed_vector(inf_up.values)
     entries.append(("inf", pushed_inf, inf_low, pushed_inf.values == inf_low.values))
     return PushforwardReport(tower, up_lat, low_lat, entries)

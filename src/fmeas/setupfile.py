@@ -26,11 +26,9 @@ from typing import Dict, Optional
 from .groups import (
     FiniteGroup,
     GroupError,
-    GroupHom,
     Subgroup,
-    _bfs_edges,
-    _hom_images_from_generators,
     build_group,
+    hom_from_images,
 )
 from .lattice import GaloisSetup, make_setup
 from .measure import TowerSetup
@@ -175,11 +173,9 @@ def _load_tower(spec, upper: GaloisSetup, path: str, raw: str) -> TowerSetup:
         raise _fail(path, raw, "map", "map image out of range")
     if G.closure_mask(tuple(gens)) != (1 << G.order) - 1:
         raise _fail(path, raw, "map", "map elements do not generate the group")
-    edges = _bfs_edges(G, gens)
-    images = _hom_images_from_generators(G, H, gens, edges, imgs)
-    if images is None:
+    pi = hom_from_images(G, H, gens, imgs)
+    if pi is None:
         raise _fail(path, raw, "map", "map does not extend to a homomorphism")
-    pi = GroupHom(G, H, images)
     if not pi.is_surjective:
         raise _fail(path, raw, "map", "map is not surjective onto the lower group")
     low_n = [x for x in range(H.order) if pi.image_mask(upper.n_sub.mask) >> x & 1]

@@ -8,6 +8,7 @@ output formatting or to the numbers themselves shows up as a diff.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -167,6 +168,47 @@ def test_default_cap_still_binds_the_closed_form(tmp_path, capsys):
     assert err == "error: member 66 needs 281474976710656 tuples, over the cap of 10000000\n"
 
 
+def test_lifts_suite_over_the_cap_is_exit_three(capsys):
+    expect_error(
+        ["verify", str(FIXTURES / "klein.json"), "--suite", "lifts", "--cap", "1"],
+        capsys,
+        "over the cap of 1",
+        3,
+    )
+
+
+def test_verify_with_many_valid_lifts_is_fast(tmp_path, capsys):
+    # C2^4, N the whole group, n = 5: the base alone has 16^5 valid
+    # lifts, but the lifts suite checks one coset size per member and
+    # coordinate (about 0.5 s for every suite on a 2-core x86-64
+    # machine, CPython 3.11); the bound leaves room for a loaded machine
+    p = tmp_path / "c2_4_n5.json"
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8], "sigma": [1, 2, 4, 8, 15]}
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    rc, out, err = run_main(["verify", str(p)], capsys)
+    elapsed = time.perf_counter() - start
+    assert rc == 0 and err == ""
+    assert out.startswith("PASS lift-independence\n")
+    assert "FAIL" not in out
+    assert elapsed < 10.0, "took %.2f s" % elapsed
+
+
+def test_lattice_beyond_the_order_cap_is_exit_three(tmp_path, capsys):
+    # C2^7 (order 128) has 29,212 subgroups; the lattice enumerates the
+    # base's subgroups under the same order cap of 64 as all_subgroups
+    p = tmp_path / "c2_7.json"
+    table = [[a ^ b for b in range(128)] for a in range(128)]
+    setup = {"group": {"table": table}, "normal": [1], "sigma": [2, 4, 8, 16, 32, 64]}
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    err = expect_error(["lattice", str(p)], capsys, "capped at order 64", 3)
+    elapsed = time.perf_counter() - start
+    assert err == "error: subgroup enumeration capped at order 64 (group has order 128)\n"
+    assert elapsed < 10.0, "took %.2f s" % elapsed
+
+
 def test_tower_suite_needs_tower_section(capsys):
     expect_error(
         ["verify", str(FIXTURES / "klein.json"), "--suite", "tower"],
@@ -195,16 +237,6 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
-
-
-def test_thread_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("FMEAS_THREADS", "zippy")
-    expect_error(
-        ["measure", str(FIXTURES / "klein.json")],
-        capsys,
-        "FMEAS_THREADS must be an integer",
-        2,
-    )
 
 
 def test_tower_map_must_be_homomorphism(tmp_path, capsys):

@@ -93,6 +93,31 @@ def point_mass(lattice):
     return vals
 
 
+def oracle_limit(rows, n_maximal):
+    """Limit measure by forward substitution over explicit Fraction rows.
+
+    With the maximal members first, the transient block of the rows is
+    lower triangular, so (I - Q)B = R is solved one transient at a time;
+    the last transient is the base.
+    """
+    m = len(rows)
+    if n_maximal == m:
+        return [F(1)]
+    absorb = []  # absorb[t][a]: probability of ending at maximal a from n_maximal + t
+    for t in range(m - n_maximal):
+        row = rows[n_maximal + t]
+        pivot = 1 - row[n_maximal + t]
+        assert pivot != 0
+        here = []
+        for a in range(n_maximal):
+            acc = row[a]
+            for s in range(t):
+                acc += row[n_maximal + s] * absorb[s][a]
+            here.append(acc / pivot)
+        absorb.append(here)
+    return absorb[-1] + [F(0)] * (m - n_maximal)
+
+
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu1_matches_oracle(name):
     setup, K, lat = setups.get(name)
@@ -105,6 +130,23 @@ def test_transition_matrix_matches_oracle(name):
     T = transition_matrix(setup, K, lattice=lat)
     for i in range(len(lat.members)):
         assert list(T.rows[i]) == oracle_row(setup, lat, i)
+
+
+@pytest.mark.parametrize("name", setups.NAMES)
+def test_mu_infinity_matches_oracle_limit(name):
+    setup, K, lat = setups.get(name)
+    rows = [oracle_row(setup, lat, i) for i in range(len(lat.members))]
+    assert list(mu_infinity(setup, K, lattice=lat).values) == oracle_limit(rows, lat.n_maximal)
+
+
+@pytest.mark.parametrize("name", setups.NAMES)
+def test_mu_i_matches_oracle_steps(name):
+    setup, K, lat = setups.get(name)
+    rows = [oracle_row(setup, lat, i) for i in range(len(lat.members))]
+    v = point_mass(lat)
+    for k in range(9):
+        assert list(mu_i(setup, K, k, lattice=lat).values) == v, "step %d" % k
+        v = step(v, rows)
 
 
 # -- worked examples ---------------------------------------------------------
@@ -488,29 +530,7 @@ def test_serialized_values_are_lowest_terms(name):
         assert gcd(x.numerator, x.denominator) == 1
 
 
-# -- thread counts and large inputs ----------------------------------------------
-
-
-def test_transition_rows_identical_across_thread_counts():
-    # the thread count is validated, then changes nothing
-    for name in ("C2^4-mid", "S4-full"):
-        setup, K, lat = setups.get(name)
-        serial = transition_matrix(setup, K, threads=1, lattice=lat)
-        for threads in (2, 4, 8):
-            assert transition_matrix(setup, K, threads=threads, lattice=lat).rows == serial.rows
-
-
-def test_chunked_walk_matches_serial():
-    # 16^4 = 65536 tuples at the base: a thread count, though validated,
-    # must not change the answer
-    G = corpus.group("C2^4")
-    setup = make_setup(G, [1, 2, 4, 8], (1, 2, 4, 8))
-    K = Subgroup(G, range(16))
-    lat = SubextLattice(setup, K)
-    serial = mu1(setup, K, threads=1, lattice=lat)
-    chunked = mu1(setup, K, threads=3, lattice=lat)
-    assert chunked == serial
-    assert sum(chunked.values) == 1
+# -- large inputs -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -544,19 +564,6 @@ def test_inputs_beyond_the_default_cap_are_cheap(normal, sigma):
         match="member %d needs %d tuples, over the cap of 10000000"
         % (base, (2 ** len(normal)) ** 12),
     ):
-        mu1(setup, K, lattice=lat)
-
-
-def test_threads_env_variable(monkeypatch):
-    setup, K, lat = setups.get("Klein-first")
-    baseline = mu1(setup, K, lattice=lat)
-    monkeypatch.setenv("FMEAS_THREADS", "2")
-    assert mu1(setup, K, lattice=lat) == baseline
-    monkeypatch.setenv("FMEAS_THREADS", "zippy")
-    with pytest.raises(GroupError, match="FMEAS_THREADS"):
-        mu1(setup, K, lattice=lat)
-    monkeypatch.setenv("FMEAS_THREADS", "0")
-    with pytest.raises(GroupError, match="at least 1"):
         mu1(setup, K, lattice=lat)
 
 
