@@ -137,7 +137,7 @@ def _reachable(rows):
     return reach
 
 
-def _check_lifts(loaded: LoadedSetup, cap: int):
+def _check_lifts(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     """Lift independence, through the premise of Hall's closed form.
 
     mu1 counts the tuples of a member H from |H n N| alone, which holds
@@ -146,7 +146,6 @@ def _check_lifts(loaded: LoadedSetup, cap: int):
     the cap, as mu1 holds it.
     """
     setup, K = loaded.setup, loaded.base
-    lat = SubextLattice(setup, K)
     mu1(setup, K, cap=cap, lattice=lat)
     G, r_img = setup.group, setup.r.image_of
     cosets = [
@@ -165,9 +164,8 @@ def _check_lifts(loaded: LoadedSetup, cap: int):
     return not bad, bad
 
 
-def _markov_checks(loaded: LoadedSetup, cap: int):
+def _markov_checks(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     setup, K = loaded.setup, loaded.base
-    lat = SubextLattice(setup, K)
     T = transition_matrix(setup, K, cap=cap, lattice=lat)
     inf = mu_infinity(setup, K, cap=cap, lattice=lat)
     one = mu1(setup, K, cap=cap, lattice=lat)
@@ -216,7 +214,7 @@ def _check_tower(loaded: LoadedSetup, cap: int):
     return report.holds, details
 
 
-def _frattini_checks(loaded: LoadedSetup):
+def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
     G = loaded.group
     normals = [H for H in all_subgroups(G) if H.is_normal()]
     projections = []
@@ -249,7 +247,8 @@ def _frattini_checks(loaded: LoadedSetup):
                 bad.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
     yield "frattini-composition", not bad, bad
 
-    lat = SubextLattice(loaded.setup, loaded.base)
+    if lat is None:
+        lat = SubextLattice(loaded.setup, loaded.base)
     bad = []
     for i, H in enumerate(lat.members):
         if lat.is_maximal(i) != is_frattini_restriction(H, loaded.setup.r):
@@ -289,17 +288,22 @@ def cmd_verify(args) -> int:
     cap = args.cap if args.cap is not None else TUPLE_CAP
     if args.suite == "tower" and loaded.tower is None:
         raise GroupError("the file has no tower section")
+    # one base lattice for every suite that reads it; the frattini suite
+    # on its own builds it after enumerating G, so the group's cap binds first
+    lat = None
+    if args.suite in ("lifts", "markov", "all"):
+        lat = SubextLattice(loaded.setup, loaded.base)
     results = []
     if args.suite in ("lifts", "all"):
-        ok, details = _check_lifts(loaded, cap)
+        ok, details = _check_lifts(loaded, lat, cap)
         results.append(("lift-independence", ok, details))
     if args.suite in ("markov", "all"):
-        results.extend(_markov_checks(loaded, cap))
+        results.extend(_markov_checks(loaded, lat, cap))
     if args.suite == "tower" or (args.suite == "all" and loaded.tower is not None):
         ok, details = _check_tower(loaded, cap)
         results.append(("tower-pushforward", ok, details))
     if args.suite in ("frattini", "all"):
-        results.extend(_frattini_checks(loaded))
+        results.extend(_frattini_checks(loaded, lat))
     if args.suite in ("invsys", "all"):
         results.extend(_invsys_checks(loaded))
     failed = False

@@ -103,9 +103,9 @@ def is_frattini_cover(phi: GroupHom) -> bool:
     full_target = (1 << phi.target.order) - 1
     full_source = (1 << G.order) - 1
     by_subgroups = True
-    for mask in subgroup_masks_within(G, full_source):
-        onto = phi.image_mask(mask) == full_target
-        if onto != (mask == full_source):
+    for H in all_subgroups(G):
+        onto = phi.image_mask(H.mask) == full_target
+        if onto != (H.mask == full_source):
             by_subgroups = False
             break
     if by_kernel != by_subgroups:

@@ -7,9 +7,12 @@ from permutation generators, are fully verified at construction
 deterministically above that), and are immutable afterwards.
 
 Subgroups carry their elements both as a sorted tuple (the canonical,
-hashable form) and as a bitmask; the bitmask side keeps the closure
-machinery used by the lattice and measure layers cheap.  Subgroup
-enumeration and isomorphism testing are supported up to order 64.
+hashable form) and as a bitmask.  There is one closure routine,
+FiniteGroup.extend_mask, which grows <H, x> from a subgroup H one left
+coset of H at a time; closure_mask folds it over a generator list, and
+subgroup enumeration extends known subgroups by single elements.
+Subgroup enumeration and isomorphism testing are supported up to order
+64.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class FiniteGroup:
             if len(row) != n:
                 raise GroupError("multiplication table is not square")
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise GroupError("table entry %r is not an element index" % (v,))
         self.order = n
         self.table = rows
@@ -197,47 +200,38 @@ class FiniteGroup:
     def closure_mask(self, gens: Iterable[int]) -> int:
         """Bitmask of the subgroup generated by gens (empty gens give {0})."""
         mask = 1
-        elems = [0]
-        pending = list(gens)
-        t = self.table
-        while pending:
-            x = pending.pop()
-            if mask >> x & 1:
-                continue
-            mask |= 1 << x
-            tx = t[x]
-            for y in elems:
-                pending.append(tx[y])
-                pending.append(t[y][x])
-            pending.append(tx[x])
-            elems.append(x)
-        self._mask_elems.setdefault(mask, tuple(sorted(elems)))
+        for x in gens:
+            mask = self.extend_mask(mask, x)
         return mask
 
     def extend_mask(self, mask: int, x: int) -> int:
-        """Bitmask of the subgroup generated by an existing subgroup plus x."""
+        """Bitmask of the subgroup generated by the subgroup H with this mask plus x.
+
+        <H, x> is a union of left cosets yH, grown one coset at a time:
+        the products y*h*x (h in H) of each coset found lead to every
+        next one, and a new coset zH is added whole.  Results are
+        memoized per (mask, x).
+        """
         if mask >> x & 1:
             return mask
         key = (mask, x)
         got = self._extend_memo.get(key)
         if got is not None:
             return got
-        elems = list(self.elems_of_mask(mask))
-        out = mask
-        pending = [x]
         t = self.table
-        while pending:
-            y = pending.pop()
-            if out >> y & 1:
-                continue
-            out |= 1 << y
+        H = self.elems_of_mask(mask)
+        hx = [t[h][x] for h in H]
+        out = mask
+        reps = [0]
+        for y in reps:
             ty = t[y]
-            for z in elems:
-                pending.append(ty[z])
-                pending.append(t[z][y])
-            pending.append(ty[y])
-            elems.append(y)
-        self._mask_elems.setdefault(out, tuple(sorted(elems)))
+            for a in hx:
+                z = ty[a]
+                if not out >> z & 1:
+                    tz = t[z]
+                    for h in H:
+                        out |= 1 << tz[h]
+                    reps.append(z)
         self._extend_memo[key] = out
         return out
 
@@ -503,7 +497,8 @@ def build_group(spec: dict, *, closure_cap: int = PERM_CLOSURE_CAP) -> FiniteGro
     gens = []
     for p in perms:
         q = tuple(p)
-        if len(q) != d or sorted(q) != list(range(d)):
+        ints = all(isinstance(v, int) and not isinstance(v, bool) for v in q)
+        if not ints or len(q) != d or sorted(q) != list(range(d)):
             raise GroupError("malformed permutation %r" % (p,))
         gens.append(q)
     ident = tuple(range(d))
@@ -539,8 +534,9 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 def _subgroups_within(G: FiniteGroup, universe: int, order_cap: int) -> dict[int, tuple[int, ...]]:
     """Every subgroup inside the subgroup with this mask, with generators.
 
-    Bottom-up: cyclic subgroups first, then closures of single-element
-    extensions of known subgroups until no new subgroup appears.  Maps
+    Bottom-up from the trivial subgroup: every known subgroup is
+    extended by every element outside it until no new subgroup appears,
+    so the cyclic subgroups come first, as extensions of {0}.  Maps
     each subgroup mask to a tuple generating it.  The universe must
     itself be a subgroup of order at most order_cap.
     """
@@ -552,11 +548,6 @@ def _subgroups_within(G: FiniteGroup, universe: int, order_cap: int) -> dict[int
         )
     built: dict[int, tuple[int, ...]] = {1: ()}
     work = [1]
-    for x in elems[1:]:
-        m = G.closure_mask((x,))
-        if m not in built:
-            built[m] = (x,)
-            work.append(m)
     while work:
         mask = work.pop()
         gens = built[mask]

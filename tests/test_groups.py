@@ -185,6 +185,33 @@ def test_generated_subgroup_is_closed(data):
         assert G.inv(x) in H
         for y in H:
             assert G.mul(x, y) in H
+    assert G.closure_mask(gens) == sum(1 << x for x in naive_closure(G, gens))
+
+
+def naive_closure(G, gens):
+    """Elements of <gens>: multiply all pairs until nothing new appears."""
+    elems = {0, *gens}
+    while True:
+        grown = elems | {G.table[a][b] for a in elems for b in elems}
+        if grown == elems:
+            return elems
+        elems = grown
+
+
+@pytest.mark.parametrize("name", sorted(name for name, G in corpus.classes_upto(12)))
+def test_all_subgroups_match_closed_subsets(name):
+    # brute force over subsets, with no closure code: in a finite group a
+    # subset that holds the identity and is closed under the table is a
+    # subgroup
+    G = corpus.group(name)
+    t = G.table
+    closed = set()
+    for rest in range(1 << (G.order - 1)):
+        mask = rest << 1 | 1
+        elems = [x for x in range(G.order) if mask >> x & 1]
+        if all(mask >> t[a][b] & 1 for a in elems for b in elems):
+            closed.add(mask)
+    assert {H.mask for H in all_subgroups(G)} == closed
 
 
 # -- quotients -----------------------------------------------------------
