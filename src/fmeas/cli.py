@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .frattini import (
@@ -128,16 +129,16 @@ def cmd_invsys(args) -> int:
 
 
 def _reachable(rows):
-    m = len(rows)
-    reach = [[bool(rows[i][j]) or i == j for j in range(m)] for i in range(m)]
-    for k in range(m):
-        for i in range(m):
-            if reach[i][k]:
-                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    """Bit j of reach[i] is set when member j is reachable from member i."""
+    reach = [sum(1 << j for j, p in enumerate(row) if p) | 1 << i for i, row in enumerate(rows)]
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
     return reach
 
 
-def _check_lifts(loaded: LoadedSetup, lat: SubextLattice, cap: int):
+def _lift_independence(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     """Lift independence, through the premise of Hall's closed form.
 
     mu1 counts the tuples of a member H from |H n N| alone, which holds
@@ -177,14 +178,13 @@ def _markov_checks(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     reach = _reachable(T.rows)
     bad = []
     for i in range(m):
-        ergodic = all(reach[j][i] for j in range(m) if reach[i][j])
+        ergodic = all(reach[j] >> i & 1 for j in range(m) if reach[i] >> j & 1)
         if ergodic != lat.is_maximal(i):
             bad.append(i)
     yield "ergodic-equals-maximal", not bad, ["member %d" % i for i in bad]
 
-    stepped = [
-        sum(inf.values[i] * T.rows[i][j] for i in range(m)) for j in range(m)
-    ]
+    support = [i for i in range(m) if inf.values[i]]
+    stepped = [sum(inf.values[i] * T.rows[i][j] for i in support) for j in range(m)]
     ok = stepped == list(inf.values)
     yield "limit-fixed-point", ok, [] if ok else [_vector_line(stepped)]
 
@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
         lat = SubextLattice(loaded.setup, loaded.base)
     results = []
     if args.suite in ("lifts", "all"):
-        ok, details = _check_lifts(loaded, lat, cap)
+        ok, details = _lift_independence(loaded, lat, cap)
         results.append(("lift-independence", ok, details))
     if args.suite in ("markov", "all"):
         results.extend(_markov_checks(loaded, lat, cap))
@@ -319,6 +319,7 @@ def cmd_verify(args) -> int:
 # -- argument plumbing --------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fmeas",

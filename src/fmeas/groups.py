@@ -45,13 +45,6 @@ def _mask_to_elems(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _elems_to_mask(elems: Iterable[int]) -> int:
-    mask = 0
-    for x in elems:
-        mask |= 1 << x
-    return mask
-
-
 class FiniteGroup:
     """An immutable finite group given by a verified Cayley table.
 
@@ -60,6 +53,10 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
+        if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table
+        ):
+            raise GroupError("multiplication table must be a list of rows")
         n = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
@@ -367,9 +364,6 @@ class Subgroup:
                     return False
         return True
 
-    def is_whole_group(self) -> bool:
-        return len(self.elements) == self.group.order
-
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if self.group is not other.group:
             raise GroupError("subgroups of different groups have no intersection")
@@ -491,6 +485,9 @@ def build_group(spec: dict, *, closure_cap: int = PERM_CLOSURE_CAP) -> FiniteGro
     perms = spec["permutations"]
     if not isinstance(perms, (list, tuple)) or not perms:
         raise GroupError("permutation generator list is empty or not a list")
+    for p in perms:
+        if not isinstance(p, (list, tuple)):
+            raise GroupError("malformed permutation %r" % (p,))
     d = len(perms[0])
     if d == 0 or d > PERM_POINTS_CAP:
         raise GroupError("permutations must act on 1..%d points" % PERM_POINTS_CAP)

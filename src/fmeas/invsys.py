@@ -85,18 +85,12 @@ class CompleteSystem:
         self.normals = tuple(family)
         self._id_of = {N.mask: i for i, N in enumerate(self.normals)}
 
-        # least representative of g's coset, per family member
-        rep_in: Dict[int, tuple[int, ...]] = {}
-        for N in self.normals:
-            _, pi = quotient(group, N)
-            least: Dict[int, int] = {}
-            row = [0] * group.order
-            for g in range(group.order):
-                c = pi.image_of[g]
-                if c not in least:
-                    least[c] = g
-                row[g] = least[c]
-            rep_in[N.mask] = tuple(row)
+        # least element of each coset gN, per family member
+        t = group.table
+        rep_in = {
+            N.mask: tuple(min(t[g][x] for x in N.elements) for g in range(group.order))
+            for N in self.normals
+        }
         self._rep_in = rep_in
 
         universe: list[Element] = []
@@ -118,7 +112,6 @@ class CompleteSystem:
                     for b in sorted(set(rep_in[M.mask])):
                         leq.add(((N.mask, a), (M.mask, b)))
         prod = set()
-        t = group.table
         for N in self.normals:
             to_n = rep_in[N.mask]
             reps = sorted(set(to_n))

@@ -31,7 +31,7 @@ class GaloisSetup:
     whose images generate Q = G/N.  r is the projection G -> Q.
     """
 
-    __slots__ = ("group", "n_sub", "sigma_prime", "quotient_group", "r", "_lift_memo")
+    __slots__ = ("group", "n_sub", "sigma_prime", "quotient_group", "r")
 
     def __init__(self, group: FiniteGroup, n_sub: Subgroup, sigma_prime: tuple[int, ...]):
         if n_sub.group is not group:
@@ -54,7 +54,6 @@ class GaloisSetup:
         self.sigma_prime = sigma_prime
         self.quotient_group = Q
         self.r = r
-        self._lift_memo: dict[int, tuple[int, ...]] = {}
 
     @property
     def n(self) -> int:
@@ -63,30 +62,6 @@ class GaloisSetup:
     def qualifies(self, mask: int) -> bool:
         """Does the subgroup with this mask map onto Q?"""
         return self.r.image_mask(mask) == (1 << self.quotient_group.order) - 1
-
-    def lift_into(self, mask: int) -> tuple[int, ...]:
-        """Deterministic lift of the sigma images into the subgroup mask.
-
-        Coordinate i is the least element h of the subgroup with
-        r(h) = r(sigma_prime[i]); requires the subgroup to map onto Q.
-        """
-        got = self._lift_memo.get(mask)
-        if got is not None:
-            return got
-        r_img = self.r.image_of
-        elems = self.group.elems_of_mask(mask)
-        lift = []
-        for s in self.sigma_prime:
-            target = r_img[s]
-            for h in elems:
-                if r_img[h] == target:
-                    lift.append(h)
-                    break
-            else:
-                raise GroupError("subgroup does not meet the coset of a sigma image")
-        out = tuple(lift)
-        self._lift_memo[mask] = out
-        return out
 
     def __repr__(self) -> str:
         return "GaloisSetup(|G|=%d, |N|=%d, n=%d)" % (

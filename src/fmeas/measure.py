@@ -4,12 +4,15 @@ Every measure works from two integer vectors per lattice: f[j], the
 number of translate tuples landing inside member j, and g[j], the number
 generating exactly member j, both from P. Hall's Eulerian-function
 inversion over the member poset rather than by enumerating the tuples.
-A step of the chain sends mass v[i] / f[i] from each member i to each
-member j inside it, weighted by g[j]; iterated measures take such steps
-from the point mass at the base, and the limit measure solves the
-absorbing chain equations by forward substitution.  The Fraction
-transition matrix is built only by transition_matrix.  Every value is
-exact; no floating point enters the engine.
+No measure reads a lift of sigma: for a valid lift coordinate l in
+H n sigma N, the translates l(H n N) are exactly H n sigma N, so every
+valid lift yields the same tuples and the same counts.  A step of the
+chain sends mass v[i] / f[i] from each member i to each member j inside
+it, weighted by g[j]; iterated measures take such steps from the point
+mass at the base, and the limit measure solves the absorbing chain
+equations by forward substitution.  The Fraction transition matrix is
+built only by transition_matrix.  Every value is exact; no floating
+point enters the engine.
 """
 
 from __future__ import annotations
@@ -174,19 +177,6 @@ def _resolve_lattice(
     return lattice
 
 
-def _check_lift(setup: GaloisSetup, H: Subgroup, lift: tuple[int, ...]) -> None:
-    if len(lift) != setup.n:
-        raise GroupError("lift must have %d coordinates" % setup.n)
-    r_img = setup.r.image_of
-    for x, s in zip(lift, setup.sigma_prime):
-        if not isinstance(x, int) or not 0 <= x < setup.group.order:
-            raise GroupError("lift entry %r is out of range" % (x,))
-        if not H.mask >> x & 1:
-            raise GroupError("lift entry %d is outside the base subgroup" % x)
-        if r_img[x] != r_img[s]:
-            raise GroupError("lift entry %d is in the wrong coset" % x)
-
-
 def _hall_counts(
     lattice: SubextLattice, cap: int, rows: Iterable[int]
 ) -> tuple[list[int], list[int], list[list[int]]]:
@@ -263,23 +253,21 @@ def mu1(
     setup: GaloisSetup,
     K_subgroup: Subgroup,
     *,
-    lift: Optional[Sequence[int]] = None,
     cap: int = TUPLE_CAP,
     lattice: Optional[SubextLattice] = None,
 ) -> MeasureVector:
     """One-step distribution over the lattice of K_subgroup.
 
-    Each translate tuple contributes 1/|H_K n N|^n to the member its
-    translated lift generates; the counts come from _hall_counts.  lift
-    is validated but cannot change the result, which is the same for
-    every valid lift; cap bounds the number of tuples |H_K n N|^n and is
-    enforced loudly.
+    Each translate tuple contributes 1/|K n N|^n to the member its
+    translated lift generates; the counts come from _hall_counts.  It
+    takes no lift: for any valid lift coordinate l, the translates
+    l(K n N) are exactly K n sigma N, so every valid lift gives the same
+    tuples.  cap bounds the number of tuples |K n N|^n and is enforced
+    loudly.
     """
     lat = _resolve_lattice(setup, K_subgroup, lattice)
     base = len(lat.members) - 1
     f, g, below = _hall_counts(lat, cap, (base,))
-    if lift is not None:
-        _check_lift(setup, lat.members[base], tuple(lift))
     return MeasureVector(lat, _row(f, g, below, base))
 
 

@@ -55,6 +55,9 @@ from test_cli import EXPECTED, GOLDEN_CASES
 
 F = Fraction
 TOLERANCE = F(1, 2 ** 40)
+# criterion 2 enumerates a scenario's mu1 under every lift when the valid
+# lifts times the translate tuples per lift, |K n N|^n each, fit in this
+LIFT_TUPLE_BUDGET = 1296
 
 
 def report(name, ok, detail):
@@ -85,18 +88,29 @@ def naive_closure_mask(G, gens):
     return mask
 
 
-def oracle_row(setup, lattice, i):
+def oracle_row(setup, lattice, i, lift=None, closures=None):
+    """mu1 at member i by closing every translate tuple of the lift.
+
+    The lift defaults to the least one.  closures, when given, is a dict
+    that keeps each generator tuple's closure across calls.
+    """
     G = setup.group
     H = lattice.members[i]
     r_img = setup.r.image_of
     taus = [x for x in H.elements if x in setup.n_sub]
-    lift = [
-        min(h for h in H.elements if r_img[h] == r_img[s]) for s in setup.sigma_prime
-    ]
+    if lift is None:
+        lift = [
+            min(h for h in H.elements if r_img[h] == r_img[s]) for s in setup.sigma_prime
+        ]
+    if closures is None:
+        closures = {}
     counts = [0] * len(lattice.members)
     for combo in itertools.product(taus, repeat=setup.n):
-        gens = [G.table[l][t] for l, t in zip(lift, combo)]
-        counts[lattice.index_of[naive_closure_mask(G, gens)]] += 1
+        gens = tuple(G.table[l][t] for l, t in zip(lift, combo))
+        mask = closures.get(gens)
+        if mask is None:
+            mask = closures[gens] = naive_closure_mask(G, gens)
+        counts[lattice.index_of[mask]] += 1
     total = len(taus) ** setup.n
     return [F(c, total) for c in counts]
 
@@ -297,6 +311,8 @@ def limit_issues(tag, rows, inf_values, n_maximal):
 def sweep():
     data = {
         "scenarios": 0,
+        "lift_coordinates": 0,
+        "lift_enumerated": 0,
         "lift_vectors": 0,
         "lift_seconds": 0.0,
         "lift_failures": [],
@@ -332,29 +348,35 @@ def sweep():
                 tag = "%s N=%s sigma=%s" % (name, list(N.elements), list(sigma))
                 data["scenarios"] += 1
 
-                # every lift of sigma, each compared with the first
+                # the premise of the closed form, with no lift chosen: every
+                # valid lift coordinate l translates K n N onto K n sigma_k N
                 t0 = time.perf_counter()
+                one = mu1(setup, base, lattice=lat).values
                 r_img = setup.r.image_of
+                meet_n = [g for g in base.elements if g in N]
                 choices = [
-                    [g for g in range(G.order) if r_img[g] == r_img[s]] for s in sigma
+                    [g for g in base.elements if r_img[g] == r_img[s]] for s in sigma
                 ]
-                first = None
-                agree = True
-                for L in itertools.product(*choices):
-                    v = mu1(setup, base, lattice=lat, lift=L).values
-                    data["lift_vectors"] += 1
-                    if first is None:
-                        first = v
-                    elif v != first:
-                        agree = False
+                for k, coset in enumerate(choices):
+                    for l in coset:
+                        data["lift_coordinates"] += 1
+                        if sorted(G.table[l][t] for t in meet_n) != coset:
+                            data["lift_failures"].append("%s coordinate %d l=%d" % (tag, k, l))
+                # mu1 against the enumeration under every lift, within the budget
+                if len(meet_n) ** (2 * len(sigma)) <= LIFT_TUPLE_BUDGET:
+                    data["lift_enumerated"] += 1
+                    closures = {}
+                    for L in itertools.product(*choices):
+                        data["lift_vectors"] += 1
+                        want = oracle_row(setup, lat, len(lat.members) - 1, L, closures)
+                        if list(one) != want:
+                            data["lift_failures"].append("%s lift %s" % (tag, list(L)))
                 data["lift_seconds"] += time.perf_counter() - t0
-                if not agree:
-                    data["lift_failures"].append(tag)
 
                 T = transition_matrix(setup, base, lattice=lat)
                 rows = [tuple(row) for row in T.rows]
                 inf = mu_infinity(setup, base, lattice=lat)
-                data["markov_failures"] += markov_issues(tag, lat, rows, first, inf.values)
+                data["markov_failures"] += markov_issues(tag, lat, rows, one, inf.values)
 
                 # a limit is checked once per chain; the limit is part of the
                 # key, so a wrong limit on rows already seen is still checked
@@ -385,8 +407,14 @@ def test_criterion_2_lift_independence(sweep):
     report(
         "criterion-2 lift-independence",
         ok,
-        "%d scenarios, %d lift vectors, %.1fs"
-        % (sweep["scenarios"], sweep["lift_vectors"], sweep["lift_seconds"])
+        "%d scenarios, %d lift coordinates, %d scenarios enumerated under %d lifts, %.1fs"
+        % (
+            sweep["scenarios"],
+            sweep["lift_coordinates"],
+            sweep["lift_enumerated"],
+            sweep["lift_vectors"],
+            sweep["lift_seconds"],
+        )
         if ok
         else "; ".join(failures[:6]),
     )

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from fmeas.cli import main
+from fmeas.cli import _reachable, main
 
 from conftest import FIXTURES
 
@@ -239,6 +239,55 @@ def test_boolean_group_entries_rejected(group, fragment, tmp_path, capsys):
     p.write_text('{\n "group": %s,\n "normal": [0],\n "sigma": [1]\n}\n' % json.dumps(group))
     err = expect_error(["lattice", str(p)], capsys, fragment, 2)
     assert err.startswith("error: %s:2: " % p)
+
+
+@pytest.mark.parametrize(
+    "group,fragment",
+    [
+        ({"table": 7}, "multiplication table must be a list of rows"),
+        ({"table": [1]}, "multiplication table must be a list of rows"),
+        ({"permutations": [5]}, "malformed permutation 5"),
+        ({"permutations": [[1, 0], 3]}, "malformed permutation 3"),
+    ],
+    ids=["table-int", "table-int-row", "permutations-int", "permutations-int-entry"],
+)
+def test_malformed_group_shapes_rejected(group, fragment, tmp_path, capsys):
+    p = tmp_path / "shape.json"
+    p.write_text('{\n "group": %s,\n "normal": [0],\n "sigma": [0]\n}\n' % json.dumps(group))
+    err = expect_error(["lattice", str(p)], capsys, fragment, 2)
+    assert err.startswith("error: %s:2: " % p)
+
+
+def naive_reach(rows):
+    """reach[i][j]: a path of nonzero entries leads from i to j (or i == j)."""
+    m = len(rows)
+    reach = [[i == j or bool(rows[i][j]) for j in range(m)] for i in range(m)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            for j in range(m):
+                if not reach[i][j] and any(reach[i][k] and reach[k][j] for k in range(m)):
+                    reach[i][j] = changed = True
+    return reach
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1]],
+        [[1, 0, 0], [1, 0, 0], [0, 1, 0]],
+        [[0, 1, 0], [0, 0, 1], [0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]],
+        # a cycle 0 -> 1 -> 2 -> 0 fed by 3, which the lattice order never gives
+        [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]],
+    ],
+    ids=["single", "chain-down", "chain-up", "two-absorbing", "cycle"],
+)
+def test_reachable_matches_a_naive_closure(rows):
+    m = len(rows)
+    reach = _reachable(rows)
+    assert [[bool(reach[i] >> j & 1) for j in range(m)] for i in range(m)] == naive_reach(rows)
 
 
 def test_tower_suite_needs_tower_section(capsys):

@@ -178,14 +178,19 @@ def test_every_lift_into_a_maximal_member_generates_it(name):
 
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_deterministic_lift_lands_in_the_right_cosets(name):
+    # the premise of Hall's closed form, with no lift chosen: each member H
+    # meets the coset of N under every sigma coordinate in |H n N| elements,
+    # and any of them, l, translates H n N onto that whole meet
     setup, _, lat = setups.get(name)
+    G = setup.group
     r_img = setup.r.image_of
     for H in lat.members:
-        lift = setup.lift_into(H.mask)
-        assert len(lift) == setup.n
-        for h, s in zip(lift, setup.sigma_prime):
-            assert h in H
-            assert r_img[h] == r_img[s]
+        meet_n = [h for h in H.elements if h in setup.n_sub]
+        for s in setup.sigma_prime:
+            meet = {h for h in H.elements if r_img[h] == r_img[s]}
+            assert len(meet) == len(meet_n)
+            for l in meet:
+                assert {G.table[l][t] for t in meet_n} == meet
 
 
 # -- fix_field ---------------------------------------------------------------
