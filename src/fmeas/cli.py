@@ -25,8 +25,8 @@ from .groups import (
     GroupError,
     GroupHom,
     Subgroup,
-    all_subgroups,
     isomorphic,
+    normal_subgroups,
     quotient,
 )
 from .invsys import complete_system, dual_embedding, dual_group, generated_subsystem, level_quotient
@@ -216,7 +216,7 @@ def _check_tower(loaded: LoadedSetup, cap: int):
 
 def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
     G = loaded.group
-    normals = [H for H in all_subgroups(G) if H.is_normal()]
+    normals = normal_subgroups(G)
     projections = []
     routes_ok, routes_detail = True, []
     for N in normals:

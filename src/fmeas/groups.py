@@ -10,7 +10,8 @@ Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
 FiniteGroup.extend_mask, which grows <H, x> from a subgroup H one left
 coset of H at a time; closure_mask folds it over a generator list, and
-subgroup enumeration extends known subgroups by single elements.
+subgroup enumeration extends known subgroups, from a set of seeds, by
+single elements of an extension set.
 Subgroup enumeration and isomorphism testing are supported up to order
 64.
 """
@@ -85,6 +86,7 @@ class FiniteGroup:
         self._mask_elems: dict[int, tuple[int, ...]] = {1: (0,)}
         self._extend_memo: dict[tuple[int, int], int] = {}
         self._subgroups: Optional[tuple["Subgroup", ...]] = None
+        self._normals: Optional[tuple["Subgroup", ...]] = None
         self._quotients: dict[int, tuple["FiniteGroup", "GroupHom"]] = {}
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
@@ -528,27 +530,24 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(gens))
 
 
-def _subgroups_within(G: FiniteGroup, universe: int, order_cap: int) -> dict[int, tuple[int, ...]]:
-    """Every subgroup inside the subgroup with this mask, with generators.
+def _subgroups_within(
+    G: FiniteGroup, seeds: dict[int, tuple[int, ...]], extend: Sequence[int]
+) -> dict[int, tuple[int, ...]]:
+    """Every subgroup reached from the seeds by adding elements of extend.
 
-    Bottom-up from the trivial subgroup: every known subgroup is
-    extended by every element outside it until no new subgroup appears,
-    so the cyclic subgroups come first, as extensions of {0}.  Maps
-    each subgroup mask to a tuple generating it.  The universe must
-    itself be a subgroup of order at most order_cap.
+    Bottom-up: every known subgroup, the seeds first, is extended by
+    every element of extend outside it until no new subgroup appears.
+    Maps each subgroup mask to a tuple generating it, the seed's
+    generators first.  With the trivial subgroup as the only seed and a
+    whole subgroup as extend, this is every subgroup of that subgroup,
+    the cyclic ones first, as extensions of {0}.
     """
-    elems = G.elems_of_mask(universe)
-    if len(elems) > order_cap:
-        raise CapExceeded(
-            "subgroup enumeration capped at order %d (group has order %d)"
-            % (order_cap, len(elems))
-        )
-    built: dict[int, tuple[int, ...]] = {1: ()}
-    work = [1]
+    built = dict(seeds)
+    work = list(seeds)
     while work:
         mask = work.pop()
         gens = built[mask]
-        for x in elems:
+        for x in extend:
             if mask >> x & 1:
                 continue
             bigger = G.extend_mask(mask, x)
@@ -558,24 +557,82 @@ def _subgroups_within(G: FiniteGroup, universe: int, order_cap: int) -> dict[int
     return built
 
 
+def _check_order_cap(order: int, order_cap: int) -> None:
+    if order > order_cap:
+        raise CapExceeded(
+            "subgroup enumeration capped at order %d (group has order %d)" % (order_cap, order)
+        )
+
+
+def _lift_seeds(
+    G: FiniteGroup, universe: int, normal: int, lift: Sequence[int]
+) -> dict[int, tuple[int, ...]]:
+    """The subgroups <y_1, ..., y_k> of the universe with y_i in s_i N.
+
+    s_1, ..., s_k is the greedy subsequence of lift whose images
+    generate <N, lift> / N: a coordinate already inside the span of N
+    and the earlier ones is skipped.  Seeds grow one coordinate at a
+    time, each level extending every seed of the last by every y in the
+    universe's meet with the next coset s_i N.
+    """
+    t = G.table
+    n_elems = G.elems_of_mask(normal)
+    seeds: dict[int, tuple[int, ...]] = {1: ()}
+    span = normal
+    for s in lift:
+        if span >> s & 1:
+            continue
+        span = G.extend_mask(span, s)
+        coset = [y for y in (t[s][x] for x in n_elems) if universe >> y & 1]
+        level: dict[int, tuple[int, ...]] = {}
+        for mask, gens in seeds.items():
+            for y in coset:
+                level.setdefault(G.extend_mask(mask, y), gens + (y,))
+        seeds = level
+    return seeds
+
+
 def all_subgroups(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, ordered by size then element tuple."""
-    # above the cap the loop raises, whether or not the subgroups are cached
-    if G._subgroups is None or G.order > order_cap:
-        built = _subgroups_within(G, (1 << G.order) - 1, order_cap)
+    # above the cap this raises, whether or not the subgroups are cached
+    _check_order_cap(G.order, order_cap)
+    if G._subgroups is None:
+        built = _subgroups_within(G, {1: ()}, range(G.order))
         subs = [Subgroup(G, gens, elements=G.elems_of_mask(mask)) for mask, gens in built.items()]
         subs.sort(key=lambda H: (H.order, H.elements))
         G._subgroups = tuple(subs)
     return G._subgroups
 
 
-def subgroup_masks_within(G: FiniteGroup, universe: int) -> list[int]:
-    """Masks of all subgroups of G contained in the subgroup with this mask.
+def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """The normal subgroups, ordered like all_subgroups."""
+    subs = all_subgroups(G)
+    if G._normals is None:
+        G._normals = tuple(H for H in subs if H.is_normal())
+    return G._normals
 
-    Ordered like all_subgroups; the universe must itself be a subgroup,
-    of order at most DEFAULT_ORDER_CAP.
+
+def subgroup_masks_within(
+    G: FiniteGroup, universe: int, normal: Optional[int] = None, lift: Sequence[int] = ()
+) -> list[int]:
+    """Masks of the subgroups H of the universe with HN = <N, lift>.
+
+    normal is the mask of a normal subgroup N, the whole group when
+    omitted, so that with no lift every subgroup of the universe
+    qualifies.  Each such H holds an element of every coset s N with s
+    in the lift, and for any choice L of such elements, H is <L, H n N>:
+    an element h of H has the image of some w in <L>, and w^-1 h lies
+    in H n N.  So the subgroups are enumerated upward from the seeds of
+    _lift_seeds, adding elements of the universe's meet with N only;
+    with N the whole group the one seed is {0} and every element of the
+    universe extends.  Ordered like all_subgroups; the universe must
+    itself be a subgroup, of order at most DEFAULT_ORDER_CAP.
     """
-    built = _subgroups_within(G, universe, DEFAULT_ORDER_CAP)
+    _check_order_cap(bin(universe).count("1"), DEFAULT_ORDER_CAP)
+    if normal is None:
+        normal = (1 << G.order) - 1
+    seeds = _lift_seeds(G, universe, normal, lift)
+    built = _subgroups_within(G, seeds, G.elems_of_mask(universe & normal))
     return sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
 
 
@@ -708,9 +765,7 @@ def image_classes(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list
     if G.order > order_cap:
         raise CapExceeded("image enumeration capped at order %d" % order_cap)
     reps: list[FiniteGroup] = []
-    for N in all_subgroups(G):
-        if not N.is_normal():
-            continue
+    for N in normal_subgroups(G):
         Q, _ = quotient(G, N)
         if not any(isomorphic(Q, R) for R in reps):
             reps.append(Q)

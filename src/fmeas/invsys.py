@@ -21,7 +21,7 @@ from .groups import (
     GroupError,
     GroupHom,
     Subgroup,
-    all_subgroups,
+    normal_subgroups,
     quotient,
 )
 
@@ -32,9 +32,7 @@ Element = Tuple[int, int]  # (mask of the normal subgroup, least coset element)
 
 def normal_family(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All normal subgroups, ordered by index then element tuple."""
-    out = [H for H in all_subgroups(G) if H.is_normal()]
-    out.sort(key=lambda H: (G.order // H.order, H.elements))
-    return tuple(out)
+    return tuple(sorted(normal_subgroups(G), key=lambda H: (G.order // H.order, H.elements)))
 
 
 class CompleteSystem:
@@ -56,16 +54,18 @@ class CompleteSystem:
         "prod",
         "one",
         "_rep_in",
+        "_reps",
         "_id_of",
     )
 
     def __init__(self, group: FiniteGroup, normals: Iterable[Subgroup]):
         family = list(normals)
+        normal_masks = {M.mask for M in normal_subgroups(group)}
         masks = set()
         for N in family:
             if N.group is not group:
                 raise GroupError("subgroup does not live in the given group")
-            if not N.is_normal():
+            if N.mask not in normal_masks:
                 raise GroupError("family member %r is not normal" % (N,))
             if N.mask in masks:
                 raise GroupError("duplicate normal subgroup in the family")
@@ -77,8 +77,8 @@ class CompleteSystem:
             for b in masks:
                 if a & b not in masks:
                     raise GroupError("the family is not closed under intersection")
-        for M in normal_family(group):
-            if M.mask not in masks and any(m & M.mask == m for m in masks):
+        for M in normal_masks:
+            if M not in masks and any(m & M == m for m in masks):
                 raise GroupError("the family is not upward closed")
         family.sort(key=lambda H: (group.order // H.order, H.elements))
         self.group = group
@@ -92,11 +92,12 @@ class CompleteSystem:
             for N in self.normals
         }
         self._rep_in = rep_in
+        reps_of = {mask: tuple(sorted(set(to_n))) for mask, to_n in rep_in.items()}
+        self._reps = reps_of
 
         universe: list[Element] = []
         for N in self.normals:
-            reps = sorted(set(rep_in[N.mask]))
-            universe.extend((N.mask, r) for r in reps)
+            universe.extend((N.mask, r) for r in reps_of[N.mask])
         self.universe = tuple(universe)
         self.one = (full, 0)
 
@@ -107,14 +108,14 @@ class CompleteSystem:
                 if N.mask & M.mask != N.mask:
                     continue
                 to_m = rep_in[M.mask]
-                for a in sorted(set(rep_in[N.mask])):
+                for a in reps_of[N.mask]:
                     compat.add(((N.mask, a), (M.mask, to_m[a])))
-                    for b in sorted(set(rep_in[M.mask])):
+                    for b in reps_of[M.mask]:
                         leq.add(((N.mask, a), (M.mask, b)))
         prod = set()
         for N in self.normals:
             to_n = rep_in[N.mask]
-            reps = sorted(set(to_n))
+            reps = reps_of[N.mask]
             for a in reps:
                 for b in reps:
                     prod.add(((N.mask, a), (N.mask, b), (N.mask, to_n[t[a][b]])))
@@ -140,7 +141,7 @@ class CompleteSystem:
         return self.group.order // bin(mask).count("1")
 
     def class_reps(self, mask: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self._rep_in[mask])))
+        return self._reps[mask]
 
     def _key(self, x: Element) -> tuple[int, int]:
         return (self._id_of[x[0]], x[1])

@@ -7,6 +7,17 @@ image under r: G -> Q = G/N is all of Q; the member list puts the
 minimal (field-maximal) subgroups first, then the rest, each block in
 ascending subgroup order, so inclusions only ever point backwards and
 the base sits last.
+
+Members are enumerated directly, not filtered from every subgroup of
+the base K.  A member H meets each coset s_i N of a sigma coordinate,
+inside K n s_i N, so it holds a lift L_H = (l_i t_i) of sigma with each
+t_i in K n N, and H = <L_H, H n N>: every h in H has the image of some
+w in <L_H>, and w^-1 h lies in H n N.  So the members are the subgroups
+<l_1 t_1, ..., l_k t_k>, closed upward by elements of K n N.  Only a
+greedy subsequence of sigma whose images generate Q is used: a
+coordinate whose image lies in the span of the earlier ones is skipped,
+and with N = G none is left, so the enumeration is that of every
+subgroup of K.
 """
 
 from __future__ import annotations
@@ -81,6 +92,10 @@ def make_setup(
 class SubextLattice:
     """All qualifying subgroups of a base subgroup, canonically ordered.
 
+    They are found as H = <L_H, H n N>: seeds generated by one element of
+    K n sN for each coordinate s of a greedy subsequence of sigma whose
+    images generate Q, closed upward by the elements of K n N.
+
     members[:n_maximal] are the minimal qualifying subgroups (the
     maximal fields); members[-1] is the base.  F_i <= F_j in the field
     order iff members[j] is contained in members[i], which implies
@@ -95,9 +110,9 @@ class SubextLattice:
             raise GroupError("base subgroup does not live in the setup group")
         if not setup.qualifies(base.mask):
             raise GroupError("base subgroup does not map onto the quotient")
-        qualifying = [
-            m for m in subgroup_masks_within(G, base.mask) if setup.qualifies(m)
-        ]
+        qualifying = subgroup_masks_within(
+            G, base.mask, setup.n_sub.mask, setup.sigma_prime
+        )
         qual_set = set(qualifying)
         minimal = {
             m
@@ -163,11 +178,11 @@ def s_lattice(
         alt = make_setup(
             setup.group, confirm_n1.elements, setup.sigma_prime
         )
-        alt_members = {
-            m
-            for m in subgroup_masks_within(setup.group, k_subgroup.mask)
-            if alt.qualifies(m)
-        }
+        alt_members = set(
+            subgroup_masks_within(
+                setup.group, k_subgroup.mask, alt.n_sub.mask, alt.sigma_prime
+            )
+        )
         if alt_members != set(lattice.index_of):
             raise GroupError(
                 "alternative constant subgroup selects a different member set"

@@ -26,6 +26,11 @@ from .lattice import GaloisSetup, SubextLattice
 # default bound on |H n N|^n per row: a policy on the inputs accepted,
 # not a work bound, since the closed form never enumerates the tuples
 TUPLE_CAP = 10_000_000
+# bound on i * bit_length(f(K)) in mu_i, the size of the common
+# denominator f(K)^i that bounds every value's numerator and denominator:
+# a policy on the result size, well inside CPython's default limit of
+# 4,300 digits for printing an int (14,000 bits is at most 4,215 digits)
+STEP_BITS_CAP = 14_000
 
 
 def format_rational(value) -> str:
@@ -296,7 +301,11 @@ def mu_i(
     cap: int = TUPLE_CAP,
     lattice: Optional[SubextLattice] = None,
 ) -> MeasureVector:
-    """The point mass at K propagated i steps along the chain."""
+    """The point mass at K propagated i steps along the chain.
+
+    The values share the denominator f(K)^i, so i * bit_length(f(K)) is
+    held to STEP_BITS_CAP before the first step.
+    """
     if not isinstance(i, int) or i < 0:
         raise GroupError("step count must be a nonnegative integer")
     lat = _resolve_lattice(setup, K_subgroup, lattice)
@@ -304,6 +313,12 @@ def mu_i(
     denominator = 1
     if i > 0:
         f, g, below = _hall_counts(lat, cap, range(len(lat.members)))
+        bits = i * f[-1].bit_length()
+        if bits > STEP_BITS_CAP:
+            raise CapExceeded(
+                "%d steps over %d tuples need denominators of up to %d bits, over the cap of %d"
+                % (i, f[-1], bits, STEP_BITS_CAP)
+            )
         for _ in range(i):
             counts = _step(counts, f, g, below)
         denominator = f[-1] ** i

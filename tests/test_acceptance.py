@@ -721,23 +721,29 @@ def test_criterion_7_inverse_systems():
 # -- CLI determinism ---------------------------------------------------------------
 
 
-def test_criterion_8_cli_determinism(monkeypatch, capsys):
+def test_criterion_8_cli_determinism(capsys):
+    # every fixture twice in one process: a second run must not read
+    # state the first one left behind
     failures = []
     runs = 0
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("FMEAS_THREADS", threads)
-        for args, fixture, golden, code in GOLDEN_CASES:
-            argv = args[:1] + [str(FIXTURES / fixture)] + args[1:]
+    for args, fixture, golden, code in GOLDEN_CASES:
+        argv = args[:1] + [str(FIXTURES / fixture)] + args[1:]
+        outs = []
+        for _ in range(2):
             rc = main(argv)
-            out = capsys.readouterr().out
+            outs.append(capsys.readouterr().out)
             runs += 1
-            if rc != code or out != (EXPECTED / golden).read_text():
-                failures.append("threads=%s %s" % (threads, " ".join(argv)))
+            if rc != code:
+                failures.append("exit %d: %s" % (rc, " ".join(argv)))
+        if outs[0] != outs[1]:
+            failures.append("runs differ: %s" % " ".join(argv))
+        elif outs[0] != (EXPECTED / golden).read_text():
+            failures.append("golden differs: %s" % " ".join(argv))
     ok = not failures
     report(
         "criterion-8 cli-determinism",
         ok,
-        "%d fixture runs byte-identical across 1, 2, and 8 threads" % runs
+        "%d fixture runs, each fixture twice in one process, byte-identical" % runs
         if ok
         else "; ".join(failures[:6]),
     )

@@ -1,8 +1,8 @@
 """Command line tests pinned to golden output files.
 
 Every fixture run is compared byte for byte against a file under
-tests/fixtures/expected/, once per thread setting, so any change to
-output formatting or to the numbers themselves shows up as a diff.
+tests/fixtures/expected/, so any change to output formatting or to the
+numbers themselves shows up as a diff.
 """
 
 import json
@@ -47,14 +47,12 @@ def run_main(argv, capsys):
     return rc, out.out, out.err
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
 @pytest.mark.parametrize(
     "args,fixture,golden,code",
     GOLDEN_CASES,
     ids=["%s-%s" % (c[1].split(".")[0], c[2].split(".")[0]) for c in GOLDEN_CASES],
 )
-def test_golden_output(args, fixture, golden, code, threads, monkeypatch, capsys):
-    monkeypatch.setenv("FMEAS_THREADS", threads)
+def test_golden_output(args, fixture, golden, code, capsys):
     argv = args[:1] + [str(FIXTURES / fixture)] + args[1:]
     rc, out, err = run_main(argv, capsys)
     assert rc == code
@@ -207,6 +205,28 @@ def test_lattice_beyond_the_order_cap_is_exit_three(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert err == "error: subgroup enumeration capped at order 64 (group has order 128)\n"
     assert elapsed < 10.0, "took %.2f s" % elapsed
+
+
+@pytest.mark.parametrize("steps", [1500, 10_000])
+def test_iterated_measure_beyond_the_result_size_cap_is_exit_three(steps, tmp_path, capsys):
+    # C2^4 with N = G and n = 4, so f(K) = 2^16: the values after k steps
+    # have denominators of up to 16k + 1 bits.  Without a cap, k = 1,500
+    # hit CPython's 4,300-digit limit on printing an int (exit 1), and
+    # k = 10,000 ran for about 38 s first; the cap is checked before the
+    # first step
+    p = tmp_path / "c2_4_n4.json"
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8], "sigma": [1, 2, 4, 8]}
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    argv = ["measure", str(p), "--mode", "iter", "--steps", str(steps)]
+    err = expect_error(argv, capsys, "over the cap of 14000", 3)
+    elapsed = time.perf_counter() - start
+    assert err == (
+        "error: %d steps over 65536 tuples need denominators of up to %d bits, "
+        "over the cap of 14000\n" % (steps, 17 * steps)
+    )
+    assert elapsed < 5.0, "took %.2f s" % elapsed
 
 
 def test_lattice_at_the_order_cap_is_fast(tmp_path, capsys):

@@ -114,6 +114,13 @@ def test_family_must_be_upward_closed():
         CompleteSystem(G, [Subgroup(G, range(4)), Subgroup(G, ())])
 
 
+def test_family_must_be_normal():
+    G = corpus.group("S3")
+    t = next(x for x in range(6) if G.element_order(x) == 2)
+    with pytest.raises(GroupError, match="not normal"):
+        CompleteSystem(G, [Subgroup(G, range(6)), Subgroup(G, (t,))])
+
+
 def test_family_must_be_meet_closed():
     G = corpus.group("C2xC2")
     subs = [Subgroup(G, range(4)), Subgroup(G, (1,)), Subgroup(G, (2,)), Subgroup(G, (3,))]

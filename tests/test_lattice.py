@@ -1,10 +1,19 @@
+import random
+
 import pytest
 
 import corpus
 import setups
 from fmeas.frattini import is_frattini_restriction
-from fmeas.groups import GroupError, Subgroup, cyclic, generated_subgroup
-from fmeas.lattice import fix_field, make_setup, maximal_fields, s_lattice
+from fmeas.groups import (
+    FiniteGroup,
+    GroupError,
+    Subgroup,
+    all_subgroups,
+    cyclic,
+    generated_subgroup,
+)
+from fmeas.lattice import SubextLattice, fix_field, make_setup, maximal_fields, s_lattice
 
 
 # -- make_setup ------------------------------------------------------------
@@ -71,6 +80,120 @@ def test_lattice_with_proper_base_subgroup():
     assert len(lat.members) == 1
     assert lat.members[0] == K
     assert lat.n_maximal == 1
+
+
+# -- direct enumeration against every subgroup of the base -------------------
+
+
+def oracle_members(setup, K):
+    """Every subgroup of K that maps onto Q, found by filtering all of them."""
+    return {
+        H.mask
+        for H in all_subgroups(setup.group)
+        if H.mask & K.mask == H.mask and setup.qualifies(H.mask)
+    }
+
+
+def seeded_lifts(G, N, seed):
+    """Three lifts of length 1 to 4 whose images generate G/N.
+
+    The first is a greedy generating sequence in a seeded random order.
+    The others add a coordinate inside N, which maps to the identity,
+    and a translate of a generator, which is redundant after it, as far
+    as length 4 allows; the third shuffles the second.
+    """
+    rng = random.Random(seed)
+    full = (1 << G.order) - 1
+    order = list(range(G.order))
+    rng.shuffle(order)
+    gens, span = [], N.mask
+    for x in order:
+        if span == full:
+            break
+        if not span >> x & 1:
+            gens.append(x)
+            span = G.extend_mask(span, x)
+    extras = [rng.choice(N.elements)]
+    if gens:
+        extras.append(G.mul(rng.choice(gens), rng.choice(N.elements)))
+    extras = extras[: 4 - len(gens)]
+    padded = extras[:1] + gens + extras[1:]
+    shuffled = padded[:]
+    rng.shuffle(shuffled)
+    return [gens or extras[:1], padded, shuffled]
+
+
+def test_seeded_lifts_cover_identity_and_redundant_coordinates():
+    kinds = set()
+    for name, G in corpus.classes_upto(24):
+        for N in all_subgroups(G):
+            if not N.is_normal():
+                continue
+            for lift in seeded_lifts(G, N, "%s/%d" % (name, N.mask)):
+                assert 1 <= len(lift) <= 4
+                span = N.mask
+                for x in lift:
+                    if N.mask >> x & 1:
+                        kinds.add("identity")
+                    elif span >> x & 1:
+                        kinds.add("redundant")
+                    span = G.extend_mask(span, x)
+    assert kinds == {"identity", "redundant"}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(24)])
+def test_members_match_every_subgroup_filtered(name):
+    # every normal N, three seeded lifts, every qualifying base: the
+    # members built from the lift seeds are exactly the subgroups of the
+    # base that map onto Q
+    G = corpus.group(name)
+    subs = all_subgroups(G)
+    for N in subs:
+        if not N.is_normal():
+            continue
+        for lift in seeded_lifts(G, N, "%s/%d" % (name, N.mask)):
+            setup = make_setup(G, N.elements, lift)
+            for K in subs:
+                if setup.qualifies(K.mask):
+                    lat = SubextLattice(setup, K)
+                    assert set(lat.index_of) == oracle_members(setup, K), (N, lift, K)
+
+
+@pytest.mark.parametrize("name", ["C4xC2", "D4", "C2xC2xC2", "S4", "C2^4"])
+def test_confirm_n1_agrees_with_the_filtered_member_sets(name):
+    # s_lattice accepts a normal N1 above N exactly when it selects the
+    # same subgroups of the base as N does; both outcomes must occur
+    G = corpus.group(name)
+    full = Subgroup(G, range(G.order))
+    normals = [N for N in all_subgroups(G) if N.is_normal()]
+    outcomes = set()
+    for N in normals:
+        for lift in seeded_lifts(G, N, "%s/%d" % (name, N.mask)):
+            setup = make_setup(G, N.elements, lift)
+            want = oracle_members(setup, full)
+            for N1 in normals:
+                if N.mask & N1.mask != N.mask:
+                    continue
+                same = oracle_members(make_setup(G, N1.elements, lift), full) == want
+                outcomes.add(same)
+                if same:
+                    assert set(s_lattice(setup, full, confirm_n1=N1).index_of) == want
+                else:
+                    with pytest.raises(GroupError, match="different member set"):
+                        s_lattice(setup, full, confirm_n1=N1)
+    assert outcomes == {True, False}
+
+
+def test_lattice_work_stays_with_the_members():
+    # C2^6 with a central N of order 2: the members are G and the 32
+    # complements of N, among 2,825 subgroups.  Seeded from the lift, the
+    # closure memo holds about 100 entries; enumerating every subgroup
+    # and filtering left over 150,000
+    G = FiniteGroup([[a ^ b for b in range(64)] for a in range(64)])
+    setup = make_setup(G, [1], (2, 4, 8, 16, 32))
+    lat = SubextLattice(setup, Subgroup(G, range(64)))
+    assert len(lat) == 33
+    assert len(G._extend_memo) <= 1000
 
 
 # -- canonical order -------------------------------------------------------

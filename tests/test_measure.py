@@ -22,6 +22,7 @@ from fmeas.groups import (
 )
 from fmeas.lattice import SubextLattice, make_setup
 from fmeas.measure import (
+    STEP_BITS_CAP,
     MeasureVector,
     TowerSetup,
     TransitionMatrix,
@@ -224,6 +225,16 @@ def test_mu_two_z2():
 def test_mu_one_equals_mu1(name):
     setup, K, lat = setups.get(name)
     assert mu_i(setup, K, 1, lattice=lat) == mu1(setup, K, lattice=lat)
+
+
+def test_mu_i_holds_the_denominator_bits_to_the_cap():
+    # f(K) = 2 on Z2 with N = G, so i steps need denominators of i * 2 bits
+    setup, K, lat = setups.get("Z2-full")
+    top = STEP_BITS_CAP // 2
+    v = mu_i(setup, K, top, lattice=lat)
+    assert v.values == (1 - F(1, 2**top), F(1, 2**top))
+    with pytest.raises(CapExceeded, match="over the cap of %d" % STEP_BITS_CAP):
+        mu_i(setup, K, top + 1, lattice=lat)
 
 
 def test_mu_infinity_z2():
