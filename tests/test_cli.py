@@ -2,7 +2,9 @@
 
 Every fixture run is compared byte for byte against a file under
 tests/fixtures/expected/, so any change to output formatting or to the
-numbers themselves shows up as a diff.
+numbers themselves shows up as a diff.  Each case also runs under the
+retired FMEAS_THREADS settings 1, 2 and 8, which scripts written for
+older releases may still export: the output must not depend on them.
 """
 
 import json
@@ -47,12 +49,14 @@ def run_main(argv, capsys):
     return rc, out.out, out.err
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
 @pytest.mark.parametrize(
     "args,fixture,golden,code",
     GOLDEN_CASES,
     ids=["%s-%s" % (c[1].split(".")[0], c[2].split(".")[0]) for c in GOLDEN_CASES],
 )
-def test_golden_output(args, fixture, golden, code, capsys):
+def test_golden_output(args, fixture, golden, code, threads, monkeypatch, capsys):
+    monkeypatch.setenv("FMEAS_THREADS", threads)
     argv = args[:1] + [str(FIXTURES / fixture)] + args[1:]
     rc, out, err = run_main(argv, capsys)
     assert rc == code
