@@ -2,9 +2,8 @@
 
 A group of order m lives on element indices 0..m-1, and index 0 is
 always the identity.  Groups are built from an explicit Cayley table or
-from permutation generators, are fully verified at construction
-(associativity is checked on every triple up to order 64 and sampled
-deterministically above that), and are immutable afterwards.
+from permutation generators, are fully verified at construction, and
+are immutable afterwards.
 
 Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
@@ -18,10 +17,8 @@ Subgroup enumeration and isomorphism testing are supported up to order
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Optional, Sequence
 
-FULL_ASSOC_LIMIT = 64
 DEFAULT_ORDER_CAP = 64
 PERM_POINTS_CAP = 16
 PERM_CLOSURE_CAP = 4096
@@ -78,11 +75,7 @@ class FiniteGroup:
             self.labels = tuple(str(x) for x in labels)
             if len(set(self.labels)) != n:
                 raise GroupError("element labels must be distinct")
-        self._check_identity()
-        self._check_permutation_rows()
-        self._inverse = self._compute_inverses()
-        self._check_associativity()
-        # caches, all derived and deterministic
+        # caches, all derived and deterministic; set first, as the checks use them
         self._mask_elems: dict[int, tuple[int, ...]] = {1: (0,)}
         self._extend_memo: dict[tuple[int, int], int] = {}
         self._subgroups: Optional[tuple["Subgroup", ...]] = None
@@ -91,6 +84,10 @@ class FiniteGroup:
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
+        self._check_identity()
+        self._check_permutation_rows()
+        self._inverse = self._compute_inverses()
+        self._check_associativity()
 
     # -- construction-time checks -------------------------------------
 
@@ -122,29 +119,19 @@ class FiniteGroup:
         return tuple(inv)
 
     def _check_associativity(self) -> None:
-        n = self.order
+        """Light's test: row x*a is row x composed with row a, for every x
+        and each generator a.  The a that pass are closed under the product
+        in any magma, and extend_mask marks only products of generators, so
+        this checks every triple, at every order.
+        """
         t = self.table
-        if n <= FULL_ASSOC_LIMIT:
-            rng_n = range(n)
-            for a in rng_n:
-                ta = t[a]
-                for b in rng_n:
-                    tab = t[ta[b]]
-                    tb = t[b]
-                    for c in rng_n:
-                        if tab[c] != ta[tb[c]]:
-                            raise GroupError(
-                                "non-associative triple (%d, %d, %d)" % (a, b, c)
-                            )
-        else:
-            # deterministic sample: 10 * order^2 triples
-            rng = random.Random(n)
-            for _ in range(10 * n * n):
-                a = rng.randrange(n)
-                b = rng.randrange(n)
-                c = rng.randrange(n)
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise GroupError("non-associative triple (%d, %d, %d)" % (a, b, c))
+        for a in self.generator_sequence():
+            ta = t[a]
+            for x, tx in enumerate(t):
+                row = t[tx[a]]
+                if row != tuple(map(tx.__getitem__, ta)):
+                    y = next(y for y, v in enumerate(row) if v != tx[ta[y]])
+                    raise GroupError("non-associative triple (%d, %d, %d)" % (x, a, y))
 
     # -- basic queries -------------------------------------------------
 
@@ -398,8 +385,8 @@ class Subgroup:
 class GroupHom:
     """A verified homomorphism between finite groups, as a total image table.
 
-    The homomorphism property is checked on all pairs at construction;
-    is_surjective is always recomputed from the image table.
+    The homomorphism property is checked completely, on generators, at
+    construction; is_surjective is always recomputed from the image table.
     """
 
     __slots__ = ("source", "target", "image_of", "is_surjective")
@@ -411,15 +398,10 @@ class GroupHom:
         for v in imgs:
             if not isinstance(v, int) or not 0 <= v < target.order:
                 raise GroupError("image %r is not a target element index" % (v,))
-        ts, tt = source.table, target.table
-        for a in range(source.order):
-            ia = imgs[a]
-            row = ts[a]
-            for b in range(source.order):
-                if imgs[row[b]] != tt[ia][imgs[b]]:
-                    raise GroupError(
-                        "not a homomorphism: images of %d*%d disagree" % (a, b)
-                    )
+        gens = source.generator_sequence()
+        bad = _hom_defect(source, target, imgs, gens, [imgs[g] for g in gens])
+        if bad is not None:
+            raise GroupError("not a homomorphism: images of %d*%d disagree" % bad)
         self.source = source
         self.target = target
         self.image_of = imgs
@@ -453,6 +435,26 @@ class GroupHom:
         for x in self.source.elems_of_mask(mask):
             out |= 1 << self.image_of[x]
         return out
+
+
+def _hom_defect(
+    G: FiniteGroup, H: FiniteGroup, phi: Sequence[int], gens: Sequence[int], imgs: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """A pair (x, g) with phi(x*g) != phi(x)*imgs[s], g = gens[s], or None.
+
+    A phi(0) other than 0 gives (0, 0).  With gens generating G, None
+    means phi is the homomorphism sending each gens[s] to imgs[s]: the g
+    that pass for every x hold 0 and are closed under the product.
+    """
+    if phi[0] != 0:
+        return (0, 0)
+    tg, th = G.table, H.table
+    for x, px in enumerate(phi):
+        tx, tpx = tg[x], th[px]
+        for g, i in zip(gens, imgs):
+            if phi[tx[g]] != tpx[i]:
+                return (x, g)
+    return None
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -701,13 +703,7 @@ def _hom_images_from_generators(
     th = H.table
     for x, s, y in edges:
         phi[y] = th[phi[x]][imgs[s]]
-    tg = G.table
-    for x in range(G.order):
-        px = phi[x]
-        for s, g in enumerate(gens):
-            if phi[tg[x][g]] != th[px][imgs[s]]:
-                return None
-    return tuple(phi)
+    return None if _hom_defect(G, H, phi, gens, imgs) is not None else tuple(phi)
 
 
 def hom_from_images(

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +42,52 @@ NONASSOC_LOOP = [
 ]
 
 
+def swapped_intercalate(table, a, c, b, d):
+    """table with the intercalate at rows a, c and columns b, d swapped."""
+    out = [list(row) for row in table]
+    out[a][b], out[a][d], out[c][b], out[c][d] = out[a][d], out[a][b], out[c][d], out[c][b]
+    return out
+
+
+# cyclic(70) with the intercalate at rows 3/38 and columns 5/40 swapped,
+# a loop above order 64
+SWAPPED_C70 = swapped_intercalate(
+    [[(a + b) % 70 for b in range(70)] for a in range(70)], 3, 38, 5, 40
+)
+
+
+def oracle_associative(t) -> bool:
+    """Brute force over all n^3 triples."""
+    n = range(len(t))
+    return all(t[t[x][a]][y] == t[x][t[a][y]] for x in n for a in n for y in n)
+
+
+def is_loop(t) -> bool:
+    """Identity 0 and two-sided inverses, for a table whose rows and
+    columns are permutations."""
+    n = len(t)
+    if list(t[0]) != list(range(n)) or any(t[x][0] != x for x in range(n)):
+        return False
+    return all(t[t[x].index(0)][x] == 0 for x in range(n))
+
+
+def check_verdict(table) -> bool:
+    """FiniteGroup's verdict on a loop table, checked against the oracle.
+
+    A rejection must name a triple that is not associative.
+    """
+    try:
+        FiniteGroup(table)
+    except GroupError as e:
+        got = re.fullmatch(r"non-associative triple \((\d+), (\d+), (\d+)\)", str(e))
+        assert got is not None, str(e)
+        x, a, y = map(int, got.groups())
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+        return False
+    assert oracle_associative(table)
+    return True
+
+
 # -- construction --------------------------------------------------------
 
 
@@ -62,8 +111,35 @@ def test_build_group_rejects_nonassociative_3x3_table():
 
 
 def test_associativity_check_catches_a_genuine_loop():
+    for table in (NONASSOC_LOOP, SWAPPED_C70):
+        assert is_loop(table)
+        assert not check_verdict(table)
     with pytest.raises(GroupError, match="non-associative"):
         build_group({"table": NONASSOC_LOOP})
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_associativity_check_matches_the_oracle_on_the_corpus(name):
+    assert check_verdict(corpus.group(name).table)
+
+
+def test_associativity_check_matches_the_oracle_on_swapped_intercalates():
+    # every table one intercalate swap away from a corpus group of order
+    # at most 16 that is still a loop (4,332 tables): accepted exactly
+    # when the oracle finds no non-associative triple, and a rejection
+    # names one
+    verdicts = []
+    for _, G in corpus.classes_upto(16):
+        t = G.table
+        n = G.order
+        for a, c in itertools.combinations(range(n), 2):
+            for b in range(n):
+                d = t[c].index(t[a][b])
+                if b < d and t[a][d] == t[c][b]:
+                    table = swapped_intercalate(t, a, c, b, d)
+                    if is_loop(table):
+                        verdicts.append(check_verdict(table))
+    assert set(verdicts) == {True, False}
 
 
 def test_build_group_rejects_malformed_permutations():
@@ -98,7 +174,7 @@ def test_table_rows_must_be_permutations():
         FiniteGroup([[0, 1], [1, 1]])
 
 
-def test_sampled_associativity_path_accepts_large_cyclic_group():
+def test_associativity_check_accepts_large_cyclic_group():
     assert cyclic(70).order == 70
 
 
@@ -269,6 +345,38 @@ def test_projection_after_section_is_identity(name):
 def test_hom_verification_rejects_non_homomorphism():
     with pytest.raises(GroupError, match="homomorphism"):
         GroupHom(cyclic(4), cyclic(2), (0, 1, 1, 0))
+    # the trivial group has no generators; its identity must still map to 0
+    with pytest.raises(GroupError, match="homomorphism"):
+        GroupHom(cyclic(1), cyclic(2), (1,))
+
+
+def oracle_is_hom(G, H, phi) -> bool:
+    """Brute force over all pairs."""
+    tg, th = G.table, H.table
+    n = range(G.order)
+    return all(phi[tg[a][b]] == th[phi[a]][phi[b]] for a in n for b in n)
+
+
+def test_hom_check_matches_the_all_pairs_oracle():
+    # every map G -> H between corpus groups of order at most 8 with
+    # |H|^|G| <= 4,096; a rejection names a pair whose images disagree
+    small = [G for _, G in corpus.classes_upto(8)]
+    homs = 0
+    for G, H in itertools.product(small, small):
+        if H.order ** G.order > 4096:
+            continue
+        for phi in itertools.product(range(H.order), repeat=G.order):
+            try:
+                GroupHom(G, H, phi)
+            except GroupError as e:
+                got = re.fullmatch(r"not a homomorphism: images of (\d+)\*(\d+) disagree", str(e))
+                assert got is not None, str(e)
+                a, b = map(int, got.groups())
+                assert phi[G.table[a][b]] != H.table[phi[a]][phi[b]]
+            else:
+                assert oracle_is_hom(G, H, phi)
+                homs += 1
+    assert homs > 0
 
 
 def test_hom_surjectivity_is_recomputed():
