@@ -5,6 +5,9 @@ they agree: the kernel must lie inside the Frattini subgroup of the
 source, and no proper subgroup of the source may map onto the target.
 Both depend only on the source group and the kernel, so results are
 memoized per (source, kernel).
+
+The embedding-property search computes Epi(G, B) once per image B of G
+and reads both the alphas and the gammas onto B from that one list.
 """
 
 from __future__ import annotations
@@ -49,13 +52,13 @@ class FrattiniReport:
         )
 
 
-def frattini_subgroup(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> FrattiniReport:
+def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
     """Intersection of all maximal proper subgroups; all of G when G is trivial."""
     cached = _frattini_cache.get(G)
     if cached is not None:
         return cached
-    if G.order > order_cap:
-        raise CapExceeded("Frattini computation capped at order %d" % order_cap)
+    if G.order > DEFAULT_ORDER_CAP:
+        raise CapExceeded("Frattini computation capped at order %d" % DEFAULT_ORDER_CAP)
     subs = all_subgroups(G)
     proper = [H for H in subs if H.order < G.order]
     maximal = tuple(
@@ -164,23 +167,20 @@ class EmbeddingReport:
 def has_embedding_property(G: FiniteGroup, bound: int = 24) -> EmbeddingReport:
     """Exhaustive test over all diagrams alpha: G ->> A, beta: B ->> A.
 
-    B runs over the images of G. For each beta the set of compositions
-    beta o gamma over all gamma: G ->> B is indexed once, then every
-    alpha is a lookup.
+    A and B run over the images of G, and Epi(G, B) is computed once per
+    image, serving as the alphas onto it and as the gammas onto it.  For
+    each beta the set of compositions beta o gamma over all gamma: G ->> B
+    is indexed once, then every alpha is a lookup.
     """
     if G.order > bound:
         raise CapExceeded("embedding-property search capped at order %d" % bound)
     images = image_classes(G)
-    for A in images:
-        alphas = epimorphisms(G, A)
-        for B in images:
+    epis = [epimorphisms(G, B) for B in images]
+    for A, alphas in zip(images, epis):
+        for B, gammas in zip(images, epis):
             if B.order % A.order != 0:
                 continue
-            betas = epimorphisms(B, A)
-            if not betas:
-                continue
-            gammas = epimorphisms(G, B)
-            for beta in betas:
+            for beta in epimorphisms(B, A):
                 reachable = {
                     tuple(beta.image_of[v] for v in gamma.image_of)
                     for gamma in gammas

@@ -10,14 +10,17 @@ hashable form) and as a bitmask.  There is one closure routine,
 FiniteGroup.extend_mask, which grows <H, x> from a subgroup H one left
 coset of H at a time; closure_mask folds it over a generator list, and
 subgroup enumeration extends known subgroups, from a set of seeds, by
-single elements of an extension set.
+single elements of an extension set.  There is likewise one
+homomorphism search, _epimorphism_search, over the images of the
+generator sequence: epimorphisms lists it, and isomorphic asks it for a
+first epimorphism between groups of equal order.
 Subgroup enumeration and isomorphism testing are supported up to order
 64.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
 PERM_POINTS_CAP = 16
@@ -473,7 +476,7 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
 # -- construction -------------------------------------------------------
 
 
-def build_group(spec: dict, *, closure_cap: int = PERM_CLOSURE_CAP) -> FiniteGroup:
+def build_group(spec: dict) -> FiniteGroup:
     """Build a verified group from a Cayley table or permutation generators.
 
     spec is {"table": [[...], ...]} or {"permutations": [[...], ...]},
@@ -512,9 +515,9 @@ def build_group(spec: dict, *, closure_cap: int = PERM_CLOSURE_CAP) -> FiniteGro
         for g in gens:
             q = tuple(p[g[i]] for i in range(d))
             if q not in index:
-                if len(elems) >= closure_cap:
+                if len(elems) >= PERM_CLOSURE_CAP:
                     raise CapExceeded(
-                        "permutation closure exceeds the size cap of %d" % closure_cap
+                        "permutation closure exceeds the size cap of %d" % PERM_CLOSURE_CAP
                     )
                 index[q] = len(elems)
                 elems.append(q)
@@ -559,10 +562,11 @@ def _subgroups_within(
     return built
 
 
-def _check_order_cap(order: int, order_cap: int) -> None:
-    if order > order_cap:
+def _check_order_cap(order: int) -> None:
+    if order > DEFAULT_ORDER_CAP:
         raise CapExceeded(
-            "subgroup enumeration capped at order %d (group has order %d)" % (order_cap, order)
+            "subgroup enumeration capped at order %d (group has order %d)"
+            % (DEFAULT_ORDER_CAP, order)
         )
 
 
@@ -594,10 +598,10 @@ def _lift_seeds(
     return seeds
 
 
-def all_subgroups(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Subgroup, ...]:
+def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, ordered by size then element tuple."""
     # above the cap this raises, whether or not the subgroups are cached
-    _check_order_cap(G.order, order_cap)
+    _check_order_cap(G.order)
     if G._subgroups is None:
         built = _subgroups_within(G, {1: ()}, range(G.order))
         subs = [Subgroup(G, gens, elements=G.elems_of_mask(mask)) for mask, gens in built.items()]
@@ -630,7 +634,7 @@ def subgroup_masks_within(
     universe extends.  Ordered like all_subgroups; the universe must
     itself be a subgroup, of order at most DEFAULT_ORDER_CAP.
     """
-    _check_order_cap(bin(universe).count("1"), DEFAULT_ORDER_CAP)
+    _check_order_cap(bin(universe).count("1"))
     if normal is None:
         normal = (1 << G.order) - 1
     seeds = _lift_seeds(G, universe, normal, lift)
@@ -717,49 +721,62 @@ def hom_from_images(
     return None if images is None else GroupHom(G, H, images)
 
 
-def isomorphic(G: FiniteGroup, H: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> bool:
-    """True iff a bijective homomorphism exists (exhaustive pruned search)."""
-    if G.order > order_cap or H.order > order_cap:
-        raise CapExceeded("isomorphism test capped at order %d" % order_cap)
+def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
+    """Every epimorphism G -> H, lazily, by the images of G's generator sequence.
+
+    Depth first, images in index order, so the image tuples come out in
+    lexicographic order.  With P_k the subgroup generated by the first k
+    generators, a homomorphism phi has |phi(P_k)| = |P_k| / |P_k n ker phi|,
+    and an onto phi has |ker phi| = [G:H].  So a prefix of images
+    generating I is pruned when |I| does not divide |P_k| or
+    |P_k| / |I| > [G:H]; at the last generator this leaves I = H only.
+    """
+    if G.order % H.order != 0:
+        return
+    index = G.order // H.order
+    gens = G.generator_sequence()
+    edges = _bfs_edges(G, gens)
+    prefix_sizes = []
+    mask = 1
+    for g in gens:
+        mask = G.extend_mask(mask, g)
+        prefix_sizes.append(bin(mask).count("1"))
+    chosen: list[int] = []
+
+    def dfs(slot: int, mask: int) -> Iterator[GroupHom]:
+        if slot == len(gens):
+            phi = _hom_images_from_generators(G, H, gens, edges, chosen)
+            if phi is not None:
+                yield GroupHom(G, H, phi)
+            return
+        size = prefix_sizes[slot]
+        for h in range(H.order):
+            grown = H.extend_mask(mask, h)
+            image = bin(grown).count("1")
+            if size % image != 0 or size // image > index:
+                continue
+            chosen.append(h)
+            yield from dfs(slot + 1, grown)
+            chosen.pop()
+
+    yield from dfs(0, 1)
+
+
+def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
+    """True iff an epimorphism G -> H exists between groups of equal order."""
+    if G.order > DEFAULT_ORDER_CAP or H.order > DEFAULT_ORDER_CAP:
+        raise CapExceeded("isomorphism test capped at order %d" % DEFAULT_ORDER_CAP)
     if G is H:
         return True
     if G.fingerprint() != H.fingerprint():
         return False
-    gens = G.generator_sequence()
-    edges = _bfs_edges(G, gens)
-    g_orders = G.element_orders()
-    h_orders = H.element_orders()
-    # G-side prefix subgroup sizes, for pruning
-    prefix_sizes = []
-    m = 1
-    for g in gens:
-        m = G.extend_mask(m, g)
-        prefix_sizes.append(bin(m).count("1"))
-    candidates = [
-        [h for h in range(H.order) if h_orders[h] == g_orders[g]] for g in gens
-    ]
-
-    def dfs(slot: int, mask: int, chosen: list[int]) -> bool:
-        if slot == len(gens):
-            phi = _hom_images_from_generators(G, H, gens, edges, chosen)
-            return phi is not None and len(set(phi)) == G.order
-        for h in candidates[slot]:
-            grown = H.extend_mask(mask, h)
-            if bin(grown).count("1") != prefix_sizes[slot]:
-                continue
-            chosen.append(h)
-            if dfs(slot + 1, grown, chosen):
-                return True
-            chosen.pop()
-        return False
-
-    return dfs(0, 1, [])
+    return next(_epimorphism_search(G, H), None) is not None
 
 
-def image_classes(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
+def image_classes(G: FiniteGroup) -> list[FiniteGroup]:
     """One representative per isomorphism class of quotients of G."""
-    if G.order > order_cap:
-        raise CapExceeded("image enumeration capped at order %d" % order_cap)
+    if G.order > DEFAULT_ORDER_CAP:
+        raise CapExceeded("image enumeration capped at order %d" % DEFAULT_ORDER_CAP)
     reps: list[FiniteGroup] = []
     for N in normal_subgroups(G):
         Q, _ = quotient(G, N)
@@ -769,41 +786,13 @@ def image_classes(G: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list
     return reps
 
 
-def epimorphisms(G: FiniteGroup, H: FiniteGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[GroupHom]:
-    """All surjective homomorphisms G -> H, in a deterministic order."""
-    if G.order > order_cap or H.order > order_cap:
-        raise CapExceeded("homomorphism search capped at order %d" % order_cap)
-    if G.order % H.order != 0:
-        return []
-    if H.order == 1:
-        return [GroupHom(G, H, (0,) * G.order)]
+def epimorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
+    """All surjective homomorphisms G -> H, image tuples in lexicographic order."""
+    if G.order > DEFAULT_ORDER_CAP or H.order > DEFAULT_ORDER_CAP:
+        raise CapExceeded("homomorphism search capped at order %d" % DEFAULT_ORDER_CAP)
     if G.order == H.order and G.fingerprint() != H.fingerprint():
         return []
-    gens = G.generator_sequence()
-    edges = _bfs_edges(G, gens)
-    g_orders = G.element_orders()
-    h_orders = H.element_orders()
-    candidates = [
-        [h for h in range(H.order) if g_orders[g] % h_orders[h] == 0] for g in gens
-    ]
-    full = (1 << H.order) - 1
-    out: list[GroupHom] = []
-
-    def dfs(slot: int, mask: int, chosen: list[int]) -> None:
-        if slot == len(gens):
-            if mask != full:
-                return
-            phi = _hom_images_from_generators(G, H, gens, edges, chosen)
-            if phi is not None:
-                out.append(GroupHom(G, H, phi))
-            return
-        for h in candidates[slot]:
-            chosen.append(h)
-            dfs(slot + 1, H.extend_mask(mask, h), chosen)
-            chosen.pop()
-
-    dfs(0, 1, [])
-    return out
+    return list(_epimorphism_search(G, H))
 
 
 # -- stock constructions -------------------------------------------------

@@ -218,11 +218,11 @@ class CompleteSystem:
             raise GroupError("<= does not match containment of the classes")
 
 
-def complete_system(G: FiniteGroup, *, order_cap: int = SYSTEM_ORDER_CAP) -> CompleteSystem:
+def complete_system(G: FiniteGroup) -> CompleteSystem:
     """The full system over every normal subgroup of G."""
-    if G.order > order_cap:
+    if G.order > SYSTEM_ORDER_CAP:
         raise CapExceeded(
-            "complete systems capped at group order %d (got %d)" % (order_cap, G.order)
+            "complete systems capped at group order %d (got %d)" % (SYSTEM_ORDER_CAP, G.order)
         )
     return CompleteSystem(G, normal_family(G))
 

@@ -24,6 +24,8 @@ from fmeas.groups import (
 
 SMALL_NAMES = sorted(name for name, G in corpus.classes_upto(16))
 TINY_NAMES = sorted(name for name, G in corpus.classes_upto(8))
+# every group of order <= 16 but C2^4, whose search runs for minutes
+EMBEDDING_NAMES = [name for name in SMALL_NAMES if name != "C2^4"]
 
 
 # -- oracles -------------------------------------------------------------
@@ -52,8 +54,13 @@ def oracle_cover(phi) -> bool:
     )
 
 
-def oracle_embedding(G) -> bool:
-    """Naive loop over diagrams, scanning all gamma compositions per pair."""
+def oracle_embedding(G):
+    """First violating diagram (A, B, alpha, beta), or None if there is none.
+
+    Naive loop over diagrams in the engine's order (A, B, beta, alpha),
+    recomputing every epimorphism list and scanning all gamma
+    compositions per pair.
+    """
     images = image_classes(G)
     for A in images:
         alphas = epimorphisms(G, A)
@@ -63,8 +70,15 @@ def oracle_embedding(G) -> bool:
                 composites = [compose(beta, gamma).image_of for gamma in gammas]
                 for alpha in alphas:
                     if alpha.image_of not in composites:
-                        return False
-    return True
+                        return A, B, alpha, beta
+    return None
+
+
+def diagram_tables(witness):
+    if witness is None:
+        return None
+    A, B, alpha, beta = witness
+    return A.table, B.table, alpha.image_of, beta.image_of
 
 
 # -- frattini_subgroup ---------------------------------------------------
@@ -209,7 +223,7 @@ def test_cyclic_groups_have_the_embedding_property(n):
 
 def test_s3_embedding_property_matches_oracle():
     report = has_embedding_property(symmetric(3))
-    assert report.holds == oracle_embedding(symmetric(3))
+    assert oracle_embedding(symmetric(3)) is None
     assert report.holds
 
 
@@ -232,10 +246,15 @@ def test_c4xc2_lacks_the_embedding_property():
     assert B.order == 4
 
 
-@pytest.mark.parametrize("name", TINY_NAMES)
+@pytest.mark.parametrize("name", EMBEDDING_NAMES)
 def test_embedding_search_matches_oracle_on_tiny_groups(name):
+    # verdict and first witness, as image tables: the witness lines of
+    # `fmeas embedding` print them
     G = corpus.group(name)
-    assert has_embedding_property(G).holds == oracle_embedding(G)
+    report = has_embedding_property(G)
+    witness = oracle_embedding(G)
+    assert report.holds == (witness is None)
+    assert diagram_tables(report.witness) == diagram_tables(witness)
 
 
 def test_embedding_respects_bound():

@@ -158,9 +158,11 @@ def test_build_group_rejects_malformed_permutations():
 
 
 def test_build_group_respects_closure_cap():
-    twelve_cycle = [list(range(1, 12)) + [0]]
-    with pytest.raises(CapExceeded):
-        build_group({"permutations": twelve_cycle}, closure_cap=10)
+    # S7 on 7 points has 5,040 elements, past PERM_CLOSURE_CAP
+    swap = [1, 0, 2, 3, 4, 5, 6]
+    seven_cycle = [1, 2, 3, 4, 5, 6, 0]
+    with pytest.raises(CapExceeded, match="4096"):
+        build_group({"permutations": [swap, seven_cycle]})
 
 
 def test_identity_must_be_index_zero():
@@ -408,6 +410,45 @@ def test_epimorphisms_counts():
     # automorphism groups of C6 and S3
     assert len(epimorphisms(cyclic(6), cyclic(6))) == 2
     assert len(epimorphisms(symmetric(3), symmetric(3))) == 6
+
+
+def oracle_epimorphisms(G, H) -> list[tuple[int, ...]]:
+    """Image tables of every onto homomorphism G -> H, by brute force.
+
+    Every tuple of images of G.generator_sequence() in lexicographic
+    order, extended along the words of a naive breadth-first search from
+    the identity; kept when onto and when the all-pairs check passes.
+    """
+    gens = G.generator_sequence()
+    word = {0: None}
+    reached = [0]
+    for x in reached:
+        for s, g in enumerate(gens):
+            y = G.table[x][g]
+            if y not in word:
+                word[y] = (x, s)
+                reached.append(y)
+    out = []
+    for imgs in itertools.product(range(H.order), repeat=len(gens)):
+        phi = [0] * G.order
+        for y in reached[1:]:
+            x, s = word[y]
+            phi[y] = H.table[phi[x]][imgs[s]]
+        if len(set(phi)) == H.order and oracle_is_hom(G, H, phi):
+            out.append(tuple(phi))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_epimorphisms_match_the_brute_force_oracle(name):
+    # every corpus H whose order divides |G|, within 4,096 image tuples;
+    # the tables must agree in order too, as the embedding witness
+    # depends on it
+    G = corpus.group(name)
+    k = len(G.generator_sequence())
+    for _, H in corpus.classes_upto(24):
+        if G.order % H.order == 0 and H.order ** k <= 4096:
+            assert [phi.image_of for phi in epimorphisms(G, H)] == oracle_epimorphisms(G, H)
 
 
 def test_epimorphisms_are_deterministic():
