@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .frattini import (
     frattini_subgroup,
@@ -24,7 +24,6 @@ from .groups import (
     CapExceeded,
     GroupError,
     GroupHom,
-    Subgroup,
     isomorphic,
     normal_subgroups,
     quotient,

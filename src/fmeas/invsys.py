@@ -13,7 +13,7 @@ recovers G modulo the intersection of its family.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from .groups import (
     CapExceeded,
@@ -26,6 +26,7 @@ from .groups import (
 )
 
 SYSTEM_ORDER_CAP = 64
+DUMP_LINES_CAP = 1_000_000
 
 Element = Tuple[int, int]  # (mask of the normal subgroup, least coset element)
 
@@ -35,14 +36,28 @@ def normal_family(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(normal_subgroups(G), key=lambda H: (G.order // H.order, H.elements)))
 
 
+class Relation:
+    """A relation generated on demand: its tuples in dump order, and its size."""
+
+    def __init__(self, tuples: Callable[[], Iterator[tuple]], size: int):
+        self.tuples = tuples
+        self.size = size
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.tuples()
+
+    def __len__(self) -> int:
+        return self.size
+
+
 class CompleteSystem:
     """Cosets of a closed family of normal subgroups with C, <=, P.
 
     Universe elements are (mask, rep) pairs naming the coset rep*N by
     the least element it contains, so a subsystem's universe is a
-    literal subset of the parent's.  Relations are explicit tuple sets,
-    which keeps the axioms checkable by enumeration; validate() does
-    exactly that.
+    literal subset of the parent's.  Relations are generated from those
+    representatives and the group table, never stored; validate()
+    checks them by enumeration.
     """
 
     __slots__ = (
@@ -101,27 +116,31 @@ class CompleteSystem:
         self.universe = tuple(universe)
         self.one = (full, 0)
 
-        compat = set()
-        leq = set()
+        index = {mask: len(reps) for mask, reps in reps_of.items()}
+        pairs = [(index[n], index[m]) for n in index for m in index if n & m == n]  # N in M
+        self.compat = Relation(self._compat, sum(i for i, _ in pairs))
+        self.leq = Relation(self._leq, sum(i * j for i, j in pairs))
+        self.prod = Relation(self._prod, sum(i * i for i in index.values()))
+
+    def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
-            for M in self.normals:
-                if N.mask & M.mask != N.mask:
-                    continue
-                to_m = rep_in[M.mask]
-                for a in reps_of[N.mask]:
-                    compat.add(((N.mask, a), (M.mask, to_m[a])))
-                    for b in reps_of[M.mask]:
-                        leq.add(((N.mask, a), (M.mask, b)))
-        prod = set()
+            for a in self._reps[N.mask]:
+                for M in self.normals:
+                    if N.mask & M.mask == N.mask:
+                        yield (N.mask, a), (M.mask, self._rep_in[M.mask][a])
+
+    def _leq(self) -> Iterator[tuple[Element, Element]]:
+        for x, (m, _) in self._compat():
+            for b in self._reps[m]:
+                yield x, (m, b)
+
+    def _prod(self) -> Iterator[tuple[Element, Element, Element]]:
+        t = self.group.table
         for N in self.normals:
-            to_n = rep_in[N.mask]
-            reps = reps_of[N.mask]
-            for a in reps:
-                for b in reps:
-                    prod.add(((N.mask, a), (N.mask, b), (N.mask, to_n[t[a][b]])))
-        self.compat = frozenset(compat)
-        self.leq = frozenset(leq)
-        self.prod = frozenset(prod)
+            to_n = self._rep_in[N.mask]
+            for a in self._reps[N.mask]:
+                for b in self._reps[N.mask]:
+                    yield (N.mask, a), (N.mask, b), (N.mask, to_n[t[a][b]])
 
     def __repr__(self) -> str:
         return "CompleteSystem(%d classes, %d elements)" % (
@@ -143,27 +162,20 @@ class CompleteSystem:
     def class_reps(self, mask: int) -> tuple[int, ...]:
         return self._reps[mask]
 
-    def _key(self, x: Element) -> tuple[int, int]:
-        return (self._id_of[x[0]], x[1])
-
     def _name(self, x: Element) -> str:
         return "N#%d rep=%d" % (self._id_of[x[0]], x[1])
 
     def dump(self) -> str:
         """Deterministic text form: universe lines, then relation tuples."""
-        lines = []
-        for N in self.normals:
-            sort = self.group.order // N.order
-            for r in self.class_reps(N.mask):
-                lines.append("N#%d rep=%d sort=%d" % (self._id_of[N.mask], r, sort))
-        for x, y in sorted(self.compat, key=lambda p: (self._key(p[0]), self._key(p[1]))):
-            lines.append("C %s %s" % (self._name(x), self._name(y)))
-        for x, y in sorted(self.leq, key=lambda p: (self._key(p[0]), self._key(p[1]))):
-            lines.append("<= %s %s" % (self._name(x), self._name(y)))
-        for x, y, z in sorted(
-            self.prod, key=lambda p: (self._key(p[0]), self._key(p[1]), self._key(p[2]))
-        ):
-            lines.append("P %s %s %s" % (self._name(x), self._name(y), self._name(z)))
+        count = len(self.universe) + len(self.compat) + len(self.leq) + len(self.prod)
+        if count > DUMP_LINES_CAP:
+            raise CapExceeded("system dumps capped at %d lines (got %d)" % (DUMP_LINES_CAP, count))
+        lines = ["%s sort=%d" % (self._name(x), self.sort_of(x)) for x in self.universe]
+        lines.extend("C %s %s" % (self._name(x), self._name(y)) for x, y in self.compat)
+        lines.extend("<= %s %s" % (self._name(x), self._name(y)) for x, y in self.leq)
+        lines.extend(
+            "P %s %s %s" % (self._name(x), self._name(y), self._name(z)) for x, y, z in self.prod
+        )
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
@@ -176,20 +188,19 @@ class CompleteSystem:
         for mask, r in self.universe:
             by_mask.setdefault(mask, []).append(r)
         # each class is a group under P, with the class of 1 as identity
-        for mask, reps in by_mask.items():
-            pos = {r: i for i, r in enumerate(sorted(reps))}
-            k = len(pos)
-            table = [[-1] * k for _ in range(k)]
-            for x, y, z in self.prod:
-                if x[0] == mask:
-                    if y[0] != mask or z[0] != mask:
-                        raise GroupError("P relates cosets of different classes")
-                    if table[pos[x[1]]][pos[y[1]]] != -1:
-                        raise GroupError("P is not functional")
-                    table[pos[x[1]]][pos[y[1]]] = pos[z[1]]
+        pos = {mask: {r: i for i, r in enumerate(sorted(reps))} for mask, reps in by_mask.items()}
+        tables = {mask: [[-1] * len(p) for _ in p] for mask, p in pos.items()}
+        for x, y, z in self.prod:
+            if y[0] != x[0] or z[0] != x[0]:
+                raise GroupError("P relates cosets of different classes")
+            p, table = pos[x[0]], tables[x[0]]
+            if table[p[x[1]]][p[y[1]]] != -1:
+                raise GroupError("P is not functional")
+            table[p[x[1]]][p[y[1]]] = p[z[1]]
+        for mask, table in tables.items():
             if any(v == -1 for row in table for v in row):
                 raise GroupError("P is not total on a class")
-            if 0 not in pos:
+            if 0 not in pos[mask]:
                 raise GroupError("a class is missing the coset of the identity")
             FiniteGroup(table)  # raises unless the class is a group
         # C between comparable classes is exactly the projection graph
@@ -312,15 +323,10 @@ def dual_embedding(phi: GroupHom) -> SystemEmbedding:
     source = complete_system(H)
     target = complete_system(G)
     img = phi.image_of
+    least = {img[g]: g for g in reversed(range(G.order))}  # least preimage of each h
     image_of: Dict[Element, Element] = {}
     for M in source.normals:
-        m_elems = set(M.elements)
-        pre_mask = 0
-        for g in range(G.order):
-            if img[g] in m_elems:
-                pre_mask |= 1 << g
+        pre_mask = sum(1 << g for g in range(G.order) if M.mask >> img[g] & 1)
         for h in source.class_reps(M.mask):
-            coset = {H.table[h][m] for m in M.elements}
-            rep = min(g for g in range(G.order) if img[g] in coset)
-            image_of[(M.mask, h)] = (pre_mask, rep)
+            image_of[(M.mask, h)] = (pre_mask, target._rep_in[pre_mask][least[h]])
     return SystemEmbedding(source, target, image_of)

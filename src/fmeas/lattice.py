@@ -27,7 +27,6 @@ from typing import Iterable, Optional, Sequence
 from .groups import (
     FiniteGroup,
     GroupError,
-    GroupHom,
     Subgroup,
     quotient,
     subgroup_masks_within,

@@ -24,7 +24,6 @@ import json
 from typing import Dict, Optional
 
 from .groups import (
-    FiniteGroup,
     GroupError,
     Subgroup,
     build_group,

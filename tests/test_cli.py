@@ -8,12 +8,16 @@ older releases may still export: the output must not depend on them.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fmeas
+from fmeas import invsys
 from fmeas.cli import _reachable, main
 
 from conftest import FIXTURES
@@ -64,11 +68,18 @@ def test_golden_output(args, fixture, golden, code, threads, monkeypatch, capsys
     assert out == (EXPECTED / golden).read_text()
 
 
+def subprocess_env():
+    """The environment with the directory of the imported fmeas first on PYTHONPATH."""
+    path = [str(Path(fmeas.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "fmeas", "measure", str(FIXTURES / "klein.json")],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == (EXPECTED / "klein_inf.txt").read_text()
@@ -87,6 +98,7 @@ def test_entry_point_subprocess_failure_code():
         ],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 4
     assert proc.stdout == (EXPECTED / "klein_weak_verify_tower.txt").read_text()
@@ -209,6 +221,20 @@ def test_lattice_beyond_the_order_cap_is_exit_three(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert err == "error: subgroup enumeration capped at order 64 (group has order 128)\n"
     assert elapsed < 10.0, "took %.2f s" % elapsed
+
+
+def test_dump_over_the_line_cap_is_exit_three(monkeypatch, capsys):
+    lines = (EXPECTED / "z2_dump.txt").read_text().count("\n")
+    monkeypatch.setattr(invsys, "DUMP_LINES_CAP", lines - 1)
+    err = expect_error(["invsys", str(FIXTURES / "z2.json"), "--dump"], capsys, "capped", 3)
+    assert err == "error: system dumps capped at %d lines (got %d)\n" % (lines - 1, lines)
+
+
+def test_dump_at_the_line_cap_is_whole(monkeypatch, capsys):
+    golden = (EXPECTED / "z2_dump.txt").read_text()
+    monkeypatch.setattr(invsys, "DUMP_LINES_CAP", golden.count("\n"))
+    rc, out, err = run_main(["invsys", str(FIXTURES / "z2.json"), "--dump"], capsys)
+    assert (rc, out, err) == (0, golden, "")
 
 
 @pytest.mark.parametrize("steps", [1500, 10_000])

@@ -9,11 +9,13 @@ from fmeas.groups import (
     GroupHom,
     Subgroup,
     cyclic,
+    direct_product,
     identity_hom,
     isomorphic,
     quotient,
 )
 from fmeas.invsys import (
+    DUMP_LINES_CAP,
     CompleteSystem,
     SystemEmbedding,
     complete_system,
@@ -26,6 +28,35 @@ from fmeas.invsys import (
 
 ALL_NAMES = sorted(corpus.BUILDERS)
 SAMPLE = ["C2xC2", "C4", "C6", "S3", "Q8", "D4", "C4xC2", "A4", "C12", "S4"]
+
+
+def oracle_relations(G):
+    """C, <= and P as explicit sets, built from the quotient maps G -> G/N.
+
+    Each coset is named by the least element with its image; C follows
+    the projections, <= the containment of the element sets, and P the
+    quotient group's table.
+    """
+    family = normal_family(G)
+    least = {}
+    for N in family:
+        Q, pi = quotient(G, N)
+        lift = {}
+        for g in range(G.order):
+            lift.setdefault(pi.image_of[g], g)
+        least[N] = (Q, pi.image_of, lift)
+    compat, leq, prod = set(), set(), set()
+    for N in family:
+        Q, img, lift = least[N]
+        for a in lift.values():
+            for M in family:
+                if set(N.elements) <= set(M.elements):
+                    _, img_m, lift_m = least[M]
+                    compat.add(((N.mask, a), (M.mask, lift_m[img_m[a]])))
+                    leq.update(((N.mask, a), (M.mask, b)) for b in lift_m.values())
+            for b in lift.values():
+                prod.add(((N.mask, a), (N.mask, b), (N.mask, lift[Q.table[img[a]][img[b]]])))
+    return compat, leq, prod
 
 
 def family_masks(S):
@@ -92,6 +123,43 @@ def test_sort_of_rejects_foreign_elements():
 @pytest.mark.parametrize("name", SAMPLE)
 def test_axioms_validate(name):
     complete_system(corpus.group(name)).validate()
+
+
+@pytest.mark.parametrize("name", [n for n, _ in corpus.classes_upto(24)])
+def test_relations_match_the_quotient_oracle(name):
+    G = corpus.group(name)
+    S = complete_system(G)
+    class_of = {N.mask: i for i, N in enumerate(normal_family(G))}
+
+    def dump_order(t):
+        return [(class_of[mask], rep) for mask, rep in t]
+
+    for got, want in zip((S.compat, S.leq, S.prod), oracle_relations(G)):
+        assert len(got) == len(want)
+        assert set(got) == want
+        assert list(got) == sorted(want, key=dump_order)
+
+
+@pytest.mark.parametrize("name", ["C4", "S3", "D4", "Q8", "A4"])
+def test_validate_rejects_a_wrong_representative(name):
+    S = complete_system(corpus.group(name))
+    S.validate()
+    M = next(N for N in S.normals if len(S.class_reps(N.mask)) >= 2)
+    # the last element outside M, sent to the coset of the identity
+    g = max(x for x in range(S.group.order) if x not in M.elements)
+    table = list(S._rep_in[M.mask])
+    table[g] = 0
+    S._rep_in[M.mask] = tuple(table)
+    with pytest.raises(GroupError, match="canonical projection"):
+        S.validate()
+
+
+def test_dump_line_cap_admits_c2_5_and_not_c2_6():
+    S = complete_system(direct_product(*[cyclic(2)] * 5))
+    c2_5 = len(S.universe) + len(S.compat) + len(S.leq) + len(S.prod)
+    assert c2_5 == 393_152
+    # C2^6: 26,387 elements, 1,824,489 C pairs, 10,425,879 <= pairs, 335,213 P triples
+    assert c2_5 <= DUMP_LINES_CAP < 12_611_968
 
 
 def test_cap_is_loud():
