@@ -7,7 +7,11 @@ Both depend only on the source group and the kernel, so results are
 memoized per (source, kernel).
 
 The embedding-property search computes Epi(G, B) once per image B of G
-and reads both the alphas and the gammas onto B from that one list.
+and reads both the alphas and the gammas onto B from that one list.  It
+never composes maps: an epimorphism gamma: G ->> B factors an alpha
+through the unique beta with beta o gamma = alpha exactly when ker gamma
+lies in ker alpha, so the betas an alpha reaches are read off the gammas
+by a kernel test.
 """
 
 from __future__ import annotations
@@ -80,6 +84,14 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
     return report
 
 
+def _kernel_mask(phi: GroupHom) -> int:
+    mask = 0
+    for a, v in enumerate(phi.image_of):
+        if v == 0:
+            mask |= 1 << a
+    return mask
+
+
 def is_frattini_cover(phi: GroupHom) -> bool:
     """True iff phi is surjective with kernel inside the Frattini subgroup.
 
@@ -90,10 +102,7 @@ def is_frattini_cover(phi: GroupHom) -> bool:
     if not phi.is_surjective:
         return False
     G = phi.source
-    kernel_mask = 0
-    for a in range(G.order):
-        if phi.image_of[a] == 0:
-            kernel_mask |= 1 << a
+    kernel_mask = _kernel_mask(phi)
     memo = _cover_cache.get(G)
     if memo is None:
         memo = {}
@@ -164,28 +173,82 @@ class EmbeddingReport:
         )
 
 
+def _factorings(gammas: list[GroupHom]) -> list[tuple[int, tuple[int, ...]]]:
+    """(ker gamma, section) per gamma, where gamma(section[b]) = b."""
+    out = []
+    for gamma in gammas:
+        section = [0] * gamma.target.order
+        for x, b in enumerate(gamma.image_of):
+            section[b] = x
+        out.append((_kernel_mask(gamma), tuple(section)))
+    return out
+
+
+def _reached(
+    kernel: int,
+    image: tuple[int, ...],
+    factorings: list[tuple[int, tuple[int, ...]]],
+    enough: Optional[int] = None,
+) -> set[tuple[int, ...]]:
+    """Image tables of the betas with beta o gamma = alpha for some gamma.
+
+    alpha is given by its kernel mask and image table.  Such a beta
+    exists iff ker gamma lies in ker alpha, and it is then
+    beta[gamma(x)] = alpha(x), read on the section of gamma.  The
+    search stops once enough betas are found.
+    """
+    got = set()
+    for gamma_kernel, section in factorings:
+        if gamma_kernel & ~kernel == 0:
+            got.add(tuple([image[x] for x in section]))
+            if len(got) == enough:
+                break
+    return got
+
+
+def _onto_count(alpha_kernels: list[int], gamma_kernel: int) -> int:
+    """|Epi(B, A)|, from the kernels of Epi(G, A) and of one gamma: G ->> B.
+
+    beta -> beta o gamma is a bijection from Epi(B, A) onto the alphas
+    whose kernel holds ker gamma.
+    """
+    return sum(1 for kernel in alpha_kernels if gamma_kernel & ~kernel == 0)
+
+
 def has_embedding_property(G: FiniteGroup, bound: int = 24) -> EmbeddingReport:
     """Exhaustive test over all diagrams alpha: G ->> A, beta: B ->> A.
 
     A and B run over the images of G, and Epi(G, B) is computed once per
-    image, serving as the alphas onto it and as the gammas onto it.  For
-    each beta the set of compositions beta o gamma over all gamma: G ->> B
-    is indexed once, then every alpha is a lookup.
+    image, serving as the alphas onto it and as the gammas onto it.  An
+    alpha reaches one beta per gamma whose kernel lies in ker alpha (see
+    _reached), and a pair (A, B) holds iff every alpha reaches all of
+    Epi(B, A), whose size _onto_count reads off the kernels; only a
+    failing pair lists Epi(B, A).  For theta in Aut(A), theta o alpha
+    reaches theta o beta wherever alpha reaches beta, as many betas, so
+    one alpha per kernel decides the pair.  In the first pair that
+    fails, the witness is the first (beta, alpha) not reached, beta
+    outermost, both in lexicographic order of their image tables.
     """
     if G.order > bound:
         raise CapExceeded("embedding-property search capped at order %d" % bound)
     images = image_classes(G)
     epis = [epimorphisms(G, B) for B in images]
-    for A, alphas in zip(images, epis):
-        for B, gammas in zip(images, epis):
+    factorings = [_factorings(gammas) for gammas in epis]
+    for A, alphas, onto_a in zip(images, epis, factorings):
+        kernels = [kernel for kernel, _ in onto_a]
+        by_kernel = {}
+        for kernel, alpha in zip(kernels, alphas):
+            by_kernel.setdefault(kernel, alpha.image_of)
+        for B, onto_b in zip(images, factorings):
             if B.order % A.order != 0:
                 continue
-            for beta in epimorphisms(B, A):
-                reachable = {
-                    tuple(beta.image_of[v] for v in gamma.image_of)
-                    for gamma in gammas
-                }
-                for alpha in alphas:
-                    if alpha.image_of not in reachable:
+            n = _onto_count(kernels, onto_b[0][0])
+            if all(len(_reached(k, img, onto_b, n)) == n for k, img in by_kernel.items()):
+                continue
+            betas = epimorphisms(B, A)
+            reached = [_reached(k, alpha.image_of, onto_b) for k, alpha in zip(kernels, alphas)]
+            for beta in betas:
+                for alpha, got in zip(alphas, reached):
+                    if beta.image_of not in got:
                         return EmbeddingReport(False, (A, B, alpha, beta))
     return EmbeddingReport(True, None)

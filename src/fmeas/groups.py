@@ -349,9 +349,15 @@ class Subgroup:
         return "Subgroup(order=%d, elements=%r)" % (self.order, self.elements)
 
     def is_normal(self) -> bool:
+        """True iff each generator of G conjugates each generator of H into H.
+
+        That suffices: x -> g x g^-1 maps H into H once it does so on
+        generators of H, and the g that normalize H form a subgroup.
+        """
         G = self.group
-        for g in range(G.order):
-            for x in self.elements:
+        gens = self.canonical_generators()
+        for g in G.generator_sequence():
+            for x in gens:
                 if not self.mask >> G.conj(g, x) & 1:
                     return False
         return True

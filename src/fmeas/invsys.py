@@ -88,13 +88,22 @@ class CompleteSystem:
         full = (1 << group.order) - 1
         if full not in masks:
             raise GroupError("the family must contain the whole group")
-        for a in masks:
-            for b in masks:
-                if a & b not in masks:
-                    raise GroupError("the family is not closed under intersection")
-        for M in normal_masks:
-            if M not in masks and any(m & M == m for m in masks):
-                raise GroupError("the family is not upward closed")
+        upward = not any(
+            M not in masks and any(m & M == m for m in masks) for M in normal_masks
+        )
+        # an upward closed family is every normal M above its meet N0, so
+        # it is closed under intersection iff N0 is a member
+        if upward:
+            meet = full
+            for m in masks:
+                meet &= m
+            closed = meet in masks
+        else:
+            closed = all(a & b in masks for a in masks for b in masks)
+        if not closed:
+            raise GroupError("the family is not closed under intersection")
+        if not upward:
+            raise GroupError("the family is not upward closed")
         family.sort(key=lambda H: (group.order // H.order, H.elements))
         self.group = group
         self.normals = tuple(family)

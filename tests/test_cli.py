@@ -182,6 +182,16 @@ def test_default_cap_still_binds_the_closed_form(tmp_path, capsys):
     assert err == "error: member 66 needs 281474976710656 tuples, over the cap of 10000000\n"
 
 
+def test_embedding_on_c2_4_answers(tmp_path, capsys):
+    # order 16, inside the default --bound of 24
+    p = tmp_path / "c2_4.json"
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    rc, out, err = run_main(["embedding", str(p)], capsys)
+    assert (rc, out, err) == (0, "embedding property: true\n", "")
+
+
 def test_lifts_suite_over_the_cap_is_exit_three(capsys):
     expect_error(
         ["verify", str(FIXTURES / "klein.json"), "--suite", "lifts", "--cap", "1"],

@@ -324,6 +324,19 @@ def test_quotient_rejects_non_normal_subgroup():
         quotient(G, generated_subgroup(G, [t]))
 
 
+def oracle_is_normal(H):
+    """Every conjugate of every element of H lies in H."""
+    G = H.group
+    return all(G.conj(g, x) in H for g in range(G.order) for x in H.elements)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, G in corpus.classes_upto(24)))
+def test_normality_on_generators_matches_conjugation_oracle(name):
+    G = corpus.group(name)
+    for H in all_subgroups(G):
+        assert H.is_normal() == oracle_is_normal(H)
+
+
 @pytest.mark.parametrize("name", ["C12", "D4", "S4"])
 def test_projection_after_section_is_identity(name):
     G = corpus.group(name)

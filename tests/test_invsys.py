@@ -196,6 +196,56 @@ def test_family_must_be_meet_closed():
         CompleteSystem(G, subs)
 
 
+def c2_3_family(*gens):
+    """Subgroups of C2^3 (XOR table) from generator tuples, with the whole group."""
+    G = direct_product(cyclic(2), cyclic(2), cyclic(2))
+    assert all(G.mul(a, b) == a ^ b for a in range(8) for b in range(8))
+    return G, [Subgroup(G, range(8))] + [Subgroup(G, g) for g in gens]
+
+
+def test_family_failing_both_checks_is_not_meet_closed():
+    # neither upward closed (<1,2> is missing) nor closed under
+    # intersection; the meet {0} is missing too
+    G, family = c2_3_family((1,), (2,))
+    with pytest.raises(GroupError, match="not closed under intersection"):
+        CompleteSystem(G, family)
+
+
+def test_family_holding_its_meet_can_fail_intersection():
+    # not upward closed, and the meet {0} is a member, yet
+    # <1,2> n <1,4> = <1> is not
+    G, family = c2_3_family((), (1, 2), (1, 4))
+    with pytest.raises(GroupError, match="not closed under intersection"):
+        CompleteSystem(G, family)
+
+
+def oracle_family_error(masks, normal_masks):
+    """The pairwise checks, intersection first: the message they raise, or None."""
+    if any(a & b not in masks for a in masks for b in masks):
+        return "the family is not closed under intersection"
+    if any(M not in masks and any(m & M == m for m in masks) for M in normal_masks):
+        return "the family is not upward closed"
+    return None
+
+
+@pytest.mark.parametrize("name", ["C2xC2", "C4", "S3", "D4", "Q8", "C4xC2"])
+def test_family_checks_match_pairwise_oracle(name):
+    # every family of normal subgroups that holds the whole group
+    G = corpus.group(name)
+    normals = normal_family(G)
+    whole, rest = normals[0], normals[1:]
+    masks_of = {N.mask for N in normals}
+    for bits in range(1 << len(rest)):
+        family = [whole] + [N for i, N in enumerate(rest) if bits >> i & 1]
+        expected = oracle_family_error({N.mask for N in family}, masks_of)
+        if expected is None:
+            assert CompleteSystem(G, family).normals == tuple(family)
+        else:
+            with pytest.raises(GroupError) as info:
+                CompleteSystem(G, family)
+            assert str(info.value) == expected
+
+
 def test_family_rejects_duplicates_and_foreigners():
     G = cyclic(4)
     with pytest.raises(GroupError, match="duplicate"):
