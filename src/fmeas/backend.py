@@ -1,7 +1,7 @@
 """The pure-Python tuple walk, kept as the tests' enumeration oracle.
 
 The engine counts translate tuples by P. Hall's closed form (see
-measure._hall_counts) and never calls walk_product; the tests run it
+SubextLattice.hall_counts) and never calls walk_product; the tests run it
 over a layered step table to count the same tuples one by one.
 BACKEND names the walk implementation for benchmark records and is
 always "pure".

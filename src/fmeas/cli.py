@@ -12,6 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Optional
 
 from .frattini import (
@@ -30,7 +31,7 @@ from .groups import (
 )
 from .invsys import complete_system, dual_embedding, dual_group, generated_subsystem, level_quotient
 from .lattice import SubextLattice
-from .measure import TUPLE_CAP, mu1, mu_i, mu_infinity, pushforward_check, transition_matrix
+from .measure import TUPLE_CAP, _hall_counts, _step, mu1, mu_i, mu_infinity, pushforward_check
 from .setupfile import LoadedSetup, load_setup
 
 SUITES = ("lifts", "markov", "tower", "frattini", "invsys", "all")
@@ -127,16 +128,6 @@ def cmd_invsys(args) -> int:
 # -- verification suites ---------------------------------------------------------
 
 
-def _reachable(rows):
-    """Bit j of reach[i] is set when member j is reachable from member i."""
-    reach = [sum(1 << j for j, p in enumerate(row) if p) | 1 << i for i, row in enumerate(rows)]
-    for k in range(len(rows)):
-        for i in range(len(rows)):
-            if reach[i] >> k & 1:
-                reach[i] |= reach[k]
-    return reach
-
-
 def _lift_independence(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     """Lift independence, through the premise of Hall's closed form.
 
@@ -165,27 +156,40 @@ def _lift_independence(loaded: LoadedSetup, lat: SubextLattice, cap: int):
 
 
 def _markov_checks(loaded: LoadedSetup, lat: SubextLattice, cap: int):
+    """The chain's structural facts, read off the lattice's integer (f, g, below).
+
+    Member i steps to member j, itself or one of below[i], with
+    probability g[j] / f[i]; no transition matrix is built.  Every row is
+    held to the cap first, as transition_matrix would hold it.
+    """
     setup, K = loaded.setup, loaded.base
-    T = transition_matrix(setup, K, cap=cap, lattice=lat)
+    m = len(lat.members)
+    f, g, below = _hall_counts(lat, cap, range(m))
     inf = mu_infinity(setup, K, cap=cap, lattice=lat)
     one = mu1(setup, K, cap=cap, lattice=lat)
-    m = len(lat.members)
 
-    bad = [i for i in range(m) if (T.rows[i][i] == 1) != lat.is_maximal(i)]
+    bad = [i for i in range(m) if (g[i] == f[i]) != lat.is_maximal(i)]
     yield "absorbing-equals-maximal", not bad, ["member %d" % i for i in bad]
 
-    reach = _reachable(T.rows)
+    # below is transitive, so what member i reaches is itself and the
+    # sub-members a step lands on: no closure is needed
+    reach = [sum(1 << j for j in below[i] if g[j]) | 1 << i for i in range(m)]
     bad = []
     for i in range(m):
-        ergodic = all(reach[j] >> i & 1 for j in range(m) if reach[i] >> j & 1)
+        ergodic = all(reach[j] >> i & 1 for j in below[i] if reach[i] >> j & 1)
         if ergodic != lat.is_maximal(i):
             bad.append(i)
     yield "ergodic-equals-maximal", not bad, ["member %d" % i for i in bad]
 
-    support = [i for i in range(m) if inf.values[i]]
-    stepped = [sum(inf.values[i] * T.rows[i][j] for i in support) for j in range(m)]
-    ok = stepped == list(inf.values)
-    yield "limit-fixed-point", ok, [] if ok else [_vector_line(stepped)]
+    # the limit as numerators a over one denominator D is a fixed point
+    # iff one integer step, which lands over D * f[-1], gives a * f[-1]
+    D = lcm(*(v.denominator for v in inf.values))
+    a = [v.numerator * (D // v.denominator) for v in inf.values]
+    stepped = _step(a, f, g, below)
+    ok = stepped == [x * f[-1] for x in a]
+    yield "limit-fixed-point", ok, [] if ok else [
+        _vector_line(Fraction(x, D * f[-1]) for x in stepped)
+    ]
 
     bad = [
         i

@@ -700,20 +700,31 @@ def _bfs_edges(G: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]
     return edges
 
 
-def _hom_images_from_generators(
+def _hom_from_generators(
     G: FiniteGroup,
     H: FiniteGroup,
     gens: Sequence[int],
     edges: Sequence[tuple[int, int, int]],
     imgs: Sequence[int],
-) -> Optional[tuple[int, ...]]:
-    """Total image table of the hom sending gens[s] to imgs[s], if one exists."""
+) -> Optional[GroupHom]:
+    """The hom sending gens[s] to imgs[s], if one exists.
+
+    Extending the images along the spanning edges gives the only
+    candidate table.  It is that hom iff it sends each gens[s] to
+    imgs[s], which a repeated generator could break, and GroupHom
+    accepts it as a homomorphism: the one defect check per table.
+    """
     phi = [-1] * G.order
     phi[0] = 0
     th = H.table
     for x, s, y in edges:
         phi[y] = th[phi[x]][imgs[s]]
-    return None if _hom_defect(G, H, phi, gens, imgs) is not None else tuple(phi)
+    if any(phi[g] != i for g, i in zip(gens, imgs)):
+        return None
+    try:
+        return GroupHom(G, H, phi)
+    except GroupError:
+        return None
 
 
 def hom_from_images(
@@ -723,8 +734,7 @@ def hom_from_images(
 
     gens must generate G.
     """
-    images = _hom_images_from_generators(G, H, gens, _bfs_edges(G, gens), imgs)
-    return None if images is None else GroupHom(G, H, images)
+    return _hom_from_generators(G, H, gens, _bfs_edges(G, gens), imgs)
 
 
 def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
@@ -751,9 +761,9 @@ def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
 
     def dfs(slot: int, mask: int) -> Iterator[GroupHom]:
         if slot == len(gens):
-            phi = _hom_images_from_generators(G, H, gens, edges, chosen)
+            phi = _hom_from_generators(G, H, gens, edges, chosen)
             if phi is not None:
-                yield GroupHom(G, H, phi)
+                yield phi
             return
         size = prefix_sizes[slot]
         for h in range(H.order):

@@ -98,10 +98,12 @@ class SubextLattice:
     members[:n_maximal] are the minimal qualifying subgroups (the
     maximal fields); members[-1] is the base.  F_i <= F_j in the field
     order iff members[j] is contained in members[i], which implies
-    i >= j everywhere.
+    i >= j everywhere.  below[j] lists, ascending, the proper
+    sub-members of member j; it is transitive, and empty exactly on the
+    minimal members.
     """
 
-    __slots__ = ("setup", "base", "members", "n_maximal", "index_of")
+    __slots__ = ("setup", "base", "members", "n_maximal", "index_of", "below", "_counts")
 
     def __init__(self, setup: GaloisSetup, base: Subgroup):
         G = setup.group
@@ -112,22 +114,26 @@ class SubextLattice:
         qualifying = subgroup_masks_within(
             G, base.mask, setup.n_sub.mask, setup.sigma_prime
         )
-        qual_set = set(qualifying)
-        minimal = {
-            m
-            for m in qualifying
-            if not any(k != m and k & m == k for k in qual_set)
-        }
-
-        def sort_key(m: int) -> tuple:
-            return (m not in minimal, bin(m).count("1"), G.elems_of_mask(m))
-
-        ordered = sorted(qualifying, key=sort_key)
+        # by order, then elements: every proper sub-member comes earlier
+        by_size = sorted(qualifying, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
+        subs = [
+            [k for k, mk in zip(range(j), by_size) if mk & mj == mk]
+            for j, mj in enumerate(by_size)
+        ]
+        # the minimal members, those with no sub-member, move to the front
+        order = [j for j, sub in enumerate(subs) if not sub]
+        n_maximal = len(order)
+        order += [j for j, sub in enumerate(subs) if sub]
+        position = [0] * len(order)
+        for i, j in enumerate(order):
+            position[j] = i
         self.setup = setup
         self.base = base
-        self.members = tuple(Subgroup(G, G.elems_of_mask(m)) for m in ordered)
-        self.n_maximal = len(minimal)
-        self.index_of = {m: i for i, m in enumerate(ordered)}
+        self.members = tuple(Subgroup(G, G.elems_of_mask(by_size[j])) for j in order)
+        self.n_maximal = n_maximal
+        self.index_of = {by_size[j]: i for i, j in enumerate(order)}
+        self.below = tuple(tuple(sorted(position[k] for k in subs[j])) for j in order)
+        self._counts: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -145,6 +151,28 @@ class SubextLattice:
         """Field order: F_i <= F_j iff the subgroup of F_j is inside that of F_i."""
         mj = self.members[j].mask
         return mj & self.members[i].mask == mj
+
+    def hall_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(f, g): translate tuples inside, and exactly on, each member (P. Hall, 1936).
+
+        A member H maps onto Q, so it meets each lift coordinate's coset
+        of N in exactly |H n N| translates, whichever valid lift is used:
+        f[j] = |H_j n N|^n translate tuples land inside H_j.  The tuples
+        landing exactly on H_j number g[j] = f[j] minus g over below[j],
+        whose members all come earlier.  Computed once per lattice;
+        callers hold the counts to their own cap.
+        """
+        if self._counts is None:
+            n_mask, n = self.setup.n_sub.mask, self.setup.n
+            f = tuple(bin(H.mask & n_mask).count("1") ** n for H in self.members)
+            g: list[int] = []
+            for j, sub in enumerate(self.below):
+                gj = f[j] - sum(g[k] for k in sub)
+                if gj < 0:
+                    raise RuntimeError("internal error: member %d has a negative exact count" % j)
+                g.append(gj)
+            self._counts = (f, tuple(g))
+        return self._counts
 
     def member_name(self, i: int) -> str:
         """Stable display name of member i, from its canonical generators."""

@@ -4,20 +4,24 @@ Every measure works from two integer vectors per lattice: f[j], the
 number of translate tuples landing inside member j, and g[j], the number
 generating exactly member j, both from P. Hall's Eulerian-function
 inversion over the member poset rather than by enumerating the tuples.
+The lattice computes them once, with its containment lists below[j]
+(SubextLattice.hall_counts); each call here only holds them to its cap.
 No measure reads a lift of sigma: for a valid lift coordinate l in
 H n sigma N, the translates l(H n N) are exactly H n sigma N, so every
 valid lift yields the same tuples and the same counts.  A step of the
 chain sends mass v[i] / f[i] from each member i to each member j inside
-it, weighted by g[j]; iterated measures take such steps from the point
-mass at the base, and the limit measure solves the absorbing chain
-equations by forward substitution.  The Fraction transition matrix is
-built only by transition_matrix.  Every value is exact; no floating
-point enters the engine.
+it, weighted by g[j]; iterated measures take such steps on integer
+numerators from the point mass at the base, and the limit measure
+solves the absorbing chain equations by forward substitution on integer
+numerators over one denominator per member.  The Fraction transition
+matrix is built only by transition_matrix.  Every value is exact; no
+floating point enters the engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .groups import CapExceeded, GroupError, GroupHom, Subgroup
@@ -184,35 +188,17 @@ def _resolve_lattice(
 
 def _hall_counts(
     lattice: SubextLattice, cap: int, rows: Iterable[int]
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """Exact tuple counts per member, with no enumeration (P. Hall, 1936).
+) -> tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]:
+    """The lattice's (f, g, below), with each of the given rows held to cap tuples.
 
-    A member H maps onto Q, so it meets each lift coordinate's coset of
-    N in exactly |H n N| translates, whichever valid lift is used: f[j]
-    = |H_j n N|^n translate tuples land inside H_j.  The tuples landing
-    exactly on H_j number g[j] = f[j] minus g over the proper
-    sub-members of H_j, which all come earlier in the canonical order
-    and are listed in below[j].  g does not depend on the row's base, so
-    one pass serves every row.  Each of the given rows must have at most
-    cap tuples.
+    The counts are computed once per lattice (SubextLattice.hall_counts);
+    the cap is a policy of each call, checked in row order.
     """
-    setup = lattice.setup
-    n_mask = setup.n_sub.mask
-    masks = [H.mask for H in lattice.members]
-    f = [bin(m & n_mask).count("1") ** setup.n for m in masks]
+    f, g = lattice.hall_counts()
     for i in rows:
         if f[i] > cap:
             raise CapExceeded("member %d needs %d tuples, over the cap of %d" % (i, f[i], cap))
-    g: list[int] = []
-    below: list[list[int]] = []
-    for j, mj in enumerate(masks):
-        sub = [k for k in range(j) if masks[k] & mj == masks[k]]
-        gj = f[j] - sum(g[k] for k in sub)
-        if gj < 0:
-            raise RuntimeError("internal error: member %d has a negative exact count" % j)
-        g.append(gj)
-        below.append(sub)
-    return f, g, below
+    return f, g, lattice.below
 
 
 def _row(
@@ -338,9 +324,12 @@ def mu_infinity(
     is a unit vector on maximal members and, for a transient member,
     the sum of g[j] h(j) over its proper sub-members j divided by
     f[i] - g[i].  Sub-members come first in the canonical order, so one
-    forward pass solves it with integer coefficients and one division
-    per maximal coordinate.  The result vanishes off the maximal members
-    and is strictly positive on each of them.
+    forward pass solves it.  Each h(i) is kept as integer numerators
+    over one denominator: the rows it sums are brought to the lcm of
+    their denominators and the result is reduced by one gcd, so the
+    only divisions left are one per maximal coordinate of h(K).  The
+    result vanishes off the maximal members and is strictly positive on
+    each of them.
     """
     lat = _resolve_lattice(setup, K_subgroup, lattice)
     m = len(lat.members)
@@ -349,22 +338,30 @@ def mu_infinity(
     if ell == m:
         # single-member lattice: the base is already maximal
         return MeasureVector(lat, [Fraction(1)])
-    # absorb[t][a] = probability of ending at maximal a from member ell+t
-    absorb: list[list[Fraction]] = []
+    # absorb[t] = (numerators, denominator) in lowest terms: the
+    # probabilities of ending at each maximal member from member ell+t
+    absorb: list[tuple[list[int], int]] = []
     for i in range(ell, m):
         pivot = f[i] - g[i]
         if pivot == 0:
             raise RuntimeError("internal error: zero pivot in the absorbing solve")
+        steps = [j for j in below[i] if j >= ell and g[j]]
+        den = lcm(*(absorb[j - ell][1] for j in steps))
         acc = [0] * ell
         for j in below[i]:
             if j < ell:
-                acc[j] += g[j]
-            elif g[j]:
-                acc = [x + g[j] * y for x, y in zip(acc, absorb[j - ell])]
-        absorb.append([Fraction(x, pivot) for x in acc])
-    if any(v == 0 for v in absorb[-1]):
+                acc[j] = g[j] * den
+        for j in steps:
+            nums, d = absorb[j - ell]
+            w = g[j] * (den // d)
+            acc = [x + w * y for x, y in zip(acc, nums)]
+        den *= pivot
+        common = gcd(den, *acc)
+        absorb.append(([x // common for x in acc], den // common))
+    nums, den = absorb[-1]
+    if not all(nums):
         raise RuntimeError("internal error: limit measure vanishes on a maximal member")
-    return MeasureVector(lat, absorb[-1] + [Fraction(0)] * (m - ell))
+    return MeasureVector(lat, [Fraction(x, den) for x in nums] + [Fraction(0)] * (m - ell))
 
 
 def measure_event(

@@ -6,7 +6,7 @@ single-member lattices, and a proper base subgroup.
 
 from __future__ import annotations
 
-from fmeas.groups import FiniteGroup, Subgroup
+from fmeas.groups import FiniteGroup, Subgroup, normal_subgroups, quotient
 from fmeas.lattice import GaloisSetup, SubextLattice, make_setup, s_lattice
 
 import corpus
@@ -107,3 +107,29 @@ def get(name: str) -> tuple[GaloisSetup, Subgroup, SubextLattice]:
         got = _build(name)
         _cache[name] = got
     return got
+
+
+_corpus: list[tuple[str, GaloisSetup, Subgroup, SubextLattice]] = []
+
+
+def corpus_lattices() -> list[tuple[str, GaloisSetup, Subgroup, SubextLattice]]:
+    """(tag, setup, base, lattice) for every named scenario, then for every
+    group of order <= 16 and each of its normal subgroups N, over the
+    whole group.  sigma lifts the quotient's generator sequence to the
+    least element of each coset, padded with the identity to length 2.
+    """
+    if not _corpus:
+        _corpus.extend((name,) + get(name) for name in NAMES)
+        for gname, G in corpus.classes_upto(16):
+            K = Subgroup(G, range(G.order))
+            for N in normal_subgroups(G):
+                Q, r = quotient(G, N)
+                images = list(Q.generator_sequence())
+                images += [0] * (2 - len(images))
+                sigma = tuple(
+                    min(g for g in range(G.order) if r.image_of[g] == q) for q in images
+                )
+                setup = GaloisSetup(G, N, sigma)
+                tag = "%s N=%s" % (gname, N.display_name())
+                _corpus.append((tag, setup, K, SubextLattice(setup, K)))
+    return _corpus

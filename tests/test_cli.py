@@ -5,6 +5,8 @@ tests/fixtures/expected/, so any change to output formatting or to the
 numbers themselves shows up as a diff.  Each case also runs under the
 retired FMEAS_THREADS settings 1, 2 and 8, which scripts written for
 older releases may still export: the output must not depend on them.
+The markov suite, which reads the chain off integer counts, is also
+checked line by line against the explicit Fraction-matrix route.
 """
 
 import json
@@ -17,9 +19,13 @@ from pathlib import Path
 import pytest
 
 import fmeas
-from fmeas import invsys
-from fmeas.cli import _reachable, main
+from fmeas import cli, invsys, measure
+from fmeas.cli import _fmt, _markov_checks, _vector_line, main
+from fmeas.lattice import SubextLattice
+from fmeas.measure import TUPLE_CAP, MeasureVector, mu1, mu_infinity, transition_matrix
+from fmeas.setupfile import LoadedSetup, load_setup
 
+import setups
 from conftest import FIXTURES
 
 EXPECTED = FIXTURES / "expected"
@@ -346,6 +352,19 @@ def test_malformed_group_shapes_rejected(group, fragment, tmp_path, capsys):
     assert err.startswith("error: %s:2: " % p)
 
 
+# -- the markov suite against the Fraction-matrix route ----------------------------
+
+
+def reachable(rows):
+    """Bit j of reach[i] is set when member j is reachable from member i."""
+    reach = [sum(1 << j for j, p in enumerate(row) if p) | 1 << i for i, row in enumerate(rows)]
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    return reach
+
+
 def naive_reach(rows):
     """reach[i][j]: a path of nonzero entries leads from i to j (or i == j)."""
     m = len(rows)
@@ -374,8 +393,138 @@ def naive_reach(rows):
 )
 def test_reachable_matches_a_naive_closure(rows):
     m = len(rows)
-    reach = _reachable(rows)
+    reach = reachable(rows)
     assert [[bool(reach[i] >> j & 1) for j in range(m)] for i in range(m)] == naive_reach(rows)
+
+
+def matrix_markov_checks(setup, K, lat, inf, one):
+    """The five markov checks over the explicit Fraction transition matrix,
+    with a closure for reachability: the slow route, given the limit and
+    mu1 vectors to check."""
+    T = transition_matrix(setup, K, lattice=lat)
+    m = len(lat.members)
+    out = []
+
+    bad = [i for i in range(m) if (T.rows[i][i] == 1) != lat.is_maximal(i)]
+    out.append(("absorbing-equals-maximal", not bad, ["member %d" % i for i in bad]))
+
+    reach = reachable(T.rows)
+    bad = []
+    for i in range(m):
+        ergodic = all(reach[j] >> i & 1 for j in range(m) if reach[i] >> j & 1)
+        if ergodic != lat.is_maximal(i):
+            bad.append(i)
+    out.append(("ergodic-equals-maximal", not bad, ["member %d" % i for i in bad]))
+
+    support = [i for i in range(m) if inf.values[i]]
+    stepped = [sum(inf.values[i] * T.rows[i][j] for i in support) for j in range(m)]
+    ok = stepped == list(inf.values)
+    out.append(("limit-fixed-point", ok, [] if ok else [_vector_line(stepped)]))
+
+    bad = [i for i in range(m) if (inf.values[i] > 0) != lat.is_maximal(i) or inf.values[i] < 0]
+    ok = not bad and sum(inf.values) == 1
+    out.append(
+        ("limit-support", ok, ["member %d value %s" % (i, _fmt(inf.values[i])) for i in bad])
+    )
+
+    bad = [i for i in range(lat.n_maximal) if not 0 < one.values[i] <= inf.values[i]]
+    out.append(
+        (
+            "mu1-below-limit",
+            not bad,
+            [
+                "member %d: mu1 %s limit %s" % (i, _fmt(one.values[i]), _fmt(inf.values[i]))
+                for i in bad
+            ],
+        )
+    )
+    return out
+
+
+VALID_FIXTURES = ["klein.json", "klein_weak.json", "z2.json", "z4.json", "s3.json", "c4_to_c2.json"]
+
+
+def markov_cases():
+    """(tag, loaded setup, lattice) for every corpus lattice and valid fixture."""
+    for tag, setup, K, lat in setups.corpus_lattices():
+        yield tag, LoadedSetup(tag, setup, K, {}, None), lat
+    for name in VALID_FIXTURES:
+        loaded = load_setup(str(FIXTURES / name))
+        yield name, loaded, SubextLattice(loaded.setup, loaded.base)
+
+
+def test_markov_suite_matches_the_matrix_route():
+    for tag, loaded, lat in markov_cases():
+        setup, K = loaded.setup, loaded.base
+        inf = mu_infinity(setup, K, lattice=lat)
+        one = mu1(setup, K, lattice=lat)
+        got = list(_markov_checks(loaded, lat, TUPLE_CAP))
+        assert got == matrix_markov_checks(setup, K, lat, inf, one), tag
+        assert all(ok for _, ok, _ in got), tag
+
+
+def test_markov_suite_fails_a_wrong_limit(monkeypatch, capsys):
+    # the point mass at the base is a valid measure, but a step moves it
+    # and it sits on a member that is not maximal: both checks must fail,
+    # with the matrix route's detail lines
+    def point_mass_at_base(setup, K, *, cap, lattice):
+        m = len(lattice.members)
+        return MeasureVector(lattice, [0] * (m - 1) + [1])
+
+    monkeypatch.setattr(cli, "mu_infinity", point_mass_at_base)
+    checked = 0
+    for tag, loaded, lat in markov_cases():
+        if len(lat.members) == 1:
+            continue
+        setup, K = loaded.setup, loaded.base
+        got = list(_markov_checks(loaded, lat, TUPLE_CAP))
+        wrong = point_mass_at_base(setup, K, cap=TUPLE_CAP, lattice=lat)
+        one = mu1(setup, K, lattice=lat)
+        assert got == matrix_markov_checks(setup, K, lat, wrong, one), tag
+        verdict = {name: ok for name, ok, _ in got}
+        assert not verdict["limit-fixed-point"], tag
+        assert not verdict["limit-support"], tag
+        checked += 1
+    assert checked > 250
+    rc, out, err = run_main(["verify", str(FIXTURES / "klein.json"), "--suite", "markov"], capsys)
+    assert rc == 4
+    assert out == (
+        "PASS absorbing-equals-maximal\n"
+        "PASS ergodic-equals-maximal\n"
+        "FAIL limit-fixed-point\n"
+        "  1/2, 1/2, 0\n"
+        "FAIL limit-support\n"
+        "  member 0 value 0\n"
+        "  member 1 value 0\n"
+        "  member 2 value 1\n"
+        "FAIL mu1-below-limit\n"
+        "  member 0: mu1 1/2 limit 0\n"
+        "  member 1: mu1 1/2 limit 0\n"
+    )
+
+
+@pytest.mark.parametrize("suite", ["markov", "all"])
+def test_verify_builds_no_transition_matrix(suite, monkeypatch, capsys):
+    runs = []
+    for name in VALID_FIXTURES + ["s3_bad_normal.json"]:
+        runs.append(run_main(["verify", str(FIXTURES / name), "--suite", suite], capsys))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a TransitionMatrix")
+
+    monkeypatch.setattr(measure.TransitionMatrix, "__init__", refuse)
+    for name, before in zip(VALID_FIXTURES + ["s3_bad_normal.json"], runs):
+        rc, out, err = run_main(["verify", str(FIXTURES / name), "--suite", suite], capsys)
+        assert (rc, out, err) == before, name
+        if suite == "markov" and name != "s3_bad_normal.json":
+            assert rc == 0, name
+
+
+def test_markov_suite_holds_every_row_to_the_cap(capsys):
+    rc, out, err = run_main(
+        ["verify", str(FIXTURES / "klein.json"), "--suite", "markov", "--cap", "1"], capsys
+    )
+    assert (rc, out, err) == (3, "", "error: member 2 needs 2 tuples, over the cap of 1\n")
 
 
 def test_tower_suite_needs_tower_section(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from fmeas import groups
 from fmeas.groups import (
     CapExceeded,
     FiniteGroup,
@@ -20,6 +21,7 @@ from fmeas.groups import (
     direct_product,
     epimorphisms,
     generated_subgroup,
+    hom_from_images,
     image_classes,
     isomorphic,
     quotient,
@@ -363,6 +365,35 @@ def test_hom_verification_rejects_non_homomorphism():
     # the trivial group has no generators; its identity must still map to 0
     with pytest.raises(GroupError, match="homomorphism"):
         GroupHom(cyclic(1), cyclic(2), (1,))
+
+
+def test_hom_from_images_rejects_what_no_hom_extends():
+    assert hom_from_images(cyclic(4), cyclic(2), [1], [1]).image_of == (0, 1, 0, 1)
+    # an element of order 4 cannot go to one of order 3
+    assert hom_from_images(cyclic(4), cyclic(3), [1], [1]) is None
+    # a repeated generator given two images: the table follows the first
+    assert hom_from_images(cyclic(4), cyclic(2), [1, 1], [1, 0]) is None
+    # each transposition of S3 may go to C3's generator alone, not both
+    S3 = symmetric(3)
+    t = [x for x in range(6) if S3.element_order(x) == 2]
+    assert hom_from_images(S3, cyclic(2), t[:2], [1, 1]) is not None
+    assert hom_from_images(S3, cyclic(3), t[:2], [1, 2]) is None
+
+
+def test_epimorphism_search_checks_each_table_once(monkeypatch):
+    # into C2 every candidate table of an elementary abelian group is a
+    # homomorphism, so one defect check per table is one per epimorphism
+    calls = []
+    defect = groups._hom_defect
+
+    def counted(*args):
+        calls.append(args)
+        return defect(*args)
+
+    monkeypatch.setattr(groups, "_hom_defect", counted)
+    found = epimorphisms(corpus.group("C2xC2xC2"), cyclic(2))
+    assert len(found) == 7
+    assert len(calls) == 7
 
 
 def oracle_is_hom(G, H, phi) -> bool:

@@ -230,6 +230,24 @@ def test_member_list_shape(name):
     assert block2 == sorted(block2)
 
 
+def test_below_and_the_order_match_a_direct_scan():
+    # on every corpus lattice: below[j] is every proper sub-member of
+    # member j, and the members are sorted by the key the order is
+    # defined by, the minimal ones (no sub-member) first
+    for tag, setup, K, lat in setups.corpus_lattices():
+        masks = [H.mask for H in lat.members]
+        below = [
+            tuple(k for k, mk in enumerate(masks) if k != j and mk & mj == mk)
+            for j, mj in enumerate(masks)
+        ]
+        assert lat.below == tuple(below), tag
+        minimal = {m for m, sub in zip(masks, below) if not sub}
+        assert lat.n_maximal == len(minimal), tag
+        G = setup.group
+        key = lambda m: (m not in minimal, bin(m).count("1"), G.elems_of_mask(m))
+        assert masks == sorted(masks, key=key), tag
+
+
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_member_names_are_distinct(name):
     _, _, lat = setups.get(name)

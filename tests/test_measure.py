@@ -7,6 +7,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
 import setups
@@ -18,6 +20,7 @@ from fmeas.groups import (
     cyclic,
     direct_product,
     identity_hom,
+    normal_subgroups,
     quotient,
 )
 from fmeas.lattice import SubextLattice, make_setup
@@ -119,6 +122,36 @@ def oracle_limit(rows, n_maximal):
     return absorb[-1] + [F(0)] * (m - n_maximal)
 
 
+def fraction_limit(lattice):
+    """Limit measure by Fraction forward substitution over recounted (f, g).
+
+    f, g and the sub-member lists are recomputed by mask tests, and each
+    absorption row is a list of Fractions, as the engine solved it
+    before it kept integer numerators over one denominator.
+    """
+    setup = lattice.setup
+    masks = [H.mask for H in lattice.members]
+    f = [bin(m & setup.n_sub.mask).count("1") ** setup.n for m in masks]
+    g, below = [], []
+    for j, mj in enumerate(masks):
+        sub = [k for k in range(j) if masks[k] & mj == masks[k]]
+        g.append(f[j] - sum(g[k] for k in sub))
+        below.append(sub)
+    ell, m = lattice.n_maximal, len(masks)
+    if ell == m:
+        return [F(1)]
+    absorb = []
+    for i in range(ell, m):
+        acc = [F(0)] * ell
+        for j in below[i]:
+            if j < ell:
+                acc[j] += g[j]
+            elif g[j]:
+                acc = [x + g[j] * y for x, y in zip(acc, absorb[j - ell])]
+        absorb.append([x / (f[i] - g[i]) for x in acc])
+    return absorb[-1] + [F(0)] * (m - ell)
+
+
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu1_matches_oracle(name):
     setup, K, lat = setups.get(name)
@@ -138,6 +171,36 @@ def test_mu_infinity_matches_oracle_limit(name):
     setup, K, lat = setups.get(name)
     rows = [oracle_row(setup, lat, i) for i in range(len(lat.members))]
     assert list(mu_infinity(setup, K, lattice=lat).values) == oracle_limit(rows, lat.n_maximal)
+
+
+def test_mu_infinity_matches_the_fraction_solve_on_the_corpus():
+    for tag, setup, K, lat in setups.corpus_lattices():
+        assert list(mu_infinity(setup, K, lattice=lat).values) == fraction_limit(lat), tag
+
+
+@st.composite
+def galois_setups(draw):
+    """A group of order <= 12, a normal N, a lift of 1 to 3 coordinates
+    whose images generate G/N, and a base that maps onto G/N."""
+    name = draw(st.sampled_from([name for name, _ in corpus.classes_upto(12)]))
+    G = corpus.group(name)
+    N = draw(st.sampled_from(normal_subgroups(G)))
+    sigma = tuple(draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3)))
+    Q, r = quotient(G, N)
+    assume(Q.closure_mask([r.image_of[x] for x in sigma]) == (1 << Q.order) - 1)
+    setup = make_setup(G, N.elements, sigma)
+    extra = draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    K = Subgroup(G, sigma + tuple(extra))
+    assume(setup.qualifies(K.mask))
+    return setup, K
+
+
+@settings(deadline=None, max_examples=60)
+@given(galois_setups())
+def test_mu_infinity_matches_the_fraction_solve_on_generated_setups(drawn):
+    setup, K = drawn
+    lat = SubextLattice(setup, K)
+    assert list(mu_infinity(setup, K, lattice=lat).values) == fraction_limit(lat)
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
@@ -462,6 +525,31 @@ def test_cap_exceeded_is_loud():
     with pytest.raises(CapExceeded, match="169"):
         mu1(setup, K, cap=168, lattice=lat)
     assert sum(mu1(setup, K, cap=169, lattice=lat).values) == 1
+
+
+@pytest.mark.parametrize(
+    "cap,base_message,row_message",
+    [
+        (23, "member 29 needs 24 tuples, over the cap of 23", None),
+        (2, "member 29 needs 24 tuples, over the cap of 2", "member 10 needs 3 tuples, over the cap of 2"),
+    ],
+)
+def test_cap_binds_each_call_on_a_lattice_with_cached_counts(cap, base_message, row_message):
+    # the counts are cached by the first call, at the default cap; every
+    # later call still holds its own rows to its own cap, in row order
+    setup, K, lat = setups.get("S4-full")
+    mu_infinity(setup, K, lattice=lat)
+    row_message = row_message or base_message
+    calls = [
+        (lambda: mu1(setup, K, cap=cap, lattice=lat), base_message),
+        (lambda: transition_matrix(setup, K, cap=cap, lattice=lat), row_message),
+        (lambda: mu_i(setup, K, 1, cap=cap, lattice=lat), row_message),
+        (lambda: mu_infinity(setup, K, cap=cap, lattice=lat), row_message),
+    ]
+    for call, message in calls:
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_cap_propagates_through_the_solve():
