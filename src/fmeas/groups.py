@@ -9,8 +9,10 @@ Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
 FiniteGroup.extend_mask, which grows <H, x> from a subgroup H one left
 coset of H at a time; closure_mask folds it over a generator list, and
-subgroup enumeration extends known subgroups, from a set of seeds, by
-single elements of an extension set.  There is likewise one
+subgroup enumeration extends each known subgroup H, from a set of
+seeds, by one element of an extension set per left coset of H, and
+keeps the generator tuple that found each subgroup, so that building it
+again replays memoized extensions.  There is likewise one
 homomorphism search, _epimorphism_search, over the images of the
 generator sequence: epimorphisms lists it, and isomorphic asks it for a
 first epimorphism between groups of equal order.
@@ -65,9 +67,11 @@ class FiniteGroup:
         for row in rows:
             if len(row) != n:
                 raise GroupError("multiplication table is not square")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise GroupError("table entry %r is not an element index" % (v,))
+            # one pass per row at C speed; the scan only names the bad entry
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                for v in row:
+                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                        raise GroupError("table entry %r is not an element index" % (v,))
         self.order = n
         self.table = rows
         if labels is None:
@@ -103,12 +107,12 @@ class FiniteGroup:
                 raise GroupError("element 0 is not a right identity")
 
     def _check_permutation_rows(self) -> None:
+        # every entry is already an index below n, so n distinct ones are all of them
         n = self.order
-        full = frozenset(range(n))
-        for a in range(n):
-            if frozenset(self.table[a]) != full:
+        for a, (row, column) in enumerate(zip(self.table, zip(*self.table))):
+            if len(set(row)) != n:
                 raise GroupError("row %d is not a permutation; not a group table" % a)
-            if frozenset(self.table[b][a] for b in range(n)) != full:
+            if len(set(column)) != n:
                 raise GroupError("column %d is not a permutation; not a group table" % a)
 
     def _compute_inverses(self) -> tuple[int, ...]:
@@ -404,9 +408,10 @@ class GroupHom:
         imgs = tuple(image_of)
         if len(imgs) != source.order:
             raise GroupError("image table length does not match source order")
-        for v in imgs:
-            if not isinstance(v, int) or not 0 <= v < target.order:
-                raise GroupError("image %r is not a target element index" % (v,))
+        if set(map(type, imgs)) != {int} or min(imgs) < 0 or max(imgs) >= target.order:
+            for v in imgs:
+                if not isinstance(v, int) or not 0 <= v < target.order:
+                    raise GroupError("image %r is not a target element index" % (v,))
         gens = source.generator_sequence()
         bad = _hom_defect(source, target, imgs, gens, [imgs[g] for g in gens])
         if bad is not None:
@@ -546,21 +551,32 @@ def _subgroups_within(
 ) -> dict[int, tuple[int, ...]]:
     """Every subgroup reached from the seeds by adding elements of extend.
 
-    Bottom-up: every known subgroup, the seeds first, is extended by
-    every element of extend outside it until no new subgroup appears.
-    Maps each subgroup mask to a tuple generating it, the seed's
-    generators first.  With the trivial subgroup as the only seed and a
-    whole subgroup as extend, this is every subgroup of that subgroup,
+    Bottom-up: every known subgroup H, the seeds first, is extended by
+    one element x of extend in each left coset xH that meets extend
+    outside H, until no new subgroup appears.  That loses nothing:
+    for h in H, xh lies in <H, x> and x = (xh)h^-1 lies in <H, xh>, so
+    <H, xh> = <H, x>.  The x taken is the first of its coset in extend,
+    so a skipped element would only have repeated a subgroup already
+    built.  Maps each subgroup mask to a tuple generating it, the seed's
+    generators first, each further element extending the subgroup of
+    the tuple before it.  With the trivial subgroup as the only seed and
+    a whole subgroup as extend, this is every subgroup of that subgroup,
     the cyclic ones first, as extensions of {0}.
     """
+    t = G.table
     built = dict(seeds)
     work = list(seeds)
     while work:
         mask = work.pop()
         gens = built[mask]
+        H = G.elems_of_mask(mask)
+        done = mask
         for x in extend:
-            if mask >> x & 1:
+            if done >> x & 1:
                 continue
+            tx = t[x]
+            for h in H:
+                done |= 1 << tx[h]
             bigger = G.extend_mask(mask, x)
             if bigger not in built:
                 built[bigger] = gens + (x,)
@@ -610,7 +626,7 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     _check_order_cap(G.order)
     if G._subgroups is None:
         built = _subgroups_within(G, {1: ()}, range(G.order))
-        subs = [Subgroup(G, gens, elements=G.elems_of_mask(mask)) for mask, gens in built.items()]
+        subs = [Subgroup(G, gens) for gens in built.values()]
         subs.sort(key=lambda H: (H.order, H.elements))
         G._subgroups = tuple(subs)
     return G._subgroups
@@ -626,8 +642,8 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 def subgroup_masks_within(
     G: FiniteGroup, universe: int, normal: Optional[int] = None, lift: Sequence[int] = ()
-) -> list[int]:
-    """Masks of the subgroups H of the universe with HN = <N, lift>.
+) -> dict[int, tuple[int, ...]]:
+    """The subgroups H of the universe with HN = <N, lift>, mask to generators.
 
     normal is the mask of a normal subgroup N, the whole group when
     omitted, so that with no lift every subgroup of the universe
@@ -637,15 +653,18 @@ def subgroup_masks_within(
     in H n N.  So the subgroups are enumerated upward from the seeds of
     _lift_seeds, adding elements of the universe's meet with N only;
     with N the whole group the one seed is {0} and every element of the
-    universe extends.  Ordered like all_subgroups; the universe must
-    itself be a subgroup, of order at most DEFAULT_ORDER_CAP.
+    universe extends.  Each mask maps to the generator tuple the
+    enumeration found for it, so that Subgroup(G, gens) replays memoized
+    closures; the masks come ordered like all_subgroups.  The universe
+    must itself be a subgroup, of order at most DEFAULT_ORDER_CAP.
     """
     _check_order_cap(bin(universe).count("1"))
     if normal is None:
         normal = (1 << G.order) - 1
     seeds = _lift_seeds(G, universe, normal, lift)
     built = _subgroups_within(G, seeds, G.elems_of_mask(universe & normal))
-    return sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
+    ordered = sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
+    return {m: built[m] for m in ordered}
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:

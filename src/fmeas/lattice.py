@@ -111,11 +111,11 @@ class SubextLattice:
             raise GroupError("base subgroup does not live in the setup group")
         if not setup.qualifies(base.mask):
             raise GroupError("base subgroup does not map onto the quotient")
+        # by order, then elements: every proper sub-member comes earlier
         qualifying = subgroup_masks_within(
             G, base.mask, setup.n_sub.mask, setup.sigma_prime
         )
-        # by order, then elements: every proper sub-member comes earlier
-        by_size = sorted(qualifying, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
+        by_size = list(qualifying)
         subs = [
             [k for k, mk in zip(range(j), by_size) if mk & mj == mk]
             for j, mj in enumerate(by_size)
@@ -129,7 +129,7 @@ class SubextLattice:
             position[j] = i
         self.setup = setup
         self.base = base
-        self.members = tuple(Subgroup(G, G.elems_of_mask(by_size[j])) for j in order)
+        self.members = tuple(Subgroup(G, qualifying[by_size[j]]) for j in order)
         self.n_maximal = n_maximal
         self.index_of = {by_size[j]: i for i, j in enumerate(order)}
         self.below = tuple(tuple(sorted(position[k] for k in subs[j])) for j in order)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import setups
 from fmeas import groups
 from fmeas.groups import (
     CapExceeded,
@@ -292,6 +293,206 @@ def test_all_subgroups_match_closed_subsets(name):
         if all(mask >> t[a][b] & 1 for a in elems for b in elems):
             closed.add(mask)
     assert {H.mask for H in all_subgroups(G)} == closed
+
+
+def oracle_subgroups_within(G, seeds, extend):
+    """The enumeration before the coset reduction: every known subgroup
+    extended by every element of extend outside it."""
+    built = dict(seeds)
+    work = list(seeds)
+    while work:
+        mask = work.pop()
+        gens = built[mask]
+        for x in extend:
+            if mask >> x & 1:
+                continue
+            bigger = G.extend_mask(mask, x)
+            if bigger not in built:
+                built[bigger] = gens + (x,)
+                work.append(bigger)
+    return built
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_coset_enumeration_matches_the_per_element_oracle(name):
+    # same masks, same generator tuples, same insertion order
+    G = corpus.group(name)
+    fast = groups._subgroups_within(G, {1: ()}, range(G.order))
+    oracle = oracle_subgroups_within(G, {1: ()}, range(G.order))
+    assert list(fast.items()) == list(oracle.items())
+
+
+def test_coset_enumeration_matches_the_oracle_on_every_corpus_lattice():
+    for tag, setup, K, _ in setups.corpus_lattices():
+        G = setup.group
+        seeds = groups._lift_seeds(G, K.mask, setup.n_sub.mask, setup.sigma_prime)
+        extend = G.elems_of_mask(K.mask & setup.n_sub.mask)
+        fast = groups._subgroups_within(G, seeds, extend)
+        oracle = oracle_subgroups_within(G, seeds, extend)
+        assert list(fast.items()) == list(oracle.items()), tag
+
+
+def test_coset_enumeration_extends_once_per_coset(monkeypatch):
+    # C2^4 has 67 subgroups; one element per left coset outside each
+    # takes 240 extensions, against 765 for one per element
+    G = direct_product(*[cyclic(2)] * 4)
+    calls = []
+    extend_mask = FiniteGroup.extend_mask
+
+    def counted(self, mask, x):
+        calls.append((mask, x))
+        return extend_mask(self, mask, x)
+
+    monkeypatch.setattr(FiniteGroup, "extend_mask", counted)
+    built = groups._subgroups_within(G, {1: ()}, range(G.order))
+    assert len(built) == 67
+    assert len(calls) == 240
+
+
+def test_subgroup_masks_within_keeps_the_enumeration_generators():
+    G = corpus.group("S4")
+    full = (1 << G.order) - 1
+    got = groups.subgroup_masks_within(G, full)
+    assert list(got) == [H.mask for H in all_subgroups(G)]
+    for mask, gens in got.items():
+        assert G.closure_mask(gens) == mask
+
+
+# -- table and image validation ------------------------------------------
+
+
+class Index(int):
+    """An int subclass, which the table and image checks accept."""
+
+
+def oracle_table_error(table):
+    """The first message of the per-entry checks, up to the inverse check,
+    or None when the table passes them."""
+    n = len(table)
+    rows = [tuple(row) for row in table]
+    for row in rows:
+        if len(row) != n:
+            return "multiplication table is not square"
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                return "table entry %r is not an element index" % (v,)
+    if rows[0] != tuple(range(n)):
+        return "element 0 is not a left identity"
+    for a in range(n):
+        if rows[a][0] != a:
+            return "element 0 is not a right identity"
+    full = frozenset(range(n))
+    for a in range(n):
+        if frozenset(rows[a]) != full:
+            return "row %d is not a permutation; not a group table" % a
+        if frozenset(rows[b][a] for b in range(n)) != full:
+            return "column %d is not a permutation; not a group table" % a
+    for a in range(n):
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            return "element %d has no two-sided inverse" % a
+    return None
+
+
+def corrupted_tables(G):
+    """G's table with one fault of each kind the entry and row checks name."""
+    n = G.order
+    base = [list(row) for row in G.table]
+
+    def put(r, c, v):
+        t = [list(row) for row in base]
+        t[r][c] = v
+        return t
+
+    yield base
+    yield [[Index(v) for v in row] for row in base]
+    yield put(n - 1, n - 1, Index(n))
+    yield put(1, n - 1, True)
+    yield put(1, 1, False)
+    yield put(n - 1, 1, float(base[n - 1][1]))
+    yield put(n - 1, n - 1, -1)
+    yield put(n - 1, n - 1, n)
+    yield put(n - 1, 1, "1")
+    yield put(1, 1, None)
+    yield base[:-1] + [base[-1][:-1]]
+    yield base[:1] + [base[1] + [0]] + base[2:]
+    # a repeated entry in row 1, and so in one column too
+    yield put(1, n - 1, base[1][n - 2])
+    # two entries of the last row swapped: every row stays a permutation
+    t = [list(row) for row in base]
+    t[-1][1], t[-1][2] = t[-1][2], t[-1][1]
+    yield t
+    # a bad entry after a short row, and a short row after a bad entry
+    yield [base[0], base[1][:-1]] + [row[:-1] + [-1] for row in base[2:]]
+    yield [base[0], base[1][:-1] + [-1]] + [row[:-1] for row in base[2:]]
+
+
+@pytest.mark.parametrize("name", ["C3", "C2xC2", "S3", "D4", "Q8", "A4", "C4xC2:C2"])
+def test_table_checks_match_the_per_entry_oracle(name):
+    for table in corrupted_tables(corpus.group(name)):
+        want = oracle_table_error(table)
+        try:
+            FiniteGroup(table)
+        except GroupError as e:
+            got = str(e)
+            if want is None:
+                assert got.startswith("non-associative triple")
+            else:
+                assert got == want
+        else:
+            assert want is None
+
+
+def oracle_hom_error(G, H, imgs):
+    """The first message of the per-entry image check, then the defect check."""
+    imgs = tuple(imgs)
+    if len(imgs) != G.order:
+        return "image table length does not match source order"
+    for v in imgs:
+        if not isinstance(v, int) or not 0 <= v < H.order:
+            return "image %r is not a target element index" % (v,)
+    gens = G.generator_sequence()
+    bad = groups._hom_defect(G, H, imgs, gens, [imgs[g] for g in gens])
+    if bad is not None:
+        return "not a homomorphism: images of %d*%d disagree" % bad
+    return None
+
+
+def test_image_checks_match_the_per_entry_oracle():
+    G, H = corpus.group("C4xC2"), cyclic(2)
+    good = [x % 2 for x in range(8)]
+    assert GroupHom(G, H, good).image_of == tuple(good)
+
+    def put(i, v):
+        out = list(good)
+        out[i] = v
+        return out
+
+    cases = [
+        good,
+        [Index(v) for v in good],
+        put(1, True),
+        put(1, False),
+        put(0, False),
+        put(3, 1.0),
+        put(3, -1),
+        put(3, 2),
+        put(3, Index(2)),
+        put(3, "1"),
+        put(3, None),
+        good[:-1],
+        good + [0],
+        put(2, 1),
+        put(2, -1) + [0],
+    ]
+    for imgs in cases:
+        want = oracle_hom_error(G, H, imgs)
+        try:
+            GroupHom(G, H, imgs)
+        except GroupError as e:
+            assert str(e) == want
+        else:
+            assert want is None
 
 
 # -- quotients -----------------------------------------------------------

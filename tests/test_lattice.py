@@ -248,6 +248,17 @@ def test_below_and_the_order_match_a_direct_scan():
         assert masks == sorted(masks, key=key), tag
 
 
+def test_members_built_from_generators_match_their_elements():
+    # members are closed from the enumeration's generators, not from
+    # their elements; either way gives the same subgroup and name
+    for tag, setup, K, lat in setups.corpus_lattices():
+        G = setup.group
+        for H in lat.members:
+            direct = Subgroup(G, G.elems_of_mask(H.mask))
+            assert H == direct and H.elements == direct.elements, tag
+            assert H.display_name() == direct.display_name(), tag
+
+
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_member_names_are_distinct(name):
     _, _, lat = setups.get(name)
