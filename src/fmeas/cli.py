@@ -136,12 +136,10 @@ def _lift_independence(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     coset of N in |H n N| elements.  The base's tuple count is held to
     the cap, as mu1 holds it.
     """
-    setup, K = loaded.setup, loaded.base
-    mu1(setup, K, cap=cap, lattice=lat)
-    G, r_img = setup.group, setup.r.image_of
-    cosets = [
-        sum(1 << x for x in range(G.order) if r_img[x] == r_img[s]) for s in setup.sigma_prime
-    ]
+    setup = loaded.setup
+    _hall_counts(lat, cap, (len(lat.members) - 1,))
+    t, n_elems = setup.group.table, setup.n_sub.elements
+    cosets = [sum(1 << t[s][x] for x in n_elems) for s in setup.sigma_prime]
     bad = []
     for H in lat.members:
         size = bin(H.mask & setup.n_sub.mask).count("1")
@@ -252,9 +250,10 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
 
     if lat is None:
         lat = SubextLattice(loaded.setup, loaded.base)
+    _, r = quotient(G, loaded.setup.n_sub)
     bad = []
     for i, H in enumerate(lat.members):
-        if lat.is_maximal(i) != is_frattini_restriction(H, loaded.setup.r):
+        if lat.is_maximal(i) != is_frattini_restriction(H, r):
             bad.append("member %d %s" % (i, lat.member_name(i)))
     yield "maximal-equals-frattini-restriction", not bad, bad
 

@@ -2,11 +2,11 @@
 
 Fields between the base field and the top field are represented by
 subgroups of G, with inclusion reversed: larger fields are smaller
-subgroups.  A lattice member is a subgroup H of the base subgroup whose
-image under r: G -> Q = G/N is all of Q; the member list puts the
-minimal (field-maximal) subgroups first, then the rest, each block in
-ascending subgroup order, so inclusions only ever point backwards and
-the base sits last.
+subgroups.  A lattice member is a subgroup H of the base with HN = G,
+which, N being normal, is the count |H| |N| = |G| |H n N|; the member
+list puts the minimal (field-maximal) subgroups first, then the rest,
+each block in ascending subgroup order, so inclusions only ever point
+backwards and the base sits last.
 
 Members are enumerated directly, not filtered from every subgroup of
 the base K.  A member H meets each coset s_i N of a sigma coordinate,
@@ -28,7 +28,6 @@ from .groups import (
     FiniteGroup,
     GroupError,
     Subgroup,
-    quotient,
     subgroup_masks_within,
 )
 
@@ -38,10 +37,10 @@ class GaloisSetup:
 
     G models the Galois group of the top field over the base, N the
     subgroup fixing the constants, and sigma_prime an n-tuple of lifts
-    whose images generate Q = G/N.  r is the projection G -> Q.
+    whose images generate Q = G/N, that is, with <N, sigma_prime> = G.
     """
 
-    __slots__ = ("group", "n_sub", "sigma_prime", "quotient_group", "r")
+    __slots__ = ("group", "n_sub", "sigma_prime")
 
     def __init__(self, group: FiniteGroup, n_sub: Subgroup, sigma_prime: tuple[int, ...]):
         if n_sub.group is not group:
@@ -53,25 +52,24 @@ class GaloisSetup:
         for x in sigma_prime:
             if not isinstance(x, int) or not 0 <= x < group.order:
                 raise GroupError("sigma_prime entry %r is out of range" % (x,))
-        Q, r = quotient(group, n_sub)
-        image_mask = 0
+        # the extensions _lift_seeds makes next, so the lattice replays them
+        span = n_sub.mask
         for x in sigma_prime:
-            image_mask |= 1 << r.image_of[x]
-        if Q.closure_mask(Q.elems_of_mask(image_mask)) != (1 << Q.order) - 1:
+            span = group.extend_mask(span, x)
+        if span != (1 << group.order) - 1:
             raise GroupError("images of sigma_prime do not generate the quotient")
         self.group = group
         self.n_sub = n_sub
         self.sigma_prime = sigma_prime
-        self.quotient_group = Q
-        self.r = r
 
     @property
     def n(self) -> int:
         return len(self.sigma_prime)
 
     def qualifies(self, mask: int) -> bool:
-        """Does the subgroup with this mask map onto Q?"""
-        return self.r.image_mask(mask) == (1 << self.quotient_group.order) - 1
+        """Does the subgroup with this mask map onto Q, |H| |N| = |G| |H n N|?"""
+        meet = bin(mask & self.n_sub.mask).count("1")
+        return bin(mask).count("1") * self.n_sub.order == self.group.order * meet
 
     def __repr__(self) -> str:
         return "GaloisSetup(|G|=%d, |N|=%d, n=%d)" % (

@@ -121,6 +121,8 @@ def load_setup(path: str) -> LoadedSetup:
             base = Subgroup(G, base_gens)
         except GroupError as e:
             raise _fail(path, raw, "base", str(e))
+        if not setup.qualifies(base.mask):
+            raise _fail(path, raw, "base", "base subgroup does not map onto the quotient")
     else:
         base = Subgroup(G, range(G.order))
 
@@ -177,6 +179,6 @@ def _load_tower(spec, upper: GaloisSetup, path: str, raw: str) -> TowerSetup:
         raise _fail(path, raw, "map", "map does not extend to a homomorphism")
     if not pi.is_surjective:
         raise _fail(path, raw, "map", "map is not surjective onto the lower group")
-    low_n = [x for x in range(H.order) if pi.image_mask(upper.n_sub.mask) >> x & 1]
+    low_n = H.elems_of_mask(pi.image_mask(upper.n_sub.mask))
     lower = make_setup(H, low_n, tuple(pi.image_of[s] for s in upper.sigma_prime))
     return TowerSetup(upper, lower, pi)

@@ -96,7 +96,7 @@ def oracle_row(setup, lattice, i, lift=None, closures=None):
     """
     G = setup.group
     H = lattice.members[i]
-    r_img = setup.r.image_of
+    r_img = quotient(G, setup.n_sub)[1].image_of
     taus = [x for x in H.elements if x in setup.n_sub]
     if lift is None:
         lift = [
@@ -352,7 +352,7 @@ def sweep():
                 # valid lift coordinate l translates K n N onto K n sigma_k N
                 t0 = time.perf_counter()
                 one = mu1(setup, base, lattice=lat).values
-                r_img = setup.r.image_of
+                r_img = r.image_of
                 meet_n = [g for g in base.elements if g in N]
                 choices = [
                     [g for g in base.elements if r_img[g] == r_img[s]] for s in sigma
@@ -392,7 +392,7 @@ def sweep():
                     first_tuple = False
                     data["restriction_checked"] += 1
                     for i, H in enumerate(lat.members):
-                        if is_frattini_restriction(H, setup.r) != lat.is_maximal(i):
+                        if is_frattini_restriction(H, r) != lat.is_maximal(i):
                             data["restriction_failures"].append(
                                 "%s member %d" % (tag, i)
                             )

@@ -15,7 +15,7 @@ import corpus
 import fmeas
 import setups
 from fmeas import backend
-from fmeas.groups import Subgroup
+from fmeas.groups import Subgroup, quotient
 from fmeas.lattice import SubextLattice, make_setup
 from fmeas.measure import mu1, transition_matrix
 
@@ -159,7 +159,7 @@ def walk_row(setup, lattice, base_index, lift):
 
 def least_lift(setup, H):
     """The smallest element of H in each lift coordinate's coset."""
-    r_img = setup.r.image_of
+    r_img = quotient(setup.group, setup.n_sub)[1].image_of
     return tuple(
         min(h for h in H.elements if r_img[h] == r_img[s]) for s in setup.sigma_prime
     )
@@ -168,7 +168,7 @@ def least_lift(setup, H):
 def greatest_lift(setup, H):
     """The largest element of H in each lift coordinate's coset: a valid
     lift that differs from the least one wherever it can."""
-    r_img = setup.r.image_of
+    r_img = quotient(setup.group, setup.n_sub)[1].image_of
     return tuple(
         max(h for h in H.elements if r_img[h] == r_img[s]) for s in setup.sigma_prime
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fmeas
-from fmeas import cli, invsys, measure
+from fmeas import cli, groups, invsys, measure
 from fmeas.cli import _fmt, _markov_checks, _vector_line, main
 from fmeas.lattice import SubextLattice
 from fmeas.measure import TUPLE_CAP, MeasureVector, mu1, mu_infinity, transition_matrix
@@ -568,3 +568,58 @@ def test_tower_map_must_be_homomorphism(tmp_path, capsys):
         "map does not extend to a homomorphism",
         2,
     )
+
+
+@pytest.mark.parametrize(
+    "command", ["lattice", "measure", "verify", "frattini", "embedding", "invsys"]
+)
+def test_base_that_does_not_map_onto_the_quotient_is_a_file_error(command, tmp_path, capsys):
+    data = json.loads((FIXTURES / "klein.json").read_text())
+    data["base"] = []
+    p = tmp_path / "badbase.json"
+    text = json.dumps(data, indent=1)
+    p.write_text(text)
+    line = next(i for i, s in enumerate(text.splitlines(), start=1) if '"base"' in s)
+    rc, out, err = run_main([command, str(p)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s:%d: base subgroup does not map onto the quotient\n" % (p, line)
+
+
+MEASURE_PATH = [
+    ["lattice"],
+    ["measure", "--mode", "mu1"],
+    ["measure", "--mode", "iter", "--steps", "3"],
+    ["measure", "--mode", "inf"],
+    ["verify", "--suite", "lifts"],
+    ["verify", "--suite", "markov"],
+]
+
+
+def test_measure_path_builds_no_quotient(monkeypatch, capsys):
+    # groups.quotient wrapped at every fmeas module that binds it
+    original = groups.quotient
+    calls = []
+
+    def counted(G, N):
+        calls.append((G, N))
+        return original(G, N)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "fmeas" or name.startswith("fmeas.")) and getattr(
+            module, "quotient", None
+        ) is original:
+            monkeypatch.setattr(module, "quotient", counted)
+    for name in VALID_FIXTURES:
+        runs = [[cmd[0], str(FIXTURES / name)] + cmd[1:] for cmd in MEASURE_PATH]
+        if json.loads((FIXTURES / name).read_text()).get("tower"):
+            runs.append(["verify", str(FIXTURES / name), "--suite", "tower"])
+        for argv in runs:
+            rc, _, err = run_main(argv, capsys)
+            # klein_weak's tower fails its pushforward check on purpose
+            assert rc in (0, 4) and err == "", argv
+            assert calls == [], argv
+    # the wrapper does see the frattini suite's projections
+    p = FIXTURES / "s3.json"
+    assert run_main(["verify", str(p), "--suite", "frattini"], capsys)[0] == 0
+    G = load_setup(str(p)).group
+    assert {N.mask for _, N in calls} == {N.mask for N in groups.normal_subgroups(G)}

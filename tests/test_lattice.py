@@ -12,6 +12,8 @@ from fmeas.groups import (
     all_subgroups,
     cyclic,
     generated_subgroup,
+    normal_subgroups,
+    quotient,
 )
 from fmeas.lattice import SubextLattice, fix_field, make_setup, maximal_fields, s_lattice
 
@@ -21,13 +23,14 @@ from fmeas.lattice import SubextLattice, fix_field, make_setup, maximal_fields, 
 
 def test_setup_with_whole_group_as_constants():
     setup, _, _ = setups.get("Z2-full")
-    assert setup.quotient_group.order == 1
+    assert quotient(setup.group, setup.n_sub)[0].order == 1
 
 
 def test_setup_klein_mod_first_coordinate():
     setup, _, _ = setups.get("Klein-first")
-    assert setup.quotient_group.order == 2
-    assert setup.r.image_of == (0, 1, 0, 1)
+    Q, r = quotient(setup.group, setup.n_sub)
+    assert Q.order == 2
+    assert r.image_of == (0, 1, 0, 1)
 
 
 def test_setup_rejects_lift_that_does_not_generate():
@@ -45,6 +48,53 @@ def test_setup_rejects_non_normal_n():
 def test_setup_rejects_empty_sigma():
     with pytest.raises(GroupError, match="nonempty"):
         make_setup(cyclic(2), [1], ())
+
+
+# -- the counting tests against the projection G -> G/N ----------------------
+
+
+def maps_onto_quotient(setup, mask):
+    """Is the subgroup's image all of Q, through the projection G -> G/N?"""
+    Q, r = quotient(setup.group, setup.n_sub)
+    return r.image_mask(mask) == (1 << Q.order) - 1
+
+
+def images_generate_quotient(G, N, sigma):
+    Q, r = quotient(G, N)
+    return Q.closure_mask([r.image_of[x] for x in sigma]) == (1 << Q.order) - 1
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(16)])
+def test_qualifies_matches_the_projection(name):
+    # |H| |N| = |G| |H n N| exactly when H maps onto G/N, for every
+    # normal N and every subgroup H
+    G = corpus.group(name)
+    for N in normal_subgroups(G):
+        setup = make_setup(G, N.elements, tuple(range(G.order)))
+        for H in all_subgroups(G):
+            assert setup.qualifies(H.mask) == maps_onto_quotient(setup, H.mask), (N, H)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(16)])
+def test_setup_accepts_exactly_the_lifts_that_generate_the_quotient(name):
+    # every single coordinate, and every pair up to order 8: <N, sigma> = G
+    # exactly when the images generate G/N
+    G = corpus.group(name)
+    lifts = [(x,) for x in range(G.order)]
+    if G.order <= 8:
+        lifts += [(x, y) for x in range(G.order) for y in range(G.order)]
+    outcomes = set()
+    for N in normal_subgroups(G):
+        for sigma in lifts:
+            want = images_generate_quotient(G, N, sigma)
+            outcomes.add(want)
+            if want:
+                assert make_setup(G, N.elements, sigma).sigma_prime == sigma
+            else:
+                with pytest.raises(GroupError) as err:
+                    make_setup(G, N.elements, sigma)
+                assert str(err.value) == "images of sigma_prime do not generate the quotient"
+    assert outcomes == ({True} if G.order == 1 else {True, False})
 
 
 # -- s_lattice -------------------------------------------------------------
@@ -90,7 +140,7 @@ def oracle_members(setup, K):
     return {
         H.mask
         for H in all_subgroups(setup.group)
-        if H.mask & K.mask == H.mask and setup.qualifies(H.mask)
+        if H.mask & K.mask == H.mask and maps_onto_quotient(setup, H.mask)
     }
 
 
@@ -154,7 +204,7 @@ def test_members_match_every_subgroup_filtered(name):
         for lift in seeded_lifts(G, N, "%s/%d" % (name, N.mask)):
             setup = make_setup(G, N.elements, lift)
             for K in subs:
-                if setup.qualifies(K.mask):
+                if maps_onto_quotient(setup, K.mask):
                     lat = SubextLattice(setup, K)
                     assert set(lat.index_of) == oracle_members(setup, K), (N, lift, K)
 
@@ -294,7 +344,7 @@ def test_s3_has_three_maximal_fields():
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_trivial_quotient_forces_trivial_top_subgroup(name):
     setup, _, lat = setups.get(name)
-    if setup.quotient_group.order == 1:
+    if quotient(setup.group, setup.n_sub)[0].order == 1:
         tops = maximal_fields(lat)
         assert len(tops) == 1
         assert tops[0].order == 1
@@ -303,15 +353,16 @@ def test_trivial_quotient_forces_trivial_top_subgroup(name):
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_maximality_matches_frattini_restriction(name):
     setup, _, lat = setups.get(name)
+    _, r = quotient(setup.group, setup.n_sub)
     for i, H in enumerate(lat.members):
-        assert lat.is_maximal(i) == is_frattini_restriction(H, setup.r)
+        assert lat.is_maximal(i) == is_frattini_restriction(H, r)
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_every_lift_into_a_maximal_member_generates_it(name):
     setup, _, lat = setups.get(name)
     G = setup.group
-    r_img = setup.r.image_of
+    r_img = quotient(setup.group, setup.n_sub)[1].image_of
     for H in maximal_fields(lat):
         cosets = [
             [h for h in H.elements if r_img[h] == r_img[s]]
@@ -335,7 +386,7 @@ def test_deterministic_lift_lands_in_the_right_cosets(name):
     # and any of them, l, translates H n N onto that whole meet
     setup, _, lat = setups.get(name)
     G = setup.group
-    r_img = setup.r.image_of
+    r_img = quotient(setup.group, setup.n_sub)[1].image_of
     for H in lat.members:
         meet_n = [h for h in H.elements if h in setup.n_sub]
         for s in setup.sigma_prime:

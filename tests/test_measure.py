@@ -63,7 +63,7 @@ def oracle_row(setup, lattice, base_index, lift=None):
     """mu1 at one member by literal tuple enumeration."""
     G = setup.group
     H = lattice.members[base_index]
-    r_img = setup.r.image_of
+    r_img = quotient(G, setup.n_sub)[1].image_of
     taus = [x for x in H.elements if x in setup.n_sub]
     if lift is None:
         lift = [
@@ -191,7 +191,7 @@ def galois_setups(draw):
     setup = make_setup(G, N.elements, sigma)
     extra = draw(st.lists(st.integers(0, G.order - 1), max_size=2))
     K = Subgroup(G, sigma + tuple(extra))
-    assume(setup.qualifies(K.mask))
+    assume(r.image_mask(K.mask) == (1 << Q.order) - 1)
     return setup, K
 
 
@@ -347,7 +347,7 @@ LIFT_TUPLE_BUDGET = 5000
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_lift_independence_exhaustive(name):
     setup, K, lat = setups.get(name)
-    r_img = setup.r.image_of
+    r_img = quotient(setup.group, setup.n_sub)[1].image_of
     for H in lat.members:
         member_lat = SubextLattice(setup, H)
         candidates = [
