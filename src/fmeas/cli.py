@@ -25,6 +25,7 @@ from .groups import (
     CapExceeded,
     GroupError,
     GroupHom,
+    all_subgroups,
     isomorphic,
     normal_subgroups,
     quotient,
@@ -216,35 +217,39 @@ def _check_tower(loaded: LoadedSetup, cap: int):
 
 
 def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
+    """The cover routes compared once per projection G ->> G/N, then laws on them.
+
+    The library decides a cover by its kernel alone; the subgroup route
+    here asks that only G itself map onto G/N, that is, that no proper
+    H have HN = G, or |H| |N| = |G| |H n N|.
+    """
     G = loaded.group
-    normals = normal_subgroups(G)
+    proper = [(H.mask, H.order) for H in all_subgroups(G) if H.order < G.order]
     projections = []
-    routes_ok, routes_detail = True, []
-    for N in normals:
+    routes_detail = []
+    for N in normal_subgroups(G):
         _, pi = quotient(G, N)
-        try:
-            is_frattini_cover(pi)
-        except RuntimeError as e:
-            routes_ok = False
-            routes_detail.append("kernel %s: %s" % (N.display_name(), e))
-        projections.append((N, pi))
-    yield "frattini-cover-routes", routes_ok, routes_detail
+        cover = is_frattini_cover(pi)
+        n, n_mask = N.order, N.mask
+        only_g = not any(h * n == G.order * bin(m & n_mask).count("1") for m, h in proper)
+        if cover != only_g:
+            routes_detail.append(
+                "kernel %s: internal error: kernel criterion and subgroup criterion disagree"
+                % N.display_name()
+            )
+        projections.append((N, pi, cover))
+    yield "frattini-cover-routes", not routes_detail, routes_detail
 
     bad = []
-    for N1, p1 in projections:
+    for N1, p1, cover1 in projections:
         Q1 = p1.target
-        reps1 = [
-            min(g for g in range(G.order) if p1.image_of[g] == c)
-            for c in range(Q1.order)
-        ]
-        for N2, p2 in projections:
+        least = {p1.image_of[g]: g for g in reversed(range(G.order))}  # least of each coset
+        reps1 = [least[c] for c in range(Q1.order)]
+        for N2, p2, cover2 in projections:
             if N1.mask & N2.mask != N1.mask or N1.mask == N2.mask:
                 continue
             mid = GroupHom(Q1, p2.target, tuple(p2.image_of[r] for r in reps1))
-            law = is_frattini_cover(p2) == (
-                is_frattini_cover(p1) and is_frattini_cover(mid)
-            )
-            if not law:
+            if cover2 != (cover1 and is_frattini_cover(mid)):
                 bad.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
     yield "frattini-composition", not bad, bad
 

@@ -366,12 +366,6 @@ class Subgroup:
                     return False
         return True
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        if self.group is not other.group:
-            raise GroupError("subgroups of different groups have no intersection")
-        elems = self.group.elems_of_mask(self.mask & other.mask)
-        return Subgroup(self.group, elems)
-
     def conjugate_by(self, g: int) -> "Subgroup":
         G = self.group
         return Subgroup(G, tuple(G.conj(g, x) for x in self.elements))

@@ -8,7 +8,7 @@ and a second, smaller setup reached by an epimorphism:
       "normal": [generators of N],
       "sigma":  [lift tuple],
       "base":   [generators of K]          (optional; whole group if absent),
-      "events": {"name": [[gens], ...]}    (optional; each entry one subgroup),
+      "events": {"name": [[gens], ...]}    (optional; each entry one member),
       "tower":  {"group": ..., "map": [[g, image], ...]}   (optional)
     }
 
@@ -138,9 +138,15 @@ def load_setup(path: str) -> LoadedSetup:
             for gens in entries:
                 member_gens = _int_list(gens, path, raw, name)
                 try:
-                    subs.append(Subgroup(G, member_gens))
+                    S = Subgroup(G, member_gens)
                 except GroupError as e:
                     raise _fail(path, raw, name, 'event "%s": %s' % (name, e))
+                # the lattice members are the base's subgroups that qualify
+                if S.mask & base.mask != S.mask or not setup.qualifies(S.mask):
+                    raise _fail(
+                        path, raw, name, 'event "%s": subgroup is not a lattice member' % name
+                    )
+                subs.append(S)
             events[name] = tuple(subs)
 
     tower: Optional[TowerSetup] = None

@@ -585,6 +585,38 @@ def test_base_that_does_not_map_onto_the_quotient_is_a_file_error(command, tmp_p
     assert err == "error: %s:%d: base subgroup does not map onto the quotient\n" % (p, line)
 
 
+# events whose subgroup is no lattice member: <2> = N, so <2>N != G, and
+# <3>, which maps onto the quotient but lies outside the base <1>
+NON_MEMBER_EVENTS = [({}, [[2]]), ({"base": [1]}, [[3]])]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lattice"],
+        ["measure"],
+        ["measure", "--event", "bad"],
+        ["verify"],
+        ["frattini"],
+        ["embedding"],
+        ["invsys"],
+    ],
+    ids=lambda args: "-".join(a.lstrip("-") for a in args),
+)
+def test_event_that_is_not_a_lattice_member_is_a_file_error(args, tmp_path, capsys):
+    for k, (extra, entries) in enumerate(NON_MEMBER_EVENTS):
+        data = json.loads((FIXTURES / "klein.json").read_text())
+        data.update(extra)
+        data["events"] = {"first": [[1]], "bad": entries}
+        p = tmp_path / ("badevent%d.json" % k)
+        text = json.dumps(data, indent=1)
+        p.write_text(text)
+        line = next(i for i, s in enumerate(text.splitlines(), start=1) if '"bad"' in s)
+        rc, out, err = run_main(args[:1] + [str(p)] + args[1:], capsys)
+        assert (rc, out) == (2, "")
+        assert err == 'error: %s:%d: event "bad": subgroup is not a lattice member\n' % (p, line)
+
+
 MEASURE_PATH = [
     ["lattice"],
     ["measure", "--mode", "mu1"],
@@ -593,6 +625,19 @@ MEASURE_PATH = [
     ["verify", "--suite", "lifts"],
     ["verify", "--suite", "markov"],
 ]
+
+
+def test_frattini_suite_reports_cover_routes_that_disagree(monkeypatch, capsys):
+    # a kernel route that calls every epimorphism a cover is wrong on
+    # Z4 ->> 1, whose kernel <1> = Z4 is not inside Phi(Z4) = <2>
+    monkeypatch.setattr(cli, "is_frattini_cover", lambda phi: phi.is_surjective)
+    argv = ["verify", str(FIXTURES / "z4.json"), "--suite", "frattini"]
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, err) == (4, "")
+    assert (
+        "FAIL frattini-cover-routes\n"
+        "  kernel <1>: internal error: kernel criterion and subgroup criterion disagree\n"
+    ) in out
 
 
 def test_measure_path_builds_no_quotient(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import time
 import pytest
 
 import corpus
+from fmeas import frattini
 from fmeas.frattini import (
     _factorings,
     _onto_count,
@@ -14,6 +15,7 @@ from fmeas.frattini import (
 )
 from fmeas.groups import (
     CapExceeded,
+    FiniteGroup,
     GroupError,
     GroupHom,
     Subgroup,
@@ -23,6 +25,7 @@ from fmeas.groups import (
     epimorphisms,
     generated_subgroup,
     image_classes,
+    normal_subgroups,
     quotient,
     symmetric,
 )
@@ -57,6 +60,35 @@ def oracle_cover(phi) -> bool:
         for a in range(phi.source.order)
         if phi.image_of[a] == 0
     )
+
+
+def oracle_subgroup_cover(phi) -> bool:
+    """phi is onto, and no proper subgroup of the source maps onto the target.
+
+    The cover route the library no longer runs, with images read off the
+    image table element by element.
+    """
+    G, target = phi.source, phi.target
+    if len(set(phi.image_of)) != target.order:
+        return False
+    return all(
+        len({phi.image_of[x] for x in H.elements}) < target.order
+        for H in all_subgroups(G)
+        if H.order < G.order
+    )
+
+
+def memoized_subgroup_cover():
+    """oracle_subgroup_cover memoized per (source, kernel), on which it depends."""
+    memo = {}
+
+    def verdict(phi):
+        key = (phi.source, tuple(a for a, v in enumerate(phi.image_of) if v == 0))
+        if key not in memo:
+            memo[key] = oracle_subgroup_cover(phi)
+        return memo[key]
+
+    return verdict
 
 
 def oracle_embedding(G):
@@ -179,20 +211,53 @@ def test_cover_requires_surjectivity():
     assert not is_frattini_cover(phi)
 
 
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_cover_matches_subgroup_oracle_on_every_projection(name):
+    G = corpus.group(name)
+    for N in all_subgroups(G):
+        if N.is_normal():
+            _, pi = quotient(G, N)
+            assert is_frattini_cover(pi) == oracle_subgroup_cover(pi), N.elements
+
+
 @pytest.mark.parametrize("name", TINY_NAMES)
 def test_cover_composition_law_on_all_chains(name):
     """A composite of epimorphisms covers iff both factors cover."""
     G = corpus.group(name)
+    by_subgroups = memoized_subgroup_cover()
     for A in image_classes(G):
         for phi in epimorphisms(G, A):
             first = is_frattini_cover(phi)
-            assert first == oracle_cover(phi)
+            assert first == oracle_cover(phi) == by_subgroups(phi)
             for B in image_classes(A):
                 for psi in epimorphisms(A, B):
                     both = compose(psi, phi)
-                    assert is_frattini_cover(both) == (
-                        first and is_frattini_cover(psi)
-                    )
+                    second = is_frattini_cover(psi)
+                    assert second == by_subgroups(psi)
+                    assert is_frattini_cover(both) == by_subgroups(both) == (first and second)
+
+
+def test_cover_reads_the_cached_frattini_subgroup_only(monkeypatch):
+    # fresh copies of the corpus groups, so no earlier test's caches count
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    projections = []
+    for name in SMALL_NAMES:
+        G = FiniteGroup(corpus.group(name).table)
+        frattini_subgroup(G)
+        projections += [quotient(G, N)[1] for N in normal_subgroups(G)]
+    monkeypatch.setattr(frattini, "all_subgroups", counted(all_subgroups))
+    monkeypatch.setattr(GroupHom, "image_mask", counted(GroupHom.image_mask))
+    for pi in projections:
+        is_frattini_cover(pi)
+    assert calls == []
 
 
 # -- is_frattini_restriction ---------------------------------------------
