@@ -7,8 +7,9 @@ projection wherever N is contained in M, the order relation compares
 elements by that containment alone, and P is the multiplication graph
 within each quotient.  Complete subsystems correspond to families of
 normal subgroups that contain G and are closed under intersection and
-under passing to larger normal subgroups; the dual group of a subsystem
-recovers G modulo the intersection of its family.
+under passing to larger normal subgroups.  Such a family is the up-set
+of its meet N0, every normal subgroup above N0, and the dual group of
+the subsystem recovers G/N0.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class CompleteSystem:
     the least element it contains, so a subsystem's universe is a
     literal subset of the parent's.  Relations are generated from those
     representatives and the group table, never stored; validate()
-    checks them by enumeration.
+    makes one pass over each and counts what it met against the class
+    sizes.
     """
 
     __slots__ = (
@@ -109,23 +111,24 @@ class CompleteSystem:
         self.normals = tuple(family)
         self._id_of = {N.mask: i for i, N in enumerate(self.normals)}
 
-        # least element of each coset gN, per family member
+        # least element of each coset gN, per family member: for ascending
+        # g, the first element met of each coset is its least
         t = group.table
-        rep_in = {
-            N.mask: tuple(min(t[g][x] for x in N.elements) for g in range(group.order))
-            for N in self.normals
-        }
-        self._rep_in = rep_in
-        reps_of = {mask: tuple(sorted(set(to_n))) for mask, to_n in rep_in.items()}
-        self._reps = reps_of
-
+        self._rep_in, self._reps = {}, {}
         universe: list[Element] = []
         for N in self.normals:
-            universe.extend((N.mask, r) for r in reps_of[N.mask])
+            to_n, reps = [-1] * group.order, []
+            for g in range(group.order):
+                if to_n[g] == -1:
+                    reps.append(g)
+                    for x in N.elements:
+                        to_n[t[g][x]] = g
+            self._rep_in[N.mask], self._reps[N.mask] = tuple(to_n), tuple(reps)
+            universe.extend((N.mask, r) for r in reps)
         self.universe = tuple(universe)
         self.one = (full, 0)
 
-        index = {mask: len(reps) for mask, reps in reps_of.items()}
+        index = {mask: len(reps) for mask, reps in self._reps.items()}
         pairs = [(index[n], index[m]) for n in index for m in index if n & m == n]  # N in M
         self.compat = Relation(self._compat, sum(i for i, _ in pairs))
         self.leq = Relation(self._leq, sum(i * j for i, j in pairs))
@@ -133,10 +136,10 @@ class CompleteSystem:
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
+            above = [(m, to_m) for m, to_m in self._rep_in.items() if N.mask & m == N.mask]
             for a in self._reps[N.mask]:
-                for M in self.normals:
-                    if N.mask & M.mask == N.mask:
-                        yield (N.mask, a), (M.mask, self._rep_in[M.mask][a])
+                for m, to_m in above:
+                    yield (N.mask, a), (m, to_m[a])
 
     def _leq(self) -> Iterator[tuple[Element, Element]]:
         for x, (m, _) in self._compat():
@@ -188,11 +191,13 @@ class CompleteSystem:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
-        """Model-check the axioms by enumeration; raises on any failure."""
+        """Check the axioms with one pass over each relation; raises on any failure."""
         G = self.group
         elems = set(self.universe)
         if self.one != ((1 << G.order) - 1, 0) or self.one not in elems:
             raise GroupError("the constant is not the coset of the whole group")
+        if len(elems) != len(self.universe):
+            raise GroupError("the universe repeats an element")
         by_mask: Dict[int, list[int]] = {}
         for mask, r in self.universe:
             by_mask.setdefault(mask, []).append(r)
@@ -202,6 +207,8 @@ class CompleteSystem:
         for x, y, z in self.prod:
             if y[0] != x[0] or z[0] != x[0]:
                 raise GroupError("P relates cosets of different classes")
+            if x not in elems or y not in elems or z not in elems:
+                raise GroupError("P relates cosets outside the universe")
             p, table = pos[x[0]], tables[x[0]]
             if table[p[x[1]]][p[y[1]]] != -1:
                 raise GroupError("P is not functional")
@@ -212,29 +219,37 @@ class CompleteSystem:
             if 0 not in pos[mask]:
                 raise GroupError("a class is missing the coset of the identity")
             FiniteGroup(table)  # raises unless the class is a group
-        # C between comparable classes is exactly the projection graph
-        seen = {}
+        # C between comparable classes is exactly the projection graph: x
+        # lies in the coset yM iff y^-1 x is in M, and each element of the
+        # universe meets every class above its own once
+        seen = set()
+        met = 0
         for x, y in self.compat:
             if x[0] & y[0] != x[0]:
                 raise GroupError("C crosses an incomparable pair of classes")
             if (x, y[0]) in seen:
                 raise GroupError("C is not functional toward a class")
-            seen[(x, y[0])] = y
-            coset_of_y = {G.table[y[1]][m] for m in G.elems_of_mask(y[0])}
-            if x[1] not in coset_of_y:
+            seen.add((x, y[0]))
+            if not (0 <= x[1] < G.order and y[0] >> G.table[G.inv(y[1])][x[1]] & 1):
                 raise GroupError("C does not follow the canonical projection")
-        for x in elems:
-            for mask in by_mask:
-                if x[0] & mask == x[0] and (x, mask) not in seen:
-                    raise GroupError("C misses a comparable pair")
-        # <= compares classes by containment of the normal subgroups
-        want = {
-            (x, y)
-            for x in elems
-            for y in elems
-            if x[0] & y[0] == x[0]
-        }
-        if set(self.leq) != want:
+            met += x in elems and y[0] in by_mask
+        want_c = want_leq = 0
+        for n, reps in by_mask.items():
+            above = [len(r) for m, r in by_mask.items() if n & m == n]
+            want_c += len(reps) * len(above)
+            want_leq += len(reps) * sum(above)
+        if met != want_c:
+            raise GroupError("C misses a comparable pair")
+        # <= compares classes by containment of the normal subgroups: each
+        # pair is comparable and in the universe, and the distinct pairs,
+        # a bitmask of y per (x, class of y), number all comparable pairs
+        seen = {}
+        for x, y in self.leq:
+            if x[0] & y[0] != x[0] or x not in elems or y not in elems:
+                raise GroupError("<= does not match containment of the classes")
+            key = x, y[0]
+            seen[key] = seen.get(key, 0) | 1 << y[1]
+        if sum(b.bit_count() for b in seen.values()) != want_leq:
             raise GroupError("<= does not match containment of the classes")
 
 
@@ -250,35 +265,23 @@ def complete_system(G: FiniteGroup) -> CompleteSystem:
 def generated_subsystem(S: CompleteSystem, A: Iterable[Element]) -> CompleteSystem:
     """Smallest complete subsystem containing A and the constant.
 
-    On the families of normal subgroups this is closure under pairwise
-    intersection plus everything above; whole coset classes come along
-    with each family member.
+    On the families of normal subgroups this is the up-set of the meet
+    of the generators' classes; whole coset classes come along with each
+    family member.
     """
     elems = set(S.universe)
-    base = {(1 << S.group.order) - 1}
+    meet = (1 << S.group.order) - 1
     for x in A:
         if x not in elems:
             raise GroupError("generator %r is not in the universe" % (x,))
-        base.add(x[0])
-    grown = True
-    while grown:
-        grown = False
-        for a in list(base):
-            for b in list(base):
-                if a & b not in base:
-                    base.add(a & b)
-                    grown = True
-    closed = [N for N in S.normals if any(m & N.mask == m for m in base)]
-    return CompleteSystem(S.group, closed)
+        meet &= x[0]
+    return CompleteSystem(S.group, [N for N in S.normals if meet & N.mask == meet])
 
 
 def dual_group(S: CompleteSystem) -> tuple[FiniteGroup, GroupHom]:
     """The group the system describes: G over the intersection of its family."""
-    core_mask = (1 << S.group.order) - 1
-    for N in S.normals:
-        core_mask &= N.mask
-    core = Subgroup(S.group, S.group.elems_of_mask(core_mask))
-    return quotient(S.group, core)
+    # the family is sorted by index; its meet is its only member of largest index
+    return quotient(S.group, S.normals[-1])
 
 
 def level_quotient(G: FiniteGroup, i: int) -> FiniteGroup:

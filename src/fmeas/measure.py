@@ -67,9 +67,6 @@ class MeasureVector:
             return self.values[self.lattice.member_index(member)]
         return self.values[member]
 
-    def as_dict(self) -> dict[Subgroup, Fraction]:
-        return dict(zip(self.lattice.members, self.values))
-
     def __eq__(self, other) -> bool:
         # same member sets over the same group, same values; the setups
         # may differ (alternative constant subgroups are still equal)

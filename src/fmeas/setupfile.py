@@ -162,7 +162,7 @@ def _load_tower(spec, upper: GaloisSetup, path: str, raw: str) -> TowerSetup:
     try:
         H = build_group(spec["group"])
     except GroupError as e:
-        raise _fail(path, raw, "map", str(e))
+        raise _fail(path, raw, "tower", str(e))
     pairs = spec["map"]
     if not isinstance(pairs, list) or not all(
         isinstance(p, list)

@@ -292,6 +292,31 @@ def test_lattice_at_the_order_cap_is_fast(tmp_path, capsys):
     assert elapsed < 5.0, "took %.2f s" % elapsed
 
 
+def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
+    # C2^6 with N = G: 26,387 cosets and 10,425,879 <= pairs.  validate()
+    # counts them in one pass, about 25 s for the suite at about 380 MB
+    # on a 2-core x86-64 machine (CPython 3.11); building every
+    # comparable pair as a set grew past 3 GB without finishing.  A child
+    # process keeps that memory out of the test run, and the timeout
+    # stops it if it grows
+    p = tmp_path / "c2_6.json"
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmeas", "verify", str(p), "--suite", "invsys"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=150,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
+    assert elapsed < 150.0, "took %.2f s" % elapsed
+
+
 def test_measure_on_an_order_512_permutation_group_is_fast(tmp_path, capsys):
     # D4^3 on 12 points, N the last two factors, the base the first: one
     # member.  Every table check is complete; sampling 10 n^2 triples
@@ -568,6 +593,17 @@ def test_tower_map_must_be_homomorphism(tmp_path, capsys):
         "map does not extend to a homomorphism",
         2,
     )
+
+
+def test_tower_that_is_not_a_group_names_the_tower_line(tmp_path, capsys):
+    # the tower's own "group" key comes after the top-level one, so the
+    # error points at the line that opens "tower"
+    raw = (FIXTURES / "c4_to_c2.json").read_text()
+    assert raw.splitlines()[4].strip() == '"tower": {'
+    p = tmp_path / "badtower.json"
+    p.write_text(raw.replace('"table": [[0, 1], [1, 0]]', '"table": [[0, 1], [1, 1]]'))
+    err = expect_error(["verify", str(p), "--suite", "tower"], capsys, "not a group table", 2)
+    assert err == "error: %s:5: row 1 is not a permutation; not a group table\n" % p
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 """Complete coset systems: universes, closure, duality, embeddings."""
 
+import random
+import tracemalloc
+from typing import Dict
+
 import pytest
 
 import corpus
 from fmeas.groups import (
     CapExceeded,
+    FiniteGroup,
     GroupError,
     GroupHom,
     Subgroup,
@@ -81,6 +86,60 @@ def oracle_closed_family(G, base_masks):
         fam |= grown
 
 
+# CompleteSystem.validate() as it stood before it counted: a set of
+# coset elements per C pair, and every comparable pair of the universe
+# in one set; kept word for word as the slow oracle
+def oracle_validate(self) -> None:
+    """Model-check the axioms by enumeration; raises on any failure."""
+    G = self.group
+    elems = set(self.universe)
+    if self.one != ((1 << G.order) - 1, 0) or self.one not in elems:
+        raise GroupError("the constant is not the coset of the whole group")
+    by_mask: Dict[int, list[int]] = {}
+    for mask, r in self.universe:
+        by_mask.setdefault(mask, []).append(r)
+    # each class is a group under P, with the class of 1 as identity
+    pos = {mask: {r: i for i, r in enumerate(sorted(reps))} for mask, reps in by_mask.items()}
+    tables = {mask: [[-1] * len(p) for _ in p] for mask, p in pos.items()}
+    for x, y, z in self.prod:
+        if y[0] != x[0] or z[0] != x[0]:
+            raise GroupError("P relates cosets of different classes")
+        p, table = pos[x[0]], tables[x[0]]
+        if table[p[x[1]]][p[y[1]]] != -1:
+            raise GroupError("P is not functional")
+        table[p[x[1]]][p[y[1]]] = p[z[1]]
+    for mask, table in tables.items():
+        if any(v == -1 for row in table for v in row):
+            raise GroupError("P is not total on a class")
+        if 0 not in pos[mask]:
+            raise GroupError("a class is missing the coset of the identity")
+        FiniteGroup(table)  # raises unless the class is a group
+    # C between comparable classes is exactly the projection graph
+    seen = {}
+    for x, y in self.compat:
+        if x[0] & y[0] != x[0]:
+            raise GroupError("C crosses an incomparable pair of classes")
+        if (x, y[0]) in seen:
+            raise GroupError("C is not functional toward a class")
+        seen[(x, y[0])] = y
+        coset_of_y = {G.table[y[1]][m] for m in G.elems_of_mask(y[0])}
+        if x[1] not in coset_of_y:
+            raise GroupError("C does not follow the canonical projection")
+    for x in elems:
+        for mask in by_mask:
+            if x[0] & mask == x[0] and (x, mask) not in seen:
+                raise GroupError("C misses a comparable pair")
+    # <= compares classes by containment of the normal subgroups
+    want = {
+        (x, y)
+        for x in elems
+        for y in elems
+        if x[0] & y[0] == x[0]
+    }
+    if set(self.leq) != want:
+        raise GroupError("<= does not match containment of the classes")
+
+
 # -- universes ----------------------------------------------------------------
 
 
@@ -152,6 +211,141 @@ def test_validate_rejects_a_wrong_representative(name):
     S._rep_in[M.mask] = tuple(table)
     with pytest.raises(GroupError, match="canonical projection"):
         S.validate()
+
+
+def test_validate_rejects_a_repeated_universe_element():
+    S = complete_system(corpus.group("S3"))
+    S.universe = S.universe + S.universe[-1:]
+    with pytest.raises(GroupError, match="^the universe repeats an element$"):
+        S.validate()
+
+
+def test_validate_rejects_a_missing_universe_element():
+    S = complete_system(corpus.group("S3"))
+    S.universe = S.universe[:-1]
+    with pytest.raises(GroupError, match="^P relates cosets outside the universe$"):
+        S.validate()
+
+
+def test_validate_rejects_a_representative_sent_within_its_coset():
+    S = complete_system(cyclic(4))
+    table = list(S._rep_in[0b0101])
+    table[1] = 3  # the coset {1, 3} of {0, 2} named by 3, not by its least element
+    S._rep_in[0b0101] = tuple(table)
+    with pytest.raises(GroupError, match="^P relates cosets outside the universe$"):
+        S.validate()
+
+
+def other_in_coset(S, y):
+    """An element of the coset y other than its least one."""
+    return next(S.group.mul(y[1], m) for m in S.group.elems_of_mask(y[0]) if m != 0)
+
+
+def corrupt(S, kind, rng):
+    """Give S one corruption of the named kind."""
+    leq, compat = list(S.leq), list(S.compat)
+    if kind == "leq-drop":
+        del leq[rng.randrange(len(leq))]
+    elif kind == "leq-duplicate":
+        leq.insert(rng.randrange(len(leq)), rng.choice(leq))
+    elif kind == "leq-flip":
+        i = rng.choice([i for i, (x, y) in enumerate(leq) if x[0] != y[0]])
+        leq[i] = leq[i][::-1]
+    elif kind == "leq-outside":
+        i = rng.choice([i for i, (x, y) in enumerate(leq) if y[0] != 1])
+        x, y = leq[i]
+        leq[i] = (x, (y[0], other_in_coset(S, y)))
+    elif kind == "leq-swap":
+        i, j = rng.sample(range(len(leq)), 2)
+        leq[i] = leq[j]
+    elif kind == "leq-shuffle":
+        rng.shuffle(leq)
+    elif kind == "c-drop":
+        del compat[rng.randrange(len(compat))]
+    elif kind == "c-wrong-coset":
+        i = rng.choice([i for i, (x, y) in enumerate(compat) if len(S.class_reps(y[0])) > 1])
+        x, y = compat[i]
+        compat[i] = (x, (y[0], rng.choice([r for r in S.class_reps(y[0]) if r != y[1]])))
+    elif kind == "c-outside":
+        # a coset named by an element that is not its least, sent to its image
+        x, y = rng.choice([(x, y) for x, y in compat if x[0] != 1])
+        g = other_in_coset(S, x)
+        compat.insert(rng.randrange(len(compat)), ((x[0], g), (y[0], S._rep_in[y[0]][g])))
+    elif kind == "c-out-of-range":
+        i = rng.randrange(len(compat))
+        x, y = compat[i]
+        compat[i] = ((x[0], S.group.order + i), y)
+    elif kind == "wrong-rep":
+        mask, r = rng.choice([x for x in S.universe if x[0] != 1])
+        table = list(S._rep_in[mask])
+        table[r] = other_in_coset(S, (mask, r))
+        S._rep_in[mask] = tuple(table)
+    elif kind == "universe-drop":
+        universe = list(S.universe)
+        del universe[rng.randrange(1, len(universe))]
+        S.universe = tuple(universe)
+    elif kind == "universe-repeat":
+        S.universe = S.universe + (rng.choice(S.universe),)
+    S.leq, S.compat = tuple(leq), tuple(compat)
+
+
+def outcome(check, S):
+    try:
+        check(S)
+    except GroupError as e:
+        return "GroupError", str(e)
+    except Exception as e:  # the oracle's crashes are part of the record
+        return "crash", type(e).__name__
+    return "pass", None
+
+
+CORRUPTIONS = [
+    "clean",
+    "leq-drop",
+    "leq-duplicate",
+    "leq-flip",
+    "leq-outside",
+    "leq-swap",
+    "leq-shuffle",
+    "c-drop",
+    "c-wrong-coset",
+    "c-outside",
+    "c-out-of-range",
+    "wrong-rep",
+    "universe-drop",
+    "universe-repeat",
+]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@pytest.mark.parametrize("name", SAMPLE)
+def test_validate_matches_the_enumerating_oracle(name, kind):
+    for seed in range(3):
+        S = complete_system(corpus.group(name))
+        corrupt(S, kind, random.Random(seed))
+        want = outcome(oracle_validate, S)
+        got = outcome(CompleteSystem.validate, S)
+        if want[0] == "crash":
+            assert got[0] == "GroupError", (seed, want, got)
+        else:
+            assert got == want, seed
+        if kind in ("clean", "leq-duplicate", "leq-shuffle"):
+            # <= is a set of pairs: neither order nor repeats matter
+            assert got == ("pass", None)
+        elif kind != "c-outside":
+            assert got[0] == "GroupError", (seed, got)
+
+
+def test_validate_on_c2_4_stays_small():
+    # the enumerating check peaked at 4.1 MB here, counting at 0.7 MB
+    S = complete_system(direct_product(*[cyclic(2)] * 4))
+    tracemalloc.start()
+    try:
+        S.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_dump_line_cap_admits_c2_5_and_not_c2_6():
