@@ -4,6 +4,9 @@ An epimorphism is a Frattini cover exactly when its kernel lies inside
 the Frattini subgroup of the source, the set of non-generators (Fried
 and Jarden, Field Arithmetic, the chapter on Frattini covers), so the
 cover check is one mask test against the cached Frattini subgroup.
+That subgroup is the meet of the maximal subgroups, found largest
+first: every proper subgroup lies in a maximal one, so a subgroup is
+maximal iff no larger maximal subgroup contains it.
 
 The embedding-property search computes Epi(G, B) once per image B of G
 and reads both the alphas and the gammas onto B from that one list.  It
@@ -59,23 +62,12 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
         return cached
     if G.order > DEFAULT_ORDER_CAP:
         raise CapExceeded("Frattini computation capped at order %d" % DEFAULT_ORDER_CAP)
-    subs = all_subgroups(G)
-    proper = [H for H in subs if H.order < G.order]
-    maximal = tuple(
-        H
-        for H in proper
-        if not any(
-            H.mask != K.mask and H.mask & K.mask == H.mask for K in proper
-        )
-    )
-    if maximal:
-        mask = (1 << G.order) - 1
-        for H in maximal:
+    maximal, mask = [], (1 << G.order) - 1
+    for H in reversed(all_subgroups(G)[:-1]):  # largest first, G left out
+        if not any(H.mask & M.mask == H.mask for M in maximal):
+            maximal.append(H)
             mask &= H.mask
-        phi = Subgroup(G, G.elems_of_mask(mask))
-    else:
-        phi = Subgroup(G, range(G.order))
-    report = FrattiniReport(phi, maximal)
+    report = FrattiniReport(Subgroup(G, G.elems_of_mask(mask)), tuple(reversed(maximal)))
     _frattini_cache[G] = report
     return report
 

@@ -59,7 +59,8 @@ class CompleteSystem:
     literal subset of the parent's.  Relations are generated from those
     representatives and the group table, never stored; validate()
     makes one pass over each and counts what it met against the class
-    sizes.
+    sizes.  _above holds, per class, the family masks above it, in
+    family order: C and <= are generated from it, their sizes read off it.
     """
 
     __slots__ = (
@@ -72,6 +73,7 @@ class CompleteSystem:
         "one",
         "_rep_in",
         "_reps",
+        "_above",
         "_id_of",
     )
 
@@ -129,14 +131,15 @@ class CompleteSystem:
         self.one = (full, 0)
 
         index = {mask: len(reps) for mask, reps in self._reps.items()}
-        pairs = [(index[n], index[m]) for n in index for m in index if n & m == n]  # N in M
-        self.compat = Relation(self._compat, sum(i for i, _ in pairs))
-        self.leq = Relation(self._leq, sum(i * j for i, j in pairs))
+        self._above = {n: tuple(m for m in index if n & m == n) for n in index}  # N in M
+        up = [(index[n], [index[m] for m in ms]) for n, ms in self._above.items()]
+        self.compat = Relation(self._compat, sum(i * len(js) for i, js in up))
+        self.leq = Relation(self._leq, sum(i * sum(js) for i, js in up))
         self.prod = Relation(self._prod, sum(i * i for i in index.values()))
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
-            above = [(m, to_m) for m, to_m in self._rep_in.items() if N.mask & m == N.mask]
+            above = [(m, self._rep_in[m]) for m in self._above[N.mask]]
             for a in self._reps[N.mask]:
                 for m, to_m in above:
                     yield (N.mask, a), (m, to_m[a])
@@ -220,10 +223,9 @@ class CompleteSystem:
                 raise GroupError("a class is missing the coset of the identity")
             FiniteGroup(table)  # raises unless the class is a group
         # C between comparable classes is exactly the projection graph: x
-        # lies in the coset yM iff y^-1 x is in M, and each element of the
-        # universe meets every class above its own once
+        # lies in the coset yM iff y^-1 x is in M, both ends lie in the
+        # universe, and each element meets every class above its own once
         seen = set()
-        met = 0
         for x, y in self.compat:
             if x[0] & y[0] != x[0]:
                 raise GroupError("C crosses an incomparable pair of classes")
@@ -232,13 +234,14 @@ class CompleteSystem:
             seen.add((x, y[0]))
             if not (0 <= x[1] < G.order and y[0] >> G.table[G.inv(y[1])][x[1]] & 1):
                 raise GroupError("C does not follow the canonical projection")
-            met += x in elems and y[0] in by_mask
+            if x not in elems or y not in elems:
+                raise GroupError("C relates cosets outside the universe")
         want_c = want_leq = 0
         for n, reps in by_mask.items():
             above = [len(r) for m, r in by_mask.items() if n & m == n]
             want_c += len(reps) * len(above)
             want_leq += len(reps) * sum(above)
-        if met != want_c:
+        if len(seen) != want_c:
             raise GroupError("C misses a comparable pair")
         # <= compares classes by containment of the normal subgroups: each
         # pair is comparable and in the universe, and the distinct pairs,

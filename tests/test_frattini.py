@@ -30,6 +30,7 @@ from fmeas.groups import (
     symmetric,
 )
 
+ALL_NAMES = sorted(corpus.BUILDERS)
 SMALL_NAMES = sorted(name for name, G in corpus.classes_upto(16))
 TINY_NAMES = sorted(name for name, G in corpus.classes_upto(8))
 # every group of order <= 16 but C2^4, whose oracle runs for minutes
@@ -52,6 +53,27 @@ def non_generator_mask(G):
         if all(G.extend_mask(H.mask, x) != full for H in proper):
             out |= 1 << x
     return out
+
+
+def oracle_maximal(G):
+    """The maximal subgroups by a pairwise scan, in all_subgroups order:
+    the proper subgroups that lie in no other proper subgroup."""
+    proper = [H for H in all_subgroups(G) if H.order < G.order]
+    return tuple(
+        H
+        for H in proper
+        if not any(H.mask != K.mask and H.mask & K.mask == H.mask for K in proper)
+    )
+
+
+def oracle_middle_cover(G, N1, N2) -> bool:
+    """Whether G/N1 ->> G/N2 is a Frattini cover, for N1 in N2, by building
+    the map on the least representatives of the cosets of N1."""
+    Q1, p1 = quotient(G, N1)
+    Q2, p2 = quotient(G, N2)
+    least = {p1.image_of[g]: g for g in reversed(range(G.order))}
+    reps1 = [least[c] for c in range(Q1.order)]
+    return is_frattini_cover(GroupHom(Q1, Q2, tuple(p2.image_of[r] for r in reps1)))
 
 
 def oracle_cover(phi) -> bool:
@@ -186,6 +208,15 @@ def test_frattini_is_normal_and_is_the_maximal_intersection(name):
         assert between == []
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_maximal_subgroups_match_the_pairwise_scan(name):
+    # C1 is the trivial group: no maximal subgroups, and Phi is all of it
+    G = corpus.group(name)
+    got = frattini_subgroup(G).maximal_subgroups
+    assert [M.mask for M in got] == [M.mask for M in oracle_maximal(G)]
+    assert got == oracle_maximal(G)
+
+
 # -- is_frattini_cover ---------------------------------------------------
 
 
@@ -235,6 +266,21 @@ def test_cover_composition_law_on_all_chains(name):
                     second = is_frattini_cover(psi)
                     assert second == by_subgroups(psi)
                     assert is_frattini_cover(both) == by_subgroups(both) == (first and second)
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_middle_map_covers_iff_n2_lies_over_the_quotients_frattini(name):
+    # G/N1 ->> G/N2 has kernel p1(N2): it covers iff N2 is in p1^-1(Phi(G/N1))
+    G = corpus.group(name)
+    normals = normal_subgroups(G)
+    for N1 in normals:
+        Q1, p1 = quotient(G, N1)
+        phi = frattini_subgroup(Q1).frattini_subgroup.mask
+        pre = sum(1 << g for g, c in enumerate(p1.image_of) if phi >> c & 1)
+        for N2 in normals:
+            if N1.mask & N2.mask == N1.mask and N1.mask != N2.mask:
+                got = N2.mask & ~pre == 0
+                assert got == oracle_middle_cover(G, N1, N2), (N1.elements, N2.elements)
 
 
 def test_cover_reads_the_cached_frattini_subgroup_only(monkeypatch):

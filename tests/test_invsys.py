@@ -199,6 +199,19 @@ def test_relations_match_the_quotient_oracle(name):
         assert list(got) == sorted(want, key=dump_order)
 
 
+@pytest.mark.parametrize("name", SAMPLE)
+def test_relation_sizes_and_up_sets_match_a_rescan(name):
+    S = complete_system(corpus.group(name))
+    for T in (S, generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= 2])):
+        for relation in (T.compat, T.leq, T.prod):
+            assert len(relation) == sum(1 for _ in relation)
+        # each class's up-set as C's generator rescanned the tables per pass
+        assert list(T._above) == [N.mask for N in T.normals]
+        for N in T.normals:
+            rescan = tuple(m for m, _ in T._rep_in.items() if N.mask & m == N.mask)
+            assert T._above[N.mask] == rescan
+
+
 @pytest.mark.parametrize("name", ["C4", "S3", "D4", "Q8", "A4"])
 def test_validate_rejects_a_wrong_representative(name):
     S = complete_system(corpus.group(name))
@@ -325,14 +338,18 @@ def test_validate_matches_the_enumerating_oracle(name, kind):
         corrupt(S, kind, random.Random(seed))
         want = outcome(oracle_validate, S)
         got = outcome(CompleteSystem.validate, S)
-        if want[0] == "crash":
+        if kind == "c-outside":
+            # the enumerating check lets a C pair from a non-least name through
+            assert want == ("pass", None), seed
+            assert got == ("GroupError", "C relates cosets outside the universe"), seed
+        elif want[0] == "crash":
             assert got[0] == "GroupError", (seed, want, got)
         else:
             assert got == want, seed
         if kind in ("clean", "leq-duplicate", "leq-shuffle"):
             # <= is a set of pairs: neither order nor repeats matter
             assert got == ("pass", None)
-        elif kind != "c-outside":
+        else:
             assert got[0] == "GroupError", (seed, got)
 
 
