@@ -22,6 +22,7 @@ Subgroup enumeration and isomorphism testing are supported up to order
 
 from __future__ import annotations
 
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
@@ -39,12 +40,10 @@ class CapExceeded(RuntimeError):
 
 def _mask_to_elems(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -64,11 +63,16 @@ class FiniteGroup:
         if n == 0:
             raise GroupError("empty multiplication table")
         rows = tuple(tuple(row) for row in table)
+        full = set(range(n))
+        rows_ok = True
         for row in rows:
             if len(row) != n:
                 raise GroupError("multiplication table is not square")
-            # one pass per row at C speed; the scan only names the bad entry
-            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            # whole-row passes at C speed: plain ints that are every index
+            # make valid entries and a permutation; the scan only names the
+            # bad entry, and a row it passes is left to the Latin check
+            if set(map(type, row)) != {int} or set(row) != full:
+                rows_ok = False
                 for v in row:
                     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                         raise GroupError("table entry %r is not an element index" % (v,))
@@ -92,7 +96,7 @@ class FiniteGroup:
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
         self._check_identity()
-        self._check_permutation_rows()
+        self._check_permutation_rows(rows_ok)
         self._inverse = self._compute_inverses()
         self._check_associativity()
 
@@ -106,10 +110,17 @@ class FiniteGroup:
             if self.table[a][0] != a:
                 raise GroupError("element 0 is not a right identity")
 
-    def _check_permutation_rows(self) -> None:
+    def _check_permutation_rows(self, rows_ok: bool) -> None:
+        """Every row and column is a permutation.  With every row already
+        known to be one, only the columns are tested, at C speed; the
+        interleaved scan runs otherwise, and names the first fault.
+        """
         # every entry is already an index below n, so n distinct ones are all of them
         n = self.order
-        for a, (row, column) in enumerate(zip(self.table, zip(*self.table))):
+        t = self.table
+        if rows_ok and set(map(len, map(set, zip(*t)))) == {n}:
+            return
+        for a, (row, column) in enumerate(zip(t, zip(*t))):
             if len(set(row)) != n:
                 raise GroupError("row %d is not a permutation; not a group table" % a)
             if len(set(column)) != n:
@@ -129,11 +140,20 @@ class FiniteGroup:
         """Light's test: row x*a is row x composed with row a, for every x
         and each generator a.  The a that pass are closed under the product
         in any magma, and extend_mask marks only products of generators, so
-        this checks every triple, at every order.
+        this checks every triple, at every order.  Each a is one pass over
+        the table at C speed; the scan over x only names the triple.
         """
         t = self.table
         for a in self.generator_sequence():
             ta = t[a]
+            # row x composed with row a against row x*a, one x at a time, so
+            # no second table is held; itemgetter of one index gives a
+            # scalar, not a 1-tuple, but only order 1 has rows of length
+            # one, and it has no generators
+            composed = map(itemgetter(*ta), t)
+            products = map(t.__getitem__, map(itemgetter(a), t))
+            if all(map(eq, composed, products)):
+                continue
             for x, tx in enumerate(t):
                 row = t[tx[a]]
                 if row != tuple(map(tx.__getitem__, ta)):
@@ -691,53 +711,41 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 # -- isomorphism and homomorphism search --------------------------------
 
 
-def _bfs_edges(G: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Spanning edges (x, s, x*gens[s]) reaching every element from 0."""
-    seen = [False] * G.order
-    seen[0] = True
-    order = [0]
-    edges: list[tuple[int, int, int]] = []
-    t = G.table
-    pos = 0
-    while pos < len(order):
-        x = order[pos]
-        pos += 1
-        for s, g in enumerate(gens):
-            y = t[x][g]
-            if not seen[y]:
-                seen[y] = True
-                edges.append((x, s, y))
-                order.append(y)
-    if len(order) != G.order:
-        raise GroupError("generators do not generate the group")
-    return edges
+def _prefix_steps(
+    G: FiniteGroup, gens: Sequence[int]
+) -> list[tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]]:
+    """Per generator k, |P_{k+1}| and the steps (x, s, x*gens[s]) it adds.
 
-
-def _hom_from_generators(
-    G: FiniteGroup,
-    H: FiniteGroup,
-    gens: Sequence[int],
-    edges: Sequence[tuple[int, int, int]],
-    imgs: Sequence[int],
-) -> Optional[GroupHom]:
-    """The hom sending gens[s] to imgs[s], if one exists.
-
-    Extending the images along the spanning edges gives the only
-    candidate table.  It is that hom iff it sends each gens[s] to
-    imgs[s], which a repeated generator could break, and GroupHom
-    accepts it as a homomorphism: the one defect check per table.
+    P_k is the subgroup generated by gens[:k].  Step k covers the pairs
+    (x, s) with s <= k that earlier steps left: x in P_k with s = k, and
+    each x new in P_{k+1} with every s.  They split into spanning edges,
+    which reach each new element once, and closing pairs, whose product
+    was reached already.  Over all k every pair (x, s) with x in G comes
+    once, so the map extended along the edges with phi(0) = 0 is the
+    homomorphism sending each gens[s] to imgs[s] iff every closing pair
+    agrees: phi(x*gens[s]) = phi(x)*imgs[s].
     """
-    phi = [-1] * G.order
-    phi[0] = 0
-    th = H.table
-    for x, s, y in edges:
-        phi[y] = th[phi[x]][imgs[s]]
-    if any(phi[g] != i for g, i in zip(gens, imgs)):
-        return None
-    try:
-        return GroupHom(G, H, phi)
-    except GroupError:
-        return None
+    t = G.table
+    seen = 1
+    reached = [0]
+    out = []
+    for k in range(len(gens)):
+        edges: list[tuple[int, int, int]] = []
+        closing: list[tuple[int, int, int]] = []
+        pairs = [(x, k) for x in reached]
+        for x, s in pairs:
+            y = t[x][gens[s]]
+            if seen >> y & 1:
+                closing.append((x, s, y))
+            else:
+                seen |= 1 << y
+                edges.append((x, s, y))
+                reached.append(y)
+                pairs.extend((y, r) for r in range(k + 1))
+        out.append((len(reached), edges, closing))
+    if len(reached) != G.order:
+        raise GroupError("generators do not generate the group")
+    return out
 
 
 def hom_from_images(
@@ -745,9 +753,22 @@ def hom_from_images(
 ) -> Optional[GroupHom]:
     """The homomorphism G -> H sending gens[s] to imgs[s], or None if none exists.
 
-    gens must generate G.
+    gens must generate G.  Extending the images along the spanning edges
+    of _prefix_steps gives the only candidate table.  It is that hom iff
+    every closing pair agrees, which a repeated generator given two
+    images breaks, and it sends each gens[s] to imgs[s], which a
+    negative image, read by Python's indexing as another, breaks.
     """
-    return _hom_from_generators(G, H, gens, _bfs_edges(G, gens), imgs)
+    phi = [0] * G.order
+    th = H.table
+    for _, edges, closing in _prefix_steps(G, gens):
+        for x, s, y in edges:
+            phi[y] = th[phi[x]][imgs[s]]
+        if any(phi[y] != th[phi[x]][imgs[s]] for x, s, y in closing):
+            return None
+    if any(phi[g] != i for g, i in zip(gens, imgs)):
+        return None
+    return GroupHom(G, H, phi)
 
 
 def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
@@ -759,33 +780,34 @@ def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
     and an onto phi has |ker phi| = [G:H].  So a prefix of images
     generating I is pruned when |I| does not divide |P_k| or
     |P_k| / |I| > [G:H]; at the last generator this leaves I = H only.
+    A prefix is also cut when its map on P_k, extended along spanning
+    edges, breaks a relation of P_k (_prefix_steps), so that each leaf
+    is an epimorphism, and GroupHom checks it once more.
     """
     if G.order % H.order != 0:
         return
     index = G.order // H.order
     gens = G.generator_sequence()
-    edges = _bfs_edges(G, gens)
-    prefix_sizes = []
-    mask = 1
-    for g in gens:
-        mask = G.extend_mask(mask, g)
-        prefix_sizes.append(bin(mask).count("1"))
+    steps = _prefix_steps(G, gens)
+    th = H.table
+    phi = [0] * G.order
     chosen: list[int] = []
 
     def dfs(slot: int, mask: int) -> Iterator[GroupHom]:
         if slot == len(gens):
-            phi = _hom_from_generators(G, H, gens, edges, chosen)
-            if phi is not None:
-                yield phi
+            yield GroupHom(G, H, phi)
             return
-        size = prefix_sizes[slot]
+        size, edges, closing = steps[slot]
         for h in range(H.order):
             grown = H.extend_mask(mask, h)
             image = bin(grown).count("1")
             if size % image != 0 or size // image > index:
                 continue
             chosen.append(h)
-            yield from dfs(slot + 1, grown)
+            for x, s, y in edges:
+                phi[y] = th[phi[x]][chosen[s]]
+            if all(phi[y] == th[phi[x]][chosen[s]] for x, s, y in closing):
+                yield from dfs(slot + 1, grown)
             chosen.pop()
 
     yield from dfs(0, 1)

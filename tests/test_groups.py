@@ -145,6 +145,16 @@ def test_associativity_check_matches_the_oracle_on_swapped_intercalates():
     assert set(verdicts) == {True, False}
 
 
+def test_associativity_check_matches_the_oracle_at_order_64():
+    # D4 x D4 at the order cap, and the loop one intercalate swap away
+    # from it at rows 1/3 and columns 1/3
+    table = direct_product(dihedral(4), dihedral(4)).table
+    swapped = swapped_intercalate(table, 1, 3, 1, 3)
+    assert is_loop(swapped)
+    assert check_verdict(table)
+    assert not check_verdict(swapped)
+
+
 def test_build_group_rejects_malformed_permutations():
     with pytest.raises(GroupError):
         build_group({"permutations": [[0, 1, 1]]})
@@ -427,7 +437,9 @@ def corrupted_tables(G):
     yield [base[0], base[1][:-1] + [-1]] + [row[:-1] for row in base[2:]]
 
 
-@pytest.mark.parametrize("name", ["C3", "C2xC2", "S3", "D4", "Q8", "A4", "C4xC2:C2"])
+@pytest.mark.parametrize(
+    "name", ["C3", "C2xC2", "S3", "D4", "Q8", "A4", "C4xC2:C2", "C6xC2xC2", "SL23"]
+)
 def test_table_checks_match_the_per_entry_oracle(name):
     for table in corrupted_tables(corpus.group(name)):
         want = oracle_table_error(table)
@@ -574,6 +586,8 @@ def test_hom_from_images_rejects_what_no_hom_extends():
     assert hom_from_images(cyclic(4), cyclic(3), [1], [1]) is None
     # a repeated generator given two images: the table follows the first
     assert hom_from_images(cyclic(4), cyclic(2), [1, 1], [1, 0]) is None
+    # a negative image names no element, though the table lookup accepts it
+    assert hom_from_images(cyclic(4), cyclic(2), [1], [-1]) is None
     # each transposition of S3 may go to C3's generator alone, not both
     S3 = symmetric(3)
     t = [x for x in range(6) if S3.element_order(x) == 2]
@@ -595,6 +609,26 @@ def test_epimorphism_search_checks_each_table_once(monkeypatch):
     found = epimorphisms(corpus.group("C2xC2xC2"), cyclic(2))
     assert len(found) == 7
     assert len(calls) == 7
+
+
+def test_epimorphism_search_builds_only_the_epimorphisms(monkeypatch):
+    # a prefix of images that breaks a relation is cut before the leaf,
+    # so GroupHom runs once per epimorphism returned, into every image
+    G = corpus.group("D4xC2")
+    images = image_classes(G)
+    built = []
+
+    class Counted(GroupHom):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(groups, "GroupHom", Counted)
+    found = sum(len(epimorphisms(G, B)) for B in images)
+    assert found > len(images)
+    assert len(built) == found
 
 
 def oracle_is_hom(G, H, phi) -> bool:

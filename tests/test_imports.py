@@ -16,6 +16,7 @@ MODULE_LEVEL_STDLIB = {
     "functools",
     "json",
     "math",
+    "operator",
     "sys",
     "typing",
     "weakref",
