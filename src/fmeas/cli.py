@@ -24,10 +24,12 @@ from .frattini import (
 from .groups import (
     CapExceeded,
     GroupError,
+    _mask_to_elems,
     all_subgroups,
     isomorphic,
     normal_subgroups,
     quotient,
+    up_sets,
 )
 from .invsys import complete_system, dual_embedding, dual_group, generated_subsystem, level_quotient
 from .lattice import SubextLattice
@@ -242,12 +244,10 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
     # for N1 in N2, G/N1 ->> G/N2 is onto with kernel p1(N2), so it covers
     # iff N2 lies in the preimage of Phi(G/N1); the law reads it only where p1 covers
     bad = []
-    for N1, p1, cover1 in projections:
-        phi_q = frattini_subgroup(p1.target).frattini_subgroup.mask if cover1 else 0
-        pre = sum(1 << g for g, c in enumerate(p1.image_of) if phi_q >> c & 1)
-        for N2, _, cover2 in projections:
-            if N1.mask & N2.mask != N1.mask or N1.mask == N2.mask:
-                continue
+    ups = up_sets([N.mask for N, _, _ in projections])
+    for i, (N1, p1, cover1) in enumerate(projections):
+        pre = p1.preimage_mask(frattini_subgroup(p1.target).frattini_subgroup.mask if cover1 else 0)
+        for N2, _, cover2 in (projections[j] for j in _mask_to_elems(ups[i] & ~(1 << i))):
             if cover2 != (cover1 and N2.mask & ~pre == 0):
                 bad.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
     yield "frattini-composition", not bad, bad

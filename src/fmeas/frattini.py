@@ -72,14 +72,6 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
     return report
 
 
-def _kernel_mask(phi: GroupHom) -> int:
-    mask = 0
-    for a, v in enumerate(phi.image_of):
-        if v == 0:
-            mask |= 1 << a
-    return mask
-
-
 def is_frattini_cover(phi: GroupHom) -> bool:
     """True iff phi is surjective with kernel inside the Frattini subgroup.
 
@@ -89,7 +81,7 @@ def is_frattini_cover(phi: GroupHom) -> bool:
     """
     if not phi.is_surjective:
         return False
-    return _kernel_mask(phi) & ~frattini_subgroup(phi.source).frattini_subgroup.mask == 0
+    return phi.preimage_mask(1) & ~frattini_subgroup(phi.source).frattini_subgroup.mask == 0
 
 
 def is_frattini_restriction(H: Subgroup, r: GroupHom) -> bool:
@@ -144,7 +136,7 @@ def _factorings(gammas: list[GroupHom]) -> list[tuple[int, tuple[int, ...]]]:
         section = [0] * gamma.target.order
         for x, b in enumerate(gamma.image_of):
             section[b] = x
-        out.append((_kernel_mask(gamma), tuple(section)))
+        out.append((gamma.preimage_mask(1), tuple(section)))
     return out
 
 

@@ -16,13 +16,17 @@ again replays memoized extensions.  There is likewise one
 homomorphism search, _epimorphism_search, over the images of the
 generator sequence: epimorphisms lists it, and isomorphic asks it for a
 first epimorphism between groups of equal order.
+Quotients rest on three more routines, one of each kind: cosets names
+each coset gN by its least element, GroupHom.preimage_mask pulls a mask
+back, and up_sets lists the members of a family above each member.
 Subgroup enumeration and isomorphism testing are supported up to order
 64.
 """
 
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from functools import reduce
+from operator import and_, eq, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
@@ -446,8 +450,7 @@ class GroupHom:
         )
 
     def kernel(self) -> Subgroup:
-        elems = tuple(a for a in range(self.source.order) if self.image_of[a] == 0)
-        return Subgroup(self.source, elems)
+        return Subgroup(self.source, self.source.elems_of_mask(self.preimage_mask(1)))
 
     def image_subgroup(self, H: Optional[Subgroup] = None) -> Subgroup:
         if H is None:
@@ -463,6 +466,10 @@ class GroupHom:
         for x in self.source.elems_of_mask(mask):
             out |= 1 << self.image_of[x]
         return out
+
+    def preimage_mask(self, mask: int) -> int:
+        """Bitmask of the source elements whose image lies in the target mask."""
+        return sum(1 << x for x, v in enumerate(self.image_of) if mask >> v & 1)
 
 
 def _hom_defect(
@@ -681,6 +688,29 @@ def subgroup_masks_within(
     return {m: built[m] for m in ordered}
 
 
+def cosets(G: FiniteGroup, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(to_least, reps): to_least[g] is the least element of the left coset
+    gN of the subgroup N with this mask, and reps lists those, ascending;
+    for ascending g, the first element met of each coset is its least."""
+    to_least = [-1] * G.order
+    for g, tg in enumerate(G.table):
+        if to_least[g] == -1:
+            for x in G.elems_of_mask(mask):
+                to_least[tg[x]] = g
+    return tuple(to_least), tuple(sorted(set(to_least)))
+
+
+def up_sets(masks: Sequence[int]) -> list[int]:
+    """Per mask, the bitset of the j with the mask inside masks[j]: the AND,
+    over its elements, of the bitset of the masks holding each."""
+    holders: dict[int, int] = {}
+    for j, m in enumerate(masks):
+        for x in _mask_to_elems(m):
+            holders[x] = holders.get(x, 0) | 1 << j
+    everyone = (1 << len(masks)) - 1
+    return [reduce(and_, map(holders.__getitem__, _mask_to_elems(m)), everyone) for m in masks]
+
+
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Quotient group on least coset representatives plus the projection."""
     if N.group is not G:
@@ -691,15 +721,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not N.is_normal():
         raise GroupError("subgroup is not normal; no quotient group")
     t = G.table
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for g in range(G.order):
-        if coset_of[g] != -1:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for x in N.elements:
-            coset_of[t[g][x]] = idx
+    to_least, reps = cosets(G, N.mask)
+    coset_of = [reps.index(r) for r in to_least]
     table = [[coset_of[t[a][b]] for b in reps] for a in reps]
     labels = [G.label(r) + "N" for r in reps]
     Q = FiniteGroup(table, labels=labels)

@@ -14,6 +14,8 @@ the subsystem recovers G/N0.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from .groups import (
@@ -22,8 +24,11 @@ from .groups import (
     GroupError,
     GroupHom,
     Subgroup,
+    _mask_to_elems,
+    cosets,
     normal_subgroups,
     quotient,
+    up_sets,
 )
 
 SYSTEM_ORDER_CAP = 64
@@ -97,13 +102,8 @@ class CompleteSystem:
         )
         # an upward closed family is every normal M above its meet N0, so
         # it is closed under intersection iff N0 is a member
-        if upward:
-            meet = full
-            for m in masks:
-                meet &= m
-            closed = meet in masks
-        else:
-            closed = all(a & b in masks for a in masks for b in masks)
+        meet = reduce(and_, masks)
+        closed = meet in masks if upward else all(a & b in masks for a in masks for b in masks)
         if not closed:
             raise GroupError("the family is not closed under intersection")
         if not upward:
@@ -113,25 +113,17 @@ class CompleteSystem:
         self.normals = tuple(family)
         self._id_of = {N.mask: i for i, N in enumerate(self.normals)}
 
-        # least element of each coset gN, per family member: for ascending
-        # g, the first element met of each coset is its least
-        t = group.table
+        # least element of each coset gN, per family member
         self._rep_in, self._reps = {}, {}
-        universe: list[Element] = []
         for N in self.normals:
-            to_n, reps = [-1] * group.order, []
-            for g in range(group.order):
-                if to_n[g] == -1:
-                    reps.append(g)
-                    for x in N.elements:
-                        to_n[t[g][x]] = g
-            self._rep_in[N.mask], self._reps[N.mask] = tuple(to_n), tuple(reps)
-            universe.extend((N.mask, r) for r in reps)
-        self.universe = tuple(universe)
+            self._rep_in[N.mask], self._reps[N.mask] = cosets(group, N.mask)
+        self.universe = tuple((n, r) for n, reps in self._reps.items() for r in reps)
         self.one = (full, 0)
 
         index = {mask: len(reps) for mask, reps in self._reps.items()}
-        self._above = {n: tuple(m for m in index if n & m == n) for n in index}  # N in M
+        fam = list(index)  # family order
+        ups = [_mask_to_elems(u) for u in up_sets(fam)]  # the j with N in fam[j]
+        self._above = {n: tuple(fam[j] for j in js) for n, js in zip(fam, ups)}
         up = [(index[n], [index[m] for m in ms]) for n, ms in self._above.items()]
         self.compat = Relation(self._compat, sum(i * len(js) for i, js in up))
         self.leq = Relation(self._leq, sum(i * sum(js) for i, js in up))
@@ -337,11 +329,10 @@ def dual_embedding(phi: GroupHom) -> SystemEmbedding:
     G, H = phi.source, phi.target
     source = complete_system(H)
     target = complete_system(G)
-    img = phi.image_of
-    least = {img[g]: g for g in reversed(range(G.order))}  # least preimage of each h
+    least = {phi.image_of[g]: g for g in reversed(range(G.order))}  # least preimage of each h
     image_of: Dict[Element, Element] = {}
     for M in source.normals:
-        pre_mask = sum(1 << g for g in range(G.order) if M.mask >> img[g] & 1)
+        pre_mask = phi.preimage_mask(M.mask)
         for h in source.class_reps(M.mask):
             image_of[(M.mask, h)] = (pre_mask, target._rep_in[pre_mask][least[h]])
     return SystemEmbedding(source, target, image_of)

@@ -61,12 +61,6 @@ class MeasureVector:
         self.lattice = lattice
         self.values = vals
 
-    def of(self, member: Union[Subgroup, int]) -> Fraction:
-        """Value at a member, given as a Subgroup or a canonical index."""
-        if isinstance(member, Subgroup):
-            return self.values[self.lattice.member_index(member)]
-        return self.values[member]
-
     def __eq__(self, other) -> bool:
         # same member sets over the same group, same values; the setups
         # may differ (alternative constant subgroups are still equal)

@@ -21,10 +21,12 @@ import pytest
 import fmeas
 from fmeas import cli, groups, invsys, measure
 from fmeas.cli import _fmt, _markov_checks, _vector_line, main
+from fmeas.frattini import frattini_subgroup
 from fmeas.lattice import SubextLattice
 from fmeas.measure import TUPLE_CAP, MeasureVector, mu1, mu_infinity, transition_matrix
 from fmeas.setupfile import LoadedSetup, load_setup
 
+import corpus
 import setups
 from conftest import FIXTURES
 
@@ -294,7 +296,7 @@ def test_lattice_at_the_order_cap_is_fast(tmp_path, capsys):
 
 def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
     # C2^6 with N = G: 26,387 cosets and 10,425,879 <= pairs.  validate()
-    # counts them in one pass, about 25 s for the suite at about 380 MB
+    # counts them in one pass, about 17 s for the suite at about 380 MB
     # on a 2-core x86-64 machine (CPython 3.11); building every
     # comparable pair as a set grew past 3 GB without finishing.  A child
     # process keeps that memory out of the test run, and the timeout
@@ -319,8 +321,9 @@ def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
     # C2^6 with N = G: 2,825 subgroups, all normal, and 92,881 chains
-    # N1 < N2, each decided by one mask test; about 4 to 5 s on a 2-core
-    # x86-64 machine (CPython 3.11), against 8 to 10 s with a pairwise
+    # N1 < N2, read off up-sets and each decided by one mask test; about
+    # 3 to 4 s on a 2-core x86-64 machine (CPython 3.11), against 4 to 5 s
+    # with a pairwise scan for the chains, and 8 to 10 s with a pairwise
     # scan for the maximal subgroups and a map built per chain
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
@@ -352,6 +355,31 @@ def test_frattini_suite_builds_only_the_projections(monkeypatch, capsys):
     rc, _, err = run_main(["verify", str(FIXTURES / "s3.json"), "--suite", "frattini"], capsys)
     assert (rc, err) == (0, "")
     assert sorted(built) == [(6, 1), (6, 2), (6, 6)]
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC2", "D4", "Q8", "S4"])
+def test_frattini_composition_lists_failing_chains_in_pair_order(name, tmp_path, monkeypatch):
+    # every projection claimed a cover: the law then fails exactly on the
+    # chains N1 < N2 with N2 outside p1^-1(Phi(G/N1)), and the detail lines
+    # come in the order of the pairwise scan over the normal subgroups
+    G = corpus.group(name)
+    p = tmp_path / "g.json"
+    setup = {"group": {"table": G.table}, "normal": list(range(G.order)), "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    monkeypatch.setattr(cli, "is_frattini_cover", lambda phi: True)
+    loaded = load_setup(str(p))
+    G = loaded.group
+    want = []
+    for N1 in groups.normal_subgroups(G):
+        Q, p1 = groups.quotient(G, N1)
+        phi_q = frattini_subgroup(Q).frattini_subgroup
+        for N2 in groups.normal_subgroups(G):
+            if N1.mask & N2.mask == N1.mask and N1 != N2:
+                if not all(p1(x) in phi_q for x in N2.elements):
+                    want.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
+    got = {check: (ok, details) for check, ok, details in cli._frattini_checks(loaded, None)}
+    assert want
+    assert got["frattini-composition"] == (False, want)
 
 
 def test_measure_on_an_order_512_permutation_group_is_fast(tmp_path, capsys):

@@ -17,6 +17,7 @@ from fmeas.groups import (
     all_subgroups,
     build_group,
     compose,
+    cosets,
     cyclic,
     dihedral,
     direct_product,
@@ -25,10 +26,13 @@ from fmeas.groups import (
     hom_from_images,
     image_classes,
     isomorphic,
+    normal_subgroups,
     quotient,
     semidirect_product,
     symmetric,
+    up_sets,
 )
+from fmeas.invsys import normal_family
 
 ALL_NAMES = sorted(corpus.BUILDERS)
 SMALL_NAMES = sorted(name for name, G in corpus.classes_upto(16))
@@ -567,6 +571,64 @@ def test_projection_after_section_is_identity(name):
         for q in range(Q.order):
             assert pi(first[q]) == q
             assert pi(last[q]) == q
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_cosets_match_the_least_element_oracle(name):
+    # every subgroup, normal or not: cosets names the left cosets gN
+    G = corpus.group(name)
+    t = G.table
+    for N in all_subgroups(G):
+        least = tuple(min(t[g][x] for x in N.elements) for g in range(G.order))
+        reps = tuple(g for g in range(G.order) if least[g] == g)
+        assert cosets(G, N.mask) == (least, reps), N.elements
+
+
+def oracle_preimage(phi, mask):
+    """The union of the fibres of the target elements in the mask."""
+    out = 0
+    for y in range(phi.target.order):
+        if mask >> y & 1:
+            out |= sum(1 << x for x in range(phi.source.order) if phi(x) == y)
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_preimage_mask_matches_a_brute_force_scan(name):
+    G = corpus.group(name)
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        assert pi.preimage_mask(1) == N.mask
+        for mask in [0, (1 << Q.order) - 1] + [M.mask for M in all_subgroups(Q)]:
+            assert pi.preimage_mask(mask) == oracle_preimage(pi, mask)
+
+
+def test_preimage_mask_of_a_map_that_is_not_onto():
+    phi = hom_from_images(cyclic(2), cyclic(4), [1], [2])
+    assert not phi.is_surjective
+    for mask in range(16):
+        assert phi.preimage_mask(mask) == oracle_preimage(phi, mask)
+    assert phi.preimage_mask(0b1010) == 0
+    assert phi.preimage_mask(0b0100) == 0b10
+    assert phi.kernel().elements == (0,)
+
+
+def oracle_up_sets(masks):
+    return [sum(1 << j for j, m in enumerate(masks) if n & m == n) for n in masks]
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_up_sets_match_the_pairwise_scan(name):
+    G = corpus.group(name)
+    for family in (all_subgroups(G), normal_family(G)):
+        masks = [H.mask for H in family]
+        assert up_sets(masks) == oracle_up_sets(masks)
+
+
+def test_up_sets_of_no_masks_and_of_one():
+    assert up_sets([]) == []
+    assert up_sets([0b101]) == [1]
+    assert up_sets([0, 0b1]) == oracle_up_sets([0, 0b1]) == [0b11, 0b10]
 
 
 # -- homomorphisms -------------------------------------------------------
