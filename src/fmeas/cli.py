@@ -282,7 +282,7 @@ def _invsys_checks(loaded: LoadedSetup):
     bad = []
     for j in sorted({1, 2, G.order}):
         low = [x for i in by_sort if i <= j for x in by_sort[i]]
-        emb = dual_embedding(dual_group(generated_subsystem(S, low))[1])
+        emb = dual_embedding(dual_group(generated_subsystem(S, low))[1], S)
         image_by_sort = {}
         for x in emb.source.universe:
             image_by_sort.setdefault(emb.source.sort_of(x), []).append(emb(x))

@@ -9,9 +9,11 @@ Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
 FiniteGroup.extend_mask, which grows <H, x> from a subgroup H one left
 coset of H at a time; closure_mask folds it over a generator list, and
-subgroup enumeration extends each known subgroup H, from a set of
-seeds, by one element of an extension set per left coset of H, and
-keeps the generator tuple that found each subgroup, so that building it
+subgroup enumeration is a reverse search (Avis and Fukuda, 1996): each
+subgroup is reached from exactly one canonical seed along exactly one
+chain of extensions by elements of an extension set, each the least
+element the subgroup still lacks, so it is closed once, and its tuple
+of seed generators and chain elements is kept, so that building it
 again replays memoized extensions.  There is likewise one
 homomorphism search, _epimorphism_search, over the images of the
 generator sequence: epimorphisms lists it, and isomorphic asks it for a
@@ -568,40 +570,55 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def _subgroups_within(
-    G: FiniteGroup, seeds: dict[int, tuple[int, ...]], extend: Sequence[int]
+    G: FiniteGroup, seeds: Iterable[tuple[int, tuple[int, ...], int]], extend: int
 ) -> dict[int, tuple[int, ...]]:
-    """Every subgroup reached from the seeds by adding elements of extend.
+    """Every subgroup reached from the seeds by adding elements of the
+    extension set E (the mask extend), once each, mask to generators.
 
-    Bottom-up: every known subgroup H, the seeds first, is extended by
-    one element x of extend in each left coset xH that meets extend
-    outside H, until no new subgroup appears.  That loses nothing:
-    for h in H, xh lies in <H, x> and x = (xh)h^-1 lies in <H, xh>, so
-    <H, xh> = <H, x>.  The x taken is the first of its coset in extend,
-    so a skipped element would only have repeated a subgroup already
-    built.  Maps each subgroup mask to a tuple generating it, the seed's
-    generators first, each further element extending the subgroup of
-    the tuple before it.  With the trivial subgroup as the only seed and
-    a whole subgroup as extend, this is every subgroup of that subgroup,
-    the cyclic ones first, as extensions of {0}.
+    A reverse search (Avis and Fukuda, 1996) over canonical generating
+    sequences.  Each seed is a triple (mask, gens, bar): bar marks the
+    elements no subgroup grown from that seed may hold (see _lift_seeds).
+    A node C made by the element last is extended by each x in E with
+    x > last that is the least element of E in its left coset xC, and
+    the child B = <C, x> is kept only when x is the least element of
+    (B n E) \\ C and B meets no element of bar; as xC lies in B outside
+    C, a coset that fails either test is skipped unclosed, so C gets at
+    most one closure per left coset.  So a subgroup K above a
+    seed S has exactly one parent: the chain C_0 = S, C_{j+1} =
+    <C_j, min((K n E) \\ C_j)> rises through E, and any tree path to K
+    meets those conditions at each step only if it is that chain.  The
+    chain ends at <S, K n E>, which is K whenever K is generated by S
+    and its elements in E.  Each mask maps to the seed's generators
+    followed by the chain's elements; from the seed {0} with no bar and
+    E the whole group, that is the subgroup's canonical_generators().
     """
     t = G.table
-    built = dict(seeds)
-    work = list(seeds)
-    while work:
-        mask = work.pop()
-        gens = built[mask]
-        H = G.elems_of_mask(mask)
-        done = mask
-        for x in extend:
-            if done >> x & 1:
-                continue
-            tx = t[x]
-            for h in H:
-                done |= 1 << tx[h]
-            bigger = G.extend_mask(mask, x)
-            if bigger not in built:
-                built[bigger] = gens + (x,)
-                work.append(bigger)
+    extend_elems = G.elems_of_mask(extend)
+    built: dict[int, tuple[int, ...]] = {}
+    for seed, seed_gens, bar in seeds:
+        built[seed] = seed_gens
+        work = [(seed, seed_gens, 0)]
+        while work:
+            mask, gens, start = work.pop()
+            H = G.elems_of_mask(mask)
+            done = mask
+            for i in range(start, len(extend_elems)):
+                x = extend_elems[i]
+                if done >> x & 1:
+                    continue
+                tx = t[x]
+                coset = 0
+                for h in H:
+                    coset |= 1 << tx[h]
+                done |= coset
+                barred = extend & ((1 << x) - 1) & ~mask | bar
+                if coset & barred:
+                    continue
+                bigger = G.extend_mask(mask, x)
+                if bigger & barred:
+                    continue
+                built[bigger] = bigger_gens = gens + (x,)
+                work.append((bigger, bigger_gens, i + 1))
     return built
 
 
@@ -615,28 +632,42 @@ def _check_order_cap(order: int) -> None:
 
 def _lift_seeds(
     G: FiniteGroup, universe: int, normal: int, lift: Sequence[int]
-) -> dict[int, tuple[int, ...]]:
-    """The subgroups <y_1, ..., y_k> of the universe with y_i in s_i N.
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """The canonical seeds <y_1, ..., y_k> of the universe, y_i in c_i,
+    as triples (mask, (y_1, ..., y_k), bar).
 
-    s_1, ..., s_k is the greedy subsequence of lift whose images
-    generate <N, lift> / N: a coordinate already inside the span of N
-    and the earlier ones is skipped.  Seeds grow one coordinate at a
-    time, each level extending every seed of the last by every y in the
-    universe's meet with the next coset s_i N.
+    c_i is the universe's meet with s_i N, where s_1, ..., s_k is the
+    greedy subsequence of lift whose images generate <N, lift> / N: a
+    coordinate already inside the span of N and the earlier ones is
+    skipped.  A seed S is canonical when each y_i is the least element
+    of S n c_i; bar marks the elements of each c_i below y_i, so S is
+    canonical iff it meets no element of bar.  A subgroup K meeting
+    every c_i then lies above exactly one canonical seed, <min(K n c_i)>,
+    and a prefix of a canonical seed is canonical, so seeds grow one
+    coordinate at a time, each level extending every seed of the last
+    by every y in the next c_i and keeping the canonical ones.
     """
     t = G.table
     n_elems = G.elems_of_mask(normal)
-    seeds: dict[int, tuple[int, ...]] = {1: ()}
+    seeds: list[tuple[int, tuple[int, ...], int]] = [(1, (), 0)]
     span = normal
     for s in lift:
         if span >> s & 1:
             continue
         span = G.extend_mask(span, s)
-        coset = [y for y in (t[s][x] for x in n_elems) if universe >> y & 1]
-        level: dict[int, tuple[int, ...]] = {}
-        for mask, gens in seeds.items():
-            for y in coset:
-                level.setdefault(G.extend_mask(mask, y), gens + (y,))
+        ts = t[s]
+        coset = 0
+        for x in n_elems:
+            coset |= 1 << ts[x]
+        coset &= universe
+        ys = _mask_to_elems(coset)
+        level = []
+        for mask, gens, bar in seeds:
+            for y in ys:
+                seed = G.extend_mask(mask, y)
+                seed_bar = bar | coset & ((1 << y) - 1)
+                if not seed & seed_bar:
+                    level.append((seed, gens + (y,), seed_bar))
         seeds = level
     return seeds
 
@@ -646,7 +677,7 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     # above the cap this raises, whether or not the subgroups are cached
     _check_order_cap(G.order)
     if G._subgroups is None:
-        built = _subgroups_within(G, {1: ()}, range(G.order))
+        built = _subgroups_within(G, [(1, (), 0)], (1 << G.order) - 1)
         subs = [Subgroup(G, gens) for gens in built.values()]
         subs.sort(key=lambda H: (H.order, H.elements))
         G._subgroups = tuple(subs)
@@ -671,19 +702,20 @@ def subgroup_masks_within(
     qualifies.  Each such H holds an element of every coset s N with s
     in the lift, and for any choice L of such elements, H is <L, H n N>:
     an element h of H has the image of some w in <L>, and w^-1 h lies
-    in H n N.  So the subgroups are enumerated upward from the seeds of
-    _lift_seeds, adding elements of the universe's meet with N only;
-    with N the whole group the one seed is {0} and every element of the
-    universe extends.  Each mask maps to the generator tuple the
-    enumeration found for it, so that Subgroup(G, gens) replays memoized
-    closures; the masks come ordered like all_subgroups.  The universe
-    must itself be a subgroup, of order at most DEFAULT_ORDER_CAP.
+    in H n N.  So each H is reached from its one canonical seed of
+    _lift_seeds, <min(H n c_i)>, by _subgroups_within's one chain of
+    elements of the universe's meet with N; with N the whole group the
+    one seed is {0} and every element of the universe extends.  Each
+    mask maps to that seed's generators followed by the chain's
+    elements, so that Subgroup(G, gens) replays memoized closures; the
+    masks come ordered like all_subgroups.  The universe must itself be
+    a subgroup, of order at most DEFAULT_ORDER_CAP.
     """
     _check_order_cap(bin(universe).count("1"))
     if normal is None:
         normal = (1 << G.order) - 1
     seeds = _lift_seeds(G, universe, normal, lift)
-    built = _subgroups_within(G, seeds, G.elems_of_mask(universe & normal))
+    built = _subgroups_within(G, seeds, universe & normal)
     ordered = sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
     return {m: built[m] for m in ordered}
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import and_
-from typing import Callable, Dict, Iterable, Iterator, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from .groups import (
     CapExceeded,
@@ -318,17 +318,21 @@ class SystemEmbedding:
         )
 
 
-def dual_embedding(phi: GroupHom) -> SystemEmbedding:
+def dual_embedding(phi: GroupHom, target: Optional[CompleteSystem] = None) -> SystemEmbedding:
     """An epimorphism G -> H read backwards as a map of systems.
 
     Each coset h*M of H goes to its full preimage under phi, which is a
-    coset of the preimage of M; every relation transfers verbatim.
+    coset of the preimage of M; every relation transfers verbatim.  The
+    target is the complete system of G, built here unless given.
     """
     if not phi.is_surjective:
         raise GroupError("dual embedding needs a surjective homomorphism")
     G, H = phi.source, phi.target
     source = complete_system(H)
-    target = complete_system(G)
+    if target is None:
+        target = complete_system(G)
+    elif target.group is not G or len(target.normals) != len(normal_subgroups(G)):
+        raise GroupError("dual embedding target is not the complete system of the source group")
     least = {phi.image_of[g]: g for g in reversed(range(G.order))}  # least preimage of each h
     image_of: Dict[Element, Element] = {}
     for M in source.normals:

@@ -49,14 +49,18 @@ class MeasureVector:
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: SubextLattice, values: Sequence[Fraction]):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if len(vals) != len(lattice.members):
             raise GroupError(
                 "measure has %d values for %d members" % (len(vals), len(lattice.members))
             )
-        if any(v < 0 for v in vals):
+        # on integers: a value is negative iff its numerator is, and the
+        # values sum to 1 iff their numerators over the common denominator
+        # sum to it
+        if any(v.numerator < 0 for v in vals):
             raise GroupError("measure values must be nonnegative")
-        if sum(vals) != 1:
+        den = lcm(*(v.denominator for v in vals))
+        if sum(v.numerator * (den // v.denominator) for v in vals) != den:
             raise GroupError("measure values must sum to exactly 1")
         self.lattice = lattice
         self.values = vals

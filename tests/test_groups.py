@@ -310,8 +310,8 @@ def test_all_subgroups_match_closed_subsets(name):
 
 
 def oracle_subgroups_within(G, seeds, extend):
-    """The enumeration before the coset reduction: every known subgroup
-    extended by every element of extend outside it."""
+    """Every subgroup reached from the seeds by extending every known
+    subgroup by every element of extend outside it."""
     built = dict(seeds)
     work = list(seeds)
     while work:
@@ -327,29 +327,60 @@ def oracle_subgroups_within(G, seeds, extend):
     return built
 
 
+def oracle_lattice_tuple(G, mask, normal, lift):
+    """The generators the lattice enumeration gives the subgroup with this
+    mask, read off its elements: for each lift coordinate outside the span
+    of N and the coordinates before it, the least element of the subgroup
+    in that coordinate's coset of N; then, while the closure so far misses
+    an element of the subgroup's meet with N, the least such element."""
+    t = G.table
+    gens = []
+    span = normal
+    for s in lift:
+        if span >> s & 1:
+            continue
+        span = G.closure_mask(G.elems_of_mask(span) + (s,))
+        gens.append(min(t[s][x] for x in G.elems_of_mask(normal) if mask >> t[s][x] & 1))
+    while True:
+        have = G.closure_mask(gens)
+        rest = [x for x in G.elems_of_mask(mask & normal) if not have >> x & 1]
+        if not rest:
+            return tuple(gens)
+        gens.append(rest[0])
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coset_enumeration_matches_the_per_element_oracle(name):
-    # same masks, same generator tuples, same insertion order
+    # the same subgroups as extending by every element, each generated by
+    # its tuple, which is its least-index greedy generating sequence
     G = corpus.group(name)
-    fast = groups._subgroups_within(G, {1: ()}, range(G.order))
+    fast = groups._subgroups_within(G, [(1, (), 0)], (1 << G.order) - 1)
     oracle = oracle_subgroups_within(G, {1: ()}, range(G.order))
-    assert list(fast.items()) == list(oracle.items())
+    assert set(fast) == set(oracle)
+    for mask, gens in fast.items():
+        assert G.closure_mask(gens) == mask
+        assert gens == Subgroup(G, gens).canonical_generators()
 
 
 def test_coset_enumeration_matches_the_oracle_on_every_corpus_lattice():
+    # the oracle extends the trivial subgroup by every element of the base
+    # and keeps what maps onto the quotient; the tuple of each member
+    # starts from its canonical seed
     for tag, setup, K, _ in setups.corpus_lattices():
         G = setup.group
-        seeds = groups._lift_seeds(G, K.mask, setup.n_sub.mask, setup.sigma_prime)
-        extend = G.elems_of_mask(K.mask & setup.n_sub.mask)
-        fast = groups._subgroups_within(G, seeds, extend)
-        oracle = oracle_subgroups_within(G, seeds, extend)
-        assert list(fast.items()) == list(oracle.items()), tag
+        normal = setup.n_sub.mask
+        fast = groups.subgroup_masks_within(G, K.mask, normal, setup.sigma_prime)
+        oracle = oracle_subgroups_within(G, {1: ()}, G.elems_of_mask(K.mask))
+        assert set(fast) == {m for m in oracle if setup.qualifies(m)}, tag
+        for mask, gens in fast.items():
+            assert G.closure_mask(gens) == mask, tag
+            assert gens == oracle_lattice_tuple(G, mask, normal, setup.sigma_prime), tag
 
 
 def test_coset_enumeration_extends_once_per_coset(monkeypatch):
-    # C2^4 has 67 subgroups; one element per left coset outside each
-    # takes 240 extensions, against 765 for one per element
-    G = direct_product(*[cyclic(2)] * 4)
+    # C2^4 has 67 subgroups and C2^6 has 2,825; the tree closes each
+    # subgroup but {0} once, where one closure per left coset outside
+    # each known subgroup took 240 and 23,562
     calls = []
     extend_mask = FiniteGroup.extend_mask
 
@@ -358,9 +389,12 @@ def test_coset_enumeration_extends_once_per_coset(monkeypatch):
         return extend_mask(self, mask, x)
 
     monkeypatch.setattr(FiniteGroup, "extend_mask", counted)
-    built = groups._subgroups_within(G, {1: ()}, range(G.order))
-    assert len(built) == 67
-    assert len(calls) == 240
+    for factors, subgroups, closures in [(4, 67, 66), (6, 2825, 2824)]:
+        G = direct_product(*[cyclic(2)] * factors)
+        calls.clear()
+        built = groups._subgroups_within(G, [(1, (), 0)], (1 << G.order) - 1)
+        assert len(built) == subgroups
+        assert len(calls) == closures
 
 
 def test_subgroup_masks_within_keeps_the_enumeration_generators():

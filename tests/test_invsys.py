@@ -709,6 +709,33 @@ def test_embedding_validation():
         SystemEmbedding(S2, S4, off)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_dual_embedding_into_a_given_system_matches_a_built_one(name):
+    # the level tower's projections, embedded into the suite's own system
+    # and into a complete system built afresh
+    G = corpus.group(name)
+    S = complete_system(G)
+    for j in sorted({1, 2, G.order}):
+        _, pj = dual_group(
+            generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= j])
+        )
+        given = dual_embedding(pj, S)
+        built = dual_embedding(pj)
+        assert given.target is S
+        assert given.image_of == built.image_of
+        assert given.target.universe == built.target.universe
+
+
+def test_dual_embedding_rejects_a_foreign_or_partial_target():
+    G = corpus.group("D4")
+    S = complete_system(G)
+    phi = identity_hom(G)
+    with pytest.raises(GroupError, match="complete system of the source"):
+        dual_embedding(phi, complete_system(corpus.group("Q8")))
+    with pytest.raises(GroupError, match="complete system of the source"):
+        dual_embedding(phi, generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= 2]))
+
+
 # -- dump format -----------------------------------------------------------------------
 
 

@@ -585,6 +585,37 @@ def test_measure_vector_validation():
         MeasureVector(lat, [F(1, 2), F(1, 4), F(0)])
 
 
+def test_measure_vector_takes_ints_and_mixed_values():
+    setup, K, lat = setups.get("Klein-first")
+    # the common denominator of 1/6, 1/10 and 11/15 is none of theirs
+    for values in ([0, 1, 0], [F(1, 2), 0, F(1, 2)], [1, F(0), 0], [F(1, 6), F(1, 10), F(11, 15)]):
+        vec = MeasureVector(lat, values)
+        assert vec.values == tuple(F(v) for v in values)
+        assert all(type(v) is F for v in vec.values)
+    with pytest.raises(GroupError, match="^measure values must be nonnegative$"):
+        MeasureVector(lat, [2, -1, 0])
+    with pytest.raises(GroupError, match="^measure values must sum to exactly 1$"):
+        MeasureVector(lat, [1, F(1, 3), 0])
+    with pytest.raises(GroupError, match="^measure values must sum to exactly 1$"):
+        MeasureVector(lat, [F(1, 6), F(1, 10), F(7, 10)])
+
+
+def test_measure_vector_sums_large_coprime_denominators_exactly():
+    # three Mersenne primes: the common denominator D is their product,
+    # and a vector that misses 1 by 1/D either way is rejected
+    setup, K, lat = setups.get("Klein-first")
+    p, q, r = 2**61 - 1, 2**89 - 1, 2**107 - 1
+    d = p * q * r
+    first, second = F(p - 1, q), F(q - 1, r * p)
+    rest = 1 - first - second
+    assert rest.denominator == d
+    vec = MeasureVector(lat, [first, second, rest])
+    assert sum(vec.values) == 1
+    for miss in (F(1, d), F(-1, d)):
+        with pytest.raises(GroupError, match="^measure values must sum to exactly 1$"):
+            MeasureVector(lat, [first, second, rest + miss])
+
+
 def test_transition_matrix_validation():
     G = corpus.group("C2xC2")
     setup = make_setup(G, [1, 2], (1,))
