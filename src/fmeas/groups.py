@@ -28,7 +28,7 @@ Subgroup enumeration and isomorphism testing are supported up to order
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, eq, itemgetter
+from operator import and_, countOf, eq, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
@@ -58,6 +58,14 @@ class FiniteGroup:
 
     table[a][b] is the index of a*b.  Instances compare by identity;
     structural comparison is what isomorphic() is for.
+
+    A table of order at most 256 is checked first as one byte string per
+    row: entries, identity and Latin rows and columns in whole-string
+    passes (_latin_bytes), then Light's test as one bytes.translate per
+    generator (_light_bytes).  That route only accepts.  Any fault sends
+    the table through the ordered checks, which name it: entries, then
+    labels, identity, Latin rows and columns, inverses and Light's test
+    on rows.  Larger tables take the ordered checks alone.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
@@ -69,29 +77,8 @@ class FiniteGroup:
         if n == 0:
             raise GroupError("empty multiplication table")
         rows = tuple(tuple(row) for row in table)
-        full = set(range(n))
-        rows_ok = True
-        for row in rows:
-            if len(row) != n:
-                raise GroupError("multiplication table is not square")
-            # whole-row passes at C speed: plain ints that are every index
-            # make valid entries and a permutation; the scan only names the
-            # bad entry, and a row it passes is left to the Latin check
-            if set(map(type, row)) != {int} or set(row) != full:
-                rows_ok = False
-                for v in row:
-                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                        raise GroupError("table entry %r is not an element index" % (v,))
         self.order = n
         self.table = rows
-        if labels is None:
-            self.labels: Optional[tuple[str, ...]] = None
-        else:
-            if len(labels) != n:
-                raise GroupError("label count does not match group order")
-            self.labels = tuple(str(x) for x in labels)
-            if len(set(self.labels)) != n:
-                raise GroupError("element labels must be distinct")
         # caches, all derived and deterministic; set first, as the checks use them
         self._mask_elems: dict[int, tuple[int, ...]] = {1: (0,)}
         self._extend_memo: dict[tuple[int, int], int] = {}
@@ -101,12 +88,94 @@ class FiniteGroup:
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
-        self._check_identity()
-        self._check_permutation_rows(rows_ok)
+        # up to order 256 the table is first checked as bytes, which only
+        # accepts; a table it refuses takes the ordered checks, which name
+        # the first fault, so the messages do not depend on the route
+        row_bytes = self._latin_bytes() if n <= 256 else None
+        rows_ok = True
+        if row_bytes is None:
+            full = set(range(n))
+            for row in rows:
+                if len(row) != n:
+                    raise GroupError("multiplication table is not square")
+                # whole-row passes at C speed: plain ints that are every index
+                # make valid entries and a permutation; the scan only names the
+                # bad entry, and a row it passes is left to the Latin check
+                if set(map(type, row)) != {int} or set(row) != full:
+                    rows_ok = False
+                    for v in row:
+                        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                            raise GroupError("table entry %r is not an element index" % (v,))
+        if labels is None:
+            self.labels: Optional[tuple[str, ...]] = None
+        else:
+            if len(labels) != n:
+                raise GroupError("label count does not match group order")
+            self.labels = tuple(str(x) for x in labels)
+            if len(set(self.labels)) != n:
+                raise GroupError("element labels must be distinct")
+        if row_bytes is None:
+            self._check_identity()
+            self._check_permutation_rows(rows_ok)
         self._inverse = self._compute_inverses()
-        self._check_associativity()
+        if row_bytes is None or not self._light_bytes(row_bytes):
+            self._check_associativity()
+            if row_bytes is not None:
+                raise RuntimeError("Light's test on bytes refused an associative table")
 
     # -- construction-time checks -------------------------------------
+
+    def _latin_bytes(self) -> Optional[list[bytes]]:
+        """The rows as byte strings, when every entry is a plain int, 0 is
+        a two-sided identity and every row and column is a permutation of
+        0..n-1; None otherwise.  For order at most 256.
+
+        bytes() refuses, at C speed, what is not an integer in 0..255, but
+        takes bools, so the entry types are counted too.  A row or column
+        holds every index when deleting its bytes from 0..n-1 leaves
+        nothing.  The rows then have n bytes each, as every n-th byte of
+        them makes the n-byte identity column, so each is a permutation
+        and every entry is below n.  Each check stands in for an ordered
+        one, so that a table passing them fails, if at all, where the
+        ordered checks would next fail: at the inverses or associativity.
+        """
+        n = self.order
+        rows = self.table
+        try:
+            row_bytes = list(map(bytes, rows))
+        except (TypeError, ValueError):
+            return None
+        ident = bytes(range(n))
+        flat = b"".join(row_bytes)
+        if (
+            sum(countOf(map(type, row), int) for row in rows) != len(flat)
+            or row_bytes[0] != ident
+            or flat[::n] != ident
+            or any(ident.translate(None, row) for row in row_bytes)
+            or any(ident.translate(None, flat[j::n]) for j in range(n))
+        ):
+            return None
+        return row_bytes
+
+    def _light_bytes(self, row_bytes: list[bytes]) -> bool:
+        """Light's test in its left form, a(xy) = (ax)y for all x, y, on
+        each generator a, for a Latin table with identity given as bytes.
+
+        The left side is the whole table relabelled by row a, one
+        translate; the right side is the rows ax in order.  The a that
+        pass are closed under the product: if a and b pass, then
+        ((ab)x)y = (a(bx))y = a((bx)y) = a(b(xy)) = (ab)(xy).  The
+        identity 0 passes, and extend_mask marks only products of 0 and
+        generators, so passing every generator makes the table
+        associative.
+        """
+        flat = b"".join(row_bytes)
+        pad = bytes(256 - self.order)
+        for a in self.generator_sequence():
+            ta = row_bytes[a]
+            if flat.translate(ta + pad) != b"".join(map(row_bytes.__getitem__, ta)):
+                return False
+        return True
 
     def _check_identity(self) -> None:
         n = self.order
@@ -202,7 +271,7 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        return all(map(eq, t, zip(*t)))
 
     def __repr__(self) -> str:
         return "FiniteGroup(order=%d)" % self.order
@@ -257,14 +326,9 @@ class FiniteGroup:
     # -- derived invariants ---------------------------------------------
 
     def center_mask(self) -> int:
+        """a is central iff row a equals column a."""
         t = self.table
-        n = self.order
-        mask = 0
-        for a in range(n):
-            ta = t[a]
-            if all(ta[b] == t[b][a] for b in range(n)):
-                mask |= 1 << a
-        return mask
+        return sum(1 << a for a, (row, column) in enumerate(zip(t, zip(*t))) if row == column)
 
     def derived_mask(self) -> int:
         t = self.table

@@ -124,7 +124,7 @@ def load_setup(path: str) -> LoadedSetup:
         if not setup.qualifies(base.mask):
             raise _fail(path, raw, "base", "base subgroup does not map onto the quotient")
     else:
-        base = Subgroup(G, range(G.order))
+        base = Subgroup(G, G.generator_sequence())
 
     events: Dict[str, tuple[Subgroup, ...]] = {}
     if "events" in data:

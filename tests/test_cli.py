@@ -543,6 +543,19 @@ def markov_cases():
         yield name, loaded, SubextLattice(loaded.setup, loaded.base)
 
 
+def test_an_absent_base_is_the_whole_group(tmp_path):
+    paths = [FIXTURES / name for name in VALID_FIXTURES]
+    for name in ["C1", "C2xC2", "S3", "D4", "Q8", "A4", "SL23", "C2^4"]:
+        G = corpus.group(name)
+        p = tmp_path / ("%s.json" % name)
+        setup = {"group": {"table": G.table}, "normal": list(range(G.order)), "sigma": [0]}
+        p.write_text(json.dumps(setup))
+        paths.append(p)
+    for p in paths:
+        loaded = load_setup(str(p))
+        assert loaded.base.mask == (1 << loaded.group.order) - 1, p.name
+
+
 def test_markov_suite_matches_the_matrix_route():
     for tag, loaded, lat in markov_cases():
         setup, K = loaded.setup, loaded.base

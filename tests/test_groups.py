@@ -197,6 +197,44 @@ def test_associativity_check_accepts_large_cyclic_group():
     assert cyclic(70).order == 70
 
 
+@pytest.mark.parametrize("n", [256, 258])
+def test_associativity_check_catches_a_loop_at_and_above_order_256(n):
+    # cyclic(n) with the intercalate at rows 3 and 3 + n/2 and columns 5
+    # and 5 + n/2 swapped: the last order the byte route takes, and a
+    # loop past it
+    h = n // 2
+    table = swapped_intercalate(
+        [[(a + b) % n for b in range(n)] for a in range(n)], 3, 3 + h, 5, 5 + h
+    )
+    assert is_loop(table)
+    assert not check_verdict(table)
+
+
+def test_no_valid_table_takes_the_ordered_checks(monkeypatch):
+    # a byte route that refused every table would pass the other tests,
+    # as the ordered checks give every verdict; so valid tables of every
+    # corpus group, D4 x D4 and orders 255 and 256 must never reach them
+    tables = [corpus.group(name).table for name in ALL_NAMES]
+    tables.append(direct_product(dihedral(4), dihedral(4)).table)
+    tables += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (255, 256)]
+
+    def refuse(self, *args):
+        raise AssertionError("a valid table reached the ordered checks")
+
+    monkeypatch.setattr(FiniteGroup, "_check_permutation_rows", refuse)
+    monkeypatch.setattr(FiniteGroup, "_check_associativity", refuse)
+    for table in tables:
+        assert FiniteGroup([list(row) for row in table]).table == tuple(map(tuple, table))
+
+
+def test_a_byte_verdict_the_row_checks_contradict_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(FiniteGroup, "_light_bytes", lambda self, row_bytes: False)
+    with pytest.raises(RuntimeError, match="Light's test on bytes"):
+        FiniteGroup(corpus.group("S3").table)
+    # above order 256 the byte route is never asked
+    assert FiniteGroup(cyclic(257).table).order == 257
+
+
 # -- subgroups -----------------------------------------------------------
 
 
@@ -470,16 +508,40 @@ def corrupted_tables(G):
     t = [list(row) for row in base]
     t[-1][1], t[-1][2] = t[-1][2], t[-1][1]
     yield t
+    # two entries of the last column swapped: every column stays a permutation
+    t = [list(row) for row in base]
+    t[1][-1], t[2][-1] = t[2][-1], t[1][-1]
+    yield t
+    # columns 1 and 2 swapped, then rows 1 and 2: a Latin square in which 0
+    # is a right identity only, then a left identity only
+    yield [[row[0], row[2], row[1]] + row[3:] for row in base]
+    yield [base[0], base[2], base[1]] + base[3:]
     # a bad entry after a short row, and a short row after a bad entry
     yield [base[0], base[1][:-1]] + [row[:-1] + [-1] for row in base[2:]]
     yield [base[0], base[1][:-1] + [-1]] + [row[:-1] for row in base[2:]]
 
 
+# groups past the corpus's largest order, 24, up to either side of the
+# largest order whose table is checked as bytes, 256
+LARGE_GROUPS = {
+    "C2^5": lambda: direct_product(*[cyclic(2)] * 5),
+    "D4xD4": lambda: direct_product(dihedral(4), dihedral(4)),
+    "C256": lambda: cyclic(256),
+    "C257": lambda: cyclic(257),
+}
+
+
+def large_or_corpus_group(name):
+    return LARGE_GROUPS[name]() if name in LARGE_GROUPS else corpus.group(name)
+
+
 @pytest.mark.parametrize(
-    "name", ["C3", "C2xC2", "S3", "D4", "Q8", "A4", "C4xC2:C2", "C6xC2xC2", "SL23"]
+    "name",
+    ["C3", "C2xC2", "S3", "D4", "Q8", "A4", "C4xC2:C2", "C6xC2xC2", "SL23", *LARGE_GROUPS],
 )
 def test_table_checks_match_the_per_entry_oracle(name):
-    for table in corrupted_tables(corpus.group(name)):
+    G = large_or_corpus_group(name)
+    for table in corrupted_tables(G):
         want = oracle_table_error(table)
         try:
             FiniteGroup(table)
@@ -834,6 +896,21 @@ def test_epimorphisms_are_deterministic():
 
 
 # -- isomorphism ---------------------------------------------------------
+
+
+def oracle_center_mask(t) -> int:
+    """The central elements, by n^2 commutation tests."""
+    n = range(len(t))
+    return sum(1 << a for a in n if all(t[a][b] == t[b][a] for b in n))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + list(LARGE_GROUPS))
+def test_abelian_and_center_match_the_pairwise_oracle(name):
+    G = large_or_corpus_group(name)
+    t = G.table
+    n = range(G.order)
+    assert G.is_abelian() == all(t[a][b] == t[b][a] for a in n for b in n)
+    assert G.center_mask() == oracle_center_mask(t)
 
 
 def test_isomorphic_z4_vs_klein_four():
