@@ -129,34 +129,38 @@ class EmbeddingReport:
         )
 
 
-def _factorings(gammas: list[GroupHom]) -> list[tuple[int, tuple[int, ...]]]:
-    """(ker gamma, section) per gamma, where gamma(section[b]) = b."""
+def _factorings(gammas: list[GroupHom]) -> list[tuple[int, bytes]]:
+    """(ker gamma, section) per gamma, where gamma(section[b]) = b; the
+    section as bytes, since _reached relabels it (sources have order at
+    most DEFAULT_ORDER_CAP)."""
     out = []
     for gamma in gammas:
         section = [0] * gamma.target.order
         for x, b in enumerate(gamma.image_of):
             section[b] = x
-        out.append((gamma.preimage_mask(1), tuple(section)))
+        out.append((gamma.preimage_mask(1), bytes(section)))
     return out
 
 
 def _reached(
     kernel: int,
     image: tuple[int, ...],
-    factorings: list[tuple[int, tuple[int, ...]]],
+    factorings: list[tuple[int, bytes]],
     enough: Optional[int] = None,
-) -> set[tuple[int, ...]]:
-    """Image tables of the betas with beta o gamma = alpha for some gamma.
+) -> set[bytes]:
+    """Image tables, as bytes, of the betas with beta o gamma = alpha for
+    some gamma.
 
     alpha is given by its kernel mask and image table.  Such a beta
     exists iff ker gamma lies in ker alpha, and it is then
-    beta[gamma(x)] = alpha(x), read on the section of gamma.  The
-    search stops once enough betas are found.
+    beta[gamma(x)] = alpha(x): the section of gamma relabelled by alpha,
+    one bytes.translate.  The search stops once enough betas are found.
     """
+    by_alpha = bytes(image) + bytes(256 - len(image))
     got = set()
     for gamma_kernel, section in factorings:
         if gamma_kernel & ~kernel == 0:
-            got.add(tuple([image[x] for x in section]))
+            got.add(section.translate(by_alpha))
             if len(got) == enough:
                 break
     return got
@@ -204,7 +208,8 @@ def has_embedding_property(G: FiniteGroup, bound: int = 24) -> EmbeddingReport:
             betas = epimorphisms(B, A)
             reached = [_reached(k, alpha.image_of, onto_b) for k, alpha in zip(kernels, alphas)]
             for beta in betas:
+                table = bytes(beta.image_of)
                 for alpha, got in zip(alphas, reached):
-                    if beta.image_of not in got:
+                    if table not in got:
                         return EmbeddingReport(False, (A, B, alpha, beta))
     return EmbeddingReport(True, None)

@@ -88,6 +88,7 @@ class FiniteGroup:
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
+        self._columns: dict[int, bytes] = {}
         # up to order 256 the table is first checked as bytes, which only
         # accepts; a table it refuses takes the ordered checks, which name
         # the first fault, so the messages do not depend on the route
@@ -268,6 +269,14 @@ class FiniteGroup:
 
     def element_order(self, a: int) -> int:
         return self.element_orders()[a]
+
+    def column_bytes(self, j: int) -> bytes:
+        """Column j, the products x*j for every x, as bytes; order at most
+        256.  Each column is built on first use and kept."""
+        got = self._columns.get(j)
+        if got is None:
+            got = self._columns[j] = bytes(map(itemgetter(j), self.table))
+        return got
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -546,9 +555,31 @@ def _hom_defect(
     A phi(0) other than 0 gives (0, 0).  With gens generating G, None
     means phi is the homomorphism sending each gens[s] to imgs[s]: the g
     that pass for every x hold 0 and are closed under the product.
+
+    When G and H have order at most 256, each generator is first checked
+    on bytes, where only an accept counts: column g of G relabelled by
+    phi is phi(x*g) for every x, and phi relabelled by column imgs[s] of
+    H is phi(x)*imgs[s].  A refusal, or a larger group, takes the
+    ordered loop (_ordered_defect), which names the first pair.
     """
     if phi[0] != 0:
         return (0, 0)
+    if G.order <= 256 and H.order <= 256:
+        pb = bytes(phi)
+        by_phi = pb + bytes(256 - G.order)
+        pad = bytes(256 - H.order)
+        if all(
+            G.column_bytes(g).translate(by_phi) == pb.translate(H.column_bytes(i) + pad)
+            for g, i in zip(gens, imgs)
+        ):
+            return None
+    return _ordered_defect(G, H, phi, gens, imgs)
+
+
+def _ordered_defect(
+    G: FiniteGroup, H: FiniteGroup, phi: Sequence[int], gens: Sequence[int], imgs: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first pair (x, g), x outermost, with phi(x*g) != phi(x)*imgs[s], or None."""
     tg, th = G.table, H.table
     for x, px in enumerate(phi):
         tx, tpx = tg[x], th[px]
@@ -752,7 +783,8 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """The normal subgroups, ordered like all_subgroups."""
     subs = all_subgroups(G)
     if G._normals is None:
-        G._normals = tuple(H for H in subs if H.is_normal())
+        # every subgroup of an abelian group is normal
+        G._normals = subs if G.is_abelian() else tuple(H for H in subs if H.is_normal())
     return G._normals
 
 

@@ -169,20 +169,44 @@ class CompleteSystem:
     def class_reps(self, mask: int) -> tuple[int, ...]:
         return self._reps[mask]
 
-    def _name(self, x: Element) -> str:
-        return "N#%d rep=%d" % (self._id_of[x[0]], x[1])
-
     def dump(self) -> str:
-        """Deterministic text form: universe lines, then relation tuples."""
+        """Deterministic text form: universe lines, then C, <= and P tuples.
+
+        Each relation is listed in its iteration order: class index, then
+        representative, on every coordinate.  Each element's name is built
+        once, and each class names the coset of every group element, so a
+        C or P line is a lookup per coordinate; the <= lines of an element
+        are one join over the names of the classes above its own.
+        """
         count = len(self.universe) + len(self.compat) + len(self.leq) + len(self.prod)
         if count > DUMP_LINES_CAP:
             raise CapExceeded("system dumps capped at %d lines (got %d)" % (DUMP_LINES_CAP, count))
-        lines = ["%s sort=%d" % (self._name(x), self.sort_of(x)) for x in self.universe]
-        lines.extend("C %s %s" % (self._name(x), self._name(y)) for x, y in self.compat)
-        lines.extend("<= %s %s" % (self._name(x), self._name(y)) for x, y in self.leq)
-        lines.extend(
-            "P %s %s %s" % (self._name(x), self._name(y), self._name(z)) for x, y, z in self.prod
-        )
+        names: Dict[int, list[str]] = {}  # per class, in representative order
+        coset_names: Dict[int, list[str]] = {}  # per class, the name of gN per g
+        for mask, reps in self._reps.items():
+            names[mask] = ["N#%d rep=%d" % (self._id_of[mask], r) for r in reps]
+            by_rep = dict(zip(reps, names[mask]))
+            coset_names[mask] = list(map(by_rep.__getitem__, self._rep_in[mask]))
+        lines: list[str] = []
+        for own in names.values():
+            sort = " sort=%d" % len(own)  # [G:N], the number of cosets
+            lines.extend(name + sort for name in own)
+        for mask, own in names.items():
+            above = [coset_names[m] for m in self._above[mask]]
+            for a, name in zip(self._reps[mask], own):
+                head = "C " + name + " "
+                lines.extend(head + to_m[a] for to_m in above)
+        for mask, own in names.items():
+            above = [y for m in self._above[mask] for y in names[m]]
+            for name in own:
+                head = "<= " + name + " "
+                lines.append(head + ("\n" + head).join(above))
+        t = self.group.table
+        for mask, own in names.items():
+            reps, to_own = self._reps[mask], coset_names[mask]
+            for a, name in zip(reps, own):
+                head, ta = "P " + name + " ", t[a]
+                lines.extend(head + y + " " + to_own[ta[b]] for b, y in zip(reps, own))
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:

@@ -44,12 +44,15 @@ GOLDEN_CASES = [
     (["measure", "--mode", "mu1"], "z2.json", "z2_mu1.txt", 0),
     (["measure"], "z2.json", "z2_inf.txt", 0),
     (["invsys", "--dump"], "z2.json", "z2_dump.txt", 0),
+    (["invsys", "--dump"], "s3.json", "s3_dump.txt", 0),
+    (["invsys", "--dump"], "klein.json", "klein_dump.txt", 0),
     (["lattice"], "z4.json", "z4_lattice.txt", 0),
     (["frattini"], "z4.json", "z4_frattini.txt", 0),
     (["measure"], "z4.json", "z4_inf.txt", 0),
     (["measure"], "s3.json", "s3_inf.txt", 0),
     (["invsys", "--level", "2"], "s3.json", "s3_level2.txt", 0),
     (["embedding", "--bound", "8"], "s3.json", "s3_embedding.txt", 0),
+    (["embedding"], "d4.json", "d4_embedding.txt", 0),
     (["verify", "--suite", "tower"], "c4_to_c2.json", "c4_to_c2_verify_tower.txt", 0),
     (["verify", "--suite", "tower"], "klein_weak.json", "klein_weak_verify_tower.txt", 4),
 ]

@@ -24,6 +24,7 @@ from fmeas.groups import (
     epimorphisms,
     generated_subgroup,
     hom_from_images,
+    identity_hom,
     image_classes,
     isomorphic,
     normal_subgroups,
@@ -555,6 +556,19 @@ def test_table_checks_match_the_per_entry_oracle(name):
             assert want is None
 
 
+def oracle_hom_defect(G, H, phi, gens, imgs):
+    """The defect check as the per-pair loop, x outermost: (0, 0) when
+    phi(0) != 0, else the first (x, g) with phi(x*g) != phi(x)*imgs[s]."""
+    if phi[0] != 0:
+        return (0, 0)
+    tg, th = G.table, H.table
+    for x, px in enumerate(phi):
+        for g, i in zip(gens, imgs):
+            if phi[tg[x][g]] != th[px][i]:
+                return (x, g)
+    return None
+
+
 def oracle_hom_error(G, H, imgs):
     """The first message of the per-entry image check, then the defect check."""
     imgs = tuple(imgs)
@@ -564,7 +578,7 @@ def oracle_hom_error(G, H, imgs):
         if not isinstance(v, int) or not 0 <= v < H.order:
             return "image %r is not a target element index" % (v,)
     gens = G.generator_sequence()
-    bad = groups._hom_defect(G, H, imgs, gens, [imgs[g] for g in gens])
+    bad = oracle_hom_defect(G, H, imgs, gens, [imgs[g] for g in gens])
     if bad is not None:
         return "not a homomorphism: images of %d*%d disagree" % bad
     return None
@@ -605,6 +619,10 @@ def test_image_checks_match_the_per_entry_oracle():
             assert str(e) == want
         else:
             assert want is None
+        if want is None or want.startswith("not a homomorphism"):
+            gens = G.generator_sequence()
+            got = groups._hom_defect(G, H, imgs, gens, [imgs[g] for g in gens])
+            assert got == oracle_hom_defect(G, H, imgs, gens, [imgs[g] for g in gens])
 
 
 # -- quotients -----------------------------------------------------------
@@ -643,6 +661,13 @@ def oracle_is_normal(H):
     """Every conjugate of every element of H lies in H."""
     G = H.group
     return all(G.conj(g, x) in H for g in range(G.order) for x in H.elements)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["C2^5"])
+def test_normal_subgroups_match_the_is_normal_filter(name):
+    # abelian groups skip the filter: each of their subgroups is normal
+    G = large_or_corpus_group(name)
+    assert normal_subgroups(G) == tuple(H for H in all_subgroups(G) if H.is_normal())
 
 
 @pytest.mark.parametrize("name", sorted(name for name, G in corpus.classes_upto(24)))
@@ -816,6 +841,94 @@ def test_hom_check_matches_the_all_pairs_oracle():
                 assert oracle_is_hom(G, H, phi)
                 homs += 1
     assert homs > 0
+
+
+def assert_defects_match(G, H, phi):
+    """_hom_defect against the per-pair oracle on phi, and on phi with one
+    entry moved, at 0, at the last element and at each generator."""
+    gens = G.generator_sequence()
+    variants = [tuple(phi)]
+    if H.order > 1:
+        for x in {0, G.order - 1, *gens}:
+            moved = list(phi)
+            moved[x] = (moved[x] + 1) % H.order
+            variants.append(tuple(moved))
+    for v in variants:
+        imgs = [v[g] for g in gens]
+        assert groups._hom_defect(G, H, v, gens, imgs) == oracle_hom_defect(G, H, v, gens, imgs)
+
+
+# the groups whose epimorphisms the embedding tests list: order <= 16 but C2^4
+EMBEDDING_NAMES = [name for name in SMALL_NAMES if name != "C2^4"]
+
+
+@pytest.mark.parametrize("name", EMBEDDING_NAMES)
+def test_hom_defect_matches_the_oracle_on_embedding_diagrams(name):
+    # the alphas and gammas G ->> A and the betas B ->> A between images
+    G = corpus.group(name)
+    images = image_classes(G)
+    for A in images:
+        for phi in epimorphisms(G, A):
+            assert_defects_match(G, A, phi.image_of)
+        for B in images:
+            if B.order % A.order == 0:
+                for phi in epimorphisms(B, A):
+                    assert_defects_match(B, A, phi.image_of)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_hom_defect_matches_the_oracle_on_quotient_projections(name):
+    G = corpus.group(name)
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        assert_defects_match(G, Q, pi.image_of)
+
+
+def test_hom_defect_on_both_sides_of_order_256(monkeypatch):
+    # up to order 256 a homomorphism is accepted on bytes alone; a
+    # refusal, or a larger source or target, takes the ordered loop
+    orders = []
+    ordered = groups._ordered_defect
+
+    def counted(G, H, *args):
+        orders.append((G.order, H.order))
+        return ordered(G, H, *args)
+
+    monkeypatch.setattr(groups, "_ordered_defect", counted)
+    C256, C257 = cyclic(256), cyclic(257)
+    assert identity_hom(C256).image_of == tuple(range(256))
+    GroupHom(C256, cyclic(2), [x % 2 for x in range(256)])
+    assert orders == []
+    swapped = list(range(256))
+    swapped[5], swapped[7] = 7, 5
+    gens = C256.generator_sequence()
+    want = oracle_hom_defect(C256, C256, swapped, gens, [swapped[g] for g in gens])
+    with pytest.raises(GroupError) as e:
+        GroupHom(C256, C256, swapped)
+    assert str(e.value) == "not a homomorphism: images of %d*%d disagree" % want
+    assert orders == [(256, 256)]
+    identity_hom(C257)
+    GroupHom(C257, cyclic(1), [0] * 257)
+    GroupHom(cyclic(1), C257, [0])
+    assert orders[1:] == [(257, 257), (257, 1), (1, 257)]
+    for G, H in [(C256, cyclic(2)), (C257, cyclic(1)), (cyclic(2), C257)]:
+        assert_defects_match(G, H, [0] * G.order)
+
+
+def test_every_corpus_epimorphism_is_accepted_on_bytes(monkeypatch):
+    # a byte path that always fell back would reach the ordered loop
+    def refuse(*args):
+        raise AssertionError("the ordered loop ran on a homomorphism")
+
+    monkeypatch.setattr(groups, "_ordered_defect", refuse)
+    built = 0
+    for name in ALL_NAMES:
+        # a fresh copy, so that no cached quotient skips its projection
+        G = FiniteGroup(corpus.group(name).table)
+        for B in image_classes(G):
+            built += len(epimorphisms(G, B))
+        identity_hom(G)
+    assert built > 20_000
 
 
 def test_hom_surjectivity_is_recomputed():

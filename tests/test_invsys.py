@@ -739,6 +739,41 @@ def test_dual_embedding_rejects_a_foreign_or_partial_target():
 # -- dump format -----------------------------------------------------------------------
 
 
+# CompleteSystem.dump() as it stood before it joined per class block: one
+# formatted line per universe element and per relation tuple, read from
+# the relations themselves; kept as the slow oracle
+def oracle_dump(S) -> str:
+    ids = {N.mask: i for i, N in enumerate(S.normals)}
+
+    def name(x):
+        return "N#%d rep=%d" % (ids[x[0]], x[1])
+
+    lines = ["%s sort=%d" % (name(x), S.sort_of(x)) for x in S.universe]
+    lines.extend("C %s %s" % (name(x), name(y)) for x, y in S.compat)
+    lines.extend("<= %s %s" % (name(x), name(y)) for x, y in S.leq)
+    lines.extend("P %s %s %s" % (name(x), name(y), name(z)) for x, y, z in S.prod)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_dump_matches_the_per_tuple_oracle(name):
+    # the system and its level-1 and level-2 generated subsystems, whose
+    # classes are numbered afresh
+    S = complete_system(corpus.group(name))
+    assert S.dump() == oracle_dump(S)
+    for level in (1, 2):
+        sub = generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= level])
+        assert sub.dump() == oracle_dump(sub)
+
+
+def test_dump_matches_the_per_tuple_oracle_on_c2_5():
+    S = complete_system(direct_product(*[cyclic(2)] * 5))
+    got = S.dump()
+    assert got.count("\n") == 393_152
+    assert got == oracle_dump(S)
+
+
+
 def test_dump_of_z2_exactly():
     got = complete_system(cyclic(2)).dump()
     assert got == (
