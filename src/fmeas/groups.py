@@ -3,7 +3,11 @@
 A group of order m lives on element indices 0..m-1, and index 0 is
 always the identity.  Groups are built from an explicit Cayley table or
 from permutation generators, are fully verified at construction, and
-are immutable afterwards.
+are immutable afterwards.  Homomorphisms given by the caller are
+verified in full too.  Two kinds of object are derived, not checked
+again, because the code that builds them proves them: a quotient G/N
+with its projection, once N is known to be normal in G, and each
+epimorphism the search returns.  The tests hold both to the full checks.
 
 Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
@@ -79,16 +83,8 @@ class FiniteGroup:
         rows = tuple(tuple(row) for row in table)
         self.order = n
         self.table = rows
-        # caches, all derived and deterministic; set first, as the checks use them
-        self._mask_elems: dict[int, tuple[int, ...]] = {1: (0,)}
-        self._extend_memo: dict[tuple[int, int], int] = {}
-        self._subgroups: Optional[tuple["Subgroup", ...]] = None
-        self._normals: Optional[tuple["Subgroup", ...]] = None
-        self._quotients: dict[int, tuple["FiniteGroup", "GroupHom"]] = {}
-        self._element_orders: Optional[tuple[int, ...]] = None
-        self._fingerprint: Optional[tuple] = None
-        self._gen_sequence: Optional[tuple[int, ...]] = None
-        self._columns: dict[int, bytes] = {}
+        # set first, as the checks use them
+        self._init_caches()
         # up to order 256 the table is first checked as bytes, which only
         # accepts; a table it refuses takes the ordered checks, which name
         # the first fault, so the messages do not depend on the route
@@ -123,6 +119,40 @@ class FiniteGroup:
             self._check_associativity()
             if row_bytes is not None:
                 raise RuntimeError("Light's test on bytes refused an associative table")
+
+    def _init_caches(self) -> None:
+        """Empty the caches, all derived from the table and deterministic."""
+        self._mask_elems: dict[int, tuple[int, ...]] = {1: (0,)}
+        self._extend_memo: dict[tuple[int, int], int] = {}
+        self._subgroups: Optional[tuple["Subgroup", ...]] = None
+        self._normals: Optional[tuple["Subgroup", ...]] = None
+        self._quotients: dict[int, tuple["FiniteGroup", "GroupHom"]] = {}
+        self._element_orders: Optional[tuple[int, ...]] = None
+        self._fingerprint: Optional[tuple] = None
+        self._gen_sequence: Optional[tuple[int, ...]] = None
+        self._columns: dict[int, bytes] = {}
+
+    @classmethod
+    def _on_cosets(
+        cls, G: "FiniteGroup", reps: Sequence[int], coset_of: Sequence[int]
+    ) -> "FiniteGroup":
+        """G/N on the cosets of a normal subgroup N of the verified group G,
+        without the table checks: reps lists the least element of each
+        coset, ascending, and coset_of[g] is the index in reps of gN.
+
+        The table is a group's by construction: with N normal, (aN)(bN) =
+        abN for any a, b, so coset i times coset j is the coset of
+        reps[i]*reps[j], the coset of 0 is the identity, and the inverse
+        of aN is a^-1 N, read off G's inverses.
+        """
+        t, inv = G.table, G._inverse
+        self = cls.__new__(cls)
+        self.order = len(reps)
+        self.table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
+        self.labels = tuple(G.label(r) + "N" for r in reps)
+        self._init_caches()
+        self._inverse = tuple(coset_of[inv[r]] for r in reps)
+        return self
 
     # -- construction-time checks -------------------------------------
 
@@ -493,9 +523,24 @@ class GroupHom:
 
     The homomorphism property is checked completely, on generators, at
     construction; is_surjective is always recomputed from the image table.
+    The epimorphisms that quotient and the epimorphism search prove by
+    construction are built by _onto instead, without either step.
     """
 
     __slots__ = ("source", "target", "image_of", "is_surjective")
+
+    @classmethod
+    def _onto(
+        cls, source: FiniteGroup, target: FiniteGroup, image_of: tuple[int, ...]
+    ) -> "GroupHom":
+        """An epimorphism whose image table its caller has proved to be a
+        homomorphism onto the target, taken without the checks."""
+        self = cls.__new__(cls)
+        self.source = source
+        self.target = target
+        self.image_of = image_of
+        self.is_surjective = True
+        return self
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, image_of: Sequence[int]):
         imgs = tuple(image_of)
@@ -830,17 +875,26 @@ def cosets(G: FiniteGroup, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 def up_sets(masks: Sequence[int]) -> list[int]:
     """Per mask, the bitset of the j with the mask inside masks[j]: the AND,
-    over its elements, of the bitset of the masks holding each."""
+    over its elements, of the bitset of the masks holding each.  Each
+    mask is decoded once."""
+    elems = list(map(_mask_to_elems, masks))
     holders: dict[int, int] = {}
-    for j, m in enumerate(masks):
-        for x in _mask_to_elems(m):
-            holders[x] = holders.get(x, 0) | 1 << j
+    for j, xs in enumerate(elems):
+        bit = 1 << j
+        for x in xs:
+            holders[x] = holders.get(x, 0) | bit
     everyone = (1 << len(masks)) - 1
-    return [reduce(and_, map(holders.__getitem__, _mask_to_elems(m)), everyone) for m in masks]
+    return [reduce(and_, map(holders.__getitem__, xs), everyone) for xs in elems]
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient group on least coset representatives plus the projection."""
+    """Quotient group on least coset representatives plus the projection.
+
+    Once N is known to be a normal subgroup of G, neither is checked
+    again: G/N is a group and the projection g -> gN an epimorphism by
+    construction (FiniteGroup._on_cosets, GroupHom._onto).  The tests
+    hold both to the full checks.
+    """
     if N.group is not G:
         raise GroupError("subgroup does not live in the given group")
     cached = G._quotients.get(N.mask)
@@ -848,13 +902,11 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         return cached
     if not N.is_normal():
         raise GroupError("subgroup is not normal; no quotient group")
-    t = G.table
     to_least, reps = cosets(G, N.mask)
-    coset_of = [reps.index(r) for r in to_least]
-    table = [[coset_of[t[a][b]] for b in reps] for a in reps]
-    labels = [G.label(r) + "N" for r in reps]
-    Q = FiniteGroup(table, labels=labels)
-    pi = GroupHom(G, Q, tuple(coset_of))
+    index = {r: i for i, r in enumerate(reps)}
+    coset_of = tuple(map(index.__getitem__, to_least))
+    Q = FiniteGroup._on_cosets(G, reps, coset_of)
+    pi = GroupHom._onto(G, Q, coset_of)
     G._quotients[N.mask] = (Q, pi)
     return Q, pi
 
@@ -932,8 +984,11 @@ def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
     generating I is pruned when |I| does not divide |P_k| or
     |P_k| / |I| > [G:H]; at the last generator this leaves I = H only.
     A prefix is also cut when its map on P_k, extended along spanning
-    edges, breaks a relation of P_k (_prefix_steps), so that each leaf
-    is an epimorphism, and GroupHom checks it once more.
+    edges, breaks a relation of P_k (_prefix_steps).  So each leaf is a
+    proved epimorphism and is taken without a second check
+    (GroupHom._onto): every closing pair agreed, each generator, which
+    is new in its P_{k+1}, got its image by the edge from 0, and the
+    pruning left I = H.  The tests hold every leaf to the full check.
     """
     if G.order % H.order != 0:
         return
@@ -946,7 +1001,7 @@ def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
 
     def dfs(slot: int, mask: int) -> Iterator[GroupHom]:
         if slot == len(gens):
-            yield GroupHom(G, H, phi)
+            yield GroupHom._onto(G, H, tuple(phi))
             return
         size, edges, closing = steps[slot]
         for h in range(H.order):

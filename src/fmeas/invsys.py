@@ -43,11 +43,22 @@ def normal_family(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 class Relation:
-    """A relation generated on demand: its tuples in dump order, and its size."""
+    """A relation generated on demand: its tuples in dump order, and its size.
 
-    def __init__(self, tuples: Callable[[], Iterator[tuple]], size: int):
+    A relation that is a union of class rectangles, every element of
+    class N paired with every element of class M, also yields those
+    pairs (N, M) of class masks, unexpanded; rectangles is None otherwise.
+    """
+
+    def __init__(
+        self,
+        tuples: Callable[[], Iterator[tuple]],
+        size: int,
+        rectangles: Optional[Callable[[], Iterator[tuple[int, int]]]] = None,
+    ):
         self.tuples = tuples
         self.size = size
+        self.rectangles = rectangles
 
     def __iter__(self) -> Iterator[tuple]:
         return self.tuples()
@@ -63,9 +74,10 @@ class CompleteSystem:
     the least element it contains, so a subsystem's universe is a
     literal subset of the parent's.  Relations are generated from those
     representatives and the group table, never stored; validate()
-    makes one pass over each and counts what it met against the class
-    sizes.  _above holds, per class, the family masks above it, in
-    family order: C and <= are generated from it, their sizes read off it.
+    makes one pass over P and C, checks <= by its class rectangles, and
+    counts what it met against the class sizes.  _above holds, per class,
+    the family masks above it, in family order: C, <= and the rectangles
+    of <= are generated from it, their sizes read off it.
     """
 
     __slots__ = (
@@ -122,11 +134,14 @@ class CompleteSystem:
 
         index = {mask: len(reps) for mask, reps in self._reps.items()}
         fam = list(index)  # family order
-        ups = [_mask_to_elems(u) for u in up_sets(fam)]  # the j with N in fam[j]
-        self._above = {n: tuple(fam[j] for j in js) for n, js in zip(fam, ups)}
-        up = [(index[n], [index[m] for m in ms]) for n, ms in self._above.items()]
-        self.compat = Relation(self._compat, sum(i * len(js) for i, js in up))
-        self.leq = Relation(self._leq, sum(i * sum(js) for i, js in up))
+        self._above = {}
+        n_compat = n_leq = 0
+        for n, up in zip(fam, up_sets(fam)):  # up: the j with N in fam[j]
+            above = self._above[n] = tuple(map(fam.__getitem__, _mask_to_elems(up)))
+            n_compat += index[n] * len(above)
+            n_leq += index[n] * sum(map(index.__getitem__, above))
+        self.compat = Relation(self._compat, n_compat)
+        self.leq = Relation(self._leq, n_leq, self._leq_rectangles)
         self.prod = Relation(self._prod, sum(i * i for i in index.values()))
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
@@ -140,6 +155,11 @@ class CompleteSystem:
         for x, (m, _) in self._compat():
             for b in self._reps[m]:
                 yield x, (m, b)
+
+    def _leq_rectangles(self) -> Iterator[tuple[int, int]]:
+        for n, above in self._above.items():
+            for m in above:
+                yield n, m
 
     def _prod(self) -> Iterator[tuple[Element, Element, Element]]:
         t = self.group.table
@@ -210,7 +230,13 @@ class CompleteSystem:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
-        """Check the axioms with one pass over each relation; raises on any failure."""
+        """Check the axioms; raises on any failure.
+
+        P and C are checked with one pass over each.  A <= that yields
+        its class rectangles, as the system's own does, is checked one
+        rectangle at a time, never expanded; any other iterable is
+        checked with one pass over its pairs.
+        """
         G = self.group
         elems = set(self.universe)
         if self.one != ((1 << G.order) - 1, 0) or self.one not in elems:
@@ -252,16 +278,33 @@ class CompleteSystem:
                 raise GroupError("C does not follow the canonical projection")
             if x not in elems or y not in elems:
                 raise GroupError("C relates cosets outside the universe")
-        want_c = want_leq = 0
-        for n, reps in by_mask.items():
-            above = [len(r) for m, r in by_mask.items() if n & m == n]
-            want_c += len(reps) * len(above)
-            want_leq += len(reps) * sum(above)
+        comparable = want_c = want_leq = 0
+        sizes = list(map(len, by_mask.values()))
+        for size, up in zip(sizes, up_sets(list(by_mask))):
+            above = [sizes[j] for j in _mask_to_elems(up)]
+            comparable += len(above)
+            want_c += size * len(above)
+            want_leq += size * sum(above)
         if len(seen) != want_c:
             raise GroupError("C misses a comparable pair")
-        # <= compares classes by containment of the normal subgroups: each
-        # pair is comparable and in the universe, and the distinct pairs,
-        # a bitmask of y per (x, class of y), number all comparable pairs
+        # <= compares classes by containment of the normal subgroups
+        rectangles = getattr(self.leq, "rectangles", None)
+        if rectangles is not None:
+            # a union of class rectangles is checked one rectangle at a
+            # time: distinct comparable pairs of classes, as many as there
+            # are, so every such pair, expanding to every comparable pair
+            found, pairs = set(), 0
+            for n, m in rectangles():
+                if n not in by_mask or m not in by_mask or n & m != n:
+                    raise GroupError("<= does not match containment of the classes")
+                found.add((n, m))
+                pairs += len(by_mask[n]) * len(by_mask[m])
+            if len(found) != comparable or pairs != want_leq:
+                raise GroupError("<= does not match containment of the classes")
+            return
+        # any other relation is enumerated: each pair is comparable and in
+        # the universe, and the distinct pairs, a bitmask of y per (x,
+        # class of y), number all comparable pairs
         seen = {}
         for x, y in self.leq:
             if x[0] & y[0] != x[0] or x not in elems or y not in elems:

@@ -28,7 +28,7 @@ from fmeas.setupfile import LoadedSetup, load_setup
 
 import corpus
 import setups
-from conftest import FIXTURES
+from conftest import FIXTURES, count_hom_builds
 
 EXPECTED = FIXTURES / "expected"
 
@@ -298,12 +298,13 @@ def test_lattice_at_the_order_cap_is_fast(tmp_path, capsys):
 
 
 def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
-    # C2^6 with N = G: 26,387 cosets and 10,425,879 <= pairs.  validate()
-    # counts them in one pass, about 17 s for the suite at about 380 MB
-    # on a 2-core x86-64 machine (CPython 3.11); building every
-    # comparable pair as a set grew past 3 GB without finishing.  A child
-    # process keeps that memory out of the test run, and the timeout
-    # stops it if it grows
+    # C2^6 with N = G: 26,387 cosets and 10,425,879 <= pairs.  Counting
+    # them in one pass took about 17 s for the suite at about 380 MB on a
+    # 2-core x86-64 machine (CPython 3.11), and building every comparable
+    # pair as a set grew past 3 GB without finishing; validate() now
+    # checks the 95,706 class rectangles (the tighter bound is below).  A
+    # child process keeps the memory out of the test run, and the
+    # timeout stops it if it grows
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
@@ -320,6 +321,39 @@ def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
     assert elapsed < 150.0, "took %.2f s" % elapsed
+
+
+def test_invsys_suite_at_the_order_cap_is_fast(tmp_path):
+    # the suite above, bounded tighter: with the system's own <= checked
+    # one class rectangle at a time, about 6 s at 330 MB on a 2-core
+    # x86-64 machine (CPython 3.11), against 15 to 20 s at 377 MB when
+    # validate() enumerated the 10,425,879 <= pairs; the child prints its
+    # own peak RSS (kB on Linux) last on stderr
+    p = tmp_path / "c2_6.json"
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    child = (
+        "import resource, sys\n"
+        "from fmeas.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "verify", str(p), "--suite", "invsys"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=150,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
+    peak_mb = int(proc.stderr) / 1024
+    assert elapsed < 12.0, "took %.2f s" % elapsed
+    assert peak_mb < 360, "peak RSS %.0f MB" % peak_mb
 
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
@@ -345,19 +379,15 @@ def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
 
 
 def test_frattini_suite_builds_only_the_projections(monkeypatch, capsys):
-    # one GroupHom per normal subgroup of S3 (1, A3 and S3), each the
-    # projection G ->> G/N; the chains N1 < N2 build no map of their own
-    built = []
-    original = groups.GroupHom.__init__
-
-    def counted(self, source, target, image_of):
-        built.append((source.order, target.order))
-        original(self, source, target, image_of)
-
-    monkeypatch.setattr(groups.GroupHom, "__init__", counted)
+    # one derived GroupHom per normal subgroup of S3 (1, A3 and S3), each
+    # the projection G ->> G/N that quotient builds without the hom check;
+    # the chains N1 < N2 build no map of their own, and nothing runs the
+    # checking constructor
+    checked, derived = count_hom_builds(monkeypatch)
     rc, _, err = run_main(["verify", str(FIXTURES / "s3.json"), "--suite", "frattini"], capsys)
     assert (rc, err) == (0, "")
-    assert sorted(built) == [(6, 1), (6, 2), (6, 6)]
+    assert sorted(derived) == [(6, 1), (6, 2), (6, 6)]
+    assert checked == []
 
 
 @pytest.mark.parametrize("name", ["C2xC2xC2", "D4", "Q8", "S4"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import corpus
 import setups
+from conftest import count_hom_builds
 from fmeas import groups
 from fmeas.groups import (
     CapExceeded,
@@ -657,6 +658,23 @@ def test_quotient_rejects_non_normal_subgroup():
         quotient(G, generated_subgroup(G, [t]))
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_quotient_matches_the_checking_constructors(name):
+    # quotient builds G/N and the projection without the table and hom
+    # checks (FiniteGroup._on_cosets, GroupHom._onto); the checking
+    # constructors accept both and agree with them
+    G = corpus.group(name)
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        full = FiniteGroup(Q.table, labels=Q.labels)
+        assert (Q.order, Q.table, Q.labels) == (full.order, full.table, full.labels)
+        assert Q._inverse == full._inverse
+        checked = GroupHom(G, Q, pi.image_of)
+        assert pi.is_surjective and checked.is_surjective
+        assert pi.image_of == checked.image_of
+        assert pi.kernel() == N
+
+
 def oracle_is_normal(H):
     """Every conjugate of every element of H lies in H."""
     G = H.group
@@ -780,7 +798,8 @@ def test_hom_from_images_rejects_what_no_hom_extends():
 
 def test_epimorphism_search_checks_each_table_once(monkeypatch):
     # into C2 every candidate table of an elementary abelian group is a
-    # homomorphism, so one defect check per table is one per epimorphism
+    # homomorphism; the closing pairs of the search are its one check, so
+    # no defect check runs and each table becomes one derived hom
     calls = []
     defect = groups._hom_defect
 
@@ -789,29 +808,24 @@ def test_epimorphism_search_checks_each_table_once(monkeypatch):
         return defect(*args)
 
     monkeypatch.setattr(groups, "_hom_defect", counted)
+    checked, derived = count_hom_builds(monkeypatch)
     found = epimorphisms(corpus.group("C2xC2xC2"), cyclic(2))
     assert len(found) == 7
-    assert len(calls) == 7
+    assert calls == [] and checked == []
+    assert derived == [(8, 2)] * 7
 
 
 def test_epimorphism_search_builds_only_the_epimorphisms(monkeypatch):
     # a prefix of images that breaks a relation is cut before the leaf,
-    # so GroupHom runs once per epimorphism returned, into every image
+    # so one hom is derived per epimorphism returned, into every image,
+    # and none is built by the checking constructor
     G = corpus.group("D4xC2")
     images = image_classes(G)
-    built = []
-
-    class Counted(GroupHom):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(groups, "GroupHom", Counted)
+    checked, derived = count_hom_builds(monkeypatch)
     found = sum(len(epimorphisms(G, B)) for B in images)
     assert found > len(images)
-    assert len(built) == found
+    assert checked == []
+    assert len(derived) == found
 
 
 def oracle_is_hom(G, H, phi) -> bool:
@@ -916,17 +930,20 @@ def test_hom_defect_on_both_sides_of_order_256(monkeypatch):
 
 
 def test_every_corpus_epimorphism_is_accepted_on_bytes(monkeypatch):
-    # a byte path that always fell back would reach the ordered loop
+    # the search takes its leaves without a check (GroupHom._onto), so
+    # the full check runs on each here, into every image class; a byte
+    # path that always fell back would reach the ordered loop
     def refuse(*args):
         raise AssertionError("the ordered loop ran on a homomorphism")
 
     monkeypatch.setattr(groups, "_ordered_defect", refuse)
     built = 0
     for name in ALL_NAMES:
-        # a fresh copy, so that no cached quotient skips its projection
-        G = FiniteGroup(corpus.group(name).table)
+        G = corpus.group(name)
         for B in image_classes(G):
-            built += len(epimorphisms(G, B))
+            for phi in epimorphisms(G, B):
+                assert GroupHom(G, B, phi.image_of).is_surjective
+                built += 1
         identity_hom(G)
     assert built > 20_000
 

@@ -22,6 +22,7 @@ from fmeas.groups import (
 from fmeas.invsys import (
     DUMP_LINES_CAP,
     CompleteSystem,
+    Relation,
     SystemEmbedding,
     complete_system,
     dual_embedding,
@@ -210,6 +211,50 @@ def test_relation_sizes_and_up_sets_match_a_rescan(name):
         for N in T.normals:
             rescan = tuple(m for m, _ in T._rep_in.items() if N.mask & m == N.mask)
             assert T._above[N.mask] == rescan
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_leq_rectangles_expand_to_the_relation(name):
+    # validate() checks the system's own <= one class rectangle at a time;
+    # the rectangles must expand to exactly the pairs the relation lists
+    S = complete_system(corpus.group(name))
+    for T in (S, generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= 2])):
+        expanded = [
+            ((n, a), (m, b))
+            for n, m in T.leq.rectangles()
+            for a in T.class_reps(n)
+            for b in T.class_reps(m)
+        ]
+        assert len(expanded) == len(T.leq)
+        assert set(expanded) == set(T.leq)
+        assert T.compat.rectangles is None and T.prod.rectangles is None
+
+
+@pytest.mark.parametrize("kind", ["drop", "repeat", "flip", "foreign"])
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "D4", "Q8", "C4xC2"])
+def test_validate_rejects_a_wrong_rectangle(name, kind):
+    S = complete_system(corpus.group(name))
+    rects = list(S.leq.rectangles())
+    i = next(i for i, (n, m) in enumerate(rects) if n != m)
+    if kind == "drop":
+        del rects[i]
+    elif kind == "repeat":
+        # one rectangle in place of another of the same size: as many
+        # rectangles and as many pairs as before, one rectangle twice
+        def size(r):
+            return len(S.class_reps(r[0])) * len(S.class_reps(r[1]))
+
+        i, j = next(
+            (i, j) for i in range(len(rects)) for j in range(i) if size(rects[i]) == size(rects[j])
+        )
+        rects[i] = rects[j]
+    elif kind == "flip":
+        rects[i] = rects[i][::-1]
+    elif kind == "foreign":
+        rects[i] = (rects[i][0], 0)
+    S.leq = Relation(S.leq.tuples, len(S.leq), lambda: iter(rects))
+    with pytest.raises(GroupError, match="^<= does not match containment of the classes$"):
+        S.validate()
 
 
 @pytest.mark.parametrize("name", ["C4", "S3", "D4", "Q8", "A4"])
