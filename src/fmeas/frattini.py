@@ -34,6 +34,9 @@ from .groups import (
     subgroup_masks_within,
 )
 
+# per image byte, its digit in the binary numeral of the kernel mask
+_KERNEL_DIGITS = b"1" + b"0" * 255
+
 _frattini_cache: "weakref.WeakKeyDictionary[FiniteGroup, FrattiniReport]" = (
     weakref.WeakKeyDictionary()
 )
@@ -132,13 +135,19 @@ class EmbeddingReport:
 def _factorings(gammas: list[GroupHom]) -> list[tuple[int, bytes]]:
     """(ker gamma, section) per gamma, where gamma(section[b]) = b; the
     section as bytes, since _reached relabels it (sources have order at
-    most DEFAULT_ORDER_CAP)."""
+    most DEFAULT_ORDER_CAP).
+
+    Both are read off the image table as bytes.  The section is the
+    first |B| bytes of bytes.maketrans(image, 0..n-1), which sends each
+    b to the last x with gamma(x) = b.  The kernel mask is the image
+    translated into a binary string, "1" where gamma(x) = 0, read in
+    reverse as a base-2 numeral.
+    """
     out = []
     for gamma in gammas:
-        section = [0] * gamma.target.order
-        for x, b in enumerate(gamma.image_of):
-            section[b] = x
-        out.append((gamma.preimage_mask(1), bytes(section)))
+        image = bytes(gamma.image_of)
+        section = bytes.maketrans(image, bytes(range(len(image))))[: gamma.target.order]
+        out.append((int(image.translate(_KERNEL_DIGITS)[::-1], 2), section))
     return out
 
 

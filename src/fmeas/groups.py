@@ -32,7 +32,7 @@ Subgroup enumeration and isomorphism testing are supported up to order
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, countOf, eq, itemgetter
+from operator import and_, countOf, eq, getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
@@ -63,13 +63,13 @@ class FiniteGroup:
     table[a][b] is the index of a*b.  Instances compare by identity;
     structural comparison is what isomorphic() is for.
 
-    A table of order at most 256 is checked first as one byte string per
+    A table of order 4 to 256 is checked first as one byte string per
     row: entries, identity and Latin rows and columns in whole-string
     passes (_latin_bytes), then Light's test as one bytes.translate per
     generator (_light_bytes).  That route only accepts.  Any fault sends
     the table through the ordered checks, which name it: entries, then
     labels, identity, Latin rows and columns, inverses and Light's test
-    on rows.  Larger tables take the ordered checks alone.
+    on rows.  Smaller and larger tables take the ordered checks alone.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
@@ -85,10 +85,11 @@ class FiniteGroup:
         self.table = rows
         # set first, as the checks use them
         self._init_caches()
-        # up to order 256 the table is first checked as bytes, which only
-        # accepts; a table it refuses takes the ordered checks, which name
-        # the first fault, so the messages do not depend on the route
-        row_bytes = self._latin_bytes() if n <= 256 else None
+        # from order 4 to 256 the table is first checked as bytes, which
+        # only accepts; a table it refuses takes the ordered checks, which
+        # name the first fault, so the messages do not depend on the
+        # route.  Below order 4 the ordered checks cost less
+        row_bytes = self._latin_bytes() if 4 <= n <= 256 else None
         rows_ok = True
         if row_bytes is None:
             full = set(range(n))
@@ -157,18 +158,19 @@ class FiniteGroup:
     # -- construction-time checks -------------------------------------
 
     def _latin_bytes(self) -> Optional[list[bytes]]:
-        """The rows as byte strings, when every entry is a plain int, 0 is
-        a two-sided identity and every row and column is a permutation of
-        0..n-1; None otherwise.  For order at most 256.
+        """The rows as byte strings, when 0 is a two-sided identity, every
+        row and column is a permutation of 0..n-1 and the entries valued
+        0 and 1 are plain ints; None otherwise.  For order 4 to 256.
 
-        bytes() refuses, at C speed, what is not an integer in 0..255, but
-        takes bools, so the entry types are counted too.  A row or column
-        holds every index when deleting its bytes from 0..n-1 leaves
-        nothing.  The rows then have n bytes each, as every n-th byte of
-        them makes the n-byte identity column, so each is a permutation
-        and every entry is below n.  Each check stands in for an ordered
-        one, so that a table passing them fails, if at all, where the
-        ordered checks would next fail: at the inverses or associativity.
+        bytes() refuses, at C speed, what is not an index in 0..255, but
+        takes bools as 0 and 1.  A row or column holds every index when
+        deleting its bytes from 0..n-1 leaves nothing.  The rows then have
+        n bytes each, as every n-th byte of them makes the n-byte identity
+        column, so each is a permutation and every entry is below n.  So
+        a bool can only be one of the 2n entries valued 0 or 1, and only
+        those are type-tested.  Each check stands in for an ordered one,
+        so that a table passing them fails, if at all, where the ordered
+        checks would next fail: at the inverses or associativity.
         """
         n = self.order
         rows = self.table
@@ -179,13 +181,17 @@ class FiniteGroup:
         ident = bytes(range(n))
         flat = b"".join(row_bytes)
         if (
-            sum(countOf(map(type, row), int) for row in rows) != len(flat)
-            or row_bytes[0] != ident
+            row_bytes[0] != ident
             or flat[::n] != ident
             or any(ident.translate(None, row) for row in row_bytes)
             or any(ident.translate(None, flat[j::n]) for j in range(n))
         ):
             return None
+        # a bool can only sit where a row holds 0 or 1
+        for v in (0, 1):
+            at = map(bytes.index, row_bytes, [v] * n)
+            if countOf(map(type, map(getitem, rows, at)), int) != n:
+                return None
         return row_bytes
 
     def _light_bytes(self, row_bytes: list[bytes]) -> bool:
@@ -989,41 +995,68 @@ def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:
     (GroupHom._onto): every closing pair agreed, each generator, which
     is new in its P_{k+1}, got its image by the edge from 0, and the
     pruning left I = H.  The tests hold every leaf to the full check.
+
+    The search is one loop over a stack of per-slot candidate
+    iterators.  A slot's candidates, the images h that survive the
+    pruning with the subgroup each then generates, depend only on the
+    slot and the subgroup its prefix generates, so they are listed once
+    per such pair.
     """
     if G.order % H.order != 0:
         return
     index = G.order // H.order
     gens = G.generator_sequence()
+    if not gens:  # G trivial, so H is too
+        yield GroupHom._onto(G, H, (0,))
+        return
     steps = _prefix_steps(G, gens)
+    last = len(gens) - 1
     th = H.table
     phi = [0] * G.order
-    chosen: list[int] = []
+    chosen = [0] * len(gens)
+    listed: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def dfs(slot: int, mask: int) -> Iterator[GroupHom]:
-        if slot == len(gens):
-            yield GroupHom._onto(G, H, tuple(phi))
-            return
-        size, edges, closing = steps[slot]
-        for h in range(H.order):
-            grown = H.extend_mask(mask, h)
-            image = bin(grown).count("1")
-            if size % image != 0 or size // image > index:
-                continue
-            chosen.append(h)
+    def candidates(slot: int, mask: int) -> Iterator[tuple[int, int]]:
+        got = listed.get((slot, mask))
+        if got is None:
+            size = steps[slot][0]
+            got = listed[(slot, mask)] = []
+            for h in range(H.order):
+                grown = H.extend_mask(mask, h)
+                image = grown.bit_count()
+                if size % image == 0 and size // image <= index:
+                    got.append((h, grown))
+        return iter(got)
+
+    stack = [candidates(0, 1)]
+    while stack:
+        slot = len(stack) - 1
+        _, edges, closing = steps[slot]
+        for h, grown in stack[slot]:
+            chosen[slot] = h
             for x, s, y in edges:
                 phi[y] = th[phi[x]][chosen[s]]
-            if all(phi[y] == th[phi[x]][chosen[s]] for x, s, y in closing):
-                yield from dfs(slot + 1, grown)
-            chosen.pop()
-
-    yield from dfs(0, 1)
+            for x, s, y in closing:
+                if phi[y] != th[phi[x]][chosen[s]]:
+                    break
+            else:
+                if slot == last:
+                    yield GroupHom._onto(G, H, tuple(phi))
+                    continue
+                stack.append(candidates(slot + 1, grown))
+                break
+        else:
+            stack.pop()
 
 
 def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """True iff an epimorphism G -> H exists between groups of equal order."""
+    """True iff an epimorphism G -> H exists between groups of equal order.
+
+    Equal tables need no search: the identity map is then an isomorphism.
+    """
     if G.order > DEFAULT_ORDER_CAP or H.order > DEFAULT_ORDER_CAP:
         raise CapExceeded("isomorphism test capped at order %d" % DEFAULT_ORDER_CAP)
-    if G is H:
+    if G.table == H.table:
         return True
     if G.fingerprint() != H.fingerprint():
         return False

@@ -45,9 +45,15 @@ def normal_family(G: FiniteGroup) -> tuple[Subgroup, ...]:
 class Relation:
     """A relation generated on demand: its tuples in dump order, and its size.
 
-    A relation that is a union of class rectangles, every element of
-    class N paired with every element of class M, also yields those
-    pairs (N, M) of class masks, unexpanded; rectangles is None otherwise.
+    A relation may also yield a shorter form of itself, which validate()
+    checks in place of the tuples; each is None when there is none:
+    - rectangles: for a union of class rectangles, every element of
+      class N paired with every element of class M, the pairs (N, M) of
+      class masks, unexpanded;
+    - blocks: for the system's own C and P, the units its coset maps
+      expand.  A C block is a pair (N, M) of class masks, every gN paired
+      with its image in M; a P block is a class mask N, the whole product
+      table of class N.
     """
 
     def __init__(
@@ -55,10 +61,12 @@ class Relation:
         tuples: Callable[[], Iterator[tuple]],
         size: int,
         rectangles: Optional[Callable[[], Iterator[tuple[int, int]]]] = None,
+        blocks: Optional[Callable[[], Iterator]] = None,
     ):
         self.tuples = tuples
         self.size = size
         self.rectangles = rectangles
+        self.blocks = blocks
 
     def __iter__(self) -> Iterator[tuple]:
         return self.tuples()
@@ -73,11 +81,12 @@ class CompleteSystem:
     Universe elements are (mask, rep) pairs naming the coset rep*N by
     the least element it contains, so a subsystem's universe is a
     literal subset of the parent's.  Relations are generated from those
-    representatives and the group table, never stored; validate()
-    makes one pass over P and C, checks <= by its class rectangles, and
-    counts what it met against the class sizes.  _above holds, per class,
-    the family masks above it, in family order: C, <= and the rectangles
-    of <= are generated from it, their sizes read off it.
+    representatives and the group table, never stored.  _rep_in[N]
+    names the coset of every group element, _reps[N] lists the names,
+    and _above[N] holds the family masks above N, in family order: C
+    and <= are generated from _above, and their sizes read off it.  C
+    and P also yield their blocks, and <= its rectangles, which
+    validate() checks without expanding them.
     """
 
     __slots__ = (
@@ -121,28 +130,56 @@ class CompleteSystem:
         if not upward:
             raise GroupError("the family is not upward closed")
         family.sort(key=lambda H: (group.order // H.order, H.elements))
-        self.group = group
-        self.normals = tuple(family)
-        self._id_of = {N.mask: i for i, N in enumerate(self.normals)}
-
         # least element of each coset gN, per family member
-        self._rep_in, self._reps = {}, {}
-        for N in self.normals:
-            self._rep_in[N.mask], self._reps[N.mask] = cosets(group, N.mask)
-        self.universe = tuple((n, r) for n, reps in self._reps.items() for r in reps)
-        self.one = (full, 0)
+        rep_in, reps = {}, {}
+        for N in family:
+            rep_in[N.mask], reps[N.mask] = cosets(group, N.mask)
+        fam = list(reps)  # family order
+        above = {
+            n: tuple(map(fam.__getitem__, _mask_to_elems(up))) for n, up in zip(fam, up_sets(fam))
+        }
+        self._fill(group, tuple(family), rep_in, reps, above)
 
-        index = {mask: len(reps) for mask, reps in self._reps.items()}
-        fam = list(index)  # family order
-        self._above = {}
+    @classmethod
+    def _restricted(cls, parent: "CompleteSystem", meet: int) -> "CompleteSystem":
+        """The subsystem of parent on its members above meet, itself a
+        member, read off the parent without a check or a coset pass: each
+        member keeps its cosets, and its up-set, which lies in the
+        subfamily."""
+        family = parent._above[meet]
+        self = cls.__new__(cls)
+        self._fill(
+            parent.group,
+            tuple(parent.normals[parent._id_of[m]] for m in family),
+            {m: parent._rep_in[m] for m in family},
+            {m: parent._reps[m] for m in family},
+            {m: parent._above[m] for m in family},
+        )
+        return self
+
+    def _fill(
+        self,
+        group: FiniteGroup,
+        normals: tuple[Subgroup, ...],
+        rep_in: Dict[int, tuple[int, ...]],
+        reps: Dict[int, tuple[int, ...]],
+        above: Dict[int, tuple[int, ...]],
+    ) -> None:
+        """Set every field from the sorted family and its coset maps."""
+        self.group = group
+        self.normals = normals
+        self._id_of = {N.mask: i for i, N in enumerate(normals)}
+        self._rep_in, self._reps, self._above = rep_in, reps, above
+        self.universe = tuple((n, r) for n, rs in reps.items() for r in rs)
+        self.one = ((1 << group.order) - 1, 0)
+        index = {mask: len(rs) for mask, rs in reps.items()}
         n_compat = n_leq = 0
-        for n, up in zip(fam, up_sets(fam)):  # up: the j with N in fam[j]
-            above = self._above[n] = tuple(map(fam.__getitem__, _mask_to_elems(up)))
-            n_compat += index[n] * len(above)
-            n_leq += index[n] * sum(map(index.__getitem__, above))
-        self.compat = Relation(self._compat, n_compat)
-        self.leq = Relation(self._leq, n_leq, self._leq_rectangles)
-        self.prod = Relation(self._prod, sum(i * i for i in index.values()))
+        for n, up in above.items():
+            n_compat += index[n] * len(up)
+            n_leq += index[n] * sum(map(index.__getitem__, up))
+        self.compat = Relation(self._compat, n_compat, blocks=self._comparable)
+        self.leq = Relation(self._leq, n_leq, self._comparable)
+        self.prod = Relation(self._prod, sum(i * i for i in index.values()), blocks=self._classes)
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
@@ -156,10 +193,16 @@ class CompleteSystem:
             for b in self._reps[m]:
                 yield x, (m, b)
 
-    def _leq_rectangles(self) -> Iterator[tuple[int, int]]:
+    def _comparable(self) -> Iterator[tuple[int, int]]:
+        """The pairs (N, M) of classes with N inside M: the blocks of C and
+        the rectangles of <=."""
         for n, above in self._above.items():
             for m in above:
                 yield n, m
+
+    def _classes(self) -> Iterator[int]:
+        """The class masks in family order: the blocks of P."""
+        return (N.mask for N in self.normals)
 
     def _prod(self) -> Iterator[tuple[Element, Element, Element]]:
         t = self.group.table
@@ -232,10 +275,19 @@ class CompleteSystem:
     def validate(self) -> None:
         """Check the axioms; raises on any failure.
 
-        P and C are checked with one pass over each.  A <= that yields
-        its class rectangles, as the system's own does, is checked one
-        rectangle at a time, never expanded; any other iterable is
-        checked with one pass over its pairs.
+        The system's own P and C are checked by their blocks, and <= by
+        its rectangles, none expanded; any other iterable is checked with
+        one pass over its tuples.
+
+        The P blocks must be the classes of the universe, once each.
+        Then, per class N, an accept-only pass on bytes (_quotient_holds)
+        proves that N is a normal subgroup, that _rep_in[N] names each
+        coset by its representative in the universe, and that P on the
+        class is the product of G/N, which is more than the pass over
+        the tuples asks: that P be some group.  A class it refuses takes
+        that pass over P and then over C, which name the fault as
+        before; if both accept, P is not G/N's product.  With the coset
+        maps proved, the C blocks are checked as the rectangles are.
         """
         G = self.group
         elems = set(self.universe)
@@ -246,38 +298,27 @@ class CompleteSystem:
         by_mask: Dict[int, list[int]] = {}
         for mask, r in self.universe:
             by_mask.setdefault(mask, []).append(r)
-        # each class is a group under P, with the class of 1 as identity
-        pos = {mask: {r: i for i, r in enumerate(sorted(reps))} for mask, reps in by_mask.items()}
-        tables = {mask: [[-1] * len(p) for _ in p] for mask, p in pos.items()}
-        for x, y, z in self.prod:
-            if y[0] != x[0] or z[0] != x[0]:
-                raise GroupError("P relates cosets of different classes")
-            if x not in elems or y not in elems or z not in elems:
-                raise GroupError("P relates cosets outside the universe")
-            p, table = pos[x[0]], tables[x[0]]
-            if table[p[x[1]]][p[y[1]]] != -1:
-                raise GroupError("P is not functional")
-            table[p[x[1]]][p[y[1]]] = p[z[1]]
-        for mask, table in tables.items():
-            if any(v == -1 for row in table for v in row):
+        classes = getattr(self.prod, "blocks", None)
+        proved = None  # whether every class is proved G/N; None if not tried
+        if classes is not None:
+            # each class of the universe is one P block
+            found = set()
+            for n in classes():
+                if n not in by_mask:
+                    raise GroupError("P relates cosets outside the universe")
+                if n in found:
+                    raise GroupError("P is not functional")
+                found.add(n)
+            if len(found) != len(by_mask):
                 raise GroupError("P is not total on a class")
-            if 0 not in pos[mask]:
-                raise GroupError("a class is missing the coset of the identity")
-            FiniteGroup(table)  # raises unless the class is a group
-        # C between comparable classes is exactly the projection graph: x
-        # lies in the coset yM iff y^-1 x is in M, both ends lie in the
-        # universe, and each element meets every class above its own once
-        seen = set()
-        for x, y in self.compat:
-            if x[0] & y[0] != x[0]:
-                raise GroupError("C crosses an incomparable pair of classes")
-            if (x, y[0]) in seen:
-                raise GroupError("C is not functional toward a class")
-            seen.add((x, y[0]))
-            if not (0 <= x[1] < G.order and y[0] >> G.table[G.inv(y[1])][x[1]] & 1):
-                raise GroupError("C does not follow the canonical projection")
-            if x not in elems or y not in elems:
-                raise GroupError("C relates cosets outside the universe")
+            columns = [G.column_bytes(g) for g in range(G.order)]
+            pad = bytes(256 - G.order)
+            padded = [column + pad for column in columns]
+            proved = all(
+                self._quotient_holds(n, names, columns, padded) for n, names in by_mask.items()
+            )
+        if not proved:
+            _check_prod(self.prod, by_mask, elems)
         comparable = want_c = want_leq = 0
         sizes = list(map(len, by_mask.values()))
         for size, up in zip(sizes, up_sets(list(by_mask))):
@@ -285,8 +326,27 @@ class CompleteSystem:
             comparable += len(above)
             want_c += size * len(above)
             want_leq += size * sum(above)
-        if len(seen) != want_c:
-            raise GroupError("C misses a comparable pair")
+        projections = getattr(self.compat, "blocks", None)
+        if proved and projections is not None:
+            # C block (N, M) pairs each gN with _rep_in[M][g], the name of
+            # gM, both proved above: so C is the projection graph when the
+            # blocks are distinct comparable pairs of classes, all of them
+            found, pairs = set(), 0
+            for n, m in projections():
+                if n & m != n:
+                    raise GroupError("C crosses an incomparable pair of classes")
+                if (n, m) in found:
+                    raise GroupError("C is not functional toward a class")
+                if n not in by_mask or m not in by_mask:
+                    raise GroupError("C relates cosets outside the universe")
+                found.add((n, m))
+                pairs += len(by_mask[n])
+            if len(found) != comparable or pairs != want_c:
+                raise GroupError("C misses a comparable pair")
+        else:
+            _check_compat(self.compat, elems, G, want_c)
+        if proved is False:
+            raise GroupError("P is not the quotient product on a class")
         # <= compares classes by containment of the normal subgroups
         rectangles = getattr(self.leq, "rectangles", None)
         if rectangles is not None:
@@ -314,6 +374,95 @@ class CompleteSystem:
         if sum(b.bit_count() for b in seen.values()) != want_leq:
             raise GroupError("<= does not match containment of the classes")
 
+    def _quotient_holds(
+        self, mask: int, names: list[int], columns: list[bytes], padded: list[bytes]
+    ) -> bool:
+        """True when the class with this mask and these universe names is
+        G/N, N the mask's elements, with P its product; False on any
+        fault, or data that is not a table of names of G.
+
+        On bytes, as systems have order at most 64, with to = _rep_in[N]
+        and R = _reps[N], the universe's names:
+        - N holds 0 and |R| |N| = |G|;
+        - to(y*m) = y for y in R and to(m'*m) = 0 for m' in N, per m in
+          N: one translate of R then N by column m, one by to.  So N is
+          closed, a subgroup, and to names each left coset yN by y;
+        - to(to(x)*b) = to(x*b) for every x and each b in R, P's column
+          b: to(x)*b is one translate of to by column b.  Then
+          to(xy) = to(x*to(y)) = to(to(x)*to(y)), so to is onto a
+          group, P's table on R, with kernel N, which is so normal.
+        """
+        G = self.group
+        n = G.order
+        try:
+            if not mask & 1 or mask >> n:
+                return False
+            R = bytes(self._reps[mask])
+            to = bytes(self._rep_in[mask])
+            members = bytes(G.elems_of_mask(mask))
+        except (KeyError, TypeError, ValueError):
+            return False
+        if (
+            len(to) != n
+            or len(R) * len(members) != n
+            or len(set(R)) != len(R)
+            or set(R) != set(names)
+            or max(R) >= n
+        ):
+            return False
+        by_to = to + bytes(256 - n)
+        named = R + members
+        want = R + bytes(len(members))
+        for m in members:
+            if named.translate(padded[m]).translate(by_to) != want:
+                return False
+        for b in R:
+            if to.translate(padded[b]).translate(by_to) != columns[b].translate(by_to):
+                return False
+        return True
+
+
+def _check_prod(prod: Iterable, by_mask: Dict[int, list[int]], elems: set) -> None:
+    """P by one pass over its triples: each class is a group under P, with
+    the class of 1 as identity."""
+    pos = {mask: {r: i for i, r in enumerate(sorted(reps))} for mask, reps in by_mask.items()}
+    tables = {mask: [[-1] * len(p) for _ in p] for mask, p in pos.items()}
+    for x, y, z in prod:
+        if y[0] != x[0] or z[0] != x[0]:
+            raise GroupError("P relates cosets of different classes")
+        if x not in elems or y not in elems or z not in elems:
+            raise GroupError("P relates cosets outside the universe")
+        p, table = pos[x[0]], tables[x[0]]
+        if table[p[x[1]]][p[y[1]]] != -1:
+            raise GroupError("P is not functional")
+        table[p[x[1]]][p[y[1]]] = p[z[1]]
+    for mask, table in tables.items():
+        if any(v == -1 for row in table for v in row):
+            raise GroupError("P is not total on a class")
+        if 0 not in pos[mask]:
+            raise GroupError("a class is missing the coset of the identity")
+        FiniteGroup(table)  # raises unless the class is a group
+
+
+def _check_compat(compat: Iterable, elems: set, G: FiniteGroup, want_c: int) -> None:
+    """C by one pass over its pairs: between comparable classes it is
+    exactly the projection graph.  x lies in the coset yM iff y^-1 x is
+    in M, both ends lie in the universe, and each element meets every
+    class above its own once."""
+    seen = set()
+    for x, y in compat:
+        if x[0] & y[0] != x[0]:
+            raise GroupError("C crosses an incomparable pair of classes")
+        if (x, y[0]) in seen:
+            raise GroupError("C is not functional toward a class")
+        seen.add((x, y[0]))
+        if not (0 <= x[1] < G.order and y[0] >> G.table[G.inv(y[1])][x[1]] & 1):
+            raise GroupError("C does not follow the canonical projection")
+        if x not in elems or y not in elems:
+            raise GroupError("C relates cosets outside the universe")
+    if len(seen) != want_c:
+        raise GroupError("C misses a comparable pair")
+
 
 def complete_system(G: FiniteGroup) -> CompleteSystem:
     """The full system over every normal subgroup of G."""
@@ -329,7 +478,9 @@ def generated_subsystem(S: CompleteSystem, A: Iterable[Element]) -> CompleteSyst
 
     On the families of normal subgroups this is the up-set of the meet
     of the generators' classes; whole coset classes come along with each
-    family member.
+    family member.  The meet is a member of S's family, which is closed
+    under intersection, and the subsystem is restricted from S
+    (CompleteSystem._restricted): its family is S's up-set of the meet.
     """
     elems = set(S.universe)
     meet = (1 << S.group.order) - 1
@@ -337,7 +488,7 @@ def generated_subsystem(S: CompleteSystem, A: Iterable[Element]) -> CompleteSyst
         if x not in elems:
             raise GroupError("generator %r is not in the universe" % (x,))
         meet &= x[0]
-    return CompleteSystem(S.group, [N for N in S.normals if meet & N.mask == meet])
+    return CompleteSystem._restricted(S, meet)
 
 
 def dual_group(S: CompleteSystem) -> tuple[FiniteGroup, GroupHom]:
@@ -347,12 +498,13 @@ def dual_group(S: CompleteSystem) -> tuple[FiniteGroup, GroupHom]:
 
 
 def level_quotient(G: FiniteGroup, i: int) -> FiniteGroup:
-    """Dual of the subsystem generated by all cosets of index at most i."""
+    """Dual of the subsystem generated by all cosets of index at most i:
+    the subsystem above the meet of the classes of index at most i."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise GroupError("level must be a positive integer")
     S = complete_system(G)
-    A = [x for x in S.universe if S.sort_of(x) <= i]
-    return dual_group(generated_subsystem(S, A))[0]
+    meet = reduce(and_, (N.mask for N in S.normals if G.order // N.order <= i))
+    return dual_group(CompleteSystem._restricted(S, meet))[0]
 
 
 class SystemEmbedding:

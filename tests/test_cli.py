@@ -356,6 +356,40 @@ def test_invsys_suite_at_the_order_cap_is_fast(tmp_path):
     assert peak_mb < 360, "peak RSS %.0f MB" % peak_mb
 
 
+def test_invsys_suite_at_the_order_cap_checks_by_class(tmp_path):
+    # the suite above, bounded tighter again: with C and P checked per
+    # class and per block on bytes, and the level tower's subsystems
+    # restricted from the system, about 1.5 s at 54 MB on a 2-core x86-64
+    # machine (CPython 3.11), against about 8 s at 330 MB when validate()
+    # walked every P triple and C pair; the child prints its own peak RSS
+    # (kB on Linux) last on stderr
+    p = tmp_path / "c2_6.json"
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    child = (
+        "import resource, sys\n"
+        "from fmeas.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "verify", str(p), "--suite", "invsys"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=150,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
+    peak_mb = int(proc.stderr) / 1024
+    assert elapsed < 6.0, "took %.2f s" % elapsed
+    assert peak_mb < 100, "peak RSS %.0f MB" % peak_mb
+
+
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
     # C2^6 with N = G: 2,825 subgroups, all normal, and 92,881 chains
     # N1 < N2, read off up-sets and each decided by one mask test; about

@@ -404,6 +404,29 @@ def test_reached_sets_match_composition_oracle(name):
             assert got == expected
 
 
+# frattini._factorings as it stood before it read the image as bytes: a
+# loop over the image table per gamma, and a second pass for the kernel;
+# kept as the slow oracle
+def oracle_factorings(gammas):
+    out = []
+    for gamma in gammas:
+        section = [0] * gamma.target.order
+        for x, b in enumerate(gamma.image_of):
+            section[b] = x
+        out.append((gamma.preimage_mask(1), bytes(section)))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_factorings_match_the_per_gamma_loop(name):
+    # every epimorphism onto every image class; where several x share an
+    # image the section keeps the last, as the loop does
+    G = corpus.group(name)
+    for B in image_classes(G):
+        gammas = epimorphisms(G, B)
+        assert _factorings(gammas) == oracle_factorings(gammas)
+
+
 def test_c2_4_has_the_embedding_property_in_bounded_time():
     # C2^4 composes 2,520 betas with 20,160 gammas for one pair alone,
     # about 2 minutes; the kernel rule takes about 2 s on a 2-core

@@ -215,7 +215,9 @@ def test_associativity_check_catches_a_loop_at_and_above_order_256(n):
 def test_no_valid_table_takes_the_ordered_checks(monkeypatch):
     # a byte route that refused every table would pass the other tests,
     # as the ordered checks give every verdict; so valid tables of every
-    # corpus group, D4 x D4 and orders 255 and 256 must never reach them
+    # corpus group from order 4, D4 x D4 and orders 255 and 256 must never
+    # reach them.  Below order 4 the ordered checks cost less than the
+    # byte route, and every table takes them
     tables = [corpus.group(name).table for name in ALL_NAMES]
     tables.append(direct_product(dihedral(4), dihedral(4)).table)
     tables += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (255, 256)]
@@ -225,8 +227,15 @@ def test_no_valid_table_takes_the_ordered_checks(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "_check_permutation_rows", refuse)
     monkeypatch.setattr(FiniteGroup, "_check_associativity", refuse)
+    small = 0
     for table in tables:
-        assert FiniteGroup([list(row) for row in table]).table == tuple(map(tuple, table))
+        if len(table) < 4:
+            with pytest.raises(AssertionError, match="reached the ordered checks"):
+                FiniteGroup([list(row) for row in table])
+            small += 1
+        else:
+            assert FiniteGroup([list(row) for row in table]).table == tuple(map(tuple, table))
+    assert small == 3  # C1, C2 and C3
 
 
 def test_a_byte_verdict_the_row_checks_contradict_is_an_internal_error(monkeypatch):
@@ -521,6 +530,23 @@ def corrupted_tables(G):
     # a bad entry after a short row, and a short row after a bad entry
     yield [base[0], base[1][:-1]] + [row[:-1] + [-1] for row in base[2:]]
     yield [base[0], base[1][:-1] + [-1]] + [row[:-1] for row in base[2:]]
+
+
+@pytest.mark.parametrize("name", ["C2xC2", "C4", "S3", "D4", "C6xC2xC2", "D4xD4"])
+def test_a_bool_in_a_valid_table_takes_the_ordered_checks(name):
+    # bytes() takes True as 1 and False as 0, so a table with one of them
+    # in place of a 1 or a 0 passes every byte check but the type test of
+    # the entries valued 0 and 1, and gets the ordered checks' message
+    G = large_or_corpus_group(name)
+    n = G.order
+    for value, entry in [(1, True), (0, False)]:
+        for r in (1, n // 2, n - 1):
+            table = [list(row) for row in G.table]
+            table[r][table[r].index(value)] = entry
+            with pytest.raises(GroupError) as info:
+                FiniteGroup(table)
+            assert str(info.value) == "table entry %r is not an element index" % entry
+            assert str(info.value) == oracle_table_error(table)
 
 
 # groups past the corpus's largest order, 24, up to either side of the
@@ -1018,6 +1044,60 @@ def test_epimorphisms_match_the_brute_force_oracle(name):
             assert [phi.image_of for phi in epimorphisms(G, H)] == oracle_epimorphisms(G, H)
 
 
+# groups._epimorphism_search as it stood before it became one loop over a
+# stack of candidate iterators: a recursive generator, one level per
+# generator, pruning and closing pairs as now; kept as the slow oracle
+def oracle_epimorphism_search(G, H):
+    if G.order % H.order != 0:
+        return
+    index = G.order // H.order
+    gens = G.generator_sequence()
+    steps = groups._prefix_steps(G, gens)
+    th = H.table
+    phi = [0] * G.order
+    chosen = []
+
+    def dfs(slot, mask):
+        if slot == len(gens):
+            yield tuple(phi)
+            return
+        size, edges, closing = steps[slot]
+        for h in range(H.order):
+            grown = H.extend_mask(mask, h)
+            image = bin(grown).count("1")
+            if size % image != 0 or size // image > index:
+                continue
+            chosen.append(h)
+            for x, s, y in edges:
+                phi[y] = th[phi[x]][chosen[s]]
+            if all(phi[y] == th[phi[x]][chosen[s]] for x, s, y in closing):
+                yield from dfs(slot + 1, grown)
+            chosen.pop()
+
+    yield from dfs(0, 1)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_epimorphism_search_matches_the_recursive_oracle(name):
+    # the same leaves in the same order, onto every image class
+    G = corpus.group(name)
+    for B in image_classes(G):
+        got = [phi.image_of for phi in groups._epimorphism_search(G, B)]
+        assert got == list(oracle_epimorphism_search(G, B)), B.order
+
+
+def test_epimorphism_search_is_lazy(monkeypatch):
+    # isomorphic() takes the first leaf only, so no later one is built
+    checked, derived = count_hom_builds(monkeypatch)
+    G = corpus.group("C2xC2xC2")
+    search = groups._epimorphism_search(G, cyclic(2))
+    assert next(search).image_of == list(oracle_epimorphism_search(G, cyclic(2)))[0]
+    assert derived == [(8, 2)] and checked == []
+    assert len(list(search)) == 6
+    # a trivial source has one generator sequence, the empty one
+    assert [phi.image_of for phi in groups._epimorphism_search(cyclic(1), cyclic(1))] == [(0,)]
+
+
 def test_epimorphisms_are_deterministic():
     a = [phi.image_of for phi in epimorphisms(corpus.group("D4"), cyclic(2))]
     b = [phi.image_of for phi in epimorphisms(corpus.group("D4"), cyclic(2))]
@@ -1041,6 +1121,29 @@ def test_abelian_and_center_match_the_pairwise_oracle(name):
     n = range(G.order)
     assert G.is_abelian() == all(t[a][b] == t[b][a] for a in n for b in n)
     assert G.center_mask() == oracle_center_mask(t)
+
+
+def test_isomorphic_takes_equal_tables_without_a_search(monkeypatch):
+    # G/1 has G's table, as the invsys suite's dual round trip meets it:
+    # the identity map is then an isomorphism; tables that differ are
+    # still searched
+    calls = []
+    search = groups._epimorphism_search
+
+    def counted(G, H):
+        calls.append((G.order, H.order))
+        return search(G, H)
+
+    monkeypatch.setattr(groups, "_epimorphism_search", counted)
+    for name in ["C1", "C2", "S3", "D4", "SL23"]:
+        G = corpus.group(name)
+        D, _ = quotient(G, Subgroup(G, ()))
+        assert D is not G and D.table == G.table
+        assert isomorphic(D, G) and isomorphic(G, FiniteGroup(G.table))
+    assert calls == []
+    assert isomorphic(cyclic(6), direct_product(cyclic(2), cyclic(3)))
+    assert not isomorphic(dihedral(4), corpus.group("Q8"))
+    assert calls == [(6, 6)]
 
 
 def test_isomorphic_z4_vs_klein_four():

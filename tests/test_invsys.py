@@ -2,17 +2,21 @@
 
 import random
 import tracemalloc
+import types
 from typing import Dict
 
 import pytest
 
 import corpus
+from fmeas import invsys
 from fmeas.groups import (
     CapExceeded,
     FiniteGroup,
     GroupError,
     GroupHom,
     Subgroup,
+    all_subgroups,
+    cosets,
     cyclic,
     direct_product,
     identity_hom,
@@ -375,27 +379,217 @@ CORRUPTIONS = [
 ]
 
 
+def assert_matches_the_oracle(S, kind, seed):
+    want = outcome(oracle_validate, S)
+    got = outcome(CompleteSystem.validate, S)
+    if kind == "c-outside":
+        # the enumerating check lets a C pair from a non-least name through
+        assert want == ("pass", None), seed
+        assert got == ("GroupError", "C relates cosets outside the universe"), seed
+    elif want[0] == "crash":
+        assert got[0] == "GroupError", (seed, want, got)
+    else:
+        assert got == want, seed
+    if kind in ("clean", "leq-duplicate", "leq-shuffle"):
+        # <= is a set of pairs: neither order nor repeats matter
+        assert got == ("pass", None)
+    else:
+        assert got[0] == "GroupError", (seed, got)
+
+
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 @pytest.mark.parametrize("name", SAMPLE)
 def test_validate_matches_the_enumerating_oracle(name, kind):
     for seed in range(3):
         S = complete_system(corpus.group(name))
         corrupt(S, kind, random.Random(seed))
-        want = outcome(oracle_validate, S)
+        assert_matches_the_oracle(S, kind, seed)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@pytest.mark.parametrize("name", SAMPLE)
+def test_every_route_matches_the_enumerating_oracle(name, kind):
+    # corrupt() hands C over as a list of pairs, so above P is checked by
+    # its blocks and C by a pass over its pairs.  Here C keeps its own
+    # blocks wherever the corruption leaves C alone, and then P is handed
+    # over as a list of triples: every route gives the same outcome
+    for seed in range(3):
+        for listed in (False, True):
+            S = complete_system(corpus.group(name))
+            own = S.compat
+            corrupt(S, kind, random.Random(seed))
+            if not kind.startswith("c-"):
+                S.compat = own
+            if listed:
+                S.prod = tuple(S.prod)
+            assert_matches_the_oracle(S, kind, seed)
+
+
+# -- C and P by blocks -----------------------------------------------------------
+
+
+def expand_blocks(S):
+    """C and P from their blocks by the quotient maps, each coset named by
+    its least element, read off the table: a C block (N, M) sends each gN
+    to gM, and a P block N multiplies every pair of cosets of N."""
+    G = S.group
+    t = G.table
+
+    def least(g, mask):
+        return min(t[g][m] for m in G.elems_of_mask(mask))
+
+    compat = [((n, a), (m, least(a, m))) for n, m in S.compat.blocks() for a in S.class_reps(n)]
+    prod = [
+        ((n, a), (n, b), (n, least(t[a][b], n)))
+        for n in S.prod.blocks()
+        for a in S.class_reps(n)
+        for b in S.class_reps(n)
+    ]
+    return compat, prod
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_blocks_expand_to_the_relations(name):
+    # validate() checks the system's own C and P one block at a time; the
+    # blocks must expand to exactly the tuples the relations list
+    S = complete_system(corpus.group(name))
+    for T in (S, generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= 2])):
+        compat, prod = expand_blocks(T)
+        assert len(compat) == len(T.compat) and set(compat) == set(T.compat)
+        assert len(prod) == len(T.prod) and set(prod) == set(T.prod)
+        assert T.leq.blocks is None
+
+
+@pytest.mark.parametrize("name", SAMPLE)
+def test_a_sound_system_is_checked_by_blocks_alone(name, monkeypatch):
+    # a block route that refused every class would pass the other tests,
+    # as the passes over the tuples name every fault; so a sound system
+    # and its subsystems must never reach them
+    def refuse(*args):
+        raise AssertionError("a sound system reached a pass over its tuples")
+
+    monkeypatch.setattr(invsys, "_check_prod", refuse)
+    monkeypatch.setattr(invsys, "_check_compat", refuse)
+    S = complete_system(corpus.group(name))
+    S.validate()
+    for level in (1, 2):
+        generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= level]).validate()
+
+
+BLOCK_FAULTS = {
+    "p-drop": "P is not total on a class",
+    "p-repeat": "P is not functional",
+    "p-foreign": "P relates cosets outside the universe",
+    "c-drop": "C misses a comparable pair",
+    "c-repeat": "C is not functional toward a class",
+    "c-flip": "C crosses an incomparable pair of classes",
+    "c-foreign": "C relates cosets outside the universe",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_FAULTS))
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "D4", "Q8", "C4xC2"])
+def test_validate_rejects_a_wrong_block(name, kind):
+    # the blocks alone are read, so the tuples stay as they were
+    S = complete_system(corpus.group(name))
+    classes, pairs = list(S.prod.blocks()), list(S.compat.blocks())
+    i = next(i for i, (n, m) in enumerate(pairs) if n != m)
+    if kind == "p-drop":
+        del classes[-1]
+    elif kind == "p-repeat":
+        classes[-1] = classes[0]
+    elif kind == "p-foreign":
+        classes[-1] = 0
+    elif kind == "c-drop":
+        del pairs[i]
+    elif kind == "c-repeat":
+        pairs[i] = pairs[i - 1]
+    elif kind == "c-flip":
+        pairs[i] = pairs[i][::-1]
+    elif kind == "c-foreign":
+        # a mask holding the class above, and more than the group
+        pairs[i] = (pairs[i][0], pairs[i][1] | 1 << S.group.order)
+    S.prod = Relation(S.prod.tuples, len(S.prod), blocks=lambda: iter(classes))
+    S.compat = Relation(S.compat.tuples, len(S.compat), blocks=lambda: iter(pairs))
+    with pytest.raises(GroupError) as info:
+        S.validate()
+    assert str(info.value) == BLOCK_FAULTS[kind]
+
+
+def corrupt_coset_map(S, kind, rng):
+    """Change one class's coset map so that every coset keeps a name in the
+    universe: only P's product, or C's projection, can tell."""
+    mask = rng.choice([m for m in S._reps if len(S._reps[m]) >= 2])
+    reps, table = S._reps[mask], list(S._rep_in[mask])
+    if kind == "swap-names":
+        # the cosets of two names swap names
+        y, z = rng.sample(reps, 2)
+        table = [{y: z, z: y}.get(v, v) for v in table]
+    elif kind == "p-column":
+        # one product of two names sent to the name of another coset; a
+        # product that is no name itself leaves the identity's row alone
+        t = S.group.table
+        products = sorted({t[a][b] for a in reps for b in reps})
+        g = rng.choice([g for g in products if g not in reps] or products)
+        table[g] = rng.choice([r for r in reps if r != table[g]])
+    S._rep_in[mask] = tuple(table)
+
+
+@pytest.mark.parametrize("kind", ["swap-names", "p-column"])
+@pytest.mark.parametrize("name", SAMPLE)
+def test_validate_rejects_a_wrong_coset_map(name, kind):
+    # the block route refuses the class, and the pass over P's triples
+    # names the fault as the enumerating oracle does, or else the pass
+    # over C's pairs does
+    for seed in range(5):
+        S = complete_system(corpus.group(name))
+        corrupt_coset_map(S, kind, random.Random(seed))
         got = outcome(CompleteSystem.validate, S)
-        if kind == "c-outside":
-            # the enumerating check lets a C pair from a non-least name through
-            assert want == ("pass", None), seed
-            assert got == ("GroupError", "C relates cosets outside the universe"), seed
-        elif want[0] == "crash":
-            assert got[0] == "GroupError", (seed, want, got)
-        else:
+        assert got[0] == "GroupError", seed
+        want = outcome(oracle_validate, S)
+        if want[0] == "GroupError":
             assert got == want, seed
-        if kind in ("clean", "leq-duplicate", "leq-shuffle"):
-            # <= is a set of pairs: neither order nor repeats matter
-            assert got == ("pass", None)
         else:
-            assert got[0] == "GroupError", (seed, got)
+            assert got[1].startswith("C "), (seed, got)
+
+
+def with_class_replaced(S, old, new):
+    """S with the class of mask old replaced by the mask new, its cosets
+    named by their least elements and the up-sets read by containment."""
+    masks = [new if m == old else m for m in S._reps]
+    S.normals = tuple(types.SimpleNamespace(mask=m) for m in masks)
+    S._rep_in, S._reps = {}, {}
+    for m in masks:
+        S._rep_in[m], S._reps[m] = cosets(S.group, m)
+    S._above = {n: tuple(m for m in masks if n & m == n) for n in masks}
+    S.universe = tuple((n, r) for n, reps in S._reps.items() for r in reps)
+
+
+def test_validate_rejects_a_class_that_is_not_a_subgroup():
+    # C4 with the class {0, 2} replaced by {0, 1}: its translates {0, 1}
+    # and {2, 3}, named 0 and 2, make a group of order 2 under P, and C
+    # follows them, so the enumerating oracle passes it; but 1 + 1 = 2
+    # leaves {0, 1}, and P is no quotient product of C4
+    S = complete_system(cyclic(4))
+    with_class_replaced(S, 0b0101, 0b0011)
+    assert S._rep_in[0b0011] == (0, 0, 2, 2)
+    assert outcome(oracle_validate, S) == ("pass", None)
+    with pytest.raises(GroupError, match="^P is not the quotient product on a class$"):
+        S.validate()
+
+
+def test_validate_rejects_a_class_that_is_not_normal():
+    # D4 with its centre replaced by a subgroup of order 2 that is not
+    # normal: the left cosets are named by their least elements and make
+    # a group of order 4 under P, so the enumerating oracle passes it; only
+    # P's columns, to(to(x)*b) = to(x*b), tell
+    G = corpus.group("D4")
+    S = complete_system(G)
+    H = next(H for H in all_subgroups(G) if H.order == 2 and not H.is_normal())
+    with_class_replaced(S, G.center_mask(), H.mask)
+    assert outcome(oracle_validate, S) == ("pass", None)
+    with pytest.raises(GroupError, match="^P is not the quotient product on a class$"):
+        S.validate()
 
 
 def test_validate_on_c2_4_stays_small():
@@ -559,6 +753,26 @@ def test_generated_matches_fixpoint_closure(name):
     first = [x for x in S.universe if x[1] != 0][:4]
     sub = generated_subsystem(S, first)
     assert family_masks(sub) == oracle_closed_family(G, {x[0] for x in first})
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_restricted_subsystems_match_a_built_one(name):
+    # a generated subsystem is restricted from its parent; it must equal
+    # the system built afresh on the same family, above each member
+    G = corpus.group(name)
+    S = complete_system(G)
+    for N in S.normals:
+        sub = generated_subsystem(S, [(N.mask, 0)])
+        built = CompleteSystem(G, [M for M in S.normals if N.mask & M.mask == N.mask])
+        assert sub.normals == built.normals
+        assert sub.universe == built.universe
+        for relation in ("compat", "leq", "prod"):
+            assert len(getattr(sub, relation)) == len(getattr(built, relation))
+        assert sub.dump() == built.dump()
+        sub.validate()
+        # the subsystem's coset maps are its own to replace
+        sub._rep_in[N.mask] = ()
+        assert S._rep_in[N.mask] == built._rep_in[N.mask]
 
 
 def test_generated_within_a_subsystem_stays_inside():
