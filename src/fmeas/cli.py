@@ -279,10 +279,14 @@ def _invsys_checks(loaded: LoadedSetup):
     by_sort = {}
     for x in S.universe:
         by_sort.setdefault(S.sort_of(x), []).append(x)
-    bad = []
+    # levels whose meets agree share one cached projection, and so one embedding
+    bad, embeddings = [], {}
     for j in sorted({1, 2, G.order}):
         low = [x for i in by_sort if i <= j for x in by_sort[i]]
-        emb = dual_embedding(dual_group(generated_subsystem(S, low))[1], S)
+        pi = dual_group(generated_subsystem(S, low))[1]
+        if pi not in embeddings:
+            embeddings[pi] = dual_embedding(pi, S)
+        emb = embeddings[pi]
         image_by_sort = {}
         for x in emb.source.universe:
             image_by_sort.setdefault(emb.source.sort_of(x), []).append(emb(x))

@@ -43,30 +43,11 @@ def normal_family(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 class Relation:
-    """A relation generated on demand: its tuples in dump order, and its size.
+    """A relation generated on demand: its tuples in dump order, and its size."""
 
-    A relation may also yield a shorter form of itself, which validate()
-    checks in place of the tuples; each is None when there is none:
-    - rectangles: for a union of class rectangles, every element of
-      class N paired with every element of class M, the pairs (N, M) of
-      class masks, unexpanded;
-    - blocks: for the system's own C and P, the units its coset maps
-      expand.  A C block is a pair (N, M) of class masks, every gN paired
-      with its image in M; a P block is a class mask N, the whole product
-      table of class N.
-    """
-
-    def __init__(
-        self,
-        tuples: Callable[[], Iterator[tuple]],
-        size: int,
-        rectangles: Optional[Callable[[], Iterator[tuple[int, int]]]] = None,
-        blocks: Optional[Callable[[], Iterator]] = None,
-    ):
+    def __init__(self, tuples: Callable[[], Iterator[tuple]], size: int):
         self.tuples = tuples
         self.size = size
-        self.rectangles = rectangles
-        self.blocks = blocks
 
     def __iter__(self) -> Iterator[tuple]:
         return self.tuples()
@@ -84,9 +65,9 @@ class CompleteSystem:
     representatives and the group table, never stored.  _rep_in[N]
     names the coset of every group element, _reps[N] lists the names,
     and _above[N] holds the family masks above N, in family order: C
-    and <= are generated from _above, and their sizes read off it.  C
-    and P also yield their blocks, and <= its rectangles, which
-    validate() checks without expanding them.
+    and <= are generated from _above, and their sizes read off it.
+    validate() checks these class data, which is to check the relations
+    they generate, without expanding any.
     """
 
     __slots__ = (
@@ -177,9 +158,9 @@ class CompleteSystem:
         for n, up in above.items():
             n_compat += index[n] * len(up)
             n_leq += index[n] * sum(map(index.__getitem__, up))
-        self.compat = Relation(self._compat, n_compat, blocks=self._comparable)
-        self.leq = Relation(self._leq, n_leq, self._comparable)
-        self.prod = Relation(self._prod, sum(i * i for i in index.values()), blocks=self._classes)
+        self.compat = Relation(self._compat, n_compat)
+        self.leq = Relation(self._leq, n_leq)
+        self.prod = Relation(self._prod, sum(i * i for i in index.values()))
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
@@ -192,17 +173,6 @@ class CompleteSystem:
         for x, (m, _) in self._compat():
             for b in self._reps[m]:
                 yield x, (m, b)
-
-    def _comparable(self) -> Iterator[tuple[int, int]]:
-        """The pairs (N, M) of classes with N inside M: the blocks of C and
-        the rectangles of <=."""
-        for n, above in self._above.items():
-            for m in above:
-                yield n, m
-
-    def _classes(self) -> Iterator[int]:
-        """The class masks in family order: the blocks of P."""
-        return (N.mask for N in self.normals)
 
     def _prod(self) -> Iterator[tuple[Element, Element, Element]]:
         t = self.group.table
@@ -275,193 +245,92 @@ class CompleteSystem:
     def validate(self) -> None:
         """Check the axioms; raises on any failure.
 
-        The system's own P and C are checked by their blocks, and <= by
-        its rectangles, none expanded; any other iterable is checked with
-        one pass over its tuples.
-
-        The P blocks must be the classes of the universe, once each.
-        Then, per class N, an accept-only pass on bytes (_quotient_holds)
-        proves that N is a normal subgroup, that _rep_in[N] names each
-        coset by its representative in the universe, and that P on the
-        class is the product of G/N, which is more than the pass over
-        the tuples asks: that P be some group.  A class it refuses takes
-        that pass over P and then over C, which name the fault as
-        before; if both accept, P is not G/N's product.  With the coset
-        maps proved, the C blocks are checked as the rectangles are.
+        C, <= and P are generated from the class data, so the data are
+        checked and no relation is read:
+        - normals, _reps, _rep_in and _above list the same classes, in
+          family order;
+        - the constant is the coset of the whole group, and the universe
+          is the classes' names in order, none repeated;
+        - per class, a pass on bytes (_class_fault) proves that the class
+          is a normal subgroup N, that _rep_in[N] names each coset by
+          its name in the universe, and that P on the class is the
+          product of G/N; so C is the projection graph wherever _above
+          pairs two classes;
+        - each _above[N] is, in family order, the classes containing N:
+          one bitset over the family, compared with the one up_sets
+          gives, neither decoded; so <= is containment of the classes,
+          and C is defined exactly on the comparable pairs.
         """
         G = self.group
+        family = [N.mask for N in self.normals]
+        if not family == list(self._reps) == list(self._rep_in) == list(self._above):
+            raise GroupError("the class data do not list the classes of the family")
         elems = set(self.universe)
         if self.one != ((1 << G.order) - 1, 0) or self.one not in elems:
             raise GroupError("the constant is not the coset of the whole group")
         if len(elems) != len(self.universe):
             raise GroupError("the universe repeats an element")
-        by_mask: Dict[int, list[int]] = {}
-        for mask, r in self.universe:
-            by_mask.setdefault(mask, []).append(r)
-        classes = getattr(self.prod, "blocks", None)
-        proved = None  # whether every class is proved G/N; None if not tried
-        if classes is not None:
-            # each class of the universe is one P block
-            found = set()
-            for n in classes():
-                if n not in by_mask:
-                    raise GroupError("P relates cosets outside the universe")
-                if n in found:
-                    raise GroupError("P is not functional")
-                found.add(n)
-            if len(found) != len(by_mask):
-                raise GroupError("P is not total on a class")
-            columns = [G.column_bytes(g) for g in range(G.order)]
-            pad = bytes(256 - G.order)
-            padded = [column + pad for column in columns]
-            proved = all(
-                self._quotient_holds(n, names, columns, padded) for n, names in by_mask.items()
-            )
-        if not proved:
-            _check_prod(self.prod, by_mask, elems)
-        comparable = want_c = want_leq = 0
-        sizes = list(map(len, by_mask.values()))
-        for size, up in zip(sizes, up_sets(list(by_mask))):
-            above = [sizes[j] for j in _mask_to_elems(up)]
-            comparable += len(above)
-            want_c += size * len(above)
-            want_leq += size * sum(above)
-        projections = getattr(self.compat, "blocks", None)
-        if proved and projections is not None:
-            # C block (N, M) pairs each gN with _rep_in[M][g], the name of
-            # gM, both proved above: so C is the projection graph when the
-            # blocks are distinct comparable pairs of classes, all of them
-            found, pairs = set(), 0
-            for n, m in projections():
-                if n & m != n:
-                    raise GroupError("C crosses an incomparable pair of classes")
-                if (n, m) in found:
-                    raise GroupError("C is not functional toward a class")
-                if n not in by_mask or m not in by_mask:
-                    raise GroupError("C relates cosets outside the universe")
-                found.add((n, m))
-                pairs += len(by_mask[n])
-            if len(found) != comparable or pairs != want_c:
-                raise GroupError("C misses a comparable pair")
-        else:
-            _check_compat(self.compat, elems, G, want_c)
-        if proved is False:
-            raise GroupError("P is not the quotient product on a class")
-        # <= compares classes by containment of the normal subgroups
-        rectangles = getattr(self.leq, "rectangles", None)
-        if rectangles is not None:
-            # a union of class rectangles is checked one rectangle at a
-            # time: distinct comparable pairs of classes, as many as there
-            # are, so every such pair, expanding to every comparable pair
-            found, pairs = set(), 0
-            for n, m in rectangles():
-                if n not in by_mask or m not in by_mask or n & m != n:
-                    raise GroupError("<= does not match containment of the classes")
-                found.add((n, m))
-                pairs += len(by_mask[n]) * len(by_mask[m])
-            if len(found) != comparable or pairs != want_leq:
+        if self.universe != tuple((n, r) for n in family for r in self._reps[n]):
+            raise GroupError("P relates cosets outside the universe")
+        columns = [G.column_bytes(g) for g in range(G.order)]
+        pad = bytes(256 - G.order)
+        padded = [column + pad for column in columns]
+        for n in family:
+            fault = self._class_fault(n, columns, padded)
+            if fault is not None:
+                raise GroupError(fault)
+        # _above[n] as bits over family positions, 0 for a mask outside
+        # the family: k bits add up to a k-bit up-set only when they are
+        # distinct and nonzero, and then ascend in family order
+        bit = {m: 1 << i for i, m in enumerate(family)}
+        for n, up in zip(family, up_sets(family)):
+            bits = [bit.get(m, 0) for m in self._above[n]]
+            if sum(bits) != up or len(bits) != up.bit_count() or bits != sorted(bits):
                 raise GroupError("<= does not match containment of the classes")
-            return
-        # any other relation is enumerated: each pair is comparable and in
-        # the universe, and the distinct pairs, a bitmask of y per (x,
-        # class of y), number all comparable pairs
-        seen = {}
-        for x, y in self.leq:
-            if x[0] & y[0] != x[0] or x not in elems or y not in elems:
-                raise GroupError("<= does not match containment of the classes")
-            key = x, y[0]
-            seen[key] = seen.get(key, 0) | 1 << y[1]
-        if sum(b.bit_count() for b in seen.values()) != want_leq:
-            raise GroupError("<= does not match containment of the classes")
 
-    def _quotient_holds(
-        self, mask: int, names: list[int], columns: list[bytes], padded: list[bytes]
-    ) -> bool:
-        """True when the class with this mask and these universe names is
-        G/N, N the mask's elements, with P its product; False on any
-        fault, or data that is not a table of names of G.
+    def _class_fault(self, mask: int, columns: list[bytes], padded: list[bytes]) -> Optional[str]:
+        """The fault in the class with this mask, or None when the class
+        is G/N, N the mask's elements, with P its product.
 
         On bytes, as systems have order at most 64, with to = _rep_in[N]
-        and R = _reps[N], the universe's names:
-        - N holds 0 and |R| |N| = |G|;
-        - to(y*m) = y for y in R and to(m'*m) = 0 for m' in N, per m in
-          N: one translate of R then N by column m, one by to.  So N is
-          closed, a subgroup, and to names each left coset yN by y;
+        and R = _reps[N], the class's names in the universe:
+        - every value of to is in R, else P relates cosets outside the
+          universe;
+        - |R| |N| = |G|, and to(y*m) = y for y in R and to(m'*m) = 0
+          for m' in N, per m in N: one translate of R then N by column
+          m, one by to.  So y*m runs over G once, N is closed, a
+          subgroup, and to names each left coset yN by y; else C does
+          not follow the canonical projection;
         - to(to(x)*b) = to(x*b) for every x and each b in R, P's column
           b: to(x)*b is one translate of to by column b.  Then
-          to(xy) = to(x*to(y)) = to(to(x)*to(y)), so to is onto a
-          group, P's table on R, with kernel N, which is so normal.
+          to(xy) = to(x*to(y)) = to(to(x)*to(y)), so to is onto a group,
+          P's table on R, with kernel N, which is so normal; else P is
+          not the quotient product on the class.
         """
         G = self.group
         n = G.order
         try:
-            if not mask & 1 or mask >> n:
-                return False
             R = bytes(self._reps[mask])
             to = bytes(self._rep_in[mask])
-            members = bytes(G.elems_of_mask(mask))
-        except (KeyError, TypeError, ValueError):
-            return False
-        if (
-            len(to) != n
-            or len(R) * len(members) != n
-            or len(set(R)) != len(R)
-            or set(R) != set(names)
-            or max(R) >= n
-        ):
-            return False
+        except (TypeError, ValueError):
+            return "P relates cosets outside the universe"
+        if not set(to) <= set(R):
+            return "P relates cosets outside the universe"
+        if mask >> n or len(to) != n:
+            return "C does not follow the canonical projection"
+        members = bytes(G.elems_of_mask(mask))
+        if len(R) * len(members) != n:
+            return "C does not follow the canonical projection"
         by_to = to + bytes(256 - n)
         named = R + members
         want = R + bytes(len(members))
         for m in members:
             if named.translate(padded[m]).translate(by_to) != want:
-                return False
+                return "C does not follow the canonical projection"
         for b in R:
             if to.translate(padded[b]).translate(by_to) != columns[b].translate(by_to):
-                return False
-        return True
-
-
-def _check_prod(prod: Iterable, by_mask: Dict[int, list[int]], elems: set) -> None:
-    """P by one pass over its triples: each class is a group under P, with
-    the class of 1 as identity."""
-    pos = {mask: {r: i for i, r in enumerate(sorted(reps))} for mask, reps in by_mask.items()}
-    tables = {mask: [[-1] * len(p) for _ in p] for mask, p in pos.items()}
-    for x, y, z in prod:
-        if y[0] != x[0] or z[0] != x[0]:
-            raise GroupError("P relates cosets of different classes")
-        if x not in elems or y not in elems or z not in elems:
-            raise GroupError("P relates cosets outside the universe")
-        p, table = pos[x[0]], tables[x[0]]
-        if table[p[x[1]]][p[y[1]]] != -1:
-            raise GroupError("P is not functional")
-        table[p[x[1]]][p[y[1]]] = p[z[1]]
-    for mask, table in tables.items():
-        if any(v == -1 for row in table for v in row):
-            raise GroupError("P is not total on a class")
-        if 0 not in pos[mask]:
-            raise GroupError("a class is missing the coset of the identity")
-        FiniteGroup(table)  # raises unless the class is a group
-
-
-def _check_compat(compat: Iterable, elems: set, G: FiniteGroup, want_c: int) -> None:
-    """C by one pass over its pairs: between comparable classes it is
-    exactly the projection graph.  x lies in the coset yM iff y^-1 x is
-    in M, both ends lie in the universe, and each element meets every
-    class above its own once."""
-    seen = set()
-    for x, y in compat:
-        if x[0] & y[0] != x[0]:
-            raise GroupError("C crosses an incomparable pair of classes")
-        if (x, y[0]) in seen:
-            raise GroupError("C is not functional toward a class")
-        seen.add((x, y[0]))
-        if not (0 <= x[1] < G.order and y[0] >> G.table[G.inv(y[1])][x[1]] & 1):
-            raise GroupError("C does not follow the canonical projection")
-        if x not in elems or y not in elems:
-            raise GroupError("C relates cosets outside the universe")
-    if len(seen) != want_c:
-        raise GroupError("C misses a comparable pair")
+                return "P is not the quotient product on a class"
+        return None
 
 
 def complete_system(G: FiniteGroup) -> CompleteSystem:

@@ -302,9 +302,9 @@ def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
     # them in one pass took about 17 s for the suite at about 380 MB on a
     # 2-core x86-64 machine (CPython 3.11), and building every comparable
     # pair as a set grew past 3 GB without finishing; validate() now
-    # checks the 95,706 class rectangles (the tighter bound is below).  A
-    # child process keeps the memory out of the test run, and the
-    # timeout stops it if it grows
+    # reads only the class data the relations are generated from (the
+    # tighter bounds are below).  A child process keeps the memory out of
+    # the test run, and the timeout stops it if it grows
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
@@ -324,11 +324,11 @@ def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
 
 
 def test_invsys_suite_at_the_order_cap_is_fast(tmp_path):
-    # the suite above, bounded tighter: with the system's own <= checked
-    # one class rectangle at a time, about 6 s at 330 MB on a 2-core
-    # x86-64 machine (CPython 3.11), against 15 to 20 s at 377 MB when
-    # validate() enumerated the 10,425,879 <= pairs; the child prints its
-    # own peak RSS (kB on Linux) last on stderr
+    # the suite above, bounded tighter: once validate() stopped
+    # enumerating the 10,425,879 <= pairs it took about 6 s at 330 MB on
+    # a 2-core x86-64 machine (CPython 3.11), against 15 to 20 s at
+    # 377 MB; the child prints its own peak RSS (kB on Linux) last on
+    # stderr
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
@@ -357,12 +357,13 @@ def test_invsys_suite_at_the_order_cap_is_fast(tmp_path):
 
 
 def test_invsys_suite_at_the_order_cap_checks_by_class(tmp_path):
-    # the suite above, bounded tighter again: with C and P checked per
-    # class and per block on bytes, and the level tower's subsystems
-    # restricted from the system, about 1.5 s at 54 MB on a 2-core x86-64
-    # machine (CPython 3.11), against about 8 s at 330 MB when validate()
-    # walked every P triple and C pair; the child prints its own peak RSS
-    # (kB on Linux) last on stderr
+    # the suite above, bounded tighter again: with validate() reading each
+    # class once on bytes and each up-set as one bitset, and the level
+    # tower's subsystems restricted from the system and sharing their
+    # embeddings, about 0.9 s at 45 MB on a 2-core x86-64 machine
+    # (CPython 3.11), against about 8 s at 330 MB when validate() walked
+    # every P triple and C pair; the child prints its own peak RSS (kB on
+    # Linux) last on stderr
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
@@ -388,6 +389,29 @@ def test_invsys_suite_at_the_order_cap_checks_by_class(tmp_path):
     peak_mb = int(proc.stderr) / 1024
     assert elapsed < 6.0, "took %.2f s" % elapsed
     assert peak_mb < 100, "peak RSS %.0f MB" % peak_mb
+
+
+def test_level_tower_builds_each_dual_embedding_once(tmp_path, capsys, monkeypatch):
+    # C2^3 with N = G: levels 2 and 8 both meet in the trivial subgroup,
+    # so they share the projection onto G/{0} and its embedding; S3's
+    # three levels have three meets
+    built = []
+    real = cli.dual_embedding
+
+    def counting(pi, target=None):
+        built.append(pi.target.order)
+        return real(pi, target)
+
+    monkeypatch.setattr(cli, "dual_embedding", counting)
+    p = tmp_path / "c2_3.json"
+    table = [[a ^ b for b in range(8)] for a in range(8)]
+    p.write_text(json.dumps({"group": {"table": table}, "normal": [1, 2, 4], "sigma": [0]}))
+    for path, orders in ((p, [1, 8]), (FIXTURES / "s3.json", [1, 2, 6])):
+        built.clear()
+        rc, out, err = run_main(["verify", str(path), "--suite", "invsys"], capsys)
+        assert (rc, err) == (0, "")
+        assert out == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
+        assert built == orders
 
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
