@@ -4,10 +4,13 @@ A group of order m lives on element indices 0..m-1, and index 0 is
 always the identity.  Groups are built from an explicit Cayley table or
 from permutation generators, are fully verified at construction, and
 are immutable afterwards.  Homomorphisms given by the caller are
-verified in full too.  Two kinds of object are derived, not checked
-again, because the code that builds them proves them: a quotient G/N
-with its projection, once N is known to be normal in G, and each
-epimorphism the search returns.  The tests hold both to the full checks.
+verified in full too, by the one homomorphism check, _hom_defect: a
+loop over the pairs (x, g) of an element and a generator, x outermost,
+that names the first pair whose images disagree.  Two kinds of object
+are derived, not checked again, because the code that builds them
+proves them: a quotient G/N with its projection, once N is known to be
+normal in G, and each epimorphism the search returns.  The tests hold
+both to the full checks.
 
 Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
@@ -131,7 +134,6 @@ class FiniteGroup:
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
-        self._columns: dict[int, bytes] = {}
 
     @classmethod
     def _on_cosets(
@@ -305,14 +307,6 @@ class FiniteGroup:
 
     def element_order(self, a: int) -> int:
         return self.element_orders()[a]
-
-    def column_bytes(self, j: int) -> bytes:
-        """Column j, the products x*j for every x, as bytes; order at most
-        256.  Each column is built on first use and kept."""
-        got = self._columns.get(j)
-        if got is None:
-            got = self._columns[j] = bytes(map(itemgetter(j), self.table))
-        return got
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -601,36 +595,15 @@ class GroupHom:
 def _hom_defect(
     G: FiniteGroup, H: FiniteGroup, phi: Sequence[int], gens: Sequence[int], imgs: Sequence[int]
 ) -> Optional[tuple[int, int]]:
-    """A pair (x, g) with phi(x*g) != phi(x)*imgs[s], g = gens[s], or None.
+    """The first pair (x, g), x outermost, with phi(x*g) != phi(x)*imgs[s],
+    g = gens[s], or None.
 
     A phi(0) other than 0 gives (0, 0).  With gens generating G, None
     means phi is the homomorphism sending each gens[s] to imgs[s]: the g
     that pass for every x hold 0 and are closed under the product.
-
-    When G and H have order at most 256, each generator is first checked
-    on bytes, where only an accept counts: column g of G relabelled by
-    phi is phi(x*g) for every x, and phi relabelled by column imgs[s] of
-    H is phi(x)*imgs[s].  A refusal, or a larger group, takes the
-    ordered loop (_ordered_defect), which names the first pair.
     """
     if phi[0] != 0:
         return (0, 0)
-    if G.order <= 256 and H.order <= 256:
-        pb = bytes(phi)
-        by_phi = pb + bytes(256 - G.order)
-        pad = bytes(256 - H.order)
-        if all(
-            G.column_bytes(g).translate(by_phi) == pb.translate(H.column_bytes(i) + pad)
-            for g, i in zip(gens, imgs)
-        ):
-            return None
-    return _ordered_defect(G, H, phi, gens, imgs)
-
-
-def _ordered_defect(
-    G: FiniteGroup, H: FiniteGroup, phi: Sequence[int], gens: Sequence[int], imgs: Sequence[int]
-) -> Optional[tuple[int, int]]:
-    """The first pair (x, g), x outermost, with phi(x*g) != phi(x)*imgs[s], or None."""
     tg, th = G.table, H.table
     for x, px in enumerate(phi):
         tx, tpx = tg[x], th[px]
@@ -962,22 +935,29 @@ def hom_from_images(
 ) -> Optional[GroupHom]:
     """The homomorphism G -> H sending gens[s] to imgs[s], or None if none exists.
 
-    gens must generate G.  Extending the images along the spanning edges
-    of _prefix_steps gives the only candidate table.  It is that hom iff
-    every closing pair agrees, which a repeated generator given two
-    images breaks, and it sends each gens[s] to imgs[s], which a
-    negative image, read by Python's indexing as another, breaks.
+    gens must generate G, and each gens[s] and imgs[s] must be an element
+    index of its group.  Extending the images along the spanning edges of
+    _prefix_steps gives the only candidate table.  It is that hom iff it
+    sends each gens[s] to imgs[s], which a repeated generator given two
+    images breaks, and it passes GroupHom's check, the one check here.
     """
+    for g in gens:
+        if not isinstance(g, int) or not 0 <= g < G.order:
+            raise GroupError("generator %r is out of range" % (g,))
+    for i in imgs:
+        if not isinstance(i, int) or not 0 <= i < H.order:
+            raise GroupError("image %r is not a target element index" % (i,))
     phi = [0] * G.order
     th = H.table
-    for _, edges, closing in _prefix_steps(G, gens):
+    for _, edges, _ in _prefix_steps(G, gens):
         for x, s, y in edges:
             phi[y] = th[phi[x]][imgs[s]]
-        if any(phi[y] != th[phi[x]][imgs[s]] for x, s, y in closing):
-            return None
     if any(phi[g] != i for g, i in zip(gens, imgs)):
         return None
-    return GroupHom(G, H, phi)
+    try:
+        return GroupHom(G, H, phi)
+    except GroupError:
+        return None
 
 
 def _epimorphism_search(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupHom]:

@@ -272,8 +272,10 @@ class CompleteSystem:
             raise GroupError("the universe repeats an element")
         if self.universe != tuple((n, r) for n in family for r in self._reps[n]):
             raise GroupError("P relates cosets outside the universe")
-        columns = [G.column_bytes(g) for g in range(G.order)]
-        pad = bytes(256 - G.order)
+        order = G.order
+        flat = b"".join(map(bytes, G.table))
+        columns = [flat[g::order] for g in range(order)]
+        pad = bytes(256 - order)
         padded = [column + pad for column in columns]
         for n in family:
             fault = self._class_fault(n, columns, padded)

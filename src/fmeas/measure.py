@@ -287,7 +287,7 @@ def mu_i(
     The values share the denominator f(K)^i, so i * bit_length(f(K)) is
     held to STEP_BITS_CAP before the first step.
     """
-    if not isinstance(i, int) or i < 0:
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise GroupError("step count must be a nonnegative integer")
     lat = _resolve_lattice(setup, K_subgroup, lattice)
     counts = _point_mass(lat)
@@ -398,7 +398,7 @@ def pushforward_check(
     the upper N (the levels then share one constant quotient); the
     report states the outcome either way.
     """
-    if not isinstance(max_i, int) or max_i < 0:
+    if not isinstance(max_i, int) or isinstance(max_i, bool) or max_i < 0:
         raise GroupError("max_i must be a nonnegative integer")
     up, low, pi = tower.upper, tower.lower, tower.pi
     up_lat = SubextLattice(up, K_subgroup_upper)

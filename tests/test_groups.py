@@ -813,13 +813,34 @@ def test_hom_from_images_rejects_what_no_hom_extends():
     assert hom_from_images(cyclic(4), cyclic(3), [1], [1]) is None
     # a repeated generator given two images: the table follows the first
     assert hom_from_images(cyclic(4), cyclic(2), [1, 1], [1, 0]) is None
-    # a negative image names no element, though the table lookup accepts it
-    assert hom_from_images(cyclic(4), cyclic(2), [1], [-1]) is None
     # each transposition of S3 may go to C3's generator alone, not both
     S3 = symmetric(3)
     t = [x for x in range(6) if S3.element_order(x) == 2]
     assert hom_from_images(S3, cyclic(2), t[:2], [1, 1]) is not None
     assert hom_from_images(S3, cyclic(3), t[:2], [1, 2]) is None
+
+
+def test_hom_from_images_refuses_what_is_no_element_index():
+    # with Subgroup's and GroupHom's messages; a negative index, which a
+    # table lookup would read as another element, is refused too
+    C4, C2 = cyclic(4), cyclic(2)
+    cases = [
+        ([7], [1], "generator 7 is out of range"),
+        ([-1], [1], "generator -1 is out of range"),
+        ([1.0], [1], "generator 1.0 is out of range"),
+        (["1"], [1], "generator '1' is out of range"),
+        ([1], [5], "image 5 is not a target element index"),
+        ([1], [-1], "image -1 is not a target element index"),
+        ([1], [1.0], "image 1.0 is not a target element index"),
+        ([1], [None], "image None is not a target element index"),
+        # every generator is checked before any image
+        ([1, 7], [5, 1], "generator 7 is out of range"),
+    ]
+    for gens, imgs, message in cases:
+        with pytest.raises(GroupError) as e:
+            hom_from_images(C4, C2, gens, imgs)
+        assert str(e.value) == message
+    assert hom_from_images(C4, C2, [Index(1)], [Index(1)]).image_of == (0, 1, 0, 1)
 
 
 def test_epimorphism_search_checks_each_table_once(monkeypatch):
@@ -924,45 +945,31 @@ def test_hom_defect_matches_the_oracle_on_quotient_projections(name):
         assert_defects_match(G, Q, pi.image_of)
 
 
-def test_hom_defect_on_both_sides_of_order_256(monkeypatch):
-    # up to order 256 a homomorphism is accepted on bytes alone; a
-    # refusal, or a larger source or target, takes the ordered loop
-    orders = []
-    ordered = groups._ordered_defect
-
-    def counted(G, H, *args):
-        orders.append((G.order, H.order))
-        return ordered(G, H, *args)
-
-    monkeypatch.setattr(groups, "_ordered_defect", counted)
+def test_hom_defect_at_orders_256_and_257():
+    # one ordered loop at every order: a hom is accepted and a table with
+    # two images swapped names the oracle's first pair, on both sides of
+    # the largest order whose table fits in bytes
+    for n in (256, 257):
+        Cn = cyclic(n)
+        assert identity_hom(Cn).image_of == tuple(range(n))
+        swapped = list(range(n))
+        swapped[5], swapped[7] = 7, 5
+        gens = Cn.generator_sequence()
+        want = oracle_hom_defect(Cn, Cn, swapped, gens, [swapped[g] for g in gens])
+        with pytest.raises(GroupError) as e:
+            GroupHom(Cn, Cn, swapped)
+        assert str(e.value) == "not a homomorphism: images of %d*%d disagree" % want
     C256, C257 = cyclic(256), cyclic(257)
-    assert identity_hom(C256).image_of == tuple(range(256))
     GroupHom(C256, cyclic(2), [x % 2 for x in range(256)])
-    assert orders == []
-    swapped = list(range(256))
-    swapped[5], swapped[7] = 7, 5
-    gens = C256.generator_sequence()
-    want = oracle_hom_defect(C256, C256, swapped, gens, [swapped[g] for g in gens])
-    with pytest.raises(GroupError) as e:
-        GroupHom(C256, C256, swapped)
-    assert str(e.value) == "not a homomorphism: images of %d*%d disagree" % want
-    assert orders == [(256, 256)]
-    identity_hom(C257)
     GroupHom(C257, cyclic(1), [0] * 257)
     GroupHom(cyclic(1), C257, [0])
-    assert orders[1:] == [(257, 257), (257, 1), (1, 257)]
     for G, H in [(C256, cyclic(2)), (C257, cyclic(1)), (cyclic(2), C257)]:
         assert_defects_match(G, H, [0] * G.order)
 
 
-def test_every_corpus_epimorphism_is_accepted_on_bytes(monkeypatch):
+def test_every_corpus_epimorphism_passes_the_full_check():
     # the search takes its leaves without a check (GroupHom._onto), so
-    # the full check runs on each here, into every image class; a byte
-    # path that always fell back would reach the ordered loop
-    def refuse(*args):
-        raise AssertionError("the ordered loop ran on a homomorphism")
-
-    monkeypatch.setattr(groups, "_ordered_defect", refuse)
+    # the full check runs on each here, into every image class
     built = 0
     for name in ALL_NAMES:
         G = corpus.group(name)

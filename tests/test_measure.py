@@ -573,6 +573,10 @@ def test_mu_i_rejects_bad_step_counts():
         mu_i(setup, K, -1, lattice=lat)
     with pytest.raises(GroupError, match="nonnegative"):
         mu_i(setup, K, F(1, 2), lattice=lat)
+    # True is an int, but no step count, as for level_quotient
+    for flag in (True, False):
+        with pytest.raises(GroupError, match="^step count must be a nonnegative integer$"):
+            mu_i(setup, K, flag, lattice=lat)
 
 
 def test_measure_vector_validation():
@@ -799,3 +803,6 @@ def test_tower_depth_zero_and_bad_depth():
     assert [e[0] for e in report.entries] == ["0", "inf"]
     with pytest.raises(GroupError, match="nonnegative"):
         pushforward_check(tower, K, max_i=-1)
+    for flag in (True, False):
+        with pytest.raises(GroupError, match="^max_i must be a nonnegative integer$"):
+            pushforward_check(tower, K, max_i=flag)
