@@ -31,7 +31,7 @@ from .groups import (
     quotient,
     up_sets,
 )
-from .invsys import complete_system, dual_embedding, dual_group, generated_subsystem, level_quotient
+from .invsys import _level_kernel, complete_system, dual_embedding, dual_group, level_quotient
 from .lattice import SubextLattice
 from .measure import TUPLE_CAP, _hall_counts, _step, mu1, mu_i, mu_infinity, pushforward_check
 from .setupfile import LoadedSetup, load_setup
@@ -279,11 +279,11 @@ def _invsys_checks(loaded: LoadedSetup):
     by_sort = {}
     for x in S.universe:
         by_sort.setdefault(S.sort_of(x), []).append(x)
-    # levels whose meets agree share one cached projection, and so one embedding
+    # level j is G/N_j; levels with one kernel share its cached projection,
+    # and so one embedding
     bad, embeddings = [], {}
     for j in sorted({1, 2, G.order}):
-        low = [x for i in by_sort if i <= j for x in by_sort[i]]
-        pi = dual_group(generated_subsystem(S, low))[1]
+        pi = quotient(G, _level_kernel(G, j))[1]
         if pi not in embeddings:
             embeddings[pi] = dual_embedding(pi, S)
         emb = embeddings[pi]

@@ -935,12 +935,15 @@ def hom_from_images(
 ) -> Optional[GroupHom]:
     """The homomorphism G -> H sending gens[s] to imgs[s], or None if none exists.
 
-    gens must generate G, and each gens[s] and imgs[s] must be an element
-    index of its group.  Extending the images along the spanning edges of
-    _prefix_steps gives the only candidate table.  It is that hom iff it
-    sends each gens[s] to imgs[s], which a repeated generator given two
-    images breaks, and it passes GroupHom's check, the one check here.
+    gens must generate G, imgs must be as long as gens, and each gens[s]
+    and imgs[s] must be an element index of its group.  Extending the
+    images along the spanning edges of _prefix_steps gives the only
+    candidate table.  It is that hom iff it sends each gens[s] to
+    imgs[s], which a repeated generator given two images breaks, and it
+    passes GroupHom's check, the one check here.
     """
+    if len(gens) != len(imgs):
+        raise GroupError("gens and imgs differ in length (%d and %d)" % (len(gens), len(imgs)))
     for g in gens:
         if not isinstance(g, int) or not 0 <= g < G.order:
             raise GroupError("generator %r is out of range" % (g,))

@@ -67,7 +67,8 @@ class CompleteSystem:
     and _above[N] holds the family masks above N, in family order: C
     and <= are generated from _above, and their sizes read off it.
     validate() checks these class data, which is to check the relations
-    they generate, without expanding any.
+    they generate, without expanding any.  Every system, a generated
+    subsystem too, is built and checked here.
     """
 
     __slots__ = (
@@ -111,51 +112,22 @@ class CompleteSystem:
         if not upward:
             raise GroupError("the family is not upward closed")
         family.sort(key=lambda H: (group.order // H.order, H.elements))
+        self.group = group
+        self.normals = tuple(family)
+        self._id_of = {N.mask: i for i, N in enumerate(family)}
         # least element of each coset gN, per family member
-        rep_in, reps = {}, {}
+        self._rep_in, self._reps = {}, {}
         for N in family:
-            rep_in[N.mask], reps[N.mask] = cosets(group, N.mask)
-        fam = list(reps)  # family order
-        above = {
+            self._rep_in[N.mask], self._reps[N.mask] = cosets(group, N.mask)
+        fam = list(self._reps)  # family order
+        self._above = {
             n: tuple(map(fam.__getitem__, _mask_to_elems(up))) for n, up in zip(fam, up_sets(fam))
         }
-        self._fill(group, tuple(family), rep_in, reps, above)
-
-    @classmethod
-    def _restricted(cls, parent: "CompleteSystem", meet: int) -> "CompleteSystem":
-        """The subsystem of parent on its members above meet, itself a
-        member, read off the parent without a check or a coset pass: each
-        member keeps its cosets, and its up-set, which lies in the
-        subfamily."""
-        family = parent._above[meet]
-        self = cls.__new__(cls)
-        self._fill(
-            parent.group,
-            tuple(parent.normals[parent._id_of[m]] for m in family),
-            {m: parent._rep_in[m] for m in family},
-            {m: parent._reps[m] for m in family},
-            {m: parent._above[m] for m in family},
-        )
-        return self
-
-    def _fill(
-        self,
-        group: FiniteGroup,
-        normals: tuple[Subgroup, ...],
-        rep_in: Dict[int, tuple[int, ...]],
-        reps: Dict[int, tuple[int, ...]],
-        above: Dict[int, tuple[int, ...]],
-    ) -> None:
-        """Set every field from the sorted family and its coset maps."""
-        self.group = group
-        self.normals = normals
-        self._id_of = {N.mask: i for i, N in enumerate(normals)}
-        self._rep_in, self._reps, self._above = rep_in, reps, above
-        self.universe = tuple((n, r) for n, rs in reps.items() for r in rs)
-        self.one = ((1 << group.order) - 1, 0)
-        index = {mask: len(rs) for mask, rs in reps.items()}
+        self.universe = tuple((n, r) for n, rs in self._reps.items() for r in rs)
+        self.one = (full, 0)
+        index = {mask: len(rs) for mask, rs in self._reps.items()}
         n_compat = n_leq = 0
-        for n, up in above.items():
+        for n, up in self._above.items():
             n_compat += index[n] * len(up)
             n_leq += index[n] * sum(map(index.__getitem__, up))
         self.compat = Relation(self._compat, n_compat)
@@ -335,12 +307,23 @@ class CompleteSystem:
         return None
 
 
-def complete_system(G: FiniteGroup) -> CompleteSystem:
-    """The full system over every normal subgroup of G."""
+def _check_system_order(G: FiniteGroup) -> None:
     if G.order > SYSTEM_ORDER_CAP:
         raise CapExceeded(
             "complete systems capped at group order %d (got %d)" % (SYSTEM_ORDER_CAP, G.order)
         )
+
+
+def _level_kernel(G: FiniteGroup, i: int) -> Subgroup:
+    """N_i, the meet of the normal subgroups of index at most i, itself one."""
+    normals = normal_subgroups(G)
+    meet = reduce(and_, (N.mask for N in normals if G.order // N.order <= i))
+    return next(N for N in normals if N.mask == meet)
+
+
+def complete_system(G: FiniteGroup) -> CompleteSystem:
+    """The full system over every normal subgroup of G."""
+    _check_system_order(G)
     return CompleteSystem(G, normal_family(G))
 
 
@@ -350,8 +333,8 @@ def generated_subsystem(S: CompleteSystem, A: Iterable[Element]) -> CompleteSyst
     On the families of normal subgroups this is the up-set of the meet
     of the generators' classes; whole coset classes come along with each
     family member.  The meet is a member of S's family, which is closed
-    under intersection, and the subsystem is restricted from S
-    (CompleteSystem._restricted): its family is S's up-set of the meet.
+    under intersection, and the subsystem is built afresh on S's members
+    above it.
     """
     elems = set(S.universe)
     meet = (1 << S.group.order) - 1
@@ -359,7 +342,7 @@ def generated_subsystem(S: CompleteSystem, A: Iterable[Element]) -> CompleteSyst
         if x not in elems:
             raise GroupError("generator %r is not in the universe" % (x,))
         meet &= x[0]
-    return CompleteSystem._restricted(S, meet)
+    return CompleteSystem(S.group, [N for N in S.normals if meet & N.mask == meet])
 
 
 def dual_group(S: CompleteSystem) -> tuple[FiniteGroup, GroupHom]:
@@ -369,13 +352,13 @@ def dual_group(S: CompleteSystem) -> tuple[FiniteGroup, GroupHom]:
 
 
 def level_quotient(G: FiniteGroup, i: int) -> FiniteGroup:
-    """Dual of the subsystem generated by all cosets of index at most i:
-    the subsystem above the meet of the classes of index at most i."""
+    """G/N_i: the dual of the subsystem generated by all cosets of index
+    at most i, which lies above N_i, found with no system built but under
+    the order cap of complete systems."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise GroupError("level must be a positive integer")
-    S = complete_system(G)
-    meet = reduce(and_, (N.mask for N in S.normals if G.order // N.order <= i))
-    return dual_group(CompleteSystem._restricted(S, meet))[0]
+    _check_system_order(G)
+    return quotient(G, _level_kernel(G, i))[0]
 
 
 class SystemEmbedding:

@@ -297,6 +297,20 @@ def test_lattice_at_the_order_cap_is_fast(tmp_path, capsys):
     assert elapsed < 5.0, "took %.2f s" % elapsed
 
 
+# a child that runs the CLI and prints its own peak RSS in kB last on
+# stderr: VmHWM from /proc/self/status (Linux), which exec resets, where
+# ru_maxrss would carry over the peak of the forking test process
+PEAK_RSS_CHILD = (
+    "import sys\n"
+    "from fmeas.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as f:\n"
+    "    hwm = next(line for line in f if line.startswith('VmHWM:'))\n"
+    "print(hwm.split()[1], file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
 def test_invsys_suite_at_the_order_cap_finishes(tmp_path):
     # C2^6 with N = G: 26,387 cosets and 10,425,879 <= pairs.  Counting
     # them in one pass took about 17 s for the suite at about 380 MB on a
@@ -327,19 +341,12 @@ def test_invsys_suite_at_the_order_cap_is_fast(tmp_path):
     # the suite above, bounded tighter: once validate() stopped
     # enumerating the 10,425,879 <= pairs it took about 6 s at 330 MB on
     # a 2-core x86-64 machine (CPython 3.11), against 15 to 20 s at
-    # 377 MB; the child prints its own peak RSS (kB on Linux) last on
-    # stderr
+    # 377 MB
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
     p.write_text(json.dumps(setup))
-    child = (
-        "import resource, sys\n"
-        "from fmeas.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        "sys.exit(rc)\n"
-    )
+    child = PEAK_RSS_CHILD
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", child, "verify", str(p), "--suite", "invsys"],
@@ -359,22 +366,15 @@ def test_invsys_suite_at_the_order_cap_is_fast(tmp_path):
 def test_invsys_suite_at_the_order_cap_checks_by_class(tmp_path):
     # the suite above, bounded tighter again: with validate() reading each
     # class once on bytes and each up-set as one bitset, and the level
-    # tower's subsystems restricted from the system and sharing their
-    # embeddings, about 0.9 s at 45 MB on a 2-core x86-64 machine
-    # (CPython 3.11), against about 8 s at 330 MB when validate() walked
-    # every P triple and C pair; the child prints its own peak RSS (kB on
-    # Linux) last on stderr
+    # tower projecting G onto each G/N_i and sharing their embeddings,
+    # under 1 s at about 40 MB on a 2-core x86-64 machine (CPython 3.11),
+    # against about 8 s at 330 MB when validate() walked every P triple
+    # and C pair
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
     p.write_text(json.dumps(setup))
-    child = (
-        "import resource, sys\n"
-        "from fmeas.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        "sys.exit(rc)\n"
-    )
+    child = PEAK_RSS_CHILD
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", child, "verify", str(p), "--suite", "invsys"],
@@ -412,6 +412,37 @@ def test_level_tower_builds_each_dual_embedding_once(tmp_path, capsys, monkeypat
         assert (rc, err) == (0, "")
         assert out == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
         assert built == orders
+
+
+def test_level_routes_build_no_extra_system(capsys, monkeypatch):
+    # invsys --level builds only the quotient's system, as level_quotient
+    # reads N_i off the normal subgroups; the level tower projects onto
+    # each G/N_i and generates no subsystem, so on S3 it builds the
+    # suite's system and one source system per embedding
+    built, generated = [], []
+    init, generate = invsys.CompleteSystem.__init__, invsys.generated_subsystem
+
+    def counting_init(self, group, normals):
+        built.append(group.order)
+        init(self, group, normals)
+
+    def counting_generate(S, A):
+        generated.append(S.group.order)
+        return generate(S, A)
+
+    monkeypatch.setattr(invsys.CompleteSystem, "__init__", counting_init)
+    monkeypatch.setattr(invsys, "generated_subsystem", counting_generate)
+    # and under the name the CLI would import it by
+    monkeypatch.setattr(cli, "generated_subsystem", counting_generate, raising=False)
+    s3 = str(FIXTURES / "s3.json")
+    rc, out, err = run_main(["invsys", s3, "--level", "2"], capsys)
+    assert (rc, out, err) == (0, (EXPECTED / "s3_level2.txt").read_text(), "")
+    assert built == [2]
+    built.clear()
+    rc, out, err = run_main(["verify", s3, "--suite", "invsys"], capsys)
+    assert (rc, err) == (0, "")
+    assert out == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
+    assert (built, generated) == ([6, 1, 2, 6], [])
 
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):

@@ -843,6 +843,24 @@ def test_hom_from_images_refuses_what_is_no_element_index():
     assert hom_from_images(C4, C2, [Index(1)], [Index(1)]).image_of == (0, 1, 0, 1)
 
 
+def test_hom_from_images_refuses_lists_of_unequal_length():
+    # the table walk reads an image only where a spanning edge needs it,
+    # so it would drop an extra image and might never miss a lost one
+    C4, C2 = cyclic(4), cyclic(2)
+    differ = "gens and imgs differ in length "
+    cases = [
+        ([1], [1, 0], differ + "(1 and 2)"),
+        ([1, 3], [1], differ + "(2 and 1)"),
+        ([1], [], differ + "(1 and 0)"),
+        ((), (0,), differ + "(0 and 1)"),
+    ]
+    for gens, imgs, message in cases:
+        with pytest.raises(GroupError) as e:
+            hom_from_images(C4, C2, gens, imgs)
+        assert str(e.value) == message
+    assert hom_from_images(C4, C2, (1, 3), (1, 1)).image_of == (0, 1, 0, 1)
+
+
 def test_epimorphism_search_checks_each_table_once(monkeypatch):
     # into C2 every candidate table of an elementary abelian group is a
     # homomorphism; the closing pairs of the search are its one check, so

@@ -487,10 +487,11 @@ def test_validate_matches_the_enumerating_oracle(name, kind):
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 @pytest.mark.parametrize("name", SAMPLE)
 def test_every_route_matches_the_enumerating_oracle(name, kind):
-    # a system is built by CompleteSystem.__init__, as above, or restricted
-    # from a parent (CompleteSystem._restricted), sharing its coset maps
-    # and up-sets; restricted above the trivial subgroup it has the whole
-    # family, so every corruption applies, and the parent stays sound
+    # a system is built by complete_system, as above, or by
+    # generated_subsystem on a parent's family, through the same
+    # CompleteSystem.__init__; generated above the trivial subgroup it has
+    # the whole family, so every corruption applies, and the parent,
+    # which shares nothing with it, stays sound
     for seed in range(3):
         S = complete_system(corpus.group(name))
         T = generated_subsystem(S, S.universe)
@@ -792,8 +793,8 @@ def test_generated_matches_fixpoint_closure(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_restricted_subsystems_match_a_built_one(name):
-    # a generated subsystem is restricted from its parent; it must equal
-    # the system built afresh on the same family, above each member
+    # a generated subsystem is the up-set of its generators' meet; above
+    # each member it must equal the system built on that family by hand
     G = corpus.group(name)
     S = complete_system(G)
     for N in S.normals:
@@ -875,6 +876,45 @@ def test_level_quotient_rejects_bad_levels():
         level_quotient(G, 0)
     with pytest.raises(GroupError, match="positive"):
         level_quotient(G, True)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_level_quotient_matches_the_generated_subsystem_route(name):
+    # the oracle is the route through the complete system: the dual of
+    # the subsystem of S(G) generated by every coset of sort at most i
+    G = corpus.group(name)
+    S = complete_system(G)
+    for i in range(1, G.order + 1):
+        D, pi = dual_group(generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= i]))
+        Gi = level_quotient(G, i)
+        assert (Gi.order, Gi.table) == (D.order, D.table), i
+        assert invsys._level_kernel(G, i) == pi.kernel(), i
+
+
+def test_level_quotient_builds_no_system(monkeypatch):
+    def refuse(self, group, normals):
+        raise AssertionError("level_quotient built a complete system")
+
+    monkeypatch.setattr(CompleteSystem, "__init__", refuse)
+    for name in SAMPLE:
+        G = corpus.group(name)
+        assert level_quotient(G, G.order).order == G.order
+
+
+def test_level_quotient_is_capped_like_complete_systems():
+    # the level is checked first, then the order, with complete_system's
+    # message, before any subgroup is enumerated
+    G = cyclic(65)
+    with pytest.raises(GroupError, match="positive"):
+        level_quotient(G, 0)
+    with pytest.raises(CapExceeded) as got:
+        level_quotient(G, 2)
+    with pytest.raises(CapExceeded) as want:
+        complete_system(G)
+    assert str(got.value) == str(want.value) == (
+        "complete systems capped at group order 64 (got 65)"
+    )
+    assert G._subgroups is None
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "C12", "A4", "S4"])
