@@ -118,7 +118,9 @@ def cmd_invsys(args) -> int:
         G = level_quotient(G, args.level)
     S = complete_system(G)
     if args.dump:
-        sys.stdout.write(S.dump())
+        # block by block, so no more than one block is held; the line cap
+        # is checked before the first, so a capped dump prints nothing
+        sys.stdout.writelines(S.dump_blocks())
         return 0
     print("classes = %d" % len(S.normals))
     print("elements = %d" % len(S.universe))

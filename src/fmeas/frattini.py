@@ -6,7 +6,9 @@ and Jarden, Field Arithmetic, the chapter on Frattini covers), so the
 cover check is one mask test against the cached Frattini subgroup.
 That subgroup is the meet of the maximal subgroups, found largest
 first: every proper subgroup lies in a maximal one, so a subgroup is
-maximal iff no larger maximal subgroup contains it.
+maximal iff no larger maximal subgroup contains it.  The report is
+cached on its group, like the group's subgroup list, so it lives and
+dies with the group.
 
 The embedding-property search computes Epi(G, B) once per image B of G
 and reads both the alphas and the gammas onto B from that one list.  It
@@ -18,7 +20,6 @@ by a kernel test.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from .groups import (
@@ -36,11 +37,6 @@ from .groups import (
 
 # per image byte, its digit in the binary numeral of the kernel mask
 _KERNEL_DIGITS = b"1" + b"0" * 255
-
-_frattini_cache: "weakref.WeakKeyDictionary[FiniteGroup, FrattiniReport]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 class FrattiniReport:
     """Frattini subgroup together with the maximal subgroups defining it."""
@@ -60,9 +56,8 @@ class FrattiniReport:
 
 def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
     """Intersection of all maximal proper subgroups; all of G when G is trivial."""
-    cached = _frattini_cache.get(G)
-    if cached is not None:
-        return cached
+    if G._frattini is not None:
+        return G._frattini
     if G.order > DEFAULT_ORDER_CAP:
         raise CapExceeded("Frattini computation capped at order %d" % DEFAULT_ORDER_CAP)
     maximal, mask = [], (1 << G.order) - 1
@@ -71,7 +66,7 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
             maximal.append(H)
             mask &= H.mask
     report = FrattiniReport(Subgroup(G, G.elems_of_mask(mask)), tuple(reversed(maximal)))
-    _frattini_cache[G] = report
+    G._frattini = report
     return report
 
 

@@ -35,12 +35,13 @@ Subgroup enumeration and isomorphism testing are supported up to order
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, countOf, eq, getitem, itemgetter
+from operator import and_, countOf, eq, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
 PERM_POINTS_CAP = 16
 PERM_CLOSURE_CAP = 4096
+EPIMORPHISM_CAP = 100_000
 
 
 class GroupError(ValueError):
@@ -134,6 +135,7 @@ class FiniteGroup:
         self._element_orders: Optional[tuple[int, ...]] = None
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
+        self._frattini: Optional["FrattiniReport"] = None  # set by frattini_subgroup
 
     @classmethod
     def _on_cosets(
@@ -161,18 +163,19 @@ class FiniteGroup:
 
     def _latin_bytes(self) -> Optional[list[bytes]]:
         """The rows as byte strings, when 0 is a two-sided identity, every
-        row and column is a permutation of 0..n-1 and the entries valued
-        0 and 1 are plain ints; None otherwise.  For order 4 to 256.
+        row and column is a permutation of 0..n-1 and every entry is a
+        plain int; None otherwise.  For order 4 to 256.
 
-        bytes() refuses, at C speed, what is not an index in 0..255, but
-        takes bools as 0 and 1.  A row or column holds every index when
-        deleting its bytes from 0..n-1 leaves nothing.  The rows then have
-        n bytes each, as every n-th byte of them makes the n-byte identity
-        column, so each is a permutation and every entry is below n.  So
-        a bool can only be one of the 2n entries valued 0 or 1, and only
-        those are type-tested.  Each check stands in for an ordered one,
-        so that a table passing them fails, if at all, where the ordered
-        checks would next fail: at the inverses or associativity.
+        bytes() refuses, at C speed, what has no __index__ in 0..255, but
+        takes bools and any other object with such an __index__.  A row
+        or column holds every index when deleting its bytes from 0..n-1
+        leaves nothing.  The rows then have n bytes each, as every n-th
+        byte of them makes the n-byte identity column, so each is a
+        permutation and every entry is below n.  Last, one type pass per
+        row refuses every entry that is not a plain int.  Each check
+        stands in for an ordered one, so that a table passing them fails,
+        if at all, where the ordered checks would next fail: at the
+        inverses or associativity.
         """
         n = self.order
         rows = self.table
@@ -189,11 +192,9 @@ class FiniteGroup:
             or any(ident.translate(None, flat[j::n]) for j in range(n))
         ):
             return None
-        # a bool can only sit where a row holds 0 or 1
-        for v in (0, 1):
-            at = map(bytes.index, row_bytes, [v] * n)
-            if countOf(map(type, map(getitem, rows, at)), int) != n:
-                return None
+        # a bool, or an int-like object of another type, passed bytes()
+        if not all(countOf(map(type, row), int) == n for row in rows):
+            return None
         return row_bytes
 
     def _light_bytes(self, row_bytes: list[bytes]) -> bool:
@@ -1060,12 +1061,23 @@ def image_classes(G: FiniteGroup) -> list[FiniteGroup]:
 
 
 def epimorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
-    """All surjective homomorphisms G -> H, image tuples in lexicographic order."""
+    """All surjective homomorphisms G -> H, image tuples in lexicographic order.
+
+    The list is counted as the search yields it and refused past
+    EPIMORPHISM_CAP maps, as |Epi(G, H)| grows like |GL(k, 2)| on
+    elementary abelian groups: 20,160 maps onto C2^4 from itself, but
+    624,960 onto C2^4 from C2^5, which the order cap admits.
+    """
     if G.order > DEFAULT_ORDER_CAP or H.order > DEFAULT_ORDER_CAP:
         raise CapExceeded("homomorphism search capped at order %d" % DEFAULT_ORDER_CAP)
     if G.order == H.order and G.fingerprint() != H.fingerprint():
         return []
-    return list(_epimorphism_search(G, H))
+    maps = []
+    for phi in _epimorphism_search(G, H):
+        if len(maps) == EPIMORPHISM_CAP:
+            raise CapExceeded("epimorphism listing capped at %d maps" % EPIMORPHISM_CAP)
+        maps.append(phi)
+    return maps
 
 
 # -- stock constructions -------------------------------------------------

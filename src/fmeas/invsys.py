@@ -69,16 +69,21 @@ class CompleteSystem:
     validate() checks these class data, which is to check the relations
     they generate, without expanding any.  Every system, a generated
     subsystem too, is built and checked here.
+
+    compat, leq and prod are properties: each call makes a Relation
+    from the sizes counted at construction.  A stored Relation would
+    hold a bound method of its own system, a reference cycle that keeps
+    every dropped system and its class data alive until the cyclic
+    garbage collector runs; without it a system is freed as soon as the
+    last reference to it goes.
     """
 
     __slots__ = (
         "group",
         "normals",
         "universe",
-        "compat",
-        "leq",
-        "prod",
         "one",
+        "_sizes",
         "_rep_in",
         "_reps",
         "_above",
@@ -130,9 +135,19 @@ class CompleteSystem:
         for n, up in self._above.items():
             n_compat += index[n] * len(up)
             n_leq += index[n] * sum(map(index.__getitem__, up))
-        self.compat = Relation(self._compat, n_compat)
-        self.leq = Relation(self._leq, n_leq)
-        self.prod = Relation(self._prod, sum(i * i for i in index.values()))
+        self._sizes = (n_compat, n_leq, sum(i * i for i in index.values()))
+
+    @property
+    def compat(self) -> Relation:
+        return Relation(self._compat, self._sizes[0])
+
+    @property
+    def leq(self) -> Relation:
+        return Relation(self._leq, self._sizes[1])
+
+    @property
+    def prod(self) -> Relation:
+        return Relation(self._prod, self._sizes[2])
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
@@ -177,42 +192,67 @@ class CompleteSystem:
     def dump(self) -> str:
         """Deterministic text form: universe lines, then C, <= and P tuples.
 
-        Each relation is listed in its iteration order: class index, then
-        representative, on every coordinate.  Each element's name is built
+        The dump is the join of dump_blocks(), so a caller that writes
+        the blocks as they come never holds more than one of them.
+        """
+        return "".join(self.dump_blocks())
+
+    def dump_blocks(self) -> Iterator[str]:
+        """The dump as blocks of whole lines, each ending in a newline.
+
+        The line count is checked against DUMP_LINES_CAP here, before any
+        block is made.  The universe, C and P lines come in one block per
+        class, and the <= lines in one block per element, as an element
+        of the least class lies below the whole universe (2,451 lines on
+        C2^5, 78,432 for its class).  Each section runs over the classes
+        in family order, so each relation comes out in its iteration
+        order: class index, then representative, on every coordinate.
+        """
+        count = len(self.universe) + sum(self._sizes)
+        if count > DUMP_LINES_CAP:
+            raise CapExceeded("system dumps capped at %d lines (got %d)" % (DUMP_LINES_CAP, count))
+        return self._blocks()
+
+    def _blocks(self) -> Iterator[str]:
+        """dump_blocks() past its cap check.  Each element's name is built
         once, and each class names the coset of every group element, so a
         C or P line is a lookup per coordinate; the <= lines of an element
         are one join over the names of the classes above its own.
         """
-        count = len(self.universe) + len(self.compat) + len(self.leq) + len(self.prod)
-        if count > DUMP_LINES_CAP:
-            raise CapExceeded("system dumps capped at %d lines (got %d)" % (DUMP_LINES_CAP, count))
         names: Dict[int, list[str]] = {}  # per class, in representative order
         coset_names: Dict[int, list[str]] = {}  # per class, the name of gN per g
         for mask, reps in self._reps.items():
             names[mask] = ["N#%d rep=%d" % (self._id_of[mask], r) for r in reps]
             by_rep = dict(zip(reps, names[mask]))
             coset_names[mask] = list(map(by_rep.__getitem__, self._rep_in[mask]))
-        lines: list[str] = []
+
+        def block(lines: list[str]) -> str:
+            lines.append("")  # so the join ends the last line too
+            return "\n".join(lines)
+
         for own in names.values():
             sort = " sort=%d" % len(own)  # [G:N], the number of cosets
-            lines.extend(name + sort for name in own)
+            yield block([name + sort for name in own])
         for mask, own in names.items():
             above = [coset_names[m] for m in self._above[mask]]
+            lines: list[str] = []
             for a, name in zip(self._reps[mask], own):
                 head = "C " + name + " "
                 lines.extend(head + to_m[a] for to_m in above)
+            yield block(lines)
         for mask, own in names.items():
             above = [y for m in self._above[mask] for y in names[m]]
             for name in own:
                 head = "<= " + name + " "
-                lines.append(head + ("\n" + head).join(above))
+                yield head + ("\n" + head).join(above) + "\n"
         t = self.group.table
         for mask, own in names.items():
             reps, to_own = self._reps[mask], coset_names[mask]
+            lines = []
             for a, name in zip(reps, own):
                 head, ta = "P " + name + " ", t[a]
                 lines.extend(head + y + " " + to_own[ta[b]] for b, y in zip(reps, own))
-        return "\n".join(lines) + "\n"
+            yield block(lines)
 
     def validate(self) -> None:
         """Check the axioms; raises on any failure.

@@ -29,6 +29,7 @@ from fmeas.setupfile import LoadedSetup, load_setup
 import corpus
 import setups
 from conftest import FIXTURES, count_hom_builds
+from test_invsys import oracle_dump
 
 EXPECTED = FIXTURES / "expected"
 
@@ -389,6 +390,114 @@ def test_invsys_suite_at_the_order_cap_checks_by_class(tmp_path):
     peak_mb = int(proc.stderr) / 1024
     assert elapsed < 6.0, "took %.2f s" % elapsed
     assert peak_mb < 100, "peak RSS %.0f MB" % peak_mb
+
+
+class Writes:
+    """A stdout that keeps each piece written, as it is written."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
+def dump_cases():
+    """(id, setup file or None, group) for every loadable fixture and
+    every corpus group; a corpus group gets a file with N = G."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name != "s3_bad_normal.json":
+            yield path.stem, path, None
+    for name in sorted(corpus.BUILDERS):
+        yield name, None, corpus.group(name)
+
+
+@pytest.mark.parametrize("case", list(dump_cases()), ids=lambda case: case[0])
+def test_invsys_dump_streams_the_per_tuple_oracle(case, tmp_path, monkeypatch):
+    # stdout gets the dump block by block: one per class for the universe,
+    # C and P, one per element for <=, and together the oracle's bytes
+    _, path, G = case
+    if path is None:
+        path = tmp_path / "group.json"
+        normal = list(G.generator_sequence())
+        path.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
+    else:
+        G = load_setup(str(path)).group
+    S = invsys.complete_system(G)
+    out = Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["invsys", str(path), "--dump"]) == 0
+    assert "".join(out.pieces) == oracle_dump(S)
+    assert len(out.pieces) == 3 * len(S.normals) + len(S.universe)
+    assert all(piece.endswith("\n") for piece in out.pieces)
+
+
+def test_dump_over_the_line_cap_on_c2_6_prints_nothing(tmp_path, capsys):
+    # C2^6 with N = G would dump 12,611,968 lines; the cap is checked
+    # before the first block is written
+    p = tmp_path / "c2_6.json"
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    err = expect_error(["invsys", str(p), "--dump"], capsys, "capped", 3)
+    assert err == "error: system dumps capped at 1000000 lines (got 12611968)\n"
+
+
+def test_dump_of_c2_5_is_streamed_in_bounded_memory(tmp_path):
+    # C2^5 with N = G dumps 393,152 lines (about 13 MB).  Written block by
+    # block the child peaked at about 19 MB on a 2-core x86-64 machine
+    # (CPython 3.11), of which about 18 MB is the interpreter with fmeas
+    # loaded, against 54 MB when the dump was one list of lines joined
+    # into one string
+    p = tmp_path / "c2_5.json"
+    table = [[a ^ b for b in range(32)] for a in range(32)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "invsys", str(p), "--dump"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    G = load_setup(str(p)).group
+    assert proc.stdout == invsys.complete_system(G).dump()
+    assert proc.stdout.count("\n") == 393_152
+    peak_mb = int(proc.stderr) / 1024
+    assert peak_mb < 32, "peak RSS %.1f MB" % peak_mb
+
+
+@pytest.mark.parametrize("bound", ["32", "64"])
+def test_embedding_on_c2_5_is_exit_three_in_bounded_time_and_memory(bound, tmp_path):
+    # C2^5 has 624,960 epimorphisms onto C2^4 and 9,999,360 automorphisms;
+    # listing them grew by about 38 MB/s without an answer.  The listing
+    # now stops past groups.EPIMORPHISM_CAP maps: about 0.9 s at 66 MB on
+    # a 2-core x86-64 machine (CPython 3.11)
+    p = tmp_path / "c2_5.json"
+    table = [[a ^ b for b in range(32)] for a in range(32)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16], "sigma": [0]}
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "embedding", str(p), "--bound", bound],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    message, peak_kb = proc.stderr.splitlines()
+    assert message == "error: epimorphism listing capped at %d maps" % groups.EPIMORPHISM_CAP
+    peak_mb = int(peak_kb) / 1024
+    assert elapsed < 10.0, "took %.2f s" % elapsed
+    assert peak_mb < 150, "peak RSS %.0f MB" % peak_mb
 
 
 def test_level_tower_builds_each_dual_embedding_once(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -304,6 +306,24 @@ def test_cover_reads_the_cached_frattini_subgroup_only(monkeypatch):
     for pi in projections:
         is_frattini_cover(pi)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["C12", "D4", "S4"])
+def test_a_group_asked_about_is_freed_with_its_report(name):
+    # the report is cached on its group, which it refers back to through
+    # its subgroups: a module-level map from groups to reports, even a
+    # weak-keyed one, kept every group it was asked about alive
+    G = FiniteGroup(corpus.group(name).table)
+    report = frattini_subgroup(G)
+    assert frattini_subgroup(G) is report
+    covers = [is_frattini_cover(quotient(G, N)[1]) for N in normal_subgroups(G)]
+    assert covers.count(True) == sum(
+        1 for N in normal_subgroups(G) if N.mask & ~report.frattini_subgroup.mask == 0
+    )
+    group = weakref.ref(G)
+    del G, report
+    gc.collect()
+    assert group() is None
 
 
 # -- is_frattini_restriction ---------------------------------------------

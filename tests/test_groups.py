@@ -536,7 +536,7 @@ def corrupted_tables(G):
 def test_a_bool_in_a_valid_table_takes_the_ordered_checks(name):
     # bytes() takes True as 1 and False as 0, so a table with one of them
     # in place of a 1 or a 0 passes every byte check but the type test of
-    # the entries valued 0 and 1, and gets the ordered checks' message
+    # the entries, and gets the ordered checks' message
     G = large_or_corpus_group(name)
     n = G.order
     for value, entry in [(1, True), (0, False)]:
@@ -547,6 +547,56 @@ def test_a_bool_in_a_valid_table_takes_the_ordered_checks(name):
                 FiniteGroup(table)
             assert str(info.value) == "table entry %r is not an element index" % entry
             assert str(info.value) == oracle_table_error(table)
+
+
+class Indexable:
+    """Not an int, but bytes() takes it as its __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return "Indexable(%d)" % self.value
+
+
+class IntLike(Indexable):
+    """Equal to its int and hashed like it, as numpy's integer scalars are."""
+
+    def __eq__(self, other):
+        return other == self.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+@pytest.mark.parametrize("kind", [Indexable, IntLike])
+def test_an_int_like_entry_takes_the_ordered_checks_at_every_placement(kind):
+    # bytes() reads any __index__, so such an entry valued 2 or more once
+    # passed every byte check at orders 4 to 256: the table was then built
+    # or died with TypeError in extend_mask, as the placement fell, while
+    # orders 3 and 257 named the entry
+    base = cyclic(8).table
+    for r in range(8):
+        for c in range(8):
+            table = [list(row) for row in base]
+            table[r][c] = entry = kind(base[r][c])
+            with pytest.raises(GroupError) as info:
+                FiniteGroup(table)
+            assert str(info.value) == "table entry %r is not an element index" % entry
+            assert str(info.value) == oracle_table_error(table)
+
+
+@pytest.mark.parametrize("n", [3, 256, 257])
+def test_an_int_like_entry_is_named_on_either_side_of_the_byte_route(n):
+    table = [list(row) for row in cyclic(n).table]
+    table[n - 1][n - 1] = entry = IntLike(table[n - 1][n - 1])
+    with pytest.raises(GroupError) as info:
+        FiniteGroup(table)
+    assert str(info.value) == "table entry %r is not an element index" % entry
+    assert str(info.value) == oracle_table_error(table)
 
 
 # groups past the corpus's largest order, 24, up to either side of the
@@ -1121,6 +1171,33 @@ def test_epimorphism_search_is_lazy(monkeypatch):
     assert len(list(search)) == 6
     # a trivial source has one generator sequence, the empty one
     assert [phi.image_of for phi in groups._epimorphism_search(cyclic(1), cyclic(1))] == [(0,)]
+
+
+def test_epimorphism_listing_is_capped_as_it_is_searched(monkeypatch):
+    # C2^3 onto C2 has 7 epimorphisms: a cap of 7 lists them, a cap of 3
+    # stops at the fourth leaf
+    checked, derived = count_hom_builds(monkeypatch)
+    G = corpus.group("C2xC2xC2")
+    monkeypatch.setattr(groups, "EPIMORPHISM_CAP", 7)
+    assert len(epimorphisms(G, cyclic(2))) == 7
+    monkeypatch.setattr(groups, "EPIMORPHISM_CAP", 3)
+    derived.clear()
+    with pytest.raises(CapExceeded, match="^epimorphism listing capped at 3 maps$"):
+        epimorphisms(G, cyclic(2))
+    assert derived == [(8, 2)] * 4 and checked == []
+    # isomorphic() takes the first leaf only, whatever the cap
+    assert isomorphic(G, G)
+
+
+def test_epimorphism_cap_admits_aut_c4_cubed_and_not_c2_5_onto_c2_4():
+    # |Aut(C4^3)| = |GL(3, 2)| * 2^9 = 86,016, the largest listing known to
+    # answer (embedding --bound 64 on C4^3); C2^5 has |GL(5, 2)| =
+    # 9,999,360 automorphisms and 624,960 epimorphisms onto C2^4
+    C4_3 = direct_product(cyclic(4), cyclic(4), cyclic(4))
+    assert len(epimorphisms(C4_3, C4_3)) == 86_016 <= groups.EPIMORPHISM_CAP
+    C2_5 = direct_product(*[cyclic(2)] * 5)
+    with pytest.raises(CapExceeded, match="capped at %d maps" % groups.EPIMORPHISM_CAP):
+        epimorphisms(C2_5, direct_product(*[cyclic(2)] * 4))
 
 
 def test_epimorphisms_are_deterministic():

@@ -19,7 +19,6 @@ MODULE_LEVEL_STDLIB = {
     "operator",
     "sys",
     "typing",
-    "weakref",
 }
 
 

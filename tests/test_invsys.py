@@ -1,8 +1,10 @@
 """Complete coset systems: universes, closure, duality, embeddings."""
 
+import gc
 import random
 import tracemalloc
 import types
+import weakref
 from typing import Dict
 
 import pytest
@@ -220,6 +222,32 @@ def test_relation_sizes_and_up_sets_match_a_rescan(name):
         for N in T.normals:
             rescan = tuple(m for m, _ in T._rep_in.items() if N.mask & m == N.mask)
             assert T._above[N.mask] == rescan
+
+
+class Tracked(CompleteSystem):
+    """A complete system that a weakref can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("name", SAMPLE)
+def test_a_dropped_system_dies_without_the_cycle_collector(name):
+    # a system that stored its relations held bound methods of itself, a
+    # cycle that kept it and its class data alive until the cycle
+    # collector ran; built afresh, its relations keep their sizes
+    G = corpus.group(name)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        S = Tracked(G, normal_family(G))
+        sizes = [len(S.compat), len(S.leq), len(S.prod)]
+        assert sizes == [len(r) for r in oracle_relations(G)]
+        ref = weakref.ref(S)
+        del S
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- checked by class data ----------------------------------------------------
