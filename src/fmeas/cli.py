@@ -33,7 +33,16 @@ from .groups import (
 )
 from .invsys import _level_kernel, complete_system, dual_embedding, dual_group, level_quotient
 from .lattice import SubextLattice
-from .measure import TUPLE_CAP, _hall_counts, _step, mu1, mu_i, mu_infinity, pushforward_check
+from .measure import (
+    TUPLE_CAP,
+    _hall_counts,
+    _step,
+    measure_event,
+    mu1,
+    mu_i,
+    mu_infinity,
+    pushforward_check,
+)
 from .setupfile import LoadedSetup, load_setup
 
 SUITES = ("lifts", "markov", "tower", "frattini", "invsys", "all")
@@ -69,22 +78,19 @@ def cmd_measure(args) -> int:
         raise GroupError("--steps is required with --mode iter")
     if args.mode != "iter" and args.steps is not None:
         raise GroupError("--steps only applies to --mode iter")
-    setup, K = loaded.setup, loaded.base
-    lat = SubextLattice(setup, K)
-    cap = args.cap if args.cap is not None else TUPLE_CAP
+    lat = SubextLattice(loaded.setup, loaded.base)
     if args.mode == "mu1":
-        vector = mu1(setup, K, cap=cap, lattice=lat)
+        vector = mu1(lat, cap=args.cap)
     elif args.mode == "iter":
-        vector = mu_i(setup, K, args.steps, cap=cap, lattice=lat)
+        vector = mu_i(lat, args.steps, cap=args.cap)
     else:
-        vector = mu_infinity(setup, K, cap=cap, lattice=lat)
+        vector = mu_infinity(lat, cap=args.cap)
     if args.event is None:
         print(_vector_line(vector.values))
         return 0
     if args.event not in loaded.events:
         raise GroupError('unknown event name "%s"' % args.event)
-    indices = {lat.member_index(S) for S in loaded.events[args.event]}
-    print(_fmt(sum((vector.values[i] for i in sorted(indices)), Fraction(0))))
+    print(_fmt(measure_event(vector, loaded.events[args.event])))
     return 0
 
 
@@ -157,18 +163,17 @@ def _lift_independence(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     return not bad, bad
 
 
-def _markov_checks(loaded: LoadedSetup, lat: SubextLattice, cap: int):
+def _markov_checks(lat: SubextLattice, cap: int):
     """The chain's structural facts, read off the lattice's integer (f, g, below).
 
     Member i steps to member j, itself or one of below[i], with
     probability g[j] / f[i]; no transition matrix is built.  Every row is
     held to the cap first, as transition_matrix would hold it.
     """
-    setup, K = loaded.setup, loaded.base
     m = len(lat.members)
     f, g, below = _hall_counts(lat, cap, range(m))
-    inf = mu_infinity(setup, K, cap=cap, lattice=lat)
-    one = mu1(setup, K, cap=cap, lattice=lat)
+    inf = mu_infinity(lat, cap=cap)
+    one = mu1(lat, cap=cap)
 
     bad = [i for i in range(m) if (g[i] == f[i]) != lat.is_maximal(i)]
     yield "absorbing-equals-maximal", not bad, ["member %d" % i for i in bad]
@@ -303,7 +308,6 @@ def _invsys_checks(loaded: LoadedSetup):
 
 def cmd_verify(args) -> int:
     loaded = load_setup(args.file)
-    cap = args.cap if args.cap is not None else TUPLE_CAP
     if args.suite == "tower" and loaded.tower is None:
         raise GroupError("the file has no tower section")
     # one base lattice for every suite that reads it; the frattini suite
@@ -313,12 +317,12 @@ def cmd_verify(args) -> int:
         lat = SubextLattice(loaded.setup, loaded.base)
     results = []
     if args.suite in ("lifts", "all"):
-        ok, details = _lift_independence(loaded, lat, cap)
+        ok, details = _lift_independence(loaded, lat, args.cap)
         results.append(("lift-independence", ok, details))
     if args.suite in ("markov", "all"):
-        results.extend(_markov_checks(loaded, lat, cap))
+        results.extend(_markov_checks(lat, args.cap))
     if args.suite == "tower" or (args.suite == "all" and loaded.tower is not None):
-        ok, details = _check_tower(loaded, cap)
+        ok, details = _check_tower(loaded, args.cap)
         results.append(("tower-pushforward", ok, details))
     if args.suite in ("frattini", "all"):
         results.extend(_frattini_checks(loaded, lat))
@@ -354,13 +358,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mu1", "iter", "inf"), default="inf")
     p.add_argument("--steps", type=int, default=None, help="step count for --mode iter")
     p.add_argument("--event", default=None, help="named event from the file")
-    p.add_argument("--cap", type=int, default=None, help="tuple enumeration limit")
+    p.add_argument("--cap", type=int, default=TUPLE_CAP, help="tuple enumeration limit")
     p.set_defaults(run=cmd_measure)
 
     p = sub.add_parser("verify", help="run invariant suites against the file")
     p.add_argument("file")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--cap", type=int, default=None, help="tuple enumeration limit")
+    p.add_argument("--cap", type=int, default=TUPLE_CAP, help="tuple enumeration limit")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("frattini", help="Frattini subgroup of the file's group")

@@ -425,31 +425,21 @@ class Subgroup:
 
     Canonical form is the sorted tuple of element indices; mask is the
     same set as a bitmask.  elements is always the closure of
-    generators, which is re-checked at construction.  Instances compare
-    and hash by parent identity plus element set.
+    generators.  Instances compare and hash by parent identity plus
+    element set.
     """
 
     __slots__ = ("group", "elements", "generators", "mask")
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        generators: Iterable[int] = (),
-        elements: Optional[Iterable[int]] = None,
-    ):
+    def __init__(self, group: FiniteGroup, generators: Iterable[int] = ()):
         gens = tuple(generators)
         for x in gens:
-            if not isinstance(x, int) or not 0 <= x < group.order:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < group.order:
                 raise GroupError("generator %r is out of range" % (x,))
         mask = group.closure_mask(gens)
-        closed = group.elems_of_mask(mask)
-        if elements is not None:
-            stated = tuple(sorted(set(elements)))
-            if stated != closed:
-                raise GroupError("stated elements differ from the closure of the generators")
         self.group = group
         self.generators = gens
-        self.elements = closed
+        self.elements = group.elems_of_mask(mask)
         self.mask = mask
 
     @property
@@ -549,7 +539,7 @@ class GroupHom:
             raise GroupError("image table length does not match source order")
         if set(map(type, imgs)) != {int} or min(imgs) < 0 or max(imgs) >= target.order:
             for v in imgs:
-                if not isinstance(v, int) or not 0 <= v < target.order:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < target.order:
                     raise GroupError("image %r is not a target element index" % (v,))
         gens = source.generator_sequence()
         bad = _hom_defect(source, target, imgs, gens, [imgs[g] for g in gens])
@@ -946,10 +936,10 @@ def hom_from_images(
     if len(gens) != len(imgs):
         raise GroupError("gens and imgs differ in length (%d and %d)" % (len(gens), len(imgs)))
     for g in gens:
-        if not isinstance(g, int) or not 0 <= g < G.order:
+        if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < G.order:
             raise GroupError("generator %r is out of range" % (g,))
     for i in imgs:
-        if not isinstance(i, int) or not 0 <= i < H.order:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < H.order:
             raise GroupError("image %r is not a target element index" % (i,))
     phi = [0] * G.order
     th = H.table

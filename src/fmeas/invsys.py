@@ -19,6 +19,7 @@ from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from .groups import (
+    DEFAULT_ORDER_CAP,
     CapExceeded,
     FiniteGroup,
     GroupError,
@@ -31,7 +32,6 @@ from .groups import (
     up_sets,
 )
 
-SYSTEM_ORDER_CAP = 64
 DUMP_LINES_CAP = 1_000_000
 
 Element = Tuple[int, int]  # (mask of the normal subgroup, least coset element)
@@ -348,9 +348,9 @@ class CompleteSystem:
 
 
 def _check_system_order(G: FiniteGroup) -> None:
-    if G.order > SYSTEM_ORDER_CAP:
+    if G.order > DEFAULT_ORDER_CAP:
         raise CapExceeded(
-            "complete systems capped at group order %d (got %d)" % (SYSTEM_ORDER_CAP, G.order)
+            "complete systems capped at group order %d (got %d)" % (DEFAULT_ORDER_CAP, G.order)
         )
 
 

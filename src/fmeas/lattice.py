@@ -50,7 +50,7 @@ class GaloisSetup:
         if not sigma_prime:
             raise GroupError("sigma_prime must be nonempty")
         for x in sigma_prime:
-            if not isinstance(x, int) or not 0 <= x < group.order:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < group.order:
                 raise GroupError("sigma_prime entry %r is out of range" % (x,))
         # the extensions _lift_seeds makes next, so the lattice replays them
         span = n_sub.mask
@@ -224,7 +224,7 @@ def fix_field(lattice: SubextLattice, elements: Sequence[int]) -> Optional[Subgr
     """The member generated by the elements, or None when it fails to qualify."""
     G = lattice.setup.group
     for x in elements:
-        if not isinstance(x, int) or not 0 <= x < G.order:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < G.order:
             raise GroupError("element %r is out of range" % (x,))
         if not lattice.base.mask >> x & 1:
             raise GroupError("element %d lies outside the base subgroup" % x)

@@ -1,9 +1,12 @@
 """Measures on subextension lattices.
 
-Every measure works from two integer vectors per lattice: f[j], the
-number of translate tuples landing inside member j, and g[j], the number
-generating exactly member j, both from P. Hall's Eulerian-function
-inversion over the member poset rather than by enumerating the tuples.
+Every measure takes the SubextLattice it lives on, built once by the
+caller, and returns a MeasureVector on it; measure_event sums any such
+vector over a set of members.  Every measure works from two integer
+vectors per lattice: f[j], the number of translate tuples landing
+inside member j, and g[j], the number generating exactly member j, both
+from P. Hall's Eulerian-function inversion over the member poset rather
+than by enumerating the tuples.
 The lattice computes them once, with its containment lists below[j]
 (SubextLattice.hall_counts); each call here only holds them to its cap.
 No measure reads a lift of sigma: for a valid lift coordinate l in
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .groups import CapExceeded, GroupError, GroupHom, Subgroup
 from .lattice import GaloisSetup, SubextLattice
@@ -171,16 +174,6 @@ class PushforwardReport:
         return "PushforwardReport(holds=%r, steps=%d)" % (self.holds, len(self.entries))
 
 
-def _resolve_lattice(
-    setup: GaloisSetup, K_subgroup: Subgroup, lattice: Optional[SubextLattice]
-) -> SubextLattice:
-    if lattice is None:
-        return SubextLattice(setup, K_subgroup)
-    if lattice.setup is not setup or lattice.base.mask != K_subgroup.mask:
-        raise GroupError("provided lattice does not match the setup and base")
-    return lattice
-
-
 def _hall_counts(
     lattice: SubextLattice, cap: int, rows: Iterable[int]
 ) -> tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]:
@@ -235,14 +228,8 @@ def _over(counts: Sequence[int], denominator: int) -> list[Fraction]:
     return [Fraction(c, denominator) for c in counts]
 
 
-def mu1(
-    setup: GaloisSetup,
-    K_subgroup: Subgroup,
-    *,
-    cap: int = TUPLE_CAP,
-    lattice: Optional[SubextLattice] = None,
-) -> MeasureVector:
-    """One-step distribution over the lattice of K_subgroup.
+def mu1(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
+    """One-step distribution from the lattice's base K.
 
     Each translate tuple contributes 1/|K n N|^n to the member its
     translated lift generates; the counts come from _hall_counts.  It
@@ -251,37 +238,22 @@ def mu1(
     tuples.  cap bounds the number of tuples |K n N|^n and is enforced
     loudly.
     """
-    lat = _resolve_lattice(setup, K_subgroup, lattice)
     base = len(lat.members) - 1
     f, g, below = _hall_counts(lat, cap, (base,))
     return MeasureVector(lat, _row(f, g, below, base))
 
 
-def transition_matrix(
-    setup: GaloisSetup,
-    K_subgroup: Subgroup,
-    *,
-    cap: int = TUPLE_CAP,
-    lattice: Optional[SubextLattice] = None,
-) -> TransitionMatrix:
+def transition_matrix(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> TransitionMatrix:
     """Row i is mu1 rebased at member i, as an explicit Fraction matrix.
 
     The measures never build it; it serves callers that want the rows.
     """
-    lat = _resolve_lattice(setup, K_subgroup, lattice)
     m = len(lat.members)
     f, g, below = _hall_counts(lat, cap, range(m))
     return TransitionMatrix(lat, [_row(f, g, below, i) for i in range(m)])
 
 
-def mu_i(
-    setup: GaloisSetup,
-    K_subgroup: Subgroup,
-    i: int,
-    *,
-    cap: int = TUPLE_CAP,
-    lattice: Optional[SubextLattice] = None,
-) -> MeasureVector:
+def mu_i(lat: SubextLattice, i: int, *, cap: int = TUPLE_CAP) -> MeasureVector:
     """The point mass at K propagated i steps along the chain.
 
     The values share the denominator f(K)^i, so i * bit_length(f(K)) is
@@ -289,7 +261,6 @@ def mu_i(
     """
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise GroupError("step count must be a nonnegative integer")
-    lat = _resolve_lattice(setup, K_subgroup, lattice)
     counts = _point_mass(lat)
     denominator = 1
     if i > 0:
@@ -306,13 +277,7 @@ def mu_i(
     return MeasureVector(lat, _over(counts, denominator))
 
 
-def mu_infinity(
-    setup: GaloisSetup,
-    K_subgroup: Subgroup,
-    *,
-    cap: int = TUPLE_CAP,
-    lattice: Optional[SubextLattice] = None,
-) -> MeasureVector:
+def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     """Exact limit distribution: the absorbing-chain solve, never iteration.
 
     The probability h(i) of ending at each maximal member from member i
@@ -326,7 +291,6 @@ def mu_infinity(
     result vanishes off the maximal members and is strictly positive on
     each of them.
     """
-    lat = _resolve_lattice(setup, K_subgroup, lattice)
     m = len(lat.members)
     f, g, below = _hall_counts(lat, cap, range(m))
     ell = lat.n_maximal
@@ -359,28 +323,24 @@ def mu_infinity(
     return MeasureVector(lat, [Fraction(x, den) for x in nums] + [Fraction(0)] * (m - ell))
 
 
-def measure_event(
-    setup: GaloisSetup,
-    K_subgroup: Subgroup,
-    X: Iterable[Union[Subgroup, int]],
-    *,
-    cap: int = TUPLE_CAP,
-    lattice: Optional[SubextLattice] = None,
-) -> Fraction:
-    """Limit measure of an event: the mu_infinity mass summed over X."""
-    lat = _resolve_lattice(setup, K_subgroup, lattice)
+def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> Fraction:
+    """The mass of a set of members under a measure vector.
+
+    X holds members of the vector's lattice or their indices; each
+    member counts once.
+    """
+    lat = vector.lattice
     indices = set()
     for x in X:
         if isinstance(x, Subgroup):
             indices.add(lat.member_index(x))
-        elif isinstance(x, int):
+        elif isinstance(x, int) and not isinstance(x, bool):
             if not 0 <= x < len(lat.members):
                 raise GroupError("member index %d is out of range" % x)
             indices.add(x)
         else:
             raise GroupError("event entries must be members or member indices")
-    inf = mu_infinity(setup, K_subgroup, cap=cap, lattice=lat)
-    return sum((inf.values[i] for i in sorted(indices)), Fraction(0))
+    return sum((vector.values[i] for i in sorted(indices)), Fraction(0))
 
 
 def pushforward_check(
@@ -430,8 +390,8 @@ def pushforward_check(
         if i < max_i:
             c_up = _step(c_up, up_f, up_g, up_below)
             c_low = _step(c_low, low_f, low_g, low_below)
-    inf_up = mu_infinity(up, K_subgroup_upper, cap=cap, lattice=up_lat)
-    inf_low = mu_infinity(low, low_base, cap=cap, lattice=low_lat)
+    inf_up = mu_infinity(up_lat, cap=cap)
+    inf_low = mu_infinity(low_lat, cap=cap)
     pushed_inf = pushed_vector(inf_up.values)
     entries.append(("inf", pushed_inf, inf_low, pushed_inf.values == inf_low.values))
     return PushforwardReport(tower, up_lat, low_lat, entries)

@@ -158,21 +158,21 @@ def test_criterion_1_worked_examples():
     for label, setup, want_mu1, want_inf in cases:
         K = full_subgroup(setup.group)
         lat = SubextLattice(setup, K)
-        one = mu1(setup, K, lattice=lat)
-        inf = mu_infinity(setup, K, lattice=lat)
+        one = mu1(lat)
+        inf = mu_infinity(lat)
         if want_mu1 is not None and one.values != want_mu1:
             failures.append("%s mu1 %s" % (label, one.values))
         if inf.values != want_inf:
             failures.append("%s limit %s" % (label, inf.values))
         # oracle: exhaustive tuple enumeration, then naive powering to 64
         oracle_rows = [oracle_row(setup, lat, i) for i in range(len(lat.members))]
-        engine = transition_matrix(setup, K, lattice=lat)
+        engine = transition_matrix(lat)
         if [list(r) for r in engine.rows] != oracle_rows:
             failures.append("%s transition rows disagree with the oracle" % label)
         if one.values != tuple(oracle_rows[-1]):
             failures.append("%s mu1 disagrees with the oracle" % label)
         v64 = oracle_power(oracle_rows, 64)
-        if mu_i(setup, K, 64, lattice=lat).values != tuple(v64):
+        if mu_i(lat, 64).values != tuple(v64):
             failures.append("%s powered step 64 disagrees with the oracle" % label)
         tail = sum(v64[lat.n_maximal:], F(0))
         for a in range(lat.n_maximal):
@@ -352,7 +352,7 @@ def sweep():
                 # the premise of the closed form, with no lift chosen: every
                 # valid lift coordinate l translates K n N onto K n sigma_k N
                 t0 = time.perf_counter()
-                one = mu1(setup, base, lattice=lat).values
+                one = mu1(lat).values
                 r_img = r.image_of
                 meet_n = [g for g in base.elements if g in N]
                 choices = [
@@ -374,9 +374,9 @@ def sweep():
                             data["lift_failures"].append("%s lift %s" % (tag, list(L)))
                 data["lift_seconds"] += time.perf_counter() - t0
 
-                T = transition_matrix(setup, base, lattice=lat)
+                T = transition_matrix(lat)
                 rows = [tuple(row) for row in T.rows]
-                inf = mu_infinity(setup, base, lattice=lat)
+                inf = mu_infinity(lat)
                 data["markov_failures"] += markov_issues(tag, lat, rows, one, inf.values)
 
                 # a limit is checked once per chain; the limit is part of the
@@ -518,7 +518,7 @@ def test_criterion_5_towers():
         )
         mK = full_subgroup(Qg)
         mlat = SubextLattice(marg, mK)
-        minf = mu_infinity(marg, mK, lattice=mlat)
+        minf = mu_infinity(mlat)
         for s1_mask in (1, 3):
             X = [H for H in lat.members if proj.image_mask(H.mask) == s1_mask]
             want = F(0)
@@ -526,7 +526,7 @@ def test_criterion_5_towers():
                 if H.mask == s1_mask:
                     want = minf.values[i]
             locality += 1
-            if measure_event(setup, K, X, lattice=lat) != want:
+            if measure_event(mu_infinity(lat), X) != want:
                 failures.append("locality N=%s mask=%d" % (n_gens, s1_mask))
     ok = not failures
     report(

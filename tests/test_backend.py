@@ -175,13 +175,13 @@ def greatest_lift(setup, H):
 
 
 def assert_rows_match_walk(setup, K, lat, lift_of):
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     for i, H in enumerate(lat.members):
         total = len([x for x in H.elements if x in setup.n_sub]) ** setup.n
         counts = walk_row(setup, lat, i, lift_of(setup, H))
         assert sum(counts) == total
         assert [v * total for v in T.rows[i]] == counts, "row %d" % i
-    assert mu1(setup, K, lattice=lat).values == T.rows[-1]
+    assert mu1(lat).values == T.rows[-1]
 
 
 @pytest.mark.parametrize("name", setups.NAMES)

@@ -24,7 +24,7 @@ from fmeas.cli import _fmt, _markov_checks, _vector_line, main
 from fmeas.frattini import frattini_subgroup
 from fmeas.lattice import SubextLattice
 from fmeas.measure import TUPLE_CAP, MeasureVector, mu1, mu_infinity, transition_matrix
-from fmeas.setupfile import LoadedSetup, load_setup
+from fmeas.setupfile import load_setup
 
 import corpus
 import setups
@@ -718,11 +718,11 @@ def test_reachable_matches_a_naive_closure(rows):
     assert [[bool(reach[i] >> j & 1) for j in range(m)] for i in range(m)] == naive_reach(rows)
 
 
-def matrix_markov_checks(setup, K, lat, inf, one):
+def matrix_markov_checks(lat, inf, one):
     """The five markov checks over the explicit Fraction transition matrix,
     with a closure for reachability: the slow route, given the limit and
     mu1 vectors to check."""
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     m = len(lat.members)
     out = []
 
@@ -766,12 +766,12 @@ VALID_FIXTURES = ["klein.json", "klein_weak.json", "z2.json", "z4.json", "s3.jso
 
 
 def markov_cases():
-    """(tag, loaded setup, lattice) for every corpus lattice and valid fixture."""
-    for tag, setup, K, lat in setups.corpus_lattices():
-        yield tag, LoadedSetup(tag, setup, K, {}, None), lat
+    """(tag, lattice) for every corpus lattice and valid fixture."""
+    for tag, _, _, lat in setups.corpus_lattices():
+        yield tag, lat
     for name in VALID_FIXTURES:
         loaded = load_setup(str(FIXTURES / name))
-        yield name, loaded, SubextLattice(loaded.setup, loaded.base)
+        yield name, SubextLattice(loaded.setup, loaded.base)
 
 
 def test_an_absent_base_is_the_whole_group(tmp_path):
@@ -788,12 +788,11 @@ def test_an_absent_base_is_the_whole_group(tmp_path):
 
 
 def test_markov_suite_matches_the_matrix_route():
-    for tag, loaded, lat in markov_cases():
-        setup, K = loaded.setup, loaded.base
-        inf = mu_infinity(setup, K, lattice=lat)
-        one = mu1(setup, K, lattice=lat)
-        got = list(_markov_checks(loaded, lat, TUPLE_CAP))
-        assert got == matrix_markov_checks(setup, K, lat, inf, one), tag
+    for tag, lat in markov_cases():
+        inf = mu_infinity(lat)
+        one = mu1(lat)
+        got = list(_markov_checks(lat, TUPLE_CAP))
+        assert got == matrix_markov_checks(lat, inf, one), tag
         assert all(ok for _, ok, _ in got), tag
 
 
@@ -801,20 +800,19 @@ def test_markov_suite_fails_a_wrong_limit(monkeypatch, capsys):
     # the point mass at the base is a valid measure, but a step moves it
     # and it sits on a member that is not maximal: both checks must fail,
     # with the matrix route's detail lines
-    def point_mass_at_base(setup, K, *, cap, lattice):
-        m = len(lattice.members)
-        return MeasureVector(lattice, [0] * (m - 1) + [1])
+    def point_mass_at_base(lat, *, cap):
+        m = len(lat.members)
+        return MeasureVector(lat, [0] * (m - 1) + [1])
 
     monkeypatch.setattr(cli, "mu_infinity", point_mass_at_base)
     checked = 0
-    for tag, loaded, lat in markov_cases():
+    for tag, lat in markov_cases():
         if len(lat.members) == 1:
             continue
-        setup, K = loaded.setup, loaded.base
-        got = list(_markov_checks(loaded, lat, TUPLE_CAP))
-        wrong = point_mass_at_base(setup, K, cap=TUPLE_CAP, lattice=lat)
-        one = mu1(setup, K, lattice=lat)
-        assert got == matrix_markov_checks(setup, K, lat, wrong, one), tag
+        got = list(_markov_checks(lat, TUPLE_CAP))
+        wrong = point_mass_at_base(lat, cap=TUPLE_CAP)
+        one = mu1(lat)
+        assert got == matrix_markov_checks(lat, wrong, one), tag
         verdict = {name: ok for name, ok, _ in got}
         assert not verdict["limit-fixed-point"], tag
         assert not verdict["limit-support"], tag

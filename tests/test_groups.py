@@ -35,6 +35,8 @@ from fmeas.groups import (
     up_sets,
 )
 from fmeas.invsys import normal_family
+from fmeas.lattice import fix_field, make_setup
+from fmeas.measure import measure_event, mu_infinity
 
 ALL_NAMES = sorted(corpus.BUILDERS)
 SMALL_NAMES = sorted(name for name, G in corpus.classes_upto(16))
@@ -272,9 +274,44 @@ def test_generated_subgroup_rejects_out_of_range():
         generated_subgroup(cyclic(4), [4])
 
 
-def test_subgroup_rejects_elements_that_are_not_the_closure():
-    with pytest.raises(GroupError):
-        Subgroup(cyclic(4), generators=[1], elements=[0, 1])
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: GroupHom(cyclic(4), cyclic(2), [0, True, 0, True]),
+            "image True is not a target element index",
+        ),
+        (lambda: make_setup(cyclic(4), [2], [True]), "sigma_prime entry True is out of range"),
+        (lambda: Subgroup(cyclic(4), [True]), "generator True is out of range"),
+        (
+            lambda: hom_from_images(cyclic(4), cyclic(2), [1], [True]),
+            "image True is not a target element index",
+        ),
+        (
+            lambda: hom_from_images(cyclic(4), cyclic(2), [True], [1]),
+            "generator True is out of range",
+        ),
+        (lambda: fix_field(setups.get("Klein-first")[2], [True]), "element True is out of range"),
+        (
+            lambda: measure_event(mu_infinity(setups.get("Klein-first")[2]), [True]),
+            "event entries must be members or member indices",
+        ),
+    ],
+    ids=[
+        "GroupHom",
+        "make_setup",
+        "Subgroup",
+        "hom_from_images-image",
+        "hom_from_images-generator",
+        "fix_field",
+        "measure_event",
+    ],
+)
+def test_element_indices_refuse_bools(call, message):
+    # True is an int equal to 1, but no element index, as in FiniteGroup
+    with pytest.raises(GroupError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_all_subgroups_of_z4():
@@ -652,7 +689,7 @@ def oracle_hom_error(G, H, imgs):
     if len(imgs) != G.order:
         return "image table length does not match source order"
     for v in imgs:
-        if not isinstance(v, int) or not 0 <= v < H.order:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < H.order:
             return "image %r is not a target element index" % (v,)
     gens = G.generator_sequence()
     bad = oracle_hom_defect(G, H, imgs, gens, [imgs[g] for g in gens])

@@ -821,22 +821,21 @@ def test_generated_matches_fixpoint_closure(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_restricted_subsystems_match_a_built_one(name):
-    # a generated subsystem is the up-set of its generators' meet; above
-    # each member it must equal the system built on that family by hand
+    # the subsystem generated by one class is S restricted to the classes
+    # above it: its universe and its C are S's, read on those classes
     G = corpus.group(name)
     S = complete_system(G)
+    compat = list(S.compat)
     for N in S.normals:
         sub = generated_subsystem(S, [(N.mask, 0)])
-        built = CompleteSystem(G, [M for M in S.normals if N.mask & M.mask == N.mask])
-        assert sub.normals == built.normals
-        assert sub.universe == built.universe
-        for relation in ("compat", "leq", "prod"):
-            assert len(getattr(sub, relation)) == len(getattr(built, relation))
-        assert sub.dump() == built.dump()
+        above = {M.mask for M in S.normals if N.mask & M.mask == N.mask}
+        assert sub.universe == tuple(x for x in S.universe if x[0] in above)
+        assert list(sub.compat) == [(x, y) for x, y in compat if x[0] in above]
         sub.validate()
         # the subsystem's coset maps are its own to replace
+        own = S._rep_in[N.mask]
         sub._rep_in[N.mask] = ()
-        assert S._rep_in[N.mask] == built._rep_in[N.mask]
+        assert S._rep_in[N.mask] is own
 
 
 def test_generated_within_a_subsystem_stays_inside():

@@ -155,13 +155,13 @@ def fraction_limit(lattice):
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu1_matches_oracle(name):
     setup, K, lat = setups.get(name)
-    assert list(mu1(setup, K, lattice=lat).values) == oracle_row(setup, lat, len(lat.members) - 1)
+    assert list(mu1(lat).values) == oracle_row(setup, lat, len(lat.members) - 1)
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_transition_matrix_matches_oracle(name):
     setup, K, lat = setups.get(name)
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     for i in range(len(lat.members)):
         assert list(T.rows[i]) == oracle_row(setup, lat, i)
 
@@ -170,12 +170,12 @@ def test_transition_matrix_matches_oracle(name):
 def test_mu_infinity_matches_oracle_limit(name):
     setup, K, lat = setups.get(name)
     rows = [oracle_row(setup, lat, i) for i in range(len(lat.members))]
-    assert list(mu_infinity(setup, K, lattice=lat).values) == oracle_limit(rows, lat.n_maximal)
+    assert list(mu_infinity(lat).values) == oracle_limit(rows, lat.n_maximal)
 
 
 def test_mu_infinity_matches_the_fraction_solve_on_the_corpus():
     for tag, setup, K, lat in setups.corpus_lattices():
-        assert list(mu_infinity(setup, K, lattice=lat).values) == fraction_limit(lat), tag
+        assert list(mu_infinity(lat).values) == fraction_limit(lat), tag
 
 
 @st.composite
@@ -200,7 +200,7 @@ def galois_setups(draw):
 def test_mu_infinity_matches_the_fraction_solve_on_generated_setups(drawn):
     setup, K = drawn
     lat = SubextLattice(setup, K)
-    assert list(mu_infinity(setup, K, lattice=lat).values) == fraction_limit(lat)
+    assert list(mu_infinity(lat).values) == fraction_limit(lat)
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
@@ -209,7 +209,7 @@ def test_mu_i_matches_oracle_steps(name):
     rows = [oracle_row(setup, lat, i) for i in range(len(lat.members))]
     v = point_mass(lat)
     for k in range(9):
-        assert list(mu_i(setup, K, k, lattice=lat).values) == v, "step %d" % k
+        assert list(mu_i(lat, k).values) == v, "step %d" % k
         v = step(v, rows)
 
 
@@ -218,12 +218,12 @@ def test_mu_i_matches_oracle_steps(name):
 
 def test_mu1_z2():
     setup, K, lat = setups.get("Z2-full")
-    assert mu1(setup, K, lattice=lat).values == (F(1, 2), F(1, 2))
+    assert mu1(lat).values == (F(1, 2), F(1, 2))
 
 
 def test_mu1_klein():
     setup, K, lat = setups.get("Klein-first")
-    v = mu1(setup, K, lattice=lat)
+    v = mu1(lat)
     assert v.values == (F(1, 2), F(1, 2), F(0))
     assert [lat.members[i].elements for i in range(3)] == [
         (0, 1),
@@ -234,12 +234,12 @@ def test_mu1_klein():
 
 def test_mu1_z4_point_mass():
     setup, K, lat = setups.get("Z4-g")
-    assert mu1(setup, K, lattice=lat).values == (F(1),)
+    assert mu1(lat).values == (F(1),)
 
 
 def test_transition_z2_l_first():
     setup, K, lat = setups.get("Z2-full")
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     assert T.rows == ((F(1), F(0)), (F(1, 2), F(1, 2)))
     assert T.n_maximal == 1
 
@@ -248,7 +248,7 @@ def test_transition_klein_whole_constant_group():
     G = corpus.group("C2xC2")
     setup = make_setup(G, [1, 2], (1,))
     K = Subgroup(G, range(4))
-    T = transition_matrix(setup, K)
+    T = transition_matrix(SubextLattice(setup, K))
     assert [m.elements for m in T.lattice.members] == [
         (0,),
         (0, 1),
@@ -267,73 +267,86 @@ def test_transition_klein_whole_constant_group():
 
 def test_transition_single_member_lattice():
     setup, K, lat = setups.get("C4xC2-subK")
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     assert T.rows == ((F(1),),)
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu_zero_is_point_mass_at_base(name):
     setup, K, lat = setups.get(name)
-    v = mu_i(setup, K, 0, lattice=lat)
+    v = mu_i(lat, 0)
     assert v.values[-1] == 1
     assert all(x == 0 for x in v.values[:-1])
 
 
 def test_mu_two_z2():
     setup, K, lat = setups.get("Z2-full")
-    assert mu_i(setup, K, 2, lattice=lat).values == (F(3, 4), F(1, 4))
+    assert mu_i(lat, 2).values == (F(3, 4), F(1, 4))
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu_one_equals_mu1(name):
     setup, K, lat = setups.get(name)
-    assert mu_i(setup, K, 1, lattice=lat) == mu1(setup, K, lattice=lat)
+    assert mu_i(lat, 1) == mu1(lat)
 
 
 def test_mu_i_holds_the_denominator_bits_to_the_cap():
     # f(K) = 2 on Z2 with N = G, so i steps need denominators of i * 2 bits
     setup, K, lat = setups.get("Z2-full")
     top = STEP_BITS_CAP // 2
-    v = mu_i(setup, K, top, lattice=lat)
+    v = mu_i(lat, top)
     assert v.values == (1 - F(1, 2**top), F(1, 2**top))
     with pytest.raises(CapExceeded, match="over the cap of %d" % STEP_BITS_CAP):
-        mu_i(setup, K, top + 1, lattice=lat)
+        mu_i(lat, top + 1)
 
 
 def test_mu_infinity_z2():
     setup, K, lat = setups.get("Z2-full")
-    assert mu_infinity(setup, K, lattice=lat).values == (F(1), F(0))
+    assert mu_infinity(lat).values == (F(1), F(0))
 
 
 def test_mu_infinity_klein():
     setup, K, lat = setups.get("Klein-first")
-    assert mu_infinity(setup, K, lattice=lat).values == (F(1, 2), F(1, 2), F(0))
+    assert mu_infinity(lat).values == (F(1, 2), F(1, 2), F(0))
 
 
 def test_mu_infinity_s3():
     setup, K, lat = setups.get("S3-A3")
-    assert mu_infinity(setup, K, lattice=lat).values == (F(1, 3), F(1, 3), F(1, 3), F(0))
+    assert mu_infinity(lat).values == (F(1, 3), F(1, 3), F(1, 3), F(0))
 
 
 def test_measure_event_basics():
     setup, K, lat = setups.get("Klein-first")
-    assert measure_event(setup, K, list(lat.members), lattice=lat) == 1
-    assert measure_event(setup, K, [], lattice=lat) == 0
-    assert measure_event(setup, K, [lat.members[0]], lattice=lat) == F(1, 2)
+    inf = mu_infinity(lat)
+    assert measure_event(inf, list(lat.members)) == 1
+    assert measure_event(inf, []) == 0
+    assert measure_event(inf, [lat.members[0]]) == F(1, 2)
     # indices work, duplicates collapse
-    assert measure_event(setup, K, [0, lat.members[0]], lattice=lat) == F(1, 2)
-    assert measure_event(setup, K, [0, 1], lattice=lat) == 1
+    assert measure_event(inf, [0, lat.members[0]]) == F(1, 2)
+    assert measure_event(inf, [0, 1]) == 1
+
+
+@pytest.mark.parametrize("name", setups.NAMES)
+def test_measure_event_sums_any_vector(name):
+    # each member alone carries its own value, and an event its values' sum
+    setup, K, lat = setups.get(name)
+    for vector in (mu1(lat), mu_i(lat, 3), mu_infinity(lat)):
+        for i, H in enumerate(lat.members):
+            assert measure_event(vector, [H]) == measure_event(vector, [i]) == vector.values[i]
+        half = range(0, len(lat.members), 2)
+        assert measure_event(vector, half) == sum(vector.values[i] for i in half)
 
 
 def test_measure_event_rejects_non_members():
     setup, K, lat = setups.get("Z4-g")
+    inf = mu_infinity(lat)
     outside = Subgroup(setup.group, (2,))
     with pytest.raises(GroupError, match="member"):
-        measure_event(setup, K, [outside], lattice=lat)
+        measure_event(inf, [outside])
     with pytest.raises(GroupError, match="out of range"):
-        measure_event(setup, K, [5], lattice=lat)
+        measure_event(inf, [5])
     with pytest.raises(GroupError, match="member"):
-        measure_event(setup, K, ["k(a)"], lattice=lat)
+        measure_event(inf, ["k(a)"])
 
 
 # -- invariants ---------------------------------------------------------------
@@ -359,7 +372,7 @@ def test_lift_independence_exhaustive(name):
         assert len(lifts) == tuples
         if len(lifts) * tuples > LIFT_TUPLE_BUDGET:
             lifts = [lifts[0], lifts[-1]]
-        closed_form = list(mu1(setup, H, lattice=member_lat).values)
+        closed_form = list(mu1(member_lat).values)
         base = len(member_lat.members) - 1
         for lift in lifts:
             assert oracle_row(setup, member_lat, base, lift=lift) == closed_form, lift
@@ -368,7 +381,7 @@ def test_lift_independence_exhaustive(name):
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_ergodic_absorbing_maximal_coincide(name):
     setup, K, lat = setups.get(name)
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     m = len(lat.members)
     reach = [[bool(T.rows[i][j]) or i == j for j in range(m)] for i in range(m)]
     for k in range(m):
@@ -385,8 +398,8 @@ def test_ergodic_absorbing_maximal_coincide(name):
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_monotone_and_bounded_at_maximal(name):
     setup, K, lat = setups.get(name)
-    T = transition_matrix(setup, K, lattice=lat)
-    inf = mu_infinity(setup, K, lattice=lat).values
+    T = transition_matrix(lat)
+    inf = mu_infinity(lat).values
     v = point_mass(lat)
     prev = v
     for _ in range(10):
@@ -402,15 +415,15 @@ def test_monotone_and_bounded_at_maximal(name):
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu_infinity_is_a_fixed_point(name):
     setup, K, lat = setups.get(name)
-    T = transition_matrix(setup, K, lattice=lat)
-    inf = list(mu_infinity(setup, K, lattice=lat).values)
+    T = transition_matrix(lat)
+    inf = list(mu_infinity(lat).values)
     assert step(inf, T.rows) == inf
 
 
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu_infinity_vanishes_sums_and_stays_rational(name):
     setup, K, lat = setups.get(name)
-    v = mu_infinity(setup, K, lattice=lat).values
+    v = mu_infinity(lat).values
     assert sum(v) == 1
     for i, x in enumerate(v):
         assert isinstance(x, Fraction)
@@ -431,7 +444,7 @@ def test_limit_lies_within_the_unabsorbed_bound(name):
         v = step(v, rows)
     t = sum(v[lat.n_maximal :])
     assert t < 1
-    inf = mu_infinity(setup, K, lattice=lat).values
+    inf = mu_infinity(lat).values
     for a in range(lat.n_maximal):
         assert abs(v[a] - inf[a]) <= t
 
@@ -443,11 +456,11 @@ def test_limit_reached_exactly_when_no_transient_loops(name):
     # when every transient member leaves itself with probability 1, the
     # chain must be absorbed within (number of transients) steps
     setup, K, lat = setups.get(name)
-    T = transition_matrix(setup, K, lattice=lat)
+    T = transition_matrix(lat)
     transients = range(lat.n_maximal, len(lat.members))
     assert all(T.rows[i][i] == 0 for i in transients)
     steps_needed = len(lat.members) - lat.n_maximal
-    assert mu_i(setup, K, steps_needed, lattice=lat) == mu_infinity(setup, K, lattice=lat)
+    assert mu_i(lat, steps_needed) == mu_infinity(lat)
 
 
 def test_mu1_same_for_alternative_constant_subgroup():
@@ -457,10 +470,11 @@ def test_mu1_same_for_alternative_constant_subgroup():
     K = Subgroup(G, range(8))
     via_n = make_setup(G, [1], (2,))
     via_n1 = make_setup(G, [4, 1], (2,))
-    v, v1 = mu1(via_n, K), mu1(via_n1, K)
+    lat, lat1 = SubextLattice(via_n, K), SubextLattice(via_n1, K)
+    v, v1 = mu1(lat), mu1(lat1)
     assert v == v1
     assert v.values == (F(1, 2), F(1, 2), F(0))
-    assert mu_infinity(via_n, K) == mu_infinity(via_n1, K)
+    assert mu_infinity(lat) == mu_infinity(lat1)
 
 
 @pytest.mark.parametrize(
@@ -475,7 +489,7 @@ def test_mu1_constant_subgroup_degenerate_cases(maker, n_gens, n1_gens, sigma):
     K = Subgroup(G, range(G.order))
     a = make_setup(G, n_gens, sigma)
     b = make_setup(G, n1_gens, sigma)
-    va, vb = mu1(a, K), mu1(b, K)
+    va, vb = mu1(SubextLattice(a, K)), mu1(SubextLattice(b, K))
     assert va == vb
     assert va.values == (F(1),)
 
@@ -507,14 +521,14 @@ def test_coprime_factor_locality(maker, c3_gen, n_gens):
     )
     mK = Subgroup(Qg, range(Qg.order))
     mlat = SubextLattice(marg, mK)
-    minf = mu_infinity(marg, mK, lattice=mlat)
+    minf = mu_infinity(mlat)
     for s1_mask in (1, 3):
         X = [H for H in lat.members if proj.image_mask(H.mask) == s1_mask]
         want = F(0)
         for i, H in enumerate(mlat.members):
             if H.mask == s1_mask:
                 want = minf.values[i]
-        assert measure_event(setup, K, X, lattice=lat) == want
+        assert measure_event(mu_infinity(lat), X) == want
 
 
 # -- caps, validation ----------------------------------------------------------
@@ -523,8 +537,8 @@ def test_coprime_factor_locality(maker, c3_gen, n_gens):
 def test_cap_exceeded_is_loud():
     setup, K, lat = setups.get("C13-n2")
     with pytest.raises(CapExceeded, match="169"):
-        mu1(setup, K, cap=168, lattice=lat)
-    assert sum(mu1(setup, K, cap=169, lattice=lat).values) == 1
+        mu1(lat, cap=168)
+    assert sum(mu1(lat, cap=169).values) == 1
 
 
 @pytest.mark.parametrize(
@@ -538,13 +552,13 @@ def test_cap_binds_each_call_on_a_lattice_with_cached_counts(cap, base_message, 
     # the counts are cached by the first call, at the default cap; every
     # later call still holds its own rows to its own cap, in row order
     setup, K, lat = setups.get("S4-full")
-    mu_infinity(setup, K, lattice=lat)
+    mu_infinity(lat)
     row_message = row_message or base_message
     calls = [
-        (lambda: mu1(setup, K, cap=cap, lattice=lat), base_message),
-        (lambda: transition_matrix(setup, K, cap=cap, lattice=lat), row_message),
-        (lambda: mu_i(setup, K, 1, cap=cap, lattice=lat), row_message),
-        (lambda: mu_infinity(setup, K, cap=cap, lattice=lat), row_message),
+        (lambda: mu1(lat, cap=cap), base_message),
+        (lambda: transition_matrix(lat, cap=cap), row_message),
+        (lambda: mu_i(lat, 1, cap=cap), row_message),
+        (lambda: mu_infinity(lat, cap=cap), row_message),
     ]
     for call, message in calls:
         with pytest.raises(CapExceeded) as exc:
@@ -557,26 +571,19 @@ def test_cap_propagates_through_the_solve():
     setup = make_setup(G, [1, 2], (1,))
     K = Subgroup(G, range(4))
     with pytest.raises(CapExceeded):
-        mu_infinity(setup, K, cap=3)
-
-
-def test_lattice_argument_must_match():
-    setup, K, lat = setups.get("Klein-first")
-    other_setup, other_K, other_lat = setups.get("Z2-full")
-    with pytest.raises(GroupError, match="lattice"):
-        mu1(setup, K, lattice=other_lat)
+        mu_infinity(SubextLattice(setup, K), cap=3)
 
 
 def test_mu_i_rejects_bad_step_counts():
     setup, K, lat = setups.get("Z2-full")
     with pytest.raises(GroupError, match="nonnegative"):
-        mu_i(setup, K, -1, lattice=lat)
+        mu_i(lat, -1)
     with pytest.raises(GroupError, match="nonnegative"):
-        mu_i(setup, K, F(1, 2), lattice=lat)
+        mu_i(lat, F(1, 2))
     # True is an int, but no step count, as for level_quotient
     for flag in (True, False):
         with pytest.raises(GroupError, match="^step count must be a nonnegative integer$"):
-            mu_i(setup, K, flag, lattice=lat)
+            mu_i(lat, flag)
 
 
 def test_measure_vector_validation():
@@ -624,7 +631,7 @@ def test_transition_matrix_validation():
     G = corpus.group("C2xC2")
     setup = make_setup(G, [1, 2], (1,))
     lat = SubextLattice(setup, Subgroup(G, range(4)))
-    good = transition_matrix(setup, lat.base, lattice=lat).rows
+    good = transition_matrix(lat).rows
     bad = [list(r) for r in good]
     bad[1] = [F(0), F(0), F(1), F(0), F(0)]  # mass on an incomparable member
     with pytest.raises(GroupError, match="extend"):
@@ -653,7 +660,7 @@ def test_format_rational():
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_serialized_values_are_lowest_terms(name):
     setup, K, lat = setups.get(name)
-    for x in mu_infinity(setup, K, lattice=lat).values:
+    for x in mu_infinity(lat).values:
         assert x.denominator >= 1
         assert gcd(x.numerator, x.denominator) == 1
 
@@ -676,9 +683,9 @@ def test_inputs_beyond_the_default_cap_are_cheap(normal, sigma):
     K = Subgroup(G, range(16))
     start = time.perf_counter()
     lat = SubextLattice(setup, K)
-    T = transition_matrix(setup, K, cap=16**12, lattice=lat)
-    one = mu1(setup, K, cap=16**12, lattice=lat)
-    inf = mu_infinity(setup, K, cap=16**12, lattice=lat)
+    T = transition_matrix(lat, cap=16**12)
+    one = mu1(lat, cap=16**12)
+    inf = mu_infinity(lat, cap=16**12)
     elapsed = time.perf_counter() - start
     assert all(sum(row) == 1 for row in T.rows)
     assert one.values == T.rows[-1]
@@ -692,7 +699,7 @@ def test_inputs_beyond_the_default_cap_are_cheap(normal, sigma):
         match="member %d needs %d tuples, over the cap of 10000000"
         % (base, (2 ** len(normal)) ** 12),
     ):
-        mu1(setup, K, lattice=lat)
+        mu1(lat)
 
 
 # -- towers ----------------------------------------------------------------------
