@@ -65,7 +65,7 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
         if not any(H.mask & M.mask == H.mask for M in maximal):
             maximal.append(H)
             mask &= H.mask
-    report = FrattiniReport(Subgroup(G, G.elems_of_mask(mask)), tuple(reversed(maximal)))
+    report = FrattiniReport(Subgroup._of_mask(G, mask), tuple(reversed(maximal)))
     G._frattini = report
     return report
 

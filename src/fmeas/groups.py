@@ -19,12 +19,11 @@ coset of H at a time; closure_mask folds it over a generator list, and
 subgroup enumeration is a reverse search (Avis and Fukuda, 1996): each
 subgroup is reached from exactly one canonical seed along exactly one
 chain of extensions by elements of an extension set, each the least
-element the subgroup still lacks, so it is closed once, and its tuple
-of seed generators and chain elements is kept, so that building it
-again replays memoized extensions.  There is likewise one
-homomorphism search, _epimorphism_search, over the images of the
-generator sequence: epimorphisms lists it, and isomorphic asks it for a
-first epimorphism between groups of equal order.
+element the subgroup still lacks, so it is closed once, and it is
+built from its mask (Subgroup._of_mask), not closed again.  There is
+likewise one homomorphism search, _epimorphism_search, over the images
+of the generator sequence: epimorphisms lists it, and isomorphic asks
+it for a first epimorphism between groups of equal order.
 Quotients rest on three more routines, one of each kind: cosets names
 each coset gN by its least element, GroupHom.preimage_mask pulls a mask
 back, and up_sets lists the members of a family above each member.
@@ -119,7 +118,7 @@ class FiniteGroup:
         if row_bytes is None:
             self._check_identity()
             self._check_permutation_rows(rows_ok)
-        self._inverse = self._compute_inverses()
+        self._inverse = self._compute_inverses(row_bytes or rows)
         if row_bytes is None or not self._light_bytes(row_bytes):
             self._check_associativity()
             if row_bytes is not None:
@@ -241,15 +240,14 @@ class FiniteGroup:
             if len(set(column)) != n:
                 raise GroupError("column %d is not a permutation; not a group table" % a)
 
-    def _compute_inverses(self) -> tuple[int, ...]:
-        n = self.order
-        inv = [0] * n
-        for a in range(n):
-            b = self.table[a].index(0)
-            if self.table[b][a] != 0:
+    def _compute_inverses(self, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """Each element's inverse, where its row holds 0, checked two-sided;
+        rows may be the row bytes, which bytes.index searches faster."""
+        inv = tuple(row.index(0) for row in rows)
+        for a, b in enumerate(inv):
+            if rows[b][a] != 0:
                 raise GroupError("element %d has no two-sided inverse" % a)
-            inv[a] = b
-        return tuple(inv)
+        return inv
 
     def _check_associativity(self) -> None:
         """Light's test: row x*a is row x composed with row a, for every x
@@ -424,23 +422,30 @@ class Subgroup:
     """A verified subgroup of a FiniteGroup.
 
     Canonical form is the sorted tuple of element indices; mask is the
-    same set as a bitmask.  elements is always the closure of
-    generators.  Instances compare and hash by parent identity plus
-    element set.
+    same set as a bitmask, the closure of the given generators, or a
+    mask already proved closed (_of_mask).  Instances compare and hash
+    by parent identity plus element set.
     """
 
-    __slots__ = ("group", "elements", "generators", "mask")
+    __slots__ = ("group", "elements", "mask")
 
     def __init__(self, group: FiniteGroup, generators: Iterable[int] = ()):
         gens = tuple(generators)
         for x in gens:
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < group.order:
                 raise GroupError("generator %r is out of range" % (x,))
-        mask = group.closure_mask(gens)
         self.group = group
-        self.generators = gens
-        self.elements = group.elems_of_mask(mask)
+        self.mask = group.closure_mask(gens)
+        self.elements = group.elems_of_mask(self.mask)
+
+    @classmethod
+    def _of_mask(cls, group: FiniteGroup, mask: int) -> "Subgroup":
+        """The subgroup with a mask its caller has proved closed, unchecked."""
+        self = cls.__new__(cls)
+        self.group = group
         self.mask = mask
+        self.elements = group.elems_of_mask(mask)
+        return self
 
     @property
     def order(self) -> int:
@@ -488,7 +493,9 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         G = self.group
-        return Subgroup(G, tuple(G.conj(g, x) for x in self.elements))
+        if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < G.order:
+            raise GroupError("element %r is out of range" % (g,))
+        return Subgroup._of_mask(G, sum(1 << G.conj(g, x) for x in self.elements))
 
     def canonical_generators(self) -> tuple[int, ...]:
         """Least-index greedy generating sequence, for stable display names."""
@@ -561,7 +568,7 @@ class GroupHom:
         )
 
     def kernel(self) -> Subgroup:
-        return Subgroup(self.source, self.source.elems_of_mask(self.preimage_mask(1)))
+        return Subgroup._of_mask(self.source, self.preimage_mask(1))
 
     def image_subgroup(self, H: Optional[Subgroup] = None) -> Subgroup:
         if H is None:
@@ -679,14 +686,12 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(gens))
 
 
-def _subgroups_within(
-    G: FiniteGroup, seeds: Iterable[tuple[int, tuple[int, ...], int]], extend: int
-) -> dict[int, tuple[int, ...]]:
-    """Every subgroup reached from the seeds by adding elements of the
-    extension set E (the mask extend), once each, mask to generators.
+def _subgroups_within(G: FiniteGroup, seeds: Iterable[tuple[int, int]], extend: int) -> set[int]:
+    """The masks of every subgroup reached from the seeds by adding
+    elements of the extension set E (the mask extend), each closed once.
 
     A reverse search (Avis and Fukuda, 1996) over canonical generating
-    sequences.  Each seed is a triple (mask, gens, bar): bar marks the
+    sequences.  Each seed is a pair (mask, bar): bar marks the
     elements no subgroup grown from that seed may hold (see _lift_seeds).
     A node C made by the element last is extended by each x in E with
     x > last that is the least element of E in its left coset xC, and
@@ -698,18 +703,18 @@ def _subgroups_within(
     <C_j, min((K n E) \\ C_j)> rises through E, and any tree path to K
     meets those conditions at each step only if it is that chain.  The
     chain ends at <S, K n E>, which is K whenever K is generated by S
-    and its elements in E.  Each mask maps to the seed's generators
-    followed by the chain's elements; from the seed {0} with no bar and
-    E the whole group, that is the subgroup's canonical_generators().
+    and its elements in E.  From the seed {0} with no bar and E the
+    whole group, the chain's elements are the subgroup's
+    canonical_generators().
     """
     t = G.table
     extend_elems = G.elems_of_mask(extend)
-    built: dict[int, tuple[int, ...]] = {}
-    for seed, seed_gens, bar in seeds:
-        built[seed] = seed_gens
-        work = [(seed, seed_gens, 0)]
+    built: set[int] = set()
+    for seed, bar in seeds:
+        built.add(seed)
+        work = [(seed, 0)]
         while work:
-            mask, gens, start = work.pop()
+            mask, start = work.pop()
             H = G.elems_of_mask(mask)
             done = mask
             for i in range(start, len(extend_elems)):
@@ -727,8 +732,8 @@ def _subgroups_within(
                 bigger = G.extend_mask(mask, x)
                 if bigger & barred:
                     continue
-                built[bigger] = bigger_gens = gens + (x,)
-                work.append((bigger, bigger_gens, i + 1))
+                built.add(bigger)
+                work.append((bigger, i + 1))
     return built
 
 
@@ -742,9 +747,9 @@ def _check_order_cap(order: int) -> None:
 
 def _lift_seeds(
     G: FiniteGroup, universe: int, normal: int, lift: Sequence[int]
-) -> list[tuple[int, tuple[int, ...], int]]:
+) -> list[tuple[int, int]]:
     """The canonical seeds <y_1, ..., y_k> of the universe, y_i in c_i,
-    as triples (mask, (y_1, ..., y_k), bar).
+    as pairs (mask, bar).
 
     c_i is the universe's meet with s_i N, where s_1, ..., s_k is the
     greedy subsequence of lift whose images generate <N, lift> / N: a
@@ -759,7 +764,7 @@ def _lift_seeds(
     """
     t = G.table
     n_elems = G.elems_of_mask(normal)
-    seeds: list[tuple[int, tuple[int, ...], int]] = [(1, (), 0)]
+    seeds: list[tuple[int, int]] = [(1, 0)]
     span = normal
     for s in lift:
         if span >> s & 1:
@@ -772,12 +777,12 @@ def _lift_seeds(
         coset &= universe
         ys = _mask_to_elems(coset)
         level = []
-        for mask, gens, bar in seeds:
+        for mask, bar in seeds:
             for y in ys:
                 seed = G.extend_mask(mask, y)
                 seed_bar = bar | coset & ((1 << y) - 1)
                 if not seed & seed_bar:
-                    level.append((seed, gens + (y,), seed_bar))
+                    level.append((seed, seed_bar))
         seeds = level
     return seeds
 
@@ -787,10 +792,9 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     # above the cap this raises, whether or not the subgroups are cached
     _check_order_cap(G.order)
     if G._subgroups is None:
-        built = _subgroups_within(G, [(1, (), 0)], (1 << G.order) - 1)
-        subs = [Subgroup(G, gens) for gens in built.values()]
-        subs.sort(key=lambda H: (H.order, H.elements))
-        G._subgroups = tuple(subs)
+        masks = _subgroups_within(G, [(1, 0)], (1 << G.order) - 1)
+        subs = (Subgroup._of_mask(G, mask) for mask in masks)
+        G._subgroups = tuple(sorted(subs, key=lambda H: (H.order, H.elements)))
     return G._subgroups
 
 
@@ -805,8 +809,9 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 def subgroup_masks_within(
     G: FiniteGroup, universe: int, normal: Optional[int] = None, lift: Sequence[int] = ()
-) -> dict[int, tuple[int, ...]]:
-    """The subgroups H of the universe with HN = <N, lift>, mask to generators.
+) -> list[int]:
+    """The masks of the subgroups H of the universe with HN = <N, lift>,
+    ordered like all_subgroups.
 
     normal is the mask of a normal subgroup N, the whole group when
     omitted, so that with no lift every subgroup of the universe
@@ -817,18 +822,15 @@ def subgroup_masks_within(
     _lift_seeds, <min(H n c_i)>, by _subgroups_within's one chain of
     elements of the universe's meet with N; with N the whole group the
     one seed is {0} and every element of the universe extends.  Each
-    mask maps to that seed's generators followed by the chain's
-    elements, so that Subgroup(G, gens) replays memoized closures; the
-    masks come ordered like all_subgroups.  The universe must itself be
-    a subgroup, of order at most DEFAULT_ORDER_CAP.
+    mask was closed once there, so Subgroup._of_mask builds it.  The
+    universe must be a subgroup, of order at most DEFAULT_ORDER_CAP.
     """
     _check_order_cap(bin(universe).count("1"))
     if normal is None:
         normal = (1 << G.order) - 1
     seeds = _lift_seeds(G, universe, normal, lift)
     built = _subgroups_within(G, seeds, universe & normal)
-    ordered = sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
-    return {m: built[m] for m in ordered}
+    return sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
 
 
 def cosets(G: FiniteGroup, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

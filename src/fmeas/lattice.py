@@ -91,7 +91,8 @@ class SubextLattice:
 
     They are found as H = <L_H, H n N>: seeds generated by one element of
     K n sN for each coordinate s of a greedy subsequence of sigma whose
-    images generate Q, closed upward by the elements of K n N.
+    images generate Q, closed upward by the elements of K n N; each is
+    closed once there and built from its mask, not closed again.
 
     members[:n_maximal] are the minimal qualifying subgroups (the
     maximal fields); members[-1] is the base.  F_i <= F_j in the field
@@ -110,10 +111,7 @@ class SubextLattice:
         if not setup.qualifies(base.mask):
             raise GroupError("base subgroup does not map onto the quotient")
         # by order, then elements: every proper sub-member comes earlier
-        qualifying = subgroup_masks_within(
-            G, base.mask, setup.n_sub.mask, setup.sigma_prime
-        )
-        by_size = list(qualifying)
+        by_size = subgroup_masks_within(G, base.mask, setup.n_sub.mask, setup.sigma_prime)
         subs = [
             [k for k, mk in zip(range(j), by_size) if mk & mj == mk]
             for j, mj in enumerate(by_size)
@@ -122,15 +120,13 @@ class SubextLattice:
         order = [j for j, sub in enumerate(subs) if not sub]
         n_maximal = len(order)
         order += [j for j, sub in enumerate(subs) if sub]
-        position = [0] * len(order)
-        for i, j in enumerate(order):
-            position[j] = i
+        position = sorted(range(len(order)), key=order.__getitem__)
         self.setup = setup
         self.base = base
-        self.members = tuple(Subgroup(G, qualifying[by_size[j]]) for j in order)
+        self.members = tuple(Subgroup._of_mask(G, by_size[j]) for j in order)
         self.n_maximal = n_maximal
         self.index_of = {by_size[j]: i for i, j in enumerate(order)}
-        self.below = tuple(tuple(sorted(position[k] for k in subs[j])) for j in order)
+        self.below = tuple(tuple(sorted(map(position.__getitem__, subs[j]))) for j in order)
         self._counts: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def __len__(self) -> int:

@@ -14,8 +14,8 @@ H n sigma N, the translates l(H n N) are exactly H n sigma N, so every
 valid lift yields the same tuples and the same counts.  A step of the
 chain sends mass v[i] / f[i] from each member i to each member j inside
 it, weighted by g[j]; iterated measures take such steps on integer
-numerators from the point mass at the base, and the limit measure
-solves the absorbing chain equations by forward substitution on integer
+numerators from the point mass at the base; the limit is a point mass
+if one member is maximal, else a forward substitution on integer
 numerators over one denominator per member.  The Fraction transition
 matrix is built only by transition_matrix.  Every value is exact; no
 floating point enters the engine.
@@ -280,23 +280,25 @@ def mu_i(lat: SubextLattice, i: int, *, cap: int = TUPLE_CAP) -> MeasureVector:
 def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     """Exact limit distribution: the absorbing-chain solve, never iteration.
 
-    The probability h(i) of ending at each maximal member from member i
-    is a unit vector on maximal members and, for a transient member,
-    the sum of g[j] h(j) over its proper sub-members j divided by
-    f[i] - g[i].  Sub-members come first in the canonical order, so one
-    forward pass solves it.  Each h(i) is kept as integer numerators
-    over one denominator: the rows it sums are brought to the lcm of
-    their denominators and the result is reduced by one gcd, so the
-    only divisions left are one per maximal coordinate of h(K).  The
-    result vanishes off the maximal members and is strictly positive on
-    each of them.
+    With one maximal member, as whenever N = G, the limit is the point
+    mass on it, once every row is held to the cap: an absorbing chain
+    with one absorbing state ends there (Kemeny and Snell, 1960).
+    Otherwise the probability h(i) of ending at each maximal member
+    from member i is a unit vector on maximal members and, for a
+    transient member, the sum of g[j] h(j) over its proper sub-members
+    j divided by f[i] - g[i].  Sub-members come first in the canonical
+    order, so one forward pass solves it.  Each h(i) is kept as integer
+    numerators over one denominator: the rows it sums are brought to
+    the lcm of their denominators and the result is reduced by one gcd,
+    so the only divisions left are one per maximal coordinate of h(K).
+    The result vanishes off the maximal members and is strictly
+    positive on each of them.
     """
     m = len(lat.members)
     f, g, below = _hall_counts(lat, cap, range(m))
     ell = lat.n_maximal
-    if ell == m:
-        # single-member lattice: the base is already maximal
-        return MeasureVector(lat, [Fraction(1)])
+    if ell == 1:
+        return MeasureVector(lat, [Fraction(1)] + [Fraction(0)] * (m - 1))
     # absorb[t] = (numerators, denominator) in lowest terms: the
     # probabilities of ending at each maximal member from member ell+t
     absorb: list[tuple[list[int], int]] = []

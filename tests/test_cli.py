@@ -194,6 +194,18 @@ def test_default_cap_still_binds_the_closed_form(tmp_path, capsys):
     assert err == "error: member 66 needs 281474976710656 tuples, over the cap of 10000000\n"
 
 
+def test_default_cap_binds_the_one_maximal_limit(tmp_path, capsys):
+    # the same setup under --mode inf: its one maximal member gives the
+    # limit without a solve, but each row is still held to TUPLE_CAP in
+    # row order, so the first order-4 member, 4^12 tuples, is named
+    p = tmp_path / "c2_4_n12.json"
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4, 8], "sigma": [1, 2, 4, 8] * 3}
+    p.write_text(json.dumps(setup))
+    err = expect_error(["measure", str(p), "--mode", "inf"], capsys, "over the cap", 3)
+    assert err == "error: member 16 needs 16777216 tuples, over the cap of 10000000\n"
+
+
 def test_embedding_on_c2_4_answers(tmp_path, capsys):
     # order 16, inside the default --bound of 24
     p = tmp_path / "c2_4.json"

@@ -34,6 +34,7 @@ from fmeas.groups import (
     symmetric,
     up_sets,
 )
+from fmeas.frattini import frattini_subgroup
 from fmeas.invsys import normal_family
 from fmeas.lattice import fix_field, make_setup
 from fmeas.measure import measure_event, mu_infinity
@@ -395,72 +396,40 @@ def test_all_subgroups_match_closed_subsets(name):
     assert {H.mask for H in all_subgroups(G)} == closed
 
 
-def oracle_subgroups_within(G, seeds, extend):
-    """Every subgroup reached from the seeds by extending every known
-    subgroup by every element of extend outside it."""
-    built = dict(seeds)
-    work = list(seeds)
+def oracle_subgroups_within(G, extend):
+    """The masks of every subgroup reached from the trivial one by
+    extending every known subgroup by every element of extend outside it."""
+    built = {1}
+    work = [1]
     while work:
         mask = work.pop()
-        gens = built[mask]
         for x in extend:
             if mask >> x & 1:
                 continue
             bigger = G.extend_mask(mask, x)
             if bigger not in built:
-                built[bigger] = gens + (x,)
+                built.add(bigger)
                 work.append(bigger)
     return built
 
 
-def oracle_lattice_tuple(G, mask, normal, lift):
-    """The generators the lattice enumeration gives the subgroup with this
-    mask, read off its elements: for each lift coordinate outside the span
-    of N and the coordinates before it, the least element of the subgroup
-    in that coordinate's coset of N; then, while the closure so far misses
-    an element of the subgroup's meet with N, the least such element."""
-    t = G.table
-    gens = []
-    span = normal
-    for s in lift:
-        if span >> s & 1:
-            continue
-        span = G.closure_mask(G.elems_of_mask(span) + (s,))
-        gens.append(min(t[s][x] for x in G.elems_of_mask(normal) if mask >> t[s][x] & 1))
-    while True:
-        have = G.closure_mask(gens)
-        rest = [x for x in G.elems_of_mask(mask & normal) if not have >> x & 1]
-        if not rest:
-            return tuple(gens)
-        gens.append(rest[0])
-
-
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coset_enumeration_matches_the_per_element_oracle(name):
-    # the same subgroups as extending by every element, each generated by
-    # its tuple, which is its least-index greedy generating sequence
+    # the same subgroups as extending by every element
     G = corpus.group(name)
-    fast = groups._subgroups_within(G, [(1, (), 0)], (1 << G.order) - 1)
-    oracle = oracle_subgroups_within(G, {1: ()}, range(G.order))
-    assert set(fast) == set(oracle)
-    for mask, gens in fast.items():
-        assert G.closure_mask(gens) == mask
-        assert gens == Subgroup(G, gens).canonical_generators()
+    fast = groups._subgroups_within(G, [(1, 0)], (1 << G.order) - 1)
+    assert fast == oracle_subgroups_within(G, range(G.order))
 
 
 def test_coset_enumeration_matches_the_oracle_on_every_corpus_lattice():
     # the oracle extends the trivial subgroup by every element of the base
-    # and keeps what maps onto the quotient; the tuple of each member
-    # starts from its canonical seed
+    # and keeps what maps onto the quotient; each member comes once
     for tag, setup, K, _ in setups.corpus_lattices():
         G = setup.group
-        normal = setup.n_sub.mask
-        fast = groups.subgroup_masks_within(G, K.mask, normal, setup.sigma_prime)
-        oracle = oracle_subgroups_within(G, {1: ()}, G.elems_of_mask(K.mask))
+        fast = groups.subgroup_masks_within(G, K.mask, setup.n_sub.mask, setup.sigma_prime)
+        oracle = oracle_subgroups_within(G, G.elems_of_mask(K.mask))
+        assert len(set(fast)) == len(fast), tag
         assert set(fast) == {m for m in oracle if setup.qualifies(m)}, tag
-        for mask, gens in fast.items():
-            assert G.closure_mask(gens) == mask, tag
-            assert gens == oracle_lattice_tuple(G, mask, normal, setup.sigma_prime), tag
 
 
 def test_coset_enumeration_extends_once_per_coset(monkeypatch):
@@ -478,18 +447,48 @@ def test_coset_enumeration_extends_once_per_coset(monkeypatch):
     for factors, subgroups, closures in [(4, 67, 66), (6, 2825, 2824)]:
         G = direct_product(*[cyclic(2)] * factors)
         calls.clear()
-        built = groups._subgroups_within(G, [(1, (), 0)], (1 << G.order) - 1)
+        built = groups._subgroups_within(G, [(1, 0)], (1 << G.order) - 1)
         assert len(built) == subgroups
         assert len(calls) == closures
 
 
-def test_subgroup_masks_within_keeps_the_enumeration_generators():
+def test_subgroup_masks_within_orders_like_all_subgroups():
     G = corpus.group("S4")
-    full = (1 << G.order) - 1
-    got = groups.subgroup_masks_within(G, full)
-    assert list(got) == [H.mask for H in all_subgroups(G)]
-    for mask, gens in got.items():
-        assert G.closure_mask(gens) == mask
+    got = groups.subgroup_masks_within(G, (1 << G.order) - 1)
+    assert got == [H.mask for H in all_subgroups(G)]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_subgroups_built_from_masks_match_their_closures(name):
+    # all_subgroups, the Frattini meet and the kernel of each quotient map
+    # are built from masks proved closed, without a closure; each equals
+    # the subgroup its elements generate, in mask and elements
+    G = corpus.group(name)
+    built = list(all_subgroups(G)) + [frattini_subgroup(G).frattini_subgroup]
+    built += [quotient(G, N)[1].kernel() for N in normal_subgroups(G)]
+    for H in built:
+        direct = Subgroup(G, H.elements)
+        assert H.mask == direct.mask and H.elements == direct.elements
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_conjugate_by_matches_the_conjugated_elements(name):
+    G = corpus.group(name)
+    for H in all_subgroups(G):
+        for g in range(G.order):
+            conj = {G.mul(G.mul(g, x), G.inv(g)) for x in H.elements}
+            got = H.conjugate_by(g)
+            assert set(got.elements) == conj
+            assert got == Subgroup(G, conj)
+
+
+@pytest.mark.parametrize("g", [-1, True, 99], ids=["negative", "bool", "too-large"])
+def test_conjugate_by_refuses_what_is_no_element_index(g):
+    # before, -1 conjugated by element 5, True by element 1, and 99 raised IndexError
+    H = Subgroup(symmetric(3), [1])
+    with pytest.raises(GroupError) as exc:
+        H.conjugate_by(g)
+    assert str(exc.value) == "element %r is out of range" % (g,)
 
 
 # -- table and image validation ------------------------------------------
@@ -567,6 +566,26 @@ def corrupted_tables(G):
     # a bad entry after a short row, and a short row after a bad entry
     yield [base[0], base[1][:-1]] + [row[:-1] + [-1] for row in base[2:]]
     yield [base[0], base[1][:-1] + [-1]] + [row[:-1] for row in base[2:]]
+
+
+# a loop of order 5 in which 2 * 3 = 0 but 3 * 2 = 1
+ONE_SIDED_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("k", [1, 51, 52])
+def test_one_sided_inverses_are_named_on_either_side_of_the_byte_route(k):
+    # the loop times C_k, of order 5, 255 (both on the byte route, where the
+    # inverses are read off the row bytes) and 260 (ordered checks alone)
+    t = ONE_SIDED_LOOP
+    table = [
+        [t[a][b] * k + (i + j) % k for b in range(5) for j in range(k)]
+        for a in range(5)
+        for i in range(k)
+    ]
+    with pytest.raises(GroupError) as info:
+        FiniteGroup(table)
+    assert str(info.value) == "element %d has no two-sided inverse" % (2 * k)
+    assert str(info.value) == oracle_table_error(table)
 
 
 @pytest.mark.parametrize("name", ["C2xC2", "C4", "S3", "D4", "C6xC2xC2", "D4xD4"])

@@ -299,14 +299,34 @@ def test_below_and_the_order_match_a_direct_scan():
 
 
 def test_members_built_from_generators_match_their_elements():
-    # members are closed from the enumeration's generators, not from
-    # their elements; either way gives the same subgroup and name
+    # members are built from the masks the enumeration proved closed, not
+    # closed from their elements; either way gives the same subgroup and name
     for tag, setup, K, lat in setups.corpus_lattices():
         G = setup.group
         for H in lat.members:
             direct = Subgroup(G, G.elems_of_mask(H.mask))
             assert H == direct and H.elements == direct.elements, tag
             assert H.display_name() == direct.display_name(), tag
+
+
+def test_lattice_closes_each_member_once(monkeypatch):
+    # C2^4 with N = G: the enumeration's 66 closures, one per member but
+    # {0}, and no second closure to build the members
+    G = FiniteGroup([[a ^ b for b in range(16)] for a in range(16)])
+    setup = make_setup(G, [1, 2, 4, 8], [0] * 4)
+    K = Subgroup(G, range(16))
+    calls = []
+    extend_mask = FiniteGroup.extend_mask
+
+    def counted(self, mask, x):
+        calls.append((mask, x))
+        return extend_mask(self, mask, x)
+
+    monkeypatch.setattr(FiniteGroup, "extend_mask", counted)
+    lat = SubextLattice(setup, K)
+    assert len(lat.members) == 67
+    assert len(calls) == 66
+    assert len(set(calls)) == 66
 
 
 @pytest.mark.parametrize("name", setups.NAMES)

@@ -4,7 +4,7 @@ examples, chain and limit invariants, and tower pushforwards."""
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -152,6 +152,37 @@ def fraction_limit(lattice):
     return absorb[-1] + [F(0)] * (m - ell)
 
 
+def forward_substitution(lattice):
+    """Limit measure by the engine's forward substitution on integer
+    numerators, which mu_infinity ran on every lattice before it took the
+    point mass on lattices with one maximal member."""
+    f, g = lattice.hall_counts()
+    below = lattice.below
+    ell, m = lattice.n_maximal, len(lattice.members)
+    if ell == m:
+        return [F(1)]
+    absorb = []
+    for i in range(ell, m):
+        pivot = f[i] - g[i]
+        assert pivot != 0
+        steps = [j for j in below[i] if j >= ell and g[j]]
+        den = lcm(*(absorb[j - ell][1] for j in steps))
+        acc = [0] * ell
+        for j in below[i]:
+            if j < ell:
+                acc[j] = g[j] * den
+        for j in steps:
+            nums, d = absorb[j - ell]
+            w = g[j] * (den // d)
+            acc = [x + w * y for x, y in zip(acc, nums)]
+        den *= pivot
+        common = gcd(den, *acc)
+        absorb.append(([x // common for x in acc], den // common))
+    nums, den = absorb[-1]
+    assert all(nums)
+    return [F(x, den) for x in nums] + [F(0)] * (m - ell)
+
+
 @pytest.mark.parametrize("name", setups.NAMES)
 def test_mu1_matches_oracle(name):
     setup, K, lat = setups.get(name)
@@ -176,6 +207,15 @@ def test_mu_infinity_matches_oracle_limit(name):
 def test_mu_infinity_matches_the_fraction_solve_on_the_corpus():
     for tag, setup, K, lat in setups.corpus_lattices():
         assert list(mu_infinity(lat).values) == fraction_limit(lat), tag
+
+
+def test_mu_infinity_matches_the_forward_substitution_on_the_corpus():
+    # the point mass where one member is maximal, as on every N = G
+    # lattice, and the solve where two or more are
+    lattices = setups.corpus_lattices()
+    assert {lat.n_maximal == 1 for *_, lat in lattices} == {True, False}
+    for tag, setup, K, lat in lattices:
+        assert list(mu_infinity(lat).values) == forward_substitution(lat), tag
 
 
 @st.composite
@@ -564,6 +604,16 @@ def test_cap_binds_each_call_on_a_lattice_with_cached_counts(cap, base_message, 
         with pytest.raises(CapExceeded) as exc:
             call()
         assert str(exc.value) == message
+
+
+def test_a_one_maximal_limit_is_still_held_to_the_cap():
+    # the point mass reads no count, but every row is held to the cap first
+    setup, K, lat = setups.get("C13-n2")
+    assert lat.n_maximal == 1
+    with pytest.raises(CapExceeded) as exc:
+        mu_infinity(lat, cap=168)
+    assert str(exc.value) == "member 1 needs 169 tuples, over the cap of 168"
+    assert mu_infinity(lat, cap=169).values == (F(1), F(0))
 
 
 def test_cap_propagates_through_the_solve():
