@@ -1,16 +1,18 @@
 """Finite groups on canonical element indices.
 
 A group of order m lives on element indices 0..m-1, and index 0 is
-always the identity.  Groups are built from an explicit Cayley table or
-from permutation generators, are fully verified at construction, and
+always the identity.  Groups are built from an explicit Cayley table,
+fully verified at construction, or from permutation generators, and
 are immutable afterwards.  Homomorphisms given by the caller are
 verified in full too, by the one homomorphism check, _hom_defect: a
 loop over the pairs (x, g) of an element and a generator, x outermost,
-that names the first pair whose images disagree.  Two kinds of object
-are derived, not checked again, because the code that builds them
-proves them: a quotient G/N with its projection, once N is known to be
-normal in G, and each epimorphism the search returns.  The tests hold
-both to the full checks.
+that names the first pair whose images disagree.  Three kinds of
+object are derived, not checked, because the code that builds them
+proves them: the table of a permutation group, read off its Cayley
+graph; a quotient G/N with its projection, once N is known to be
+normal in G; and each epimorphism the search returns.  Both kinds of
+table go through one constructor, FiniteGroup._derived.  The tests
+hold all three to the full checks.
 
 Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
@@ -34,7 +36,7 @@ Subgroup enumeration and isomorphism testing are supported up to order
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, countOf, eq, itemgetter
+from operator import and_, countOf, eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
@@ -70,9 +72,10 @@ class FiniteGroup:
     row: entries, identity and Latin rows and columns in whole-string
     passes (_latin_bytes), then Light's test as one bytes.translate per
     generator (_light_bytes).  That route only accepts.  Any fault sends
-    the table through the ordered checks, which name it: entries, then
-    labels, identity, Latin rows and columns, inverses and Light's test
-    on rows.  Smaller and larger tables take the ordered checks alone.
+    the table through the ordered checks, scans that name the first
+    fault: entries, then labels, identity, Latin rows and columns,
+    inverses and Light's test on rows.  Smaller and larger tables take
+    them alone; the program's own tables take none (_derived).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
@@ -93,20 +96,13 @@ class FiniteGroup:
         # name the first fault, so the messages do not depend on the
         # route.  Below order 4 the ordered checks cost less
         row_bytes = self._latin_bytes() if 4 <= n <= 256 else None
-        rows_ok = True
         if row_bytes is None:
-            full = set(range(n))
             for row in rows:
                 if len(row) != n:
                     raise GroupError("multiplication table is not square")
-                # whole-row passes at C speed: plain ints that are every index
-                # make valid entries and a permutation; the scan only names the
-                # bad entry, and a row it passes is left to the Latin check
-                if set(map(type, row)) != {int} or set(row) != full:
-                    rows_ok = False
-                    for v in row:
-                        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                            raise GroupError("table entry %r is not an element index" % (v,))
+                for v in row:
+                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                        raise GroupError("table entry %r is not an element index" % (v,))
         if labels is None:
             self.labels: Optional[tuple[str, ...]] = None
         else:
@@ -117,7 +113,7 @@ class FiniteGroup:
                 raise GroupError("element labels must be distinct")
         if row_bytes is None:
             self._check_identity()
-            self._check_permutation_rows(rows_ok)
+            self._check_permutation_rows()
         self._inverse = self._compute_inverses(row_bytes or rows)
         if row_bytes is None or not self._light_bytes(row_bytes):
             self._check_associativity()
@@ -137,25 +133,15 @@ class FiniteGroup:
         self._frattini: Optional["FrattiniReport"] = None  # set by frattini_subgroup
 
     @classmethod
-    def _on_cosets(
-        cls, G: "FiniteGroup", reps: Sequence[int], coset_of: Sequence[int]
-    ) -> "FiniteGroup":
-        """G/N on the cosets of a normal subgroup N of the verified group G,
-        without the table checks: reps lists the least element of each
-        coset, ascending, and coset_of[g] is the index in reps of gN.
-
-        The table is a group's by construction: with N normal, (aN)(bN) =
-        abN for any a, b, so coset i times coset j is the coset of
-        reps[i]*reps[j], the coset of 0 is the identity, and the inverse
-        of aN is a^-1 N, read off G's inverses.
-        """
-        t, inv = G.table, G._inverse
+    def _derived(cls, table: tuple, labels: tuple, inverse: tuple) -> "FiniteGroup":
+        """A group on a table of tuples its caller has built as a group's,
+        0 the identity, with its labels and inverses, taken unchecked."""
         self = cls.__new__(cls)
-        self.order = len(reps)
-        self.table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
-        self.labels = tuple(G.label(r) + "N" for r in reps)
+        self.order = len(table)
+        self.table = table
+        self.labels = labels
         self._init_caches()
-        self._inverse = tuple(coset_of[inv[r]] for r in reps)
+        self._inverse = inverse
         return self
 
     # -- construction-time checks -------------------------------------
@@ -224,16 +210,12 @@ class FiniteGroup:
             if self.table[a][0] != a:
                 raise GroupError("element 0 is not a right identity")
 
-    def _check_permutation_rows(self, rows_ok: bool) -> None:
-        """Every row and column is a permutation.  With every row already
-        known to be one, only the columns are tested, at C speed; the
-        interleaved scan runs otherwise, and names the first fault.
-        """
+    def _check_permutation_rows(self) -> None:
+        """Every row and column is a permutation: the scan names the first
+        row or column that is not."""
         # every entry is already an index below n, so n distinct ones are all of them
         n = self.order
         t = self.table
-        if rows_ok and set(map(len, map(set, zip(*t)))) == {n}:
-            return
         for a, (row, column) in enumerate(zip(t, zip(*t))):
             if len(set(row)) != n:
                 raise GroupError("row %d is not a permutation; not a group table" % a)
@@ -253,20 +235,12 @@ class FiniteGroup:
         """Light's test: row x*a is row x composed with row a, for every x
         and each generator a.  The a that pass are closed under the product
         in any magma, and extend_mask marks only products of generators, so
-        this checks every triple, at every order.  Each a is one pass over
-        the table at C speed; the scan over x only names the triple.
+        this checks every triple, at every order.  The scan names the first
+        triple that fails.
         """
         t = self.table
         for a in self.generator_sequence():
             ta = t[a]
-            # row x composed with row a against row x*a, one x at a time, so
-            # no second table is held; itemgetter of one index gives a
-            # scalar, not a 1-tuple, but only order 1 has rows of length
-            # one, and it has no generators
-            composed = map(itemgetter(*ta), t)
-            products = map(t.__getitem__, map(itemgetter(a), t))
-            if all(map(eq, composed, products)):
-                continue
             for x, tx in enumerate(t):
                 row = t[tx[a]]
                 if row != tuple(map(tx.__getitem__, ta)):
@@ -628,10 +602,12 @@ def identity_hom(G: FiniteGroup) -> GroupHom:
 
 
 def build_group(spec: dict) -> FiniteGroup:
-    """Build a verified group from a Cayley table or permutation generators.
+    """Build a group from a Cayley table or permutation generators.
 
     spec is {"table": [[...], ...]} or {"permutations": [[...], ...]},
-    permutations being 0-indexed image arrays on up to 16 points.
+    permutations being 0-indexed image arrays on up to 16 points.  A
+    table takes every check; a permutation group's is read off the
+    Cayley graph of its closure and, being a group's, takes none.
     """
     if not isinstance(spec, dict):
         raise GroupError("group spec must be a mapping")
@@ -659,26 +635,32 @@ def build_group(spec: dict) -> FiniteGroup:
     ident = tuple(range(d))
     elems = [ident]
     index = {ident: 0}
-    pos = 0
-    while pos < len(elems):
-        p = elems[pos]
-        pos += 1
-        for g in gens:
-            q = tuple(p[g[i]] for i in range(d))
-            if q not in index:
+    # the Cayley graph: right[s][x] is the index of x*g_s; element q > 0
+    # is first reached as y*g_s, with (y, s) = tree[q - 1] and y < q
+    right: list[list[int]] = [[] for _ in gens]
+    tree = []
+    for x, p in enumerate(elems):
+        for s, g in enumerate(gens):
+            q = tuple(map(p.__getitem__, g))
+            i = index.get(q)
+            if i is None:
                 if len(elems) >= PERM_CLOSURE_CAP:
                     raise CapExceeded(
                         "permutation closure exceeds the size cap of %d" % PERM_CLOSURE_CAP
                     )
-                index[q] = len(elems)
+                i = index[q] = len(elems)
                 elems.append(q)
-    m = len(elems)
-    table = [
-        [index[tuple(p[q[i]] for i in range(d))] for q in elems]
-        for p in elems
-    ]
-    labels = [str(p) for p in elems]
-    return FiniteGroup(table, labels=labels)
+                tree.append((x, s))
+            right[s].append(i)
+    # row a along the tree, as a*(y*g_s) = (a*y)*g_s
+    table = []
+    for a in range(len(elems)):
+        row = [a]
+        for y, s in tree:
+            row.append(right[s][row[y]])
+        table.append(tuple(row))
+    inverse = tuple(row.index(0) for row in table)
+    return FiniteGroup._derived(tuple(table), tuple(map(str, elems)), inverse)
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -864,7 +846,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
     Once N is known to be a normal subgroup of G, neither is checked
     again: G/N is a group and the projection g -> gN an epimorphism by
-    construction (FiniteGroup._on_cosets, GroupHom._onto).  The tests
+    construction (FiniteGroup._derived, GroupHom._onto).  The tests
     hold both to the full checks.
     """
     if N.group is not G:
@@ -877,7 +859,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     to_least, reps = cosets(G, N.mask)
     index = {r: i for i, r in enumerate(reps)}
     coset_of = tuple(map(index.__getitem__, to_least))
-    Q = FiniteGroup._on_cosets(G, reps, coset_of)
+    # with N normal, (aN)(bN) = abN, so coset i times coset j is the coset
+    # of reps[i]*reps[j], 0N is the identity and (aN)^-1 = a^-1 N
+    t, inv = G.table, G._inverse
+    table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
+    labels = tuple(G.label(r) + "N" for r in reps)
+    Q = FiniteGroup._derived(table, labels, tuple(coset_of[inv[r]] for r in reps))
     pi = GroupHom._onto(G, Q, coset_of)
     G._quotients[N.mask] = (Q, pi)
     return Q, pi

@@ -133,7 +133,7 @@ class SubextLattice:
         return len(self.members)
 
     def member_index(self, H: Subgroup) -> int:
-        got = self.index_of.get(H.mask)
+        got = self.index_of.get(H.mask) if H.group is self.setup.group else None
         if got is None:
             raise GroupError("subgroup is not a lattice member")
         return got
@@ -187,13 +187,15 @@ def s_lattice(
 ) -> SubextLattice:
     """The lattice of qualifying subgroups of k_subgroup.
 
-    confirm_n1, when given, is a coarser normal subgroup (containing N)
-    expected to select exactly the same members; a mismatch is an error.
-    This mirrors the fact that regularity can be tested over a smaller
-    field of constants.
+    confirm_n1, when given, is a coarser normal subgroup of the setup
+    group (containing N) expected to select exactly the same members; a
+    mismatch is an error.  This mirrors the fact that regularity can be
+    tested over a smaller field of constants.
     """
     lattice = SubextLattice(setup, k_subgroup)
     if confirm_n1 is not None:
+        if confirm_n1.group is not setup.group:
+            raise GroupError("confirm_n1 does not live in the setup group")
         if setup.n_sub.mask & confirm_n1.mask != setup.n_sub.mask:
             raise GroupError("confirm_n1 does not contain N")
         alt = make_setup(

@@ -253,6 +253,16 @@ def transition_matrix(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> Transition
     return TransitionMatrix(lat, [_row(f, g, below, i) for i in range(m)])
 
 
+def _hold_step_bits(i: int, f: Sequence[int]) -> None:
+    """Hold i steps from the base, over the denominator f[-1]^i, to STEP_BITS_CAP."""
+    bits = i * f[-1].bit_length()
+    if bits > STEP_BITS_CAP:
+        raise CapExceeded(
+            "%d steps over %d tuples need denominators of up to %d bits, over the cap of %d"
+            % (i, f[-1], bits, STEP_BITS_CAP)
+        )
+
+
 def mu_i(lat: SubextLattice, i: int, *, cap: int = TUPLE_CAP) -> MeasureVector:
     """The point mass at K propagated i steps along the chain.
 
@@ -265,12 +275,7 @@ def mu_i(lat: SubextLattice, i: int, *, cap: int = TUPLE_CAP) -> MeasureVector:
     denominator = 1
     if i > 0:
         f, g, below = _hall_counts(lat, cap, range(len(lat.members)))
-        bits = i * f[-1].bit_length()
-        if bits > STEP_BITS_CAP:
-            raise CapExceeded(
-                "%d steps over %d tuples need denominators of up to %d bits, over the cap of %d"
-                % (i, f[-1], bits, STEP_BITS_CAP)
-            )
+        _hold_step_bits(i, f)
         for _ in range(i):
             counts = _step(counts, f, g, below)
         denominator = f[-1] ** i
@@ -356,9 +361,10 @@ def pushforward_check(
 
     The upper base maps to pi(K); members push along H -> pi(H), which
     always lands in the lower lattice.  Steps 0..max_i and the limit are
-    compared exactly.  Equality is guaranteed when ker(pi) lies inside
-    the upper N (the levels then share one constant quotient); the
-    report states the outcome either way.
+    compared exactly, each lattice's steps held to STEP_BITS_CAP as in
+    mu_i once its rows are held to the cap.  Equality is guaranteed when
+    ker(pi) lies inside the upper N (the levels then share one constant
+    quotient); the report states the outcome either way.
     """
     if not isinstance(max_i, int) or isinstance(max_i, bool) or max_i < 0:
         raise GroupError("max_i must be a nonnegative integer")
@@ -382,6 +388,8 @@ def pushforward_check(
 
     up_f, up_g, up_below = _hall_counts(up_lat, cap, range(len(up_lat.members)))
     low_f, low_g, low_below = _hall_counts(low_lat, cap, range(len(low_lat.members)))
+    for f in (up_f, low_f):
+        _hold_step_bits(max_i, f)
     entries = []
     c_up = _point_mass(up_lat)
     c_low = _point_mass(low_lat)

@@ -6,6 +6,19 @@ from fmeas.groups import GroupHom
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def d4_power_generators(k):
+    """Generators of D4^k on 4k points: a 4-cycle and a reflection per
+    factor, factor f on points 4f to 4f + 3.  A permutation closure
+    lists them first, as elements 1 to 2k."""
+    gens = []
+    for f in range(k):
+        for p4 in ([1, 2, 3, 0], [0, 3, 2, 1]):
+            perm = list(range(4 * k))
+            perm[4 * f : 4 * f + 4] = [4 * f + v for v in p4]
+            gens.append(perm)
+    return gens
+
+
 def count_hom_builds(monkeypatch):
     """(checked, derived): the (source, target) orders of every GroupHom
     built by the checking constructor and by GroupHom._onto."""

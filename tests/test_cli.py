@@ -28,7 +28,7 @@ from fmeas.setupfile import load_setup
 
 import corpus
 import setups
-from conftest import FIXTURES, count_hom_builds
+from conftest import FIXTURES, count_hom_builds, d4_power_generators
 from test_invsys import oracle_dump
 
 EXPECTED = FIXTURES / "expected"
@@ -291,6 +291,24 @@ def test_iterated_measure_beyond_the_result_size_cap_is_exit_three(steps, tmp_pa
         "over the cap of 14000\n" % (steps, 17 * steps)
     )
     assert elapsed < 5.0, "took %.2f s" % elapsed
+
+
+@pytest.mark.parametrize("fixture,n", [("klein_weak.json", 1800), ("c4_to_c2.json", 900)])
+def test_tower_suite_beyond_the_result_size_cap_is_exit_three(fixture, n, tmp_path, capsys):
+    # n coordinates give f(K) = 2^1800 upstairs in both, so the suite's 8
+    # steps need denominators of up to 14,408 bits.  Without the cap,
+    # klein_weak's failing tower hit CPython's 4,300-digit limit on
+    # printing its values (exit 1), and c4_to_c2's tower passed (exit 0)
+    data = json.loads((FIXTURES / fixture).read_text())
+    data["sigma"] = [1] * n
+    p = tmp_path / fixture
+    p.write_text(json.dumps(data))
+    argv = ["verify", str(p), "--suite", "tower", "--cap", str(10**600)]
+    err = expect_error(argv, capsys, "over the cap of 14000", 3)
+    assert err == (
+        "error: 8 steps over %d tuples need denominators of up to 14408 bits, "
+        "over the cap of 14000\n" % 2**1800
+    )
 
 
 def test_lattice_at_the_order_cap_is_fast(tmp_path, capsys):
@@ -627,18 +645,14 @@ def test_frattini_composition_lists_failing_chains_in_pair_order(name, tmp_path,
 
 def test_measure_on_an_order_512_permutation_group_is_fast(tmp_path, capsys):
     # D4^3 on 12 points, N the last two factors, the base the first: one
-    # member.  Every table check is complete; sampling 10 n^2 triples
-    # took 6.0 to 7.6 s here, and the generator-sequence check brings the
-    # command to about 1 s on a 2-core x86-64 machine (CPython 3.11)
-    gens = []
-    for f in range(3):
-        for p4 in ([1, 2, 3, 0], [0, 3, 2, 1]):
-            perm = list(range(12))
-            perm[4 * f : 4 * f + 4] = [4 * f + v for v in p4]
-            gens.append(perm)
-    # the closure lists the generators first, as elements 1 to 6
+    # member.  Sampling 10 n^2 table triples took 6.0 to 7.6 s here, and
+    # composing every pair of permutations, then checking the table on a
+    # generator sequence, about 0.4 s; the table read off the Cayley
+    # graph, with no table check, brings the command to about 0.1 s on a
+    # 2-core x86-64 machine (CPython 3.11).  The closure lists the
+    # generators first, as elements 1 to 6
     setup = {
-        "group": {"permutations": gens},
+        "group": {"permutations": d4_power_generators(3)},
         "normal": [3, 4, 5, 6],
         "sigma": [1, 2],
         "base": [1, 2],
@@ -651,6 +665,37 @@ def test_measure_on_an_order_512_permutation_group_is_fast(tmp_path, capsys):
     assert rc == 0 and err == ""
     assert out == "1\n"
     assert elapsed < 5.0, "took %.2f s" % elapsed
+
+
+def test_measure_on_an_order_4096_permutation_group_is_fast(tmp_path):
+    # the case above with a fourth factor, N the last three: D4^4 on 16
+    # points, at the closure cap.  Composing every pair of permutations
+    # and checking the table took about 29 s at 275 MB; read off the
+    # Cayley graph the command takes about 1 s at 146 MB on a 2-core
+    # x86-64 machine (CPython 3.11).  A child process keeps the memory
+    # out of the test run
+    setup = {
+        "group": {"permutations": d4_power_generators(4)},
+        "normal": [3, 4, 5, 6, 7, 8],
+        "sigma": [1, 2],
+        "base": [1, 2],
+    }
+    p = tmp_path / "d4_fourth.json"
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "measure", str(p)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=150,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+    peak_mb = int(proc.stderr) / 1024
+    assert elapsed < 10.0, "took %.2f s" % elapsed
+    assert peak_mb < 400, "peak RSS %.0f MB" % peak_mb
 
 
 @pytest.mark.parametrize(

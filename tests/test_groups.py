@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import corpus
 import setups
-from conftest import count_hom_builds
+from conftest import FIXTURES, count_hom_builds, d4_power_generators
 from fmeas import groups
 from fmeas.groups import (
     CapExceeded,
@@ -179,6 +180,93 @@ def test_build_group_rejects_malformed_permutations():
         build_group({"table": [[0]], "permutations": [[0]]})
 
 
+def oracle_permutation_group(perms):
+    """(table, labels, inverses) of the group the permutations generate,
+    by composition: the breadth-first closure, then every pair of
+    elements composed and looked up, and each element's inverse
+    permutation looked up."""
+    d = len(perms[0])
+    ident = tuple(range(d))
+    elems = [ident]
+    index = {ident: 0}
+    for p in elems:
+        for g in perms:
+            q = tuple(p[g[i]] for i in range(d))
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    table = tuple(tuple(index[tuple(p[q[i]] for i in range(d))] for q in elems) for p in elems)
+    inverses = tuple(index[tuple(sorted(range(d), key=p.__getitem__))] for p in elems)
+    return table, tuple(map(str, elems)), inverses
+
+
+# every permutation fixture, every corpus group built from permutations,
+# the symmetric groups and D4^3
+PERMUTATION_CASES = [
+    "s3.json",
+    "s3_bad_normal.json",
+    "A4",
+    "A5",
+    "SL23",
+    "symmetric(1)",
+    "symmetric(2)",
+    "symmetric(3)",
+    "symmetric(4)",
+    "symmetric(5)",
+    "D4^3",
+]
+
+
+def permutation_spec(case, monkeypatch):
+    """The permutation spec of a case: read from the fixture, or recorded
+    from the builder's call to build_group."""
+    if case.endswith(".json"):
+        return json.loads((FIXTURES / case).read_text())["group"]
+    if case == "D4^3":
+        return {"permutations": d4_power_generators(3)}
+    if case == "symmetric(1)":  # symmetric(1) is cyclic(1), built from its table
+        return {"permutations": [[0]]}
+    specs = []
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "build_group", specs.append)
+        m.setattr(groups, "build_group", specs.append)
+        if case.startswith("symmetric"):
+            symmetric(int(case[-2]))
+        else:
+            dict(corpus.BUILDERS, A5=corpus.alternating5)[case]()
+    (spec,) = specs
+    return spec
+
+
+@pytest.mark.parametrize("case", PERMUTATION_CASES)
+def test_build_group_matches_the_composition_oracle(case, monkeypatch):
+    spec = permutation_spec(case, monkeypatch)
+    G = build_group(spec)
+    assert (G.table, G.labels, G._inverse) == oracle_permutation_group(spec["permutations"])
+
+
+@pytest.mark.parametrize("case", PERMUTATION_CASES)
+def test_permutation_groups_pass_the_full_checks(case, monkeypatch):
+    # build_group reads the table off the Cayley graph and takes it
+    # without the table checks (FiniteGroup._derived); the checking
+    # constructor accepts it and agrees
+    G = build_group(permutation_spec(case, monkeypatch))
+    full = FiniteGroup([list(row) for row in G.table], labels=G.labels)
+    assert (full.table, full.labels, full._inverse) == (G.table, G.labels, G._inverse)
+
+
+def test_build_group_never_checks_a_permutation_table(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a permutation table reached the checking constructor")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    for case, order in [("s3.json", 6), ("A5", 60), ("D4^3", 512)]:
+        assert build_group(permutation_spec(case, monkeypatch)).order == order
+    # a table spec still takes the checks
+    with pytest.raises(AssertionError, match="checking constructor"):
+        build_group({"table": [[0]]})
+
+
 def test_build_group_respects_closure_cap():
     # S7 on 7 points has 5,040 elements, past PERM_CLOSURE_CAP
     swap = [1, 0, 2, 3, 4, 5, 6]
@@ -217,10 +305,12 @@ def test_associativity_check_catches_a_loop_at_and_above_order_256(n):
 
 def test_no_valid_table_takes_the_ordered_checks(monkeypatch):
     # a byte route that refused every table would pass the other tests,
-    # as the ordered checks give every verdict; so valid tables of every
-    # corpus group from order 4, D4 x D4 and orders 255 and 256 must never
-    # reach them.  Below order 4 the ordered checks cost less than the
-    # byte route, and every table takes them
+    # as the ordered checks give every verdict, only slower: they are
+    # scans that name the first fault, with no faster pass that accepts.
+    # So valid tables of every corpus group from order 4, D4 x D4 and
+    # orders 255 and 256 must never reach them.  Below order 4 the
+    # ordered checks cost less than the byte route, and every table
+    # takes them
     tables = [corpus.group(name).table for name in ALL_NAMES]
     tables.append(direct_product(dihedral(4), dihedral(4)).table)
     tables += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (255, 256)]
@@ -793,7 +883,7 @@ def test_quotient_rejects_non_normal_subgroup():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_quotient_matches_the_checking_constructors(name):
     # quotient builds G/N and the projection without the table and hom
-    # checks (FiniteGroup._on_cosets, GroupHom._onto); the checking
+    # checks (FiniteGroup._derived, GroupHom._onto); the checking
     # constructors accept both and agree with them
     G = corpus.group(name)
     for N in normal_subgroups(G):

@@ -16,6 +16,7 @@ from fmeas.groups import (
     quotient,
 )
 from fmeas.lattice import SubextLattice, fix_field, make_setup, maximal_fields, s_lattice
+from fmeas.measure import measure_event, mu1
 
 
 # -- make_setup ------------------------------------------------------------
@@ -473,3 +474,16 @@ def test_confirm_n1_must_contain_n():
     K = Subgroup(G, range(8))
     with pytest.raises(GroupError, match="contain"):
         s_lattice(setup, K, confirm_n1=Subgroup(G, (1,)))
+
+
+def test_a_lattice_refuses_subgroups_of_another_group():
+    # on the Klein lattice, C4's <1> has the mask of the base and C4's
+    # <2> the mask of N, yet neither is a subgroup of the setup group
+    setup, K, lat = setups.get("Klein-first")
+    C4 = cyclic(4)
+    with pytest.raises(GroupError, match="^subgroup is not a lattice member$"):
+        lat.member_index(Subgroup(C4, [1]))
+    with pytest.raises(GroupError, match="^subgroup is not a lattice member$"):
+        measure_event(mu1(lat), [Subgroup(C4, [1])])
+    with pytest.raises(GroupError, match="^confirm_n1 does not live in the setup group$"):
+        s_lattice(setup, K, confirm_n1=Subgroup(C4, [2]))

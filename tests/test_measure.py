@@ -854,6 +854,28 @@ def test_tower_mismatched_constants_is_detected():
     assert two[2].values == (F(3, 4), F(1, 4))
 
 
+def test_tower_steps_are_held_to_the_step_bits_cap():
+    # C4 ->> C2 with N = G and 900 coordinates: f(K) = 4^900 upstairs,
+    # 1,801 bits, and 2^900 downstairs; each level's i steps share the
+    # denominator f(K)^i, held to the cap as in mu_i
+    C4, C2 = cyclic(4), cyclic(2)
+    up = make_setup(C4, [1], (1,) * 900)
+    low = make_setup(C2, [1], (1,) * 900)
+    tower = TowerSetup(up, low, GroupHom(C4, C2, [0, 1, 0, 1]))
+    K = Subgroup(C4, range(4))
+    cap = 4**900
+    assert pushforward_check(tower, K, max_i=7, cap=cap).holds
+    with pytest.raises(
+        CapExceeded,
+        match="^8 steps over %d tuples need denominators of up to 14408 bits, "
+        "over the cap of %d$" % (cap, STEP_BITS_CAP),
+    ):
+        pushforward_check(tower, K, max_i=8, cap=cap)
+    # the rows are held to their cap first
+    with pytest.raises(CapExceeded, match="over the cap of %d$" % (cap - 1)):
+        pushforward_check(tower, K, max_i=8, cap=cap - 1)
+
+
 def test_tower_depth_zero_and_bad_depth():
     tower, K = c4_to_c2_tower()
     report = pushforward_check(tower, K, max_i=0)
