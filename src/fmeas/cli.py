@@ -229,10 +229,12 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
 
     The library decides a cover by its kernel alone; the subgroup route
     here asks that only G itself map onto G/N, that is, that no proper
-    H have HN = G, or |H| |N| = |G| |H n N|.
+    H have HN = G, or |H| |N| = |G| |H n N|.  A supplement, when there
+    is one, is among the large subgroups, so the scan runs largest
+    first; the verdict does not depend on the order.
     """
     G = loaded.group
-    proper = [(H.mask, H.order) for H in all_subgroups(G) if H.order < G.order]
+    proper = [(H.mask, H.order) for H in reversed(all_subgroups(G)) if H.order < G.order]
     projections = []
     routes_detail = []
     for N in normal_subgroups(G):

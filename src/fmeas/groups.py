@@ -42,6 +42,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 DEFAULT_ORDER_CAP = 64
 PERM_POINTS_CAP = 16
 PERM_CLOSURE_CAP = 4096
+# bound on distinct generators times closure size, the products the
+# permutation closure composes: 1.6 to 3.5 us each on a shared 2-core
+# x86-64 machine (CPython 3.11), so 0.4 to 0.9 s, within the 1 s that
+# reading the table of a closure at PERM_CLOSURE_CAP takes; D4^4 (order
+# 4,096) admits 64 generators
+PERM_PRODUCTS_CAP = 2**18
 EPIMORPHISM_CAP = 100_000
 
 
@@ -607,7 +613,9 @@ def build_group(spec: dict) -> FiniteGroup:
     spec is {"table": [[...], ...]} or {"permutations": [[...], ...]},
     permutations being 0-indexed image arrays on up to 16 points.  A
     table takes every check; a permutation group's is read off the
-    Cayley graph of its closure and, being a group's, takes none.
+    Cayley graph of its closure and, being a group's, takes none.  The
+    closure composes each element with each distinct generator, and is
+    held to PERM_CLOSURE_CAP elements and PERM_PRODUCTS_CAP products.
     """
     if not isinstance(spec, dict):
         raise GroupError("group spec must be a mapping")
@@ -632,6 +640,9 @@ def build_group(spec: dict) -> FiniteGroup:
         if not ints or len(q) != d or sorted(q) != list(range(d)):
             raise GroupError("malformed permutation %r" % (p,))
         gens.append(q)
+    # an exact duplicate never adds a tree edge, so dropping it changes
+    # no element's index
+    gens = list(dict.fromkeys(gens))
     ident = tuple(range(d))
     elems = [ident]
     index = {ident: 0}
@@ -647,6 +658,11 @@ def build_group(spec: dict) -> FiniteGroup:
                 if len(elems) >= PERM_CLOSURE_CAP:
                     raise CapExceeded(
                         "permutation closure exceeds the size cap of %d" % PERM_CLOSURE_CAP
+                    )
+                if (len(elems) + 1) * len(gens) > PERM_PRODUCTS_CAP:
+                    raise CapExceeded(
+                        "permutation closure of %d generators exceeds the cap of %d products"
+                        % (len(gens), PERM_PRODUCTS_CAP)
                     )
                 i = index[q] = len(elems)
                 elems.append(q)

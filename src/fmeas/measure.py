@@ -8,24 +8,26 @@ inside member j, and g[j], the number generating exactly member j, both
 from P. Hall's Eulerian-function inversion over the member poset rather
 than by enumerating the tuples.
 The lattice computes them once, with its containment lists below[j]
-(SubextLattice.hall_counts); each call here only holds them to its cap.
+(SubextLattice.hall_counts); each call here holds its rows to its cap
+first, from the sizes |H n N| alone.
 No measure reads a lift of sigma: for a valid lift coordinate l in
 H n sigma N, the translates l(H n N) are exactly H n sigma N, so every
 valid lift yields the same tuples and the same counts.  A step of the
 chain sends mass v[i] / f[i] from each member i to each member j inside
 it, weighted by g[j]; iterated measures take such steps on integer
 numerators from the point mass at the base; the limit is a point mass
-if one member is maximal, else a forward substitution on integer
-numerators over one denominator per member.  The Fraction transition
-matrix is built only by transition_matrix.  Every value is exact; no
-floating point enters the engine.
+if one member is maximal, else one pass from the base down over the
+base's row of the fundamental matrix, as integers over one common
+denominator.  The Fraction transition matrix is built only by
+transition_matrix.  Every value is exact; no floating point enters the
+engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm, prod
+from typing import Iterable, Optional, Sequence, Union
 
 from .groups import CapExceeded, GroupError, GroupHom, Subgroup
 from .lattice import GaloisSetup, SubextLattice
@@ -38,6 +40,9 @@ TUPLE_CAP = 10_000_000
 # a policy on the result size, well inside CPython's default limit of
 # 4,300 digits for printing an int (14,000 bits is at most 4,215 digits)
 STEP_BITS_CAP = 14_000
+# CPython prints an int of at most 4,300 digits by default, so a tuple
+# count of PRINTABLE or more is named as a power |H n N|^n instead
+PRINTABLE = 10**4300
 
 
 def format_rational(value) -> str:
@@ -174,18 +179,44 @@ class PushforwardReport:
         return "PushforwardReport(holds=%r, steps=%d)" % (self.holds, len(self.entries))
 
 
+def _tuples_over(size: int, n: int, cap: int) -> Optional[str]:
+    """The tuple count size^n as printed, if it exceeds cap; else None.
+
+    The count is at least 2^(n (bit_length(size) - 1)).  Past PRINTABLE
+    by that bound, it exceeds any cap below PRINTABLE and is named as
+    the power, unbuilt; short of it, it has at most twice those bits.
+    """
+    if n * (size.bit_length() - 1) >= PRINTABLE.bit_length() and cap < PRINTABLE:
+        return "%d^%d" % (size, n)
+    count = size**n
+    if count <= cap:
+        return None
+    return "%d" % count if count < PRINTABLE else "%d^%d" % (size, n)
+
+
 def _hall_counts(
     lattice: SubextLattice, cap: int, rows: Iterable[int]
 ) -> tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]:
     """The lattice's (f, g, below), with each of the given rows held to cap tuples.
 
-    The counts are computed once per lattice (SubextLattice.hall_counts);
-    the cap is a policy of each call, checked in row order.
+    The rows include the base, and every f[j] = |H_j n N|^n divides the
+    base's f(K), so the rows are held from their sizes |H_j n N| before
+    any count is built, and only if f(K) is over the cap; the first
+    over-cap row in row order names itself.  The counts are computed
+    once per lattice (SubextLattice.hall_counts); the cap is a policy
+    of each call.
     """
+    n, n_mask = lattice.setup.n, lattice.setup.n_sub.mask
+
+    def over(i: int) -> Optional[str]:
+        return _tuples_over(bin(lattice.members[i].mask & n_mask).count("1"), n, cap)
+
+    if over(len(lattice.members) - 1) is not None:
+        for i in rows:
+            count = over(i)
+            if count is not None:
+                raise CapExceeded("member %d needs %s tuples, over the cap of %d" % (i, count, cap))
     f, g = lattice.hall_counts()
-    for i in rows:
-        if f[i] > cap:
-            raise CapExceeded("member %d needs %d tuples, over the cap of %d" % (i, f[i], cap))
     return f, g, lattice.below
 
 
@@ -288,46 +319,40 @@ def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     With one maximal member, as whenever N = G, the limit is the point
     mass on it, once every row is held to the cap: an absorbing chain
     with one absorbing state ends there (Kemeny and Snell, 1960).
-    Otherwise the probability h(i) of ending at each maximal member
-    from member i is a unit vector on maximal members and, for a
-    transient member, the sum of g[j] h(j) over its proper sub-members
-    j divided by f[i] - g[i].  Sub-members come first in the canonical
-    order, so one forward pass solves it.  Each h(i) is kept as integer
-    numerators over one denominator: the rows it sums are brought to
-    the lcm of their denominators and the result is reduced by one gcd,
-    so the only divisions left are one per maximal coordinate of h(K).
-    The result vanishes off the maximal members and is strictly
-    positive on each of them.
+    Otherwise only the base's row of the fundamental matrix is needed,
+    one pass from the base down.  A transient member k moves on, with
+    probability 1 - g[k] / f[k] per step, to each proper sub-member j in
+    proportion to g[j].  So u(K) = 1 / (f(K) - g(K)) at the base and,
+    for each other transient i, u(i) = g[i] S(i) / (f[i] - g[i]), where
+    S(i) sums u(k) over the transient k properly containing i; the
+    limit on a maximal member m is g[m] S(m).  Each u is an integer over
+    D, the product of the transient pivots f[i] - g[i], and each
+    division is exact, since u(i)'s denominator divides the pivots of
+    the members containing i.  The limit is reduced by one gcd; it
+    vanishes off the maximal members and is positive on each of them.
     """
     m = len(lat.members)
     f, g, below = _hall_counts(lat, cap, range(m))
     ell = lat.n_maximal
     if ell == 1:
         return MeasureVector(lat, [Fraction(1)] + [Fraction(0)] * (m - 1))
-    # absorb[t] = (numerators, denominator) in lowest terms: the
-    # probabilities of ending at each maximal member from member ell+t
-    absorb: list[tuple[list[int], int]] = []
-    for i in range(ell, m):
-        pivot = f[i] - g[i]
-        if pivot == 0:
-            raise RuntimeError("internal error: zero pivot in the absorbing solve")
-        steps = [j for j in below[i] if j >= ell and g[j]]
-        den = lcm(*(absorb[j - ell][1] for j in steps))
-        acc = [0] * ell
-        for j in below[i]:
-            if j < ell:
-                acc[j] = g[j] * den
-        for j in steps:
-            nums, d = absorb[j - ell]
-            w = g[j] * (den // d)
-            acc = [x + w * y for x, y in zip(acc, nums)]
-        den *= pivot
-        common = gcd(den, *acc)
-        absorb.append(([x // common for x in acc], den // common))
-    nums, den = absorb[-1]
+    D = prod(f[i] - g[i] for i in range(ell, m))
+    if D == 0:
+        raise RuntimeError("internal error: zero pivot in the absorbing solve")
+    # acc[j] = D S(j): the base, which contains every member, seeds each
+    # entry, and the pass runs down, so S(i) is whole when i is reached
+    acc = [D // (f[-1] - g[-1])] * m
+    for i in range(m - 2, ell - 1, -1):
+        u = g[i] * acc[i] // (f[i] - g[i])
+        if u:
+            for j in below[i]:
+                acc[j] += u
+    nums = [gj * a for gj, a in zip(g[:ell], acc)]
     if not all(nums):
         raise RuntimeError("internal error: limit measure vanishes on a maximal member")
-    return MeasureVector(lat, [Fraction(x, den) for x in nums] + [Fraction(0)] * (m - ell))
+    common = gcd(D, *nums)
+    values = [Fraction(x // common, D // common) for x in nums]
+    return MeasureVector(lat, values + [Fraction(0)] * (m - ell))
 
 
 def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> Fraction:

@@ -9,11 +9,13 @@ The markov suite, which reads the chain off integer counts, is also
 checked line by line against the explicit Fraction-matrix route.
 """
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -204,6 +206,76 @@ def test_default_cap_binds_the_one_maximal_limit(tmp_path, capsys):
     p.write_text(json.dumps(setup))
     err = expect_error(["measure", str(p), "--mode", "inf"], capsys, "over the cap", 3)
     assert err == "error: member 16 needs 16777216 tuples, over the cap of 10000000\n"
+
+
+def klein_with_sigma_length(n, tmp_path):
+    data = json.loads((FIXTURES / "klein.json").read_text())
+    data["sigma"] = [1] * n
+    p = tmp_path / ("klein_n%d.json" % n)
+    p.write_text(json.dumps(data))
+    return p
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["measure"], ["measure", "--mode", "mu1"], ["verify", "--suite", "lifts"]],
+    ids=["inf", "mu1", "lifts"],
+)
+def test_over_cap_counts_too_long_to_print_exit_three(command, tmp_path):
+    # klein with n = 14,500: the base needs 2^14500 tuples, 4,365 digits,
+    # past CPython's 4,300-digit limit on printing an int.  Printed in
+    # full, the message raised ValueError, a traceback and exit 1; the
+    # count is named as a power instead
+    p = klein_with_sigma_length(14_500, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmeas", command[0], str(p)] + command[1:],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: member 2 needs 2^14500 tuples, over the cap of 10000000\n"
+
+
+@pytest.mark.parametrize("n", [14_284, 14_285])
+def test_an_over_cap_count_prints_in_full_while_it_can(n, tmp_path, capsys):
+    # 2^14284 has 4,300 digits and prints in full, as it always has;
+    # 2^14285 has 4,301
+    p = klein_with_sigma_length(n, tmp_path)
+    err = expect_error(["measure", str(p)], capsys, "over the cap", 3)
+    count = "%d" % 2**n if n == 14_284 else "2^%d" % n
+    assert err == "error: member 2 needs %s tuples, over the cap of 10000000\n" % count
+
+
+def test_a_long_sigma_is_held_to_the_cap_from_the_sizes(tmp_path):
+    # C2^6 with |N| = 8 and a sigma of 10^5 entries: the rows are held to
+    # the cap from the sizes |H n N| before any count |H n N|^n is built.
+    # The command takes about 0.1 s at 19 MB on a 2-core x86-64 machine
+    # (CPython 3.11), as long as `lattice` on the file; building every
+    # count first took 0.23 s at 32 MB and then crashed on printing one
+    # (at 10^6 entries, 3 s at 170 MB)
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    sigma = ([8, 16, 32] * 33_334)[:100_000]
+    setup = {"group": {"table": table}, "normal": [1, 2, 4], "sigma": sigma}
+    p = tmp_path / "c2_6_long_sigma.json"
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "measure", str(p)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    err, peak_kb = proc.stderr.rsplit("\n", 2)[:2]
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert err == "error: member 512 needs 2^100000 tuples, over the cap of 10000000"
+    peak_mb = int(peak_kb) / 1024
+    assert elapsed < 10.0, "took %.2f s" % elapsed
+    assert peak_mb < 60, "peak RSS %.0f MB" % peak_mb
 
 
 def test_embedding_on_c2_4_answers(tmp_path, capsys):
@@ -606,6 +678,34 @@ def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
     assert elapsed < 30.0, "took %.2f s" % elapsed
 
 
+def ascending_cover_routes(G):
+    """For each normal N, by mask, whether only G itself has HN = G: the
+    subgroup route as it scanned the proper subgroups smallest first."""
+    proper = [(H.mask, H.order) for H in groups.all_subgroups(G) if H.order < G.order]
+    return {
+        N.mask: not any(h * N.order == G.order * bin(m & N.mask).count("1") for m, h in proper)
+        for N in groups.normal_subgroups(G)
+    }
+
+
+C2_6 = groups.FiniteGroup([[a ^ b for b in range(64)] for a in range(64)])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(24)] + ["C2^6"])
+def test_frattini_cover_routes_match_the_ascending_scan(name, monkeypatch):
+    # the kernel route replaced by the ascending scan's verdict, and then
+    # by its negation: the check passes, and then fails on every normal N,
+    # only if the largest-first scan gives that verdict on each of them
+    G = C2_6 if name == "C2^6" else corpus.group(name)
+    oracle = ascending_cover_routes(G)
+    loaded = types.SimpleNamespace(group=G)
+    for negate in (False, True):
+        monkeypatch.setattr(cli, "is_frattini_cover", lambda pi: oracle[pi.preimage_mask(1)] ^ negate)
+        check, ok, details = next(cli._frattini_checks(loaded, None))
+        assert check == "frattini-cover-routes"
+        assert (ok, len(details)) == ((True, 0) if not negate else (False, len(oracle)))
+
+
 def test_frattini_suite_builds_only_the_projections(monkeypatch, capsys):
     # one derived GroupHom per normal subgroup of S3 (1, A3 and S3), each
     # the projection G ->> G/N that quotient builds without the hom check;
@@ -696,6 +796,32 @@ def test_measure_on_an_order_4096_permutation_group_is_fast(tmp_path):
     peak_mb = int(proc.stderr) / 1024
     assert elapsed < 10.0, "took %.2f s" % elapsed
     assert peak_mb < 400, "peak RSS %.0f MB" % peak_mb
+
+
+def test_permutation_generators_past_the_products_cap_exit_three(tmp_path, capsys):
+    # D4^4's 8 generators and its 256 rotations, each factor turned by its
+    # own power of the 4-cycle: 260 distinct generators, 1,064,960
+    # products over the 4,096 elements.  Past 2^18 products the closure
+    # stops; `lattice` with 1,008 distinct generators took about 12 s at
+    # 183 MB without the cap on a 2-core x86-64 machine (CPython 3.11)
+    rotations = [
+        [4 * f + (v + turns[f]) % 4 for f in range(4) for v in range(4)]
+        for turns in itertools.product(range(4), repeat=4)
+    ]
+    setup = {
+        "group": {"permutations": d4_power_generators(4) + rotations},
+        "normal": [3, 4, 5, 6, 7, 8],
+        "sigma": [1, 2],
+    }
+    p = tmp_path / "d4_fourth_rotations.json"
+    p.write_text(json.dumps(setup))
+    start = time.perf_counter()
+    err = expect_error(["lattice", str(p)], capsys, "products", 3)
+    elapsed = time.perf_counter() - start
+    assert err.endswith(
+        ": permutation closure of 260 generators exceeds the cap of 262144 products\n"
+    )
+    assert elapsed < 5.0, "took %.2f s" % elapsed
 
 
 @pytest.mark.parametrize(

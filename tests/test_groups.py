@@ -275,6 +275,29 @@ def test_build_group_respects_closure_cap():
         build_group({"permutations": [swap, seven_cycle]})
 
 
+def test_build_group_drops_duplicate_generators():
+    # an exact duplicate adds no tree edge, so the table, labels and
+    # inverses are those the composition oracle builds from every entry
+    gens = d4_power_generators(3)
+    repeated = gens * 3 + gens[:2]
+    G = build_group({"permutations": repeated})
+    H = build_group({"permutations": gens})
+    assert (G.table, G.labels, G._inverse) == (H.table, H.labels, H._inverse)
+    assert (G.table, G.labels, G._inverse) == oracle_permutation_group(repeated)
+
+
+def test_build_group_holds_the_closure_to_the_products_cap(monkeypatch):
+    # D4^3: 6 distinct generators times 512 elements is 3,072 products,
+    # however often each generator is listed
+    spec = {"permutations": d4_power_generators(3) * 2}
+    monkeypatch.setattr(groups, "PERM_PRODUCTS_CAP", 3072)
+    assert build_group(spec).order == 512
+    monkeypatch.setattr(groups, "PERM_PRODUCTS_CAP", 3071)
+    with pytest.raises(CapExceeded) as exc:
+        build_group(spec)
+    assert str(exc.value) == "permutation closure of 6 generators exceeds the cap of 3071 products"
+
+
 def test_identity_must_be_index_zero():
     # C2 written with the identity at index 1
     with pytest.raises(GroupError):

@@ -14,6 +14,7 @@ import corpus
 import setups
 from fmeas.groups import (
     CapExceeded,
+    FiniteGroup,
     GroupError,
     GroupHom,
     Subgroup,
@@ -153,9 +154,11 @@ def fraction_limit(lattice):
 
 
 def forward_substitution(lattice):
-    """Limit measure by the engine's forward substitution on integer
-    numerators, which mu_infinity ran on every lattice before it took the
-    point mass on lattices with one maximal member."""
+    """Limit measure by the engine's former forward substitution: one
+    vector of integer numerators over its own denominator per transient
+    member, brought to the lcm of the rows it sums and reduced by a gcd.
+    mu_infinity ran it on every lattice before it took the point mass
+    where one member is maximal and one pass from the base elsewhere."""
     f, g = lattice.hall_counts()
     below = lattice.below
     ell, m = lattice.n_maximal, len(lattice.members)
@@ -216,6 +219,16 @@ def test_mu_infinity_matches_the_forward_substitution_on_the_corpus():
     assert {lat.n_maximal == 1 for *_, lat in lattices} == {True, False}
     for tag, setup, K, lat in lattices:
         assert list(mu_infinity(lat).values) == forward_substitution(lat), tag
+
+
+def test_mu_infinity_matches_the_forward_substitution_on_c2_6():
+    # C2^6 with |N| = 8 and n = 5: 1,017 members, 512 of them maximal,
+    # so the pass from the base carries a denominator of 505 pivots
+    G = FiniteGroup([[a ^ b for b in range(64)] for a in range(64)])
+    setup = make_setup(G, [1, 2, 4], (8, 16, 32, 8, 16))
+    lat = SubextLattice(setup, Subgroup(G, range(64)))
+    assert (len(lat.members), lat.n_maximal) == (1017, 512)
+    assert list(mu_infinity(lat).values) == forward_substitution(lat)
 
 
 @st.composite
