@@ -31,7 +31,14 @@ from .groups import (
     quotient,
     up_sets,
 )
-from .invsys import _level_kernel, complete_system, dual_embedding, dual_group, level_quotient
+from .invsys import (
+    CompleteSystem,
+    _level_kernel,
+    complete_system,
+    dual_embedding,
+    dual_group,
+    level_quotient,
+)
 from .lattice import SubextLattice
 from .measure import (
     TUPLE_CAP,
@@ -253,7 +260,7 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
     # for N1 in N2, G/N1 ->> G/N2 is onto with kernel p1(N2), so it covers
     # iff N2 lies in the preimage of Phi(G/N1); the law reads it only where p1 covers
     bad = []
-    ups = up_sets([N.mask for N, _, _ in projections])
+    ups = up_sets(G, [N.mask for N, _, _ in projections])
     for i, (N1, p1, cover1) in enumerate(projections):
         pre = p1.preimage_mask(frattini_subgroup(p1.target).frattini_subgroup.mask if cover1 else 0)
         for N2, _, cover2 in (projections[j] for j in _mask_to_elems(ups[i] & ~(1 << i))):
@@ -271,6 +278,19 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
     yield "maximal-equals-frattini-restriction", not bad, bad
 
 
+def _universe_by_sort(S: CompleteSystem) -> dict[int, list]:
+    """S's universe grouped by sort.  The universe lists the classes in
+    family order, and the class of N is its [G:N] cosets, each of sort
+    [G:N], so it is one slice."""
+    out: dict[int, list] = {}
+    start = 0
+    for N in S.normals:
+        sort = S.group.order // N.order
+        out.setdefault(sort, []).extend(S.universe[start : start + sort])
+        start += sort
+    return out
+
+
 def _invsys_checks(loaded: LoadedSetup):
     G = loaded.group
     S = complete_system(G)
@@ -284,10 +304,8 @@ def _invsys_checks(loaded: LoadedSetup):
     ok = isomorphic(D, G)
     yield "dual-round-trip", ok, [] if ok else ["dual group has order %d" % D.order]
 
-    # each universe read per sort once; level i adds the elements of sort i
-    by_sort = {}
-    for x in S.universe:
-        by_sort.setdefault(S.sort_of(x), []).append(x)
+    # level i adds the elements of sort i
+    by_sort = _universe_by_sort(S)
     # level j is G/N_j; levels with one kernel share its cached projection,
     # and so one embedding
     bad, embeddings = [], {}
@@ -296,9 +314,7 @@ def _invsys_checks(loaded: LoadedSetup):
         if pi not in embeddings:
             embeddings[pi] = dual_embedding(pi, S)
         emb = embeddings[pi]
-        image_by_sort = {}
-        for x in emb.source.universe:
-            image_by_sort.setdefault(emb.source.sort_of(x), []).append(emb(x))
+        image_by_sort = {i: list(map(emb, xs)) for i, xs in _universe_by_sort(emb.source).items()}
         image, want = set(), set()
         for i in range(1, j + 1):
             image.update(image_by_sort.get(i, ()))

@@ -29,10 +29,11 @@ from .groups import (
     GroupError,
     GroupHom,
     Subgroup,
+    _check_order_cap,
+    _subgroups_within,
     all_subgroups,
     epimorphisms,
     image_classes,
-    subgroup_masks_within,
 )
 
 # per image byte, its digit in the binary numeral of the kernel mask
@@ -83,14 +84,19 @@ def is_frattini_cover(phi: GroupHom) -> bool:
 
 
 def is_frattini_restriction(H: Subgroup, r: GroupHom) -> bool:
-    """True iff no proper subgroup of H still maps onto the target of r."""
+    """True iff no proper subgroup of H still maps onto the target of r.
+
+    The subgroups of H are searched lazily, the trivial one first, and
+    the search stops at the first proper one that maps onto the target.
+    """
     G = H.group
     if r.source is not G:
         raise GroupError("r is not defined on the parent group of H")
     full_target = (1 << r.target.order) - 1
     if r.image_mask(H.mask) != full_target:
         raise GroupError("restriction of r to H is not surjective")
-    for mask in subgroup_masks_within(G, H.mask):
+    _check_order_cap(H.order)
+    for mask in _subgroups_within(G, [(1, 0)], H.mask):
         if mask != H.mask and r.image_mask(mask) == full_target:
             return False
     return True

@@ -29,6 +29,9 @@ it for a first epimorphism between groups of equal order.
 Quotients rest on three more routines, one of each kind: cosets names
 each coset gN by its least element, GroupHom.preimage_mask pulls a mask
 back, and up_sets lists the members of a family above each member.
+A quotient reads its subgroup lists off its parent's when those are
+known, and the normal subgroups of a non-abelian group are joined from
+its conjugacy classes, so neither searches.
 Subgroup enumeration and isomorphism testing are supported up to order
 64.
 """
@@ -137,6 +140,9 @@ class FiniteGroup:
         self._fingerprint: Optional[tuple] = None
         self._gen_sequence: Optional[tuple[int, ...]] = None
         self._frattini: Optional["FrattiniReport"] = None  # set by frattini_subgroup
+        # (G, mask of N, coset_of) when quotient built this group as G/N,
+        # so its subgroup lists can be read off G's
+        self._parent: Optional[tuple["FiniteGroup", int, tuple[int, ...]]] = None
 
     @classmethod
     def _derived(cls, table: tuple, labels: tuple, inverse: tuple) -> "FiniteGroup":
@@ -366,19 +372,23 @@ class FiniteGroup:
             abelian = self.is_abelian()
             center = bin(self.center_mask()).count("1")
             derived = bin(self.derived_mask()).count("1")
-            t = self.table
-            inv = self._inverse
-            seen = [False] * n
-            class_sizes = []
-            for a in range(n):
-                if seen[a]:
-                    continue
+            class_sizes = tuple(sorted(map(len, self._conjugacy_classes())))
+            self._fingerprint = (n, orders, abelian, center, derived, class_sizes)
+        return self._fingerprint
+
+    def _conjugacy_classes(self) -> list[set[int]]:
+        """The conjugacy classes, by least element."""
+        t, inv = self.table, self._inverse
+        n = self.order
+        seen = [False] * n
+        out = []
+        for a in range(n):
+            if not seen[a]:
                 cls = {t[t[g][a]][inv[g]] for g in range(n)}
                 for x in cls:
                     seen[x] = True
-                class_sizes.append(len(cls))
-            self._fingerprint = (n, orders, abelian, center, derived, tuple(sorted(class_sizes)))
-        return self._fingerprint
+                out.append(cls)
+        return out
 
     def generator_sequence(self) -> tuple[int, ...]:
         """Deterministic small generating sequence (highest order first)."""
@@ -684,9 +694,13 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(gens))
 
 
-def _subgroups_within(G: FiniteGroup, seeds: Iterable[tuple[int, int]], extend: int) -> set[int]:
+def _subgroups_within(
+    G: FiniteGroup, seeds: Iterable[tuple[int, int]], extend: int
+) -> Iterator[int]:
     """The masks of every subgroup reached from the seeds by adding
-    elements of the extension set E (the mask extend), each closed once.
+    elements of the extension set E (the mask extend), each closed once
+    and yielded once, as its closure proves it: each seed, then its
+    tree depth first.
 
     A reverse search (Avis and Fukuda, 1996) over canonical generating
     sequences.  Each seed is a pair (mask, bar): bar marks the
@@ -707,9 +721,8 @@ def _subgroups_within(G: FiniteGroup, seeds: Iterable[tuple[int, int]], extend: 
     """
     t = G.table
     extend_elems = G.elems_of_mask(extend)
-    built: set[int] = set()
     for seed, bar in seeds:
-        built.add(seed)
+        yield seed
         work = [(seed, 0)]
         while work:
             mask, start = work.pop()
@@ -730,9 +743,8 @@ def _subgroups_within(G: FiniteGroup, seeds: Iterable[tuple[int, int]], extend: 
                 bigger = G.extend_mask(mask, x)
                 if bigger & barred:
                     continue
-                built.add(bigger)
+                yield bigger
                 work.append((bigger, i + 1))
-    return built
 
 
 def _check_order_cap(order: int) -> None:
@@ -785,24 +797,104 @@ def _lift_seeds(
     return seeds
 
 
-def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup exactly once, ordered by size then element tuple."""
-    # above the cap this raises, whether or not the subgroups are cached
-    _check_order_cap(G.order)
-    if G._subgroups is None:
-        masks = _subgroups_within(G, [(1, 0)], (1 << G.order) - 1)
-        subs = (Subgroup._of_mask(G, mask) for mask in masks)
-        G._subgroups = tuple(sorted(subs, key=lambda H: (H.order, H.elements)))
+def _ordered(G: FiniteGroup, masks: Iterable[int]) -> tuple[Subgroup, ...]:
+    """The subgroups with these masks, proved closed, by size then element tuple."""
+    subs = (Subgroup._of_mask(G, mask) for mask in masks)
+    return tuple(sorted(subs, key=lambda H: (H.order, H.elements)))
+
+
+def _images(Q: FiniteGroup, members: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
+    """The images in Q = G/N of the members of G that contain N, ordered
+    like all_subgroups.  By the correspondence theorem they are each a
+    subgroup of Q, normal iff its member is, and each comes once."""
+    _, n_mask, coset_of = Q._parent
+    masks = []
+    for H in members:
+        if H.mask & n_mask == n_mask:
+            mask = 0
+            for x in H.elements:
+                mask |= 1 << coset_of[x]
+            masks.append(mask)
+    return _ordered(Q, masks)
+
+
+def _known_subgroups(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
+    """G's subgroups when no search is needed: cached, or read off those
+    of the group G is a quotient of, when they are known."""
+    if G._subgroups is None and G._parent is not None:
+        if _known_subgroups(G._parent[0]) is not None:
+            G._subgroups = _images(G, G._parent[0]._subgroups)
     return G._subgroups
 
 
-def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """The normal subgroups, ordered like all_subgroups."""
-    subs = all_subgroups(G)
+def _known_normals(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
+    """G's normal subgroups when no search is needed: cached, filtered
+    from its known subgroups, or read off those of the group G is a
+    quotient of, when they are known."""
     if G._normals is None:
-        # every subgroup of an abelian group is normal
-        G._normals = subs if G.is_abelian() else tuple(H for H in subs if H.is_normal())
+        subs = _known_subgroups(G)
+        if subs is not None:
+            # every subgroup of an abelian group is normal
+            G._normals = subs if G.is_abelian() else tuple(H for H in subs if H.is_normal())
+        elif G._parent is not None and _known_normals(G._parent[0]) is not None:
+            G._normals = _images(G, G._parent[0]._normals)
     return G._normals
+
+
+def _normals_from_classes(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """The normal subgroups of G, ordered like all_subgroups, as the
+    joins of the normal closures of its conjugacy classes.
+
+    The subgroup a class generates is normal, and a normal subgroup is
+    the join of those of the classes it holds.  So adding the classes
+    one at a time, the joins of the closures so far are kept, and with
+    M normal the join of M and a class is M grown by the class's
+    elements (extend_mask).  A class whose closure is already a join
+    adds nothing.
+    """
+    found = {1}
+    for cls in G._conjugacy_classes():
+        closure = G.closure_mask(cls)
+        if closure in found:
+            continue
+        grown = set()
+        for mask in found:
+            if mask & closure != closure:
+                for x in cls:
+                    mask = G.extend_mask(mask, x)
+                grown.add(mask)
+        found |= grown
+    return _ordered(G, found)
+
+
+def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup exactly once, ordered by size then element tuple.
+
+    When quotient made G as P/N and the subgroups of P are known (cached,
+    or read off P's own parent in turn), they are the images of those
+    containing N; otherwise one reverse search lists them.
+    """
+    # above the cap this raises, whether or not the subgroups are cached
+    _check_order_cap(G.order)
+    subs = _known_subgroups(G)
+    if subs is None:
+        subs = G._subgroups = _ordered(G, _subgroups_within(G, [(1, 0)], (1 << G.order) - 1))
+    return subs
+
+
+def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """The normal subgroups, ordered like all_subgroups.
+
+    With G's subgroups known, the normal ones among them; when quotient
+    made G as P/N and the normal subgroups of P are known, the images of
+    those containing N; otherwise every subgroup when G is abelian, and
+    the joins of the normal closures of G's conjugacy classes when not.
+    """
+    _check_order_cap(G.order)
+    normals = _known_normals(G)
+    if normals is None:
+        normals = G._normals = all_subgroups(G) if G.is_abelian() else _normals_from_classes(G)
+    return normals
 
 
 def subgroup_masks_within(
@@ -835,19 +927,22 @@ def cosets(G: FiniteGroup, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     """(to_least, reps): to_least[g] is the least element of the left coset
     gN of the subgroup N with this mask, and reps lists those, ascending;
     for ascending g, the first element met of each coset is its least."""
+    elems = G.elems_of_mask(mask)
     to_least = [-1] * G.order
+    reps = []
     for g, tg in enumerate(G.table):
         if to_least[g] == -1:
-            for x in G.elems_of_mask(mask):
+            reps.append(g)
+            for x in elems:
                 to_least[tg[x]] = g
-    return tuple(to_least), tuple(sorted(set(to_least)))
+    return tuple(to_least), tuple(reps)
 
 
-def up_sets(masks: Sequence[int]) -> list[int]:
-    """Per mask, the bitset of the j with the mask inside masks[j]: the AND,
-    over its elements, of the bitset of the masks holding each.  Each
-    mask is decoded once."""
-    elems = list(map(_mask_to_elems, masks))
+def up_sets(G: FiniteGroup, masks: Sequence[int]) -> list[int]:
+    """Per mask over G, the bitset of the j with the mask inside masks[j]:
+    the AND, over its elements, of the bitset of the masks holding each.
+    Each mask is decoded once, through G's cache of subgroup elements."""
+    elems = list(map(G.elems_of_mask, masks))
     holders: dict[int, int] = {}
     for j, xs in enumerate(elems):
         bit = 1 << j
@@ -863,7 +958,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     Once N is known to be a normal subgroup of G, neither is checked
     again: G/N is a group and the projection g -> gN an epimorphism by
     construction (FiniteGroup._derived, GroupHom._onto).  The tests
-    hold both to the full checks.
+    hold both to the full checks.  G/N records G, N and the coset of
+    each element of G, so that all_subgroups and normal_subgroups of
+    G/N read their lists off G's when those are known.
     """
     if N.group is not G:
         raise GroupError("subgroup does not live in the given group")
@@ -881,6 +978,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
     labels = tuple(G.label(r) + "N" for r in reps)
     Q = FiniteGroup._derived(table, labels, tuple(coset_of[inv[r]] for r in reps))
+    Q._parent = (G, N.mask, coset_of)
     pi = GroupHom._onto(G, Q, coset_of)
     G._quotients[N.mask] = (Q, pi)
     return Q, pi

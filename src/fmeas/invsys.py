@@ -126,7 +126,8 @@ class CompleteSystem:
             self._rep_in[N.mask], self._reps[N.mask] = cosets(group, N.mask)
         fam = list(self._reps)  # family order
         self._above = {
-            n: tuple(map(fam.__getitem__, _mask_to_elems(up))) for n, up in zip(fam, up_sets(fam))
+            n: tuple(map(fam.__getitem__, _mask_to_elems(up)))
+            for n, up in zip(fam, up_sets(group, fam))
         }
         self.universe = tuple((n, r) for n, rs in self._reps.items() for r in rs)
         self.one = (full, 0)
@@ -297,7 +298,7 @@ class CompleteSystem:
         # the family: k bits add up to a k-bit up-set only when they are
         # distinct and nonzero, and then ascend in family order
         bit = {m: 1 << i for i, m in enumerate(family)}
-        for n, up in zip(family, up_sets(family)):
+        for n, up in zip(family, up_sets(G, family)):
             bits = [bit.get(m, 0) for m in self._above[n]]
             if sum(bits) != up or len(bits) != up.bit_count() or bits != sorted(bits):
                 raise GroupError("<= does not match containment of the classes")

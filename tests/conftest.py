@@ -1,6 +1,7 @@
 # keeps the tests directory importable (corpus.py helpers)
 from pathlib import Path
 
+from fmeas import groups
 from fmeas.groups import GroupHom
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,3 +37,17 @@ def count_hom_builds(monkeypatch):
     monkeypatch.setattr(GroupHom, "__init__", counted_init)
     monkeypatch.setattr(GroupHom, "_onto", classmethod(counted_onto))
     return checked, derived
+
+
+def count_enumerations(monkeypatch):
+    """The groups whose subgroups _subgroups_within searches from now on,
+    once per call."""
+    calls = []
+    real = groups._subgroups_within
+
+    def counted(G, seeds, extend):
+        calls.append(G)
+        return real(G, seeds, extend)
+
+    monkeypatch.setattr(groups, "_subgroups_within", counted)
+    return calls

@@ -30,7 +30,7 @@ from fmeas.setupfile import load_setup
 
 import corpus
 import setups
-from conftest import FIXTURES, count_hom_builds, d4_power_generators
+from conftest import FIXTURES, count_enumerations, count_hom_builds, d4_power_generators
 from test_invsys import oracle_dump
 
 EXPECTED = FIXTURES / "expected"
@@ -654,6 +654,24 @@ def test_level_routes_build_no_extra_system(capsys, monkeypatch):
     assert (rc, err) == (0, "")
     assert out == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
     assert (built, generated) == ([6, 1, 2, 6], [])
+
+
+@pytest.mark.parametrize("name,searches", [("C6xC2xC2", 1), ("S4", 0)])
+def test_structure_commands_enumerate_at_most_once(name, searches, tmp_path, capsys, monkeypatch):
+    # the abelian group's normal subgroups are all its subgroups, found by
+    # one reverse search; S4's are joined from its conjugacy classes; every
+    # quotient in the level tower reads its lists off the group's
+    calls = count_enumerations(monkeypatch)
+    G = corpus.group(name)
+    p = tmp_path / "group.json"
+    normal = list(G.generator_sequence())
+    p.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
+    for argv in (["verify", str(p), "--suite", "invsys"], ["invsys", str(p), "--level", "2"]):
+        calls.clear()
+        rc, out, err = run_main(argv, capsys)
+        assert (rc, err) == (0, "")
+        assert "FAIL" not in out
+        assert [H.order for H in calls] == [G.order] * searches, argv
 
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 import corpus
+import setups
 from fmeas import frattini
 from fmeas.frattini import (
     _factorings,
@@ -29,6 +30,7 @@ from fmeas.groups import (
     image_classes,
     normal_subgroups,
     quotient,
+    subgroup_masks_within,
     symmetric,
 )
 
@@ -356,6 +358,49 @@ def test_restriction_requires_surjectivity():
     G, r = klein_mod_first()
     with pytest.raises(GroupError, match="surjective"):
         is_frattini_restriction(Subgroup(G, (0, 2)), r)
+
+
+def listed_frattini_restriction(H, r):
+    """is_frattini_restriction as a scan of the whole sorted list of the
+    subgroups of H."""
+    full = (1 << r.target.order) - 1
+    masks = subgroup_masks_within(H.group, H.mask)
+    return not any(m != H.mask and r.image_mask(m) == full for m in masks)
+
+
+def test_lazy_restriction_matches_the_list_scan_on_every_corpus_lattice():
+    for tag, setup, _, lat in setups.corpus_lattices():
+        _, r = quotient(setup.group, setup.n_sub)
+        for H in lat.members:
+            assert is_frattini_restriction(H, r) == listed_frattini_restriction(H, r), tag
+
+
+def test_restriction_stops_at_the_first_subgroup_onto_the_target(monkeypatch):
+    # onto the trivial group, the trivial subgroup, yielded first, answers
+    searched = []
+    real = frattini._subgroups_within
+
+    def counted(G, seeds, extend):
+        for mask in real(G, seeds, extend):
+            searched.append(mask)
+            yield mask
+
+    monkeypatch.setattr(frattini, "_subgroups_within", counted)
+    G = corpus.group("C2^4")
+    _, r = quotient(G, Subgroup(G, range(16)))
+    assert not is_frattini_restriction(Subgroup(G, range(16)), r)
+    assert searched == [1]
+    searched.clear()
+    assert is_frattini_restriction(Subgroup(G, ()), r)
+    assert searched == [1]
+
+
+def test_restriction_above_the_order_cap_raises():
+    G = FiniteGroup([[a ^ b for b in range(128)] for a in range(128)])
+    whole = Subgroup(G, range(128))
+    _, r = quotient(G, whole)
+    with pytest.raises(CapExceeded, match="order 64"):
+        is_frattini_restriction(whole, r)
 
 
 # -- has_embedding_property ----------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import corpus
 import setups
-from conftest import FIXTURES, count_hom_builds, d4_power_generators
+from conftest import FIXTURES, count_enumerations, count_hom_builds, d4_power_generators
 from fmeas import groups
 from fmeas.groups import (
     CapExceeded,
@@ -528,10 +528,11 @@ def oracle_subgroups_within(G, extend):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coset_enumeration_matches_the_per_element_oracle(name):
-    # the same subgroups as extending by every element
+    # the same subgroups as extending by every element, each yielded once
     G = corpus.group(name)
-    fast = groups._subgroups_within(G, [(1, 0)], (1 << G.order) - 1)
-    assert fast == oracle_subgroups_within(G, range(G.order))
+    fast = list(groups._subgroups_within(G, [(1, 0)], (1 << G.order) - 1))
+    assert len(set(fast)) == len(fast)
+    assert set(fast) == oracle_subgroups_within(G, range(G.order))
 
 
 def test_coset_enumeration_matches_the_oracle_on_every_corpus_lattice():
@@ -560,8 +561,8 @@ def test_coset_enumeration_extends_once_per_coset(monkeypatch):
     for factors, subgroups, closures in [(4, 67, 66), (6, 2825, 2824)]:
         G = direct_product(*[cyclic(2)] * factors)
         calls.clear()
-        built = groups._subgroups_within(G, [(1, 0)], (1 << G.order) - 1)
-        assert len(built) == subgroups
+        built = list(groups._subgroups_within(G, [(1, 0)], (1 << G.order) - 1))
+        assert len(built) == len(set(built)) == subgroups
         assert len(calls) == closures
 
 
@@ -933,6 +934,94 @@ def test_normal_subgroups_match_the_is_normal_filter(name):
     assert normal_subgroups(G) == tuple(H for H in all_subgroups(G) if H.is_normal())
 
 
+def fresh_group(name):
+    """A new group on the table of the named one, with empty caches and
+    no quotient parent: corpus groups are memoized, so their lists may
+    already be cached."""
+    return FiniteGroup(large_or_corpus_group(name).table)
+
+
+def element_lists(subgroups):
+    return [H.elements for H in subgroups]
+
+
+def assert_lists_match_a_parentless_copy(Q):
+    plain = FiniteGroup(Q.table)
+    assert element_lists(all_subgroups(Q)) == element_lists(all_subgroups(plain))
+    assert element_lists(normal_subgroups(Q)) == element_lists(normal_subgroups(plain))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["C2^5"])
+def test_quotient_subgroups_read_off_the_parent_match_enumeration(name, monkeypatch):
+    # with G's subgroups cached, each G/N and a quotient of it read both
+    # lists off them, enumerating nothing, in the order enumeration on a
+    # parentless copy of the same table gives
+    G = fresh_group(name)
+    all_subgroups(G)
+    calls = count_enumerations(monkeypatch)
+    for N in normal_subgroups(G):
+        Q, _ = quotient(G, N)
+        subs, normals = all_subgroups(Q), normal_subgroups(Q)
+        # a quotient of the quotient, by its least nontrivial normal subgroup
+        M = normals[min(1, len(normals) - 1)]
+        Q2, _ = quotient(Q, M)
+        subs2, normals2 = all_subgroups(Q2), normal_subgroups(Q2)
+        assert calls == []
+        assert all(H.group is Q for H in subs + normals)
+        assert all(H.group is Q2 for H in subs2 + normals2)
+        assert_lists_match_a_parentless_copy(Q)
+        assert_lists_match_a_parentless_copy(Q2)
+        calls.clear()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_quotient_normal_subgroups_read_off_the_parent_normals(name, monkeypatch):
+    # with only G's normal subgroups known, G/N and a quotient of it read
+    # their normal subgroups off them; all_subgroups of G/N then
+    # enumerates G/N, never the larger G
+    G = fresh_group(name)
+    normal_subgroups(G)
+    calls = count_enumerations(monkeypatch)
+    for N in normal_subgroups(G):
+        Q, _ = quotient(G, N)
+        normals = normal_subgroups(Q)
+        Q2, _ = quotient(Q, normals[min(1, len(normals) - 1)])
+        normal_subgroups(Q2)
+        if not G.is_abelian():
+            # an abelian G enumerated itself, so its quotients read both lists
+            assert (calls, Q._subgroups, Q2._subgroups) == ([], None, None)
+        assert_lists_match_a_parentless_copy(Q)
+        assert_lists_match_a_parentless_copy(Q2)
+        assert G not in calls
+        calls.clear()
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in ALL_NAMES if not corpus.group(name).is_abelian()]
+)
+def test_normal_subgroups_from_classes_match_the_is_normal_filter(name, monkeypatch):
+    # on a fresh group nothing is cached, so normal_subgroups joins the
+    # normal closures of the conjugacy classes, without enumerating
+    G = fresh_group(name)
+    calls = count_enumerations(monkeypatch)
+    normals = normal_subgroups(G)
+    assert (calls, G._subgroups) == ([], None)
+    assert normals == tuple(H for H in all_subgroups(G) if H.is_normal())
+
+
+def test_normal_subgroups_above_the_order_cap_raise_cached_or_not():
+    G = FiniteGroup([[a ^ b for b in range(128)] for a in range(128)])
+    Q, _ = quotient(G, Subgroup(G, ()))
+    for H in (G, Q):
+        with pytest.raises(CapExceeded, match="order 64"):
+            normal_subgroups(H)
+        H._subgroups = H._normals = (Subgroup(H, ()),)
+        with pytest.raises(CapExceeded, match="order 64"):
+            normal_subgroups(H)
+        with pytest.raises(CapExceeded, match="order 64"):
+            all_subgroups(H)
+
+
 @pytest.mark.parametrize("name", sorted(name for name, G in corpus.classes_upto(24)))
 def test_normality_on_generators_matches_conjugation_oracle(name):
     G = corpus.group(name)
@@ -1006,13 +1095,14 @@ def test_up_sets_match_the_pairwise_scan(name):
     G = corpus.group(name)
     for family in (all_subgroups(G), normal_family(G)):
         masks = [H.mask for H in family]
-        assert up_sets(masks) == oracle_up_sets(masks)
+        assert up_sets(G, masks) == oracle_up_sets(masks)
 
 
 def test_up_sets_of_no_masks_and_of_one():
-    assert up_sets([]) == []
-    assert up_sets([0b101]) == [1]
-    assert up_sets([0, 0b1]) == oracle_up_sets([0, 0b1]) == [0b11, 0b10]
+    G = cyclic(4)
+    assert up_sets(G, []) == []
+    assert up_sets(G, [0b101]) == [1]
+    assert up_sets(G, [0, 0b1]) == oracle_up_sets([0, 0b1]) == [0b11, 0b10]
 
 
 # -- homomorphisms -------------------------------------------------------
