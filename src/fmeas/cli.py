@@ -24,6 +24,7 @@ from .frattini import (
 from .groups import (
     CapExceeded,
     GroupError,
+    GroupHom,
     _mask_to_elems,
     all_subgroups,
     isomorphic,
@@ -220,8 +221,8 @@ def _markov_checks(lat: SubextLattice, cap: int):
     ]
 
 
-def _check_tower(loaded: LoadedSetup, cap: int):
-    report = pushforward_check(loaded.tower, loaded.base, max_i=8, cap=cap)
+def _check_tower(lat: SubextLattice, pi: GroupHom, cap: int):
+    report = pushforward_check(lat, pi, max_i=8, cap=cap)
     details = [
         "i=%s pushed=(%s) lower=(%s)"
         % (label, _vector_line(pushed.values), _vector_line(lower.values))
@@ -331,7 +332,7 @@ def cmd_verify(args) -> int:
     # one base lattice for every suite that reads it; the frattini suite
     # on its own builds it after enumerating G, so the group's cap binds first
     lat = None
-    if args.suite in ("lifts", "markov", "all"):
+    if args.suite in ("lifts", "markov", "tower", "all"):
         lat = SubextLattice(loaded.setup, loaded.base)
     results = []
     if args.suite in ("lifts", "all"):
@@ -340,7 +341,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("markov", "all"):
         results.extend(_markov_checks(lat, args.cap))
     if args.suite == "tower" or (args.suite == "all" and loaded.tower is not None):
-        ok, details = _check_tower(loaded, args.cap)
+        ok, details = _check_tower(lat, loaded.tower, args.cap)
         results.append(("tower-pushforward", ok, details))
     if args.suite in ("frattini", "all"):
         results.extend(_frattini_checks(loaded, lat))

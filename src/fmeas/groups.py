@@ -898,26 +898,24 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 def subgroup_masks_within(
-    G: FiniteGroup, universe: int, normal: Optional[int] = None, lift: Sequence[int] = ()
+    G: FiniteGroup, universe: int, normal: int, lift: Sequence[int]
 ) -> list[int]:
     """The masks of the subgroups H of the universe with HN = <N, lift>,
     ordered like all_subgroups.
 
-    normal is the mask of a normal subgroup N, the whole group when
-    omitted, so that with no lift every subgroup of the universe
-    qualifies.  Each such H holds an element of every coset s N with s
-    in the lift, and for any choice L of such elements, H is <L, H n N>:
-    an element h of H has the image of some w in <L>, and w^-1 h lies
-    in H n N.  So each H is reached from its one canonical seed of
-    _lift_seeds, <min(H n c_i)>, by _subgroups_within's one chain of
-    elements of the universe's meet with N; with N the whole group the
-    one seed is {0} and every element of the universe extends.  Each
-    mask was closed once there, so Subgroup._of_mask builds it.  The
-    universe must be a subgroup, of order at most DEFAULT_ORDER_CAP.
+    normal is the mask of a normal subgroup N; with N the whole group
+    and no lift, every subgroup of the universe qualifies.  Each such H
+    holds an element of every coset s N with s in the lift, and for any
+    choice L of such elements, H is <L, H n N>: an element h of H has
+    the image of some w in <L>, and w^-1 h lies in H n N.  So each H is
+    reached from its one canonical seed of _lift_seeds, <min(H n c_i)>,
+    by _subgroups_within's one chain of elements of the universe's meet
+    with N; with N the whole group the one seed is {0} and every element
+    of the universe extends.  Each mask was closed once there, so
+    Subgroup._of_mask builds it.  The universe must be a subgroup, of
+    order at most DEFAULT_ORDER_CAP.
     """
     _check_order_cap(bin(universe).count("1"))
-    if normal is None:
-        normal = (1 << G.order) - 1
     seeds = _lift_seeds(G, universe, normal, lift)
     built = _subgroups_within(G, seeds, universe & normal)
     return sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))

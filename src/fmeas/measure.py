@@ -19,8 +19,10 @@ numerators from the point mass at the base; the limit is a point mass
 if one member is maximal, else one pass from the base down over the
 base's row of the fundamental matrix, as integers over one common
 denominator.  The Fraction transition matrix is built only by
-transition_matrix.  Every value is exact; no floating point enters the
-engine.
+transition_matrix.  pushforward_check takes the upper lattice of a
+tower and the epimorphism pi onto the lower group, and derives the
+lower level as the image of the upper one.  Every value is exact; no
+floating point enters the engine.
 """
 
 from __future__ import annotations
@@ -127,34 +129,6 @@ class TransitionMatrix:
         )
 
 
-class TowerSetup:
-    """Two setups joined by a surjection matching N and the lifts."""
-
-    __slots__ = ("upper", "lower", "pi")
-
-    def __init__(self, upper: GaloisSetup, lower: GaloisSetup, pi: GroupHom):
-        if pi.source is not upper.group or pi.target is not lower.group:
-            raise GroupError("pi must map the upper group to the lower group")
-        if not pi.is_surjective:
-            raise GroupError("pi is not surjective")
-        if pi.image_mask(upper.n_sub.mask) != lower.n_sub.mask:
-            raise GroupError("pi does not map the upper N onto the lower N")
-        if upper.n != lower.n:
-            raise GroupError("the two lift tuples have different lengths")
-        for a, b in zip(upper.sigma_prime, lower.sigma_prime):
-            if pi.image_of[a] != b:
-                raise GroupError("pi does not match the lift tuples coordinatewise")
-        self.upper = upper
-        self.lower = lower
-        self.pi = pi
-
-    def __repr__(self) -> str:
-        return "TowerSetup(|G|=%d -> |G|=%d)" % (
-            self.upper.group.order,
-            self.lower.group.order,
-        )
-
-
 class PushforwardReport:
     """Comparison of pushed upper measures with lower measures, step by step.
 
@@ -163,10 +137,10 @@ class PushforwardReport:
     lower lattice.  holds is True when every entry is equal.
     """
 
-    __slots__ = ("tower", "upper_lattice", "lower_lattice", "entries", "holds")
+    __slots__ = ("pi", "upper_lattice", "lower_lattice", "entries", "holds")
 
-    def __init__(self, tower, upper_lattice, lower_lattice, entries):
-        self.tower = tower
+    def __init__(self, pi, upper_lattice, lower_lattice, entries):
+        self.pi = pi
         self.upper_lattice = upper_lattice
         self.lower_lattice = lower_lattice
         self.entries = tuple(entries)
@@ -376,29 +350,39 @@ def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> F
 
 
 def pushforward_check(
-    tower: TowerSetup,
-    K_subgroup_upper: Subgroup,
+    lattice: SubextLattice,
+    pi: GroupHom,
     *,
     max_i: int = 8,
     cap: int = TUPLE_CAP,
 ) -> PushforwardReport:
     """Compare pushed upper measures with lower measures at each step.
 
-    The upper base maps to pi(K); members push along H -> pi(H), which
-    always lands in the lower lattice.  Steps 0..max_i and the limit are
+    The lower level is the image of the upper one under the epimorphism
+    pi: its N is pi(N), its lifts pi(sigma) and its base pi(K), each an
+    image and so closed.  Members push along H -> pi(H), which always
+    lands in the lower lattice.  Steps 0..max_i and the limit are
     compared exactly, each lattice's steps held to STEP_BITS_CAP as in
     mu_i once its rows are held to the cap.  Equality is guaranteed when
     ker(pi) lies inside the upper N (the levels then share one constant
     quotient); the report states the outcome either way.
     """
+    up = lattice.setup
+    if pi.source is not up.group:
+        raise GroupError("pi must map the upper group to the lower group")
+    if not pi.is_surjective:
+        raise GroupError("pi is not surjective")
     if not isinstance(max_i, int) or isinstance(max_i, bool) or max_i < 0:
         raise GroupError("max_i must be a nonnegative integer")
-    up, low, pi = tower.upper, tower.lower, tower.pi
-    up_lat = SubextLattice(up, K_subgroup_upper)
-    low_base = Subgroup(low.group, low.group.elems_of_mask(pi.image_mask(K_subgroup_upper.mask)))
-    low_lat = SubextLattice(low, low_base)
+    low_group = pi.target
+    low = GaloisSetup(
+        low_group,
+        Subgroup._of_mask(low_group, pi.image_mask(up.n_sub.mask)),
+        tuple(pi.image_of[s] for s in up.sigma_prime),
+    )
+    low_lat = SubextLattice(low, Subgroup._of_mask(low_group, pi.image_mask(lattice.base.mask)))
     image_index = []
-    for H in up_lat.members:
+    for H in lattice.members:
         j = low_lat.index_of.get(pi.image_mask(H.mask))
         if j is None:
             raise RuntimeError("internal error: pushed member missing from the lower lattice")
@@ -411,12 +395,12 @@ def pushforward_check(
                 out[j] += v
         return MeasureVector(low_lat, out)
 
-    up_f, up_g, up_below = _hall_counts(up_lat, cap, range(len(up_lat.members)))
+    up_f, up_g, up_below = _hall_counts(lattice, cap, range(len(lattice.members)))
     low_f, low_g, low_below = _hall_counts(low_lat, cap, range(len(low_lat.members)))
     for f in (up_f, low_f):
         _hold_step_bits(max_i, f)
     entries = []
-    c_up = _point_mass(up_lat)
+    c_up = _point_mass(lattice)
     c_low = _point_mass(low_lat)
     for i in range(max_i + 1):
         pushed = pushed_vector(_over(c_up, up_f[-1] ** i))
@@ -425,8 +409,8 @@ def pushforward_check(
         if i < max_i:
             c_up = _step(c_up, up_f, up_g, up_below)
             c_low = _step(c_low, low_f, low_g, low_below)
-    inf_up = mu_infinity(up_lat, cap=cap)
+    inf_up = mu_infinity(lattice, cap=cap)
     inf_low = mu_infinity(low_lat, cap=cap)
     pushed_inf = pushed_vector(inf_up.values)
     entries.append(("inf", pushed_inf, inf_low, pushed_inf.values == inf_low.values))
-    return PushforwardReport(tower, up_lat, low_lat, entries)
+    return PushforwardReport(pi, lattice, low_lat, entries)

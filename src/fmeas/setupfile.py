@@ -1,7 +1,8 @@
 """JSON setup files for the command line.
 
 A file names one measure setup and, optionally, events over its lattice
-and a second, smaller setup reached by an epimorphism:
+and an epimorphism onto a second, smaller group, the lower level of a
+tower:
 
     {
       "group":  {"table": [[...], ...]} or {"permutations": [[...], ...]},
@@ -13,9 +14,10 @@ and a second, smaller setup reached by an epimorphism:
     }
 
 Permutations are 0-indexed image arrays.  The tower map lists images of
-group elements that must generate the upper group; the lower setup is
-the image of the upper one under the resulting epimorphism.  Every
-error message carries the file path and the line of the offending key.
+group elements that must generate the upper group; the file loads to
+the resulting epimorphism, and pushforward_check derives the lower
+level from it as the image of the upper one.  Every error message
+carries the file path and the line of the offending key.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import json
 from typing import Dict, Optional
 
 from .groups import (
+    FiniteGroup,
     GroupError,
+    GroupHom,
     Subgroup,
     build_group,
     hom_from_images,
 )
 from .lattice import GaloisSetup, make_setup
-from .measure import TowerSetup
 
 TOP_KEYS = {"group", "normal", "sigma", "base", "events", "tower"}
 TOWER_KEYS = {"group", "map"}
@@ -49,7 +52,7 @@ class LoadedSetup:
         setup: GaloisSetup,
         base: Subgroup,
         events: Dict[str, tuple[Subgroup, ...]],
-        tower: Optional[TowerSetup],
+        tower: Optional[GroupHom],
     ):
         self.path = path
         self.group = setup.group
@@ -149,14 +152,14 @@ def load_setup(path: str) -> LoadedSetup:
                 subs.append(S)
             events[name] = tuple(subs)
 
-    tower: Optional[TowerSetup] = None
+    tower: Optional[GroupHom] = None
     if "tower" in data:
-        tower = _load_tower(data["tower"], setup, path, raw)
+        tower = _load_tower(data["tower"], G, path, raw)
 
     return LoadedSetup(path, setup, base, events, tower)
 
 
-def _load_tower(spec, upper: GaloisSetup, path: str, raw: str) -> TowerSetup:
+def _load_tower(spec, G: FiniteGroup, path: str, raw: str) -> GroupHom:
     if not isinstance(spec, dict) or set(spec) != TOWER_KEYS:
         raise _fail(path, raw, "tower", '"tower" needs exactly "group" and "map"')
     try:
@@ -171,7 +174,6 @@ def _load_tower(spec, upper: GaloisSetup, path: str, raw: str) -> TowerSetup:
         for p in pairs
     ):
         raise _fail(path, raw, "map", '"map" must list [element, image] pairs')
-    G = upper.group
     gens = [p[0] for p in pairs]
     imgs = [p[1] for p in pairs]
     if any(not 0 <= g < G.order for g in gens):
@@ -185,6 +187,4 @@ def _load_tower(spec, upper: GaloisSetup, path: str, raw: str) -> TowerSetup:
         raise _fail(path, raw, "map", "map does not extend to a homomorphism")
     if not pi.is_surjective:
         raise _fail(path, raw, "map", "map is not surjective onto the lower group")
-    low_n = H.elems_of_mask(pi.image_mask(upper.n_sub.mask))
-    lower = make_setup(H, low_n, tuple(pi.image_of[s] for s in upper.sigma_prime))
-    return TowerSetup(upper, lower, pi)
+    return pi

@@ -2,9 +2,10 @@
 
 Every fixture run is compared byte for byte against a file under
 tests/fixtures/expected/, so any change to output formatting or to the
-numbers themselves shows up as a diff.  Each case also runs under the
-retired FMEAS_THREADS settings 1, 2 and 8, which scripts written for
-older releases may still export: the output must not depend on them.
+numbers themselves shows up as a diff.  One test runs every case again
+under each of the retired FMEAS_THREADS settings 1, 2 and 8, which
+scripts written for older releases may still export: nothing reads the
+variable, and the output must not depend on it.
 The markov suite, which reads the chain off integer counts, is also
 checked line by line against the explicit Fraction-matrix route.
 """
@@ -24,7 +25,7 @@ import fmeas
 from fmeas import cli, groups, invsys, measure
 from fmeas.cli import _fmt, _markov_checks, _vector_line, main
 from fmeas.frattini import frattini_subgroup
-from fmeas.lattice import SubextLattice
+from fmeas.lattice import GaloisSetup, SubextLattice
 from fmeas.measure import TUPLE_CAP, MeasureVector, mu1, mu_infinity, transition_matrix
 from fmeas.setupfile import load_setup
 
@@ -67,19 +68,28 @@ def run_main(argv, capsys):
     return rc, out.out, out.err
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
+def assert_golden(args, fixture, golden, code, capsys):
+    argv = args[:1] + [str(FIXTURES / fixture)] + args[1:]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == code, argv
+    assert err == "", argv
+    assert out == (EXPECTED / golden).read_text(), argv
+
+
 @pytest.mark.parametrize(
     "args,fixture,golden,code",
     GOLDEN_CASES,
     ids=["%s-%s" % (c[1].split(".")[0], c[2].split(".")[0]) for c in GOLDEN_CASES],
 )
-def test_golden_output(args, fixture, golden, code, threads, monkeypatch, capsys):
-    monkeypatch.setenv("FMEAS_THREADS", threads)
-    argv = args[:1] + [str(FIXTURES / fixture)] + args[1:]
-    rc, out, err = run_main(argv, capsys)
-    assert rc == code
-    assert err == ""
-    assert out == (EXPECTED / golden).read_text()
+def test_golden_output(args, fixture, golden, code, capsys):
+    assert_golden(args, fixture, golden, code, capsys)
+
+
+def test_golden_output_ignores_fmeas_threads(monkeypatch, capsys):
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("FMEAS_THREADS", threads)
+        for case in GOLDEN_CASES:
+            assert_golden(*case, capsys)
 
 
 def subprocess_env():
@@ -1058,6 +1068,43 @@ def test_markov_suite_holds_every_row_to_the_cap(capsys):
         ["verify", str(FIXTURES / "klein.json"), "--suite", "markov", "--cap", "1"], capsys
     )
     assert (rc, out, err) == (3, "", "error: member 2 needs 2 tuples, over the cap of 1\n")
+
+
+def test_verify_builds_one_lattice_per_tower_level(monkeypatch, capsys):
+    # the base's lattice serves every suite, the tower's upper level
+    # included, and pushforward_check builds only the lower one
+    built = []
+    init = SubextLattice.__init__
+
+    def counting(self, setup, base):
+        built.append(setup.group.order)
+        init(self, setup, base)
+
+    monkeypatch.setattr(SubextLattice, "__init__", counting)
+    c4 = str(FIXTURES / "c4_to_c2.json")
+    for suite in (["--suite", "tower"], []):
+        built.clear()
+        rc, out, err = run_main(["verify", c4] + suite, capsys)
+        assert (rc, err) == (0, "")
+        assert built == [4, 2]
+
+
+def test_loading_a_tower_builds_no_lower_setup(monkeypatch, capsys):
+    built = []
+    init = GaloisSetup.__init__
+
+    def counting(self, group, n_sub, sigma_prime):
+        built.append(group.order)
+        init(self, group, n_sub, sigma_prime)
+
+    monkeypatch.setattr(GaloisSetup, "__init__", counting)
+    c4 = str(FIXTURES / "c4_to_c2.json")
+    for argv in (["lattice", c4], ["measure", c4], ["verify", c4, "--suite", "markov"]):
+        built.clear()
+        rc, out, err = run_main(argv, capsys)
+        assert (rc, err) == (0, "")
+        assert built == [4]
+    assert isinstance(load_setup(c4).tower, groups.GroupHom)
 
 
 def test_tower_suite_needs_tower_section(capsys):

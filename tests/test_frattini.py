@@ -364,7 +364,7 @@ def listed_frattini_restriction(H, r):
     """is_frattini_restriction as a scan of the whole sorted list of the
     subgroups of H."""
     full = (1 << r.target.order) - 1
-    masks = subgroup_masks_within(H.group, H.mask)
+    masks = subgroup_masks_within(H.group, H.mask, (1 << H.group.order) - 1, ())
     return not any(m != H.mask and r.image_mask(m) == full for m in masks)
 
 

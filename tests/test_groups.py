@@ -568,7 +568,8 @@ def test_coset_enumeration_extends_once_per_coset(monkeypatch):
 
 def test_subgroup_masks_within_orders_like_all_subgroups():
     G = corpus.group("S4")
-    got = groups.subgroup_masks_within(G, (1 << G.order) - 1)
+    whole = (1 << G.order) - 1
+    got = groups.subgroup_masks_within(G, whole, whole, ())
     assert got == [H.mask for H in all_subgroups(G)]
 
 

@@ -2,11 +2,14 @@
 
 Every `fmeas` command pays for these at start-up, so a new module-level
 import (a few milliseconds each, e.g. dataclasses) shows here before it
-shows in the benchmark's set-up time.
+shows in the benchmark's set-up time.  Every name the package exports
+must resolve, so a stale entry in fmeas.__all__ fails here at once.
 """
 
 import ast
 from pathlib import Path
+
+import fmeas
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fmeas"
 
@@ -56,3 +59,9 @@ def test_the_guard_sees_nested_and_dotted_imports():
         "class C:\n    import enum\n"
     )
     assert module_level_imports(tree) == {"os", "dataclasses", "enum"}
+
+
+def test_every_export_resolves():
+    missing = [name for name in fmeas.__all__ if not hasattr(fmeas, name)]
+    assert missing == []
+    assert len(set(fmeas.__all__)) == len(fmeas.__all__)

@@ -28,7 +28,6 @@ from fmeas.lattice import SubextLattice, make_setup
 from fmeas.measure import (
     STEP_BITS_CAP,
     MeasureVector,
-    TowerSetup,
     TransitionMatrix,
     format_rational,
     measure_event,
@@ -768,35 +767,56 @@ def test_inputs_beyond_the_default_cap_are_cheap(normal, sigma):
 # -- towers ----------------------------------------------------------------------
 
 
+def pushforward(up, low, pi, K, **kwargs):
+    """pushforward_check on the upper lattice, its derived lower level
+    compared with the lattice of a hand-built lower setup over pi(K)."""
+    report = pushforward_check(SubextLattice(up, K), pi, **kwargs)
+    want = SubextLattice(low, Subgroup(low.group, sorted({pi.image_of[x] for x in K.elements})))
+    got = report.lower_lattice
+    assert report.pi is pi and got.setup.group is low.group
+    assert got.setup.n_sub.mask == low.n_sub.mask
+    assert got.setup.sigma_prime == low.sigma_prime
+    assert got.base.mask == want.base.mask
+    assert [H.mask for H in got.members] == [H.mask for H in want.members]
+    assert got.n_maximal == want.n_maximal and got.below == want.below
+    return report
+
+
 def c4_to_c2_tower():
     C4, C2 = cyclic(4), cyclic(2)
     up = make_setup(C4, [1], (1,))
     low = make_setup(C2, [1], (1,))
-    return TowerSetup(up, low, GroupHom(C4, C2, [0, 1, 0, 1])), Subgroup(C4, range(4))
+    return up, low, GroupHom(C4, C2, [0, 1, 0, 1]), Subgroup(C4, range(4))
 
 
 def test_tower_validation():
-    C4, C2 = cyclic(4), cyclic(2)
-    up = make_setup(C4, [1], (1,))
-    low = make_setup(C2, [1], (1,))
-    with pytest.raises(GroupError, match="surjective"):
-        TowerSetup(up, low, GroupHom(C4, C2, [0, 0, 0, 0]))
-    with pytest.raises(GroupError, match="upper group"):
-        TowerSetup(up, low, identity_hom(C2))
-    up_small_n = make_setup(C4, [2], (1,))
-    with pytest.raises(GroupError, match="onto the lower N"):
-        TowerSetup(up_small_n, low, GroupHom(C4, C2, [0, 1, 0, 1]))
-    low_two = make_setup(C2, [1], (1, 1))
-    with pytest.raises(GroupError, match="lengths"):
-        TowerSetup(up, low_two, GroupHom(C4, C2, [0, 1, 0, 1]))
-    low_other_sigma = make_setup(C2, [1], (0,))
-    with pytest.raises(GroupError, match="coordinatewise"):
-        TowerSetup(up, low_other_sigma, GroupHom(C4, C2, [0, 1, 0, 1]))
+    up, low, pi, K = c4_to_c2_tower()
+    lat = SubextLattice(up, K)
+    with pytest.raises(GroupError, match="^pi is not surjective$"):
+        pushforward_check(lat, GroupHom(up.group, low.group, [0, 0, 0, 0]))
+    with pytest.raises(GroupError, match="^pi must map the upper group to the lower group$"):
+        pushforward_check(lat, identity_hom(low.group))
+
+
+def test_derived_lower_level_is_the_image_of_the_upper_one():
+    # a proper base: C4 with N = G over K = {0, 2}, which pi kills, so the
+    # lower base is trivial and its lattice the one trivial member
+    up, low, pi, _ = c4_to_c2_tower()
+    C4 = up.group
+    whole = make_setup(C4, [1], (1, 3))
+    report = pushforward(whole, make_setup(low.group, [1], (1, 1)), pi, Subgroup(C4, (2,)))
+    assert report.holds
+    assert [H.mask for H in report.lower_lattice.members] == [1]
+    # N given by other generators: pi(A3) is trivial and pi(sigma) the sign
+    setup, K, _ = setups.get("S3-A3")
+    G, C2 = setup.group, cyclic(2)
+    pi = GroupHom(G, C2, [0 if G.element_order(x) in (1, 3) else 1 for x in range(6)])
+    report = pushforward(setup, make_setup(C2, [], (1,)), pi, K)
+    assert report.holds and report.lower_lattice.setup.n_sub.order == 1
 
 
 def test_tower_z4_to_z2_point_mass():
-    tower, K = c4_to_c2_tower()
-    report = pushforward_check(tower, K)
+    report = pushforward(*c4_to_c2_tower())
     assert report.holds
     label, pushed, lower, equal = report.entries[-1]
     assert label == "inf" and equal
@@ -804,8 +824,7 @@ def test_tower_z4_to_z2_point_mass():
 
 
 def test_tower_z4_to_z2_midway_values():
-    tower, K = c4_to_c2_tower()
-    report = pushforward_check(tower, K, max_i=2)
+    report = pushforward(*c4_to_c2_tower(), max_i=2)
     assert [e[0] for e in report.entries] == ["0", "1", "2", "inf"]
     assert report.entries[2][1].values == (F(3, 4), F(1, 4))
     assert report.holds
@@ -813,7 +832,7 @@ def test_tower_z4_to_z2_midway_values():
 
 def test_tower_identity_is_definitional():
     setup, K, lat = setups.get("S3-A3")
-    report = pushforward_check(TowerSetup(setup, setup, identity_hom(setup.group)), K)
+    report = pushforward(setup, setup, identity_hom(setup.group), K)
     assert report.holds
     for _, pushed, lower, equal in report.entries:
         assert equal and pushed.values == lower.values
@@ -824,7 +843,7 @@ def test_tower_klein_to_z2_compatible():
     up = make_setup(G, [2], (1,))
     low = make_setup(cyclic(2), [], (1,))
     pi = GroupHom(G, low.group, [0, 1, 0, 1])
-    report = pushforward_check(TowerSetup(up, low, pi), Subgroup(G, range(4)))
+    report = pushforward(up, low, pi, Subgroup(G, range(4)))
     assert report.holds
     assert len(report.entries) == 10
 
@@ -836,7 +855,7 @@ def test_tower_s3_sign_map():
     sign = [0 if G.element_order(x) in (1, 3) else 1 for x in range(6)]
     pi = GroupHom(G, C2, sign)
     low = make_setup(C2, [1], (pi.image_of[setup.sigma_prime[0]],))
-    report = pushforward_check(TowerSetup(setup, low, pi), K)
+    report = pushforward(setup, low, pi, K)
     assert report.holds
     assert report.entries[1][1].values == (F(1, 2), F(1, 2))
 
@@ -846,7 +865,7 @@ def test_tower_c6_to_c2():
     up = make_setup(C6, [1], (1,))
     low = make_setup(C2, [1], (1,))
     pi = GroupHom(C6, C2, [x % 2 for x in range(6)])
-    report = pushforward_check(TowerSetup(up, low, pi), Subgroup(C6, range(6)))
+    report = pushforward(up, low, pi, Subgroup(C6, range(6)))
     assert report.holds
 
 
@@ -857,7 +876,7 @@ def test_tower_mismatched_constants_is_detected():
     up = make_setup(G, [2], (1,))
     low = make_setup(cyclic(2), [1], (0,))
     pi = GroupHom(G, low.group, [0, 0, 1, 1])
-    report = pushforward_check(TowerSetup(up, low, pi), Subgroup(G, range(4)))
+    report = pushforward(up, low, pi, Subgroup(G, range(4)))
     assert not report.holds
     flags = {label: equal for label, _, _, equal in report.entries}
     assert flags["0"] and flags["1"]
@@ -874,27 +893,29 @@ def test_tower_steps_are_held_to_the_step_bits_cap():
     C4, C2 = cyclic(4), cyclic(2)
     up = make_setup(C4, [1], (1,) * 900)
     low = make_setup(C2, [1], (1,) * 900)
-    tower = TowerSetup(up, low, GroupHom(C4, C2, [0, 1, 0, 1]))
+    pi = GroupHom(C4, C2, [0, 1, 0, 1])
     K = Subgroup(C4, range(4))
+    lat = SubextLattice(up, K)
     cap = 4**900
-    assert pushforward_check(tower, K, max_i=7, cap=cap).holds
+    assert pushforward(up, low, pi, K, max_i=7, cap=cap).holds
     with pytest.raises(
         CapExceeded,
         match="^8 steps over %d tuples need denominators of up to 14408 bits, "
         "over the cap of %d$" % (cap, STEP_BITS_CAP),
     ):
-        pushforward_check(tower, K, max_i=8, cap=cap)
+        pushforward_check(lat, pi, max_i=8, cap=cap)
     # the rows are held to their cap first
     with pytest.raises(CapExceeded, match="over the cap of %d$" % (cap - 1)):
-        pushforward_check(tower, K, max_i=8, cap=cap - 1)
+        pushforward_check(lat, pi, max_i=8, cap=cap - 1)
 
 
 def test_tower_depth_zero_and_bad_depth():
-    tower, K = c4_to_c2_tower()
-    report = pushforward_check(tower, K, max_i=0)
+    up, low, pi, K = c4_to_c2_tower()
+    lat = SubextLattice(up, K)
+    report = pushforward_check(lat, pi, max_i=0)
     assert [e[0] for e in report.entries] == ["0", "inf"]
     with pytest.raises(GroupError, match="nonnegative"):
-        pushforward_check(tower, K, max_i=-1)
+        pushforward_check(lat, pi, max_i=-1)
     for flag in (True, False):
         with pytest.raises(GroupError, match="^max_i must be a nonnegative integer$"):
-            pushforward_check(tower, K, max_i=flag)
+            pushforward_check(lat, pi, max_i=flag)
