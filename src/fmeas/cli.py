@@ -160,9 +160,9 @@ def _lift_independence(loaded: LoadedSetup, lat: SubextLattice, cap: int):
     cosets = [sum(1 << t[s][x] for x in n_elems) for s in setup.sigma_prime]
     bad = []
     for H in lat.members:
-        size = bin(H.mask & setup.n_sub.mask).count("1")
+        size = (H.mask & setup.n_sub.mask).bit_count()
         for k, coset in enumerate(cosets):
-            meet = bin(H.mask & coset).count("1")
+            meet = (H.mask & coset).bit_count()
             if meet != size:
                 bad.append(
                     "member %s: coordinate %d meets %d elements, |H n N| = %d"
@@ -249,7 +249,7 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
         _, pi = quotient(G, N)
         cover = is_frattini_cover(pi)
         n, n_mask = N.order, N.mask
-        only_g = not any(h * n == G.order * bin(m & n_mask).count("1") for m, h in proper)
+        only_g = not any(h * n == G.order * (m & n_mask).bit_count() for m, h in proper)
         if cover != only_g:
             routes_detail.append(
                 "kernel %s: internal error: kernel criterion and subgroup criterion disagree"

@@ -2,17 +2,21 @@
 
 A group of order m lives on element indices 0..m-1, and index 0 is
 always the identity.  Groups are built from an explicit Cayley table,
-fully verified at construction, or from permutation generators, and
-are immutable afterwards.  Homomorphisms given by the caller are
-verified in full too, by the one homomorphism check, _hom_defect: a
-loop over the pairs (x, g) of an element and a generator, x outermost,
-that names the first pair whose images disagree.  Three kinds of
-object are derived, not checked, because the code that builds them
-proves them: the table of a permutation group, read off its Cayley
-graph; a quotient G/N with its projection, once N is known to be
-normal in G; and each epimorphism the search returns.  Both kinds of
-table go through one constructor, FiniteGroup._derived.  The tests
-hold all three to the full checks.
+fully verified at construction in one ordered pass over its rows as
+byte strings, up to order TABLE_ORDER_CAP, or from permutation
+generators, and are immutable afterwards.  Homomorphisms given by the
+caller are verified in full too, by the one homomorphism check,
+_hom_defect: a loop over the pairs (x, g) of an element and a
+generator, x outermost, that names the first pair whose images
+disagree.  Four kinds of object are derived, not checked, because the
+code that builds them proves them: the table of a permutation group,
+read off its Cayley graph; a quotient G/N with its projection, once N
+is known to be normal in G; the stock constructions (cyclic, dihedral,
+dicyclic, direct products, and semidirect products once the action is
+checked); and each epimorphism the search returns.  Every derived
+table goes through one constructor, FiniteGroup._derived, so no table
+the program builds is checked, at any order.  The tests hold all four
+to the full checks.
 
 Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
@@ -43,6 +47,9 @@ from operator import and_, countOf, eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 64
+# the largest order a byte can index: a hand-written table is checked as
+# one byte string per row
+TABLE_ORDER_CAP = 256
 PERM_POINTS_CAP = 16
 PERM_CLOSURE_CAP = 4096
 # bound on distinct generators times closure size, the products the
@@ -71,20 +78,28 @@ def _mask_to_elems(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _scan_entries(rows: tuple, n: int) -> None:
+    """Name the first row that is not n long or entry that is no element
+    index below n, a plain int or an int subclass but no bool."""
+    for row in rows:
+        if len(row) != n:
+            raise GroupError("multiplication table is not square")
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise GroupError("table entry %r is not an element index" % (v,))
+
+
 class FiniteGroup:
     """An immutable finite group given by a verified Cayley table.
 
     table[a][b] is the index of a*b.  Instances compare by identity;
     structural comparison is what isomorphic() is for.
 
-    A table of order 4 to 256 is checked first as one byte string per
-    row: entries, identity and Latin rows and columns in whole-string
-    passes (_latin_bytes), then Light's test as one bytes.translate per
-    generator (_light_bytes).  That route only accepts.  Any fault sends
-    the table through the ordered checks, scans that name the first
-    fault: entries, then labels, identity, Latin rows and columns,
-    inverses and Light's test on rows.  Smaller and larger tables take
-    them alone; the program's own tables take none (_derived).
+    A hand-written table is checked in one ordered pass over its rows as
+    byte strings, so it is held to TABLE_ORDER_CAP, the largest order a
+    byte can index.  Each check names the first fault it finds: entries,
+    then labels, identity, Latin rows and columns, inverses and Light's
+    test.  The program's own tables take none of them (_derived).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None):
@@ -95,23 +110,29 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
+        if n > TABLE_ORDER_CAP:
+            raise CapExceeded(
+                "multiplication tables capped at order %d (got %d)" % (TABLE_ORDER_CAP, n)
+            )
         rows = tuple(tuple(row) for row in table)
-        self.order = n
-        self.table = rows
-        # set first, as the checks use them
-        self._init_caches()
-        # from order 4 to 256 the table is first checked as bytes, which
-        # only accepts; a table it refuses takes the ordered checks, which
-        # name the first fault, so the messages do not depend on the
-        # route.  Below order 4 the ordered checks cost less
-        row_bytes = self._latin_bytes() if 4 <= n <= 256 else None
-        if row_bytes is None:
-            for row in rows:
-                if len(row) != n:
-                    raise GroupError("multiplication table is not square")
-                for v in row:
-                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                        raise GroupError("table entry %r is not an element index" % (v,))
+        ident = bytes(range(n))
+        # bytes() refuses, at C speed, what has no __index__ in 0..255, but
+        # takes bools and other objects with such an __index__, so the
+        # types are counted too.  Only a table this refuses, or one with
+        # int subclasses, is scanned entry by entry
+        try:
+            row_bytes = list(map(bytes, rows))
+        except (TypeError, ValueError):
+            row_bytes = None
+        flat = b"".join(row_bytes or ())
+        if (
+            row_bytes is None
+            or set(map(len, rows)) != {n}
+            or not all(countOf(map(type, row), int) == n for row in rows)
+            or flat.translate(None, ident)
+        ):
+            # a table the scan passes holds ints in 0..n-1, so bytes() took it
+            _scan_entries(rows, n)
         if labels is None:
             self.labels: Optional[tuple[str, ...]] = None
         else:
@@ -120,14 +141,40 @@ class FiniteGroup:
             self.labels = tuple(str(x) for x in labels)
             if len(set(self.labels)) != n:
                 raise GroupError("element labels must be distinct")
-        if row_bytes is None:
-            self._check_identity()
-            self._check_permutation_rows()
-        self._inverse = self._compute_inverses(row_bytes or rows)
-        if row_bytes is None or not self._light_bytes(row_bytes):
-            self._check_associativity()
-            if row_bytes is not None:
-                raise RuntimeError("Light's test on bytes refused an associative table")
+        if row_bytes[0] != ident:
+            raise GroupError("element 0 is not a left identity")
+        if flat[::n] != ident:
+            raise GroupError("element 0 is not a right identity")
+        # a row or column holds every index when deleting its bytes from
+        # 0..n-1 leaves nothing
+        for a in range(n):
+            if ident.translate(None, row_bytes[a]):
+                raise GroupError("row %d is not a permutation; not a group table" % a)
+            if ident.translate(None, flat[a::n]):
+                raise GroupError("column %d is not a permutation; not a group table" % a)
+        inverse = tuple(row.index(0) for row in row_bytes)
+        for a, b in enumerate(inverse):
+            if row_bytes[b][a]:
+                raise GroupError("element %d has no two-sided inverse" % a)
+        self.order = n
+        self.table = rows
+        self._init_caches()
+        self._inverse = inverse
+        # Light's test in its left form, a(xy) = (ax)y, on each generator
+        # a: the whole table relabelled by row a, one translate, against
+        # the rows ax in order.  The a that pass are closed under the
+        # product: if a and b pass, ((ab)x)y = (a(bx))y = a((bx)y) =
+        # a(b(xy)) = (ab)(xy).  The identity passes, and extend_mask marks
+        # only products of 0 and generators, so passing every generator
+        # makes the table associative
+        pad = bytes(256 - n)
+        for a in self.generator_sequence():
+            ta = row_bytes[a]
+            left = flat.translate(ta + pad)
+            right = b"".join(map(row_bytes.__getitem__, ta))
+            if left != right:
+                i = next(i for i, (u, v) in enumerate(zip(left, right)) if u != v)
+                raise GroupError("non-associative triple (%d, %d, %d)" % (a, *divmod(i, n)))
 
     def _init_caches(self) -> None:
         """Empty the caches, all derived from the table and deterministic."""
@@ -145,119 +192,19 @@ class FiniteGroup:
         self._parent: Optional[tuple["FiniteGroup", int, tuple[int, ...]]] = None
 
     @classmethod
-    def _derived(cls, table: tuple, labels: tuple, inverse: tuple) -> "FiniteGroup":
+    def _derived(
+        cls, table: tuple, labels: Optional[tuple] = None, inverse: Optional[tuple] = None
+    ) -> "FiniteGroup":
         """A group on a table of tuples its caller has built as a group's,
-        0 the identity, with its labels and inverses, taken unchecked."""
+        0 the identity, with its labels, taken unchecked.  The inverses
+        are read off the rows, where each holds 0, unless given."""
         self = cls.__new__(cls)
         self.order = len(table)
         self.table = table
         self.labels = labels
         self._init_caches()
-        self._inverse = inverse
+        self._inverse = tuple(row.index(0) for row in table) if inverse is None else inverse
         return self
-
-    # -- construction-time checks -------------------------------------
-
-    def _latin_bytes(self) -> Optional[list[bytes]]:
-        """The rows as byte strings, when 0 is a two-sided identity, every
-        row and column is a permutation of 0..n-1 and every entry is a
-        plain int; None otherwise.  For order 4 to 256.
-
-        bytes() refuses, at C speed, what has no __index__ in 0..255, but
-        takes bools and any other object with such an __index__.  A row
-        or column holds every index when deleting its bytes from 0..n-1
-        leaves nothing.  The rows then have n bytes each, as every n-th
-        byte of them makes the n-byte identity column, so each is a
-        permutation and every entry is below n.  Last, one type pass per
-        row refuses every entry that is not a plain int.  Each check
-        stands in for an ordered one, so that a table passing them fails,
-        if at all, where the ordered checks would next fail: at the
-        inverses or associativity.
-        """
-        n = self.order
-        rows = self.table
-        try:
-            row_bytes = list(map(bytes, rows))
-        except (TypeError, ValueError):
-            return None
-        ident = bytes(range(n))
-        flat = b"".join(row_bytes)
-        if (
-            row_bytes[0] != ident
-            or flat[::n] != ident
-            or any(ident.translate(None, row) for row in row_bytes)
-            or any(ident.translate(None, flat[j::n]) for j in range(n))
-        ):
-            return None
-        # a bool, or an int-like object of another type, passed bytes()
-        if not all(countOf(map(type, row), int) == n for row in rows):
-            return None
-        return row_bytes
-
-    def _light_bytes(self, row_bytes: list[bytes]) -> bool:
-        """Light's test in its left form, a(xy) = (ax)y for all x, y, on
-        each generator a, for a Latin table with identity given as bytes.
-
-        The left side is the whole table relabelled by row a, one
-        translate; the right side is the rows ax in order.  The a that
-        pass are closed under the product: if a and b pass, then
-        ((ab)x)y = (a(bx))y = a((bx)y) = a(b(xy)) = (ab)(xy).  The
-        identity 0 passes, and extend_mask marks only products of 0 and
-        generators, so passing every generator makes the table
-        associative.
-        """
-        flat = b"".join(row_bytes)
-        pad = bytes(256 - self.order)
-        for a in self.generator_sequence():
-            ta = row_bytes[a]
-            if flat.translate(ta + pad) != b"".join(map(row_bytes.__getitem__, ta)):
-                return False
-        return True
-
-    def _check_identity(self) -> None:
-        n = self.order
-        if self.table[0] != tuple(range(n)):
-            raise GroupError("element 0 is not a left identity")
-        for a in range(n):
-            if self.table[a][0] != a:
-                raise GroupError("element 0 is not a right identity")
-
-    def _check_permutation_rows(self) -> None:
-        """Every row and column is a permutation: the scan names the first
-        row or column that is not."""
-        # every entry is already an index below n, so n distinct ones are all of them
-        n = self.order
-        t = self.table
-        for a, (row, column) in enumerate(zip(t, zip(*t))):
-            if len(set(row)) != n:
-                raise GroupError("row %d is not a permutation; not a group table" % a)
-            if len(set(column)) != n:
-                raise GroupError("column %d is not a permutation; not a group table" % a)
-
-    def _compute_inverses(self, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        """Each element's inverse, where its row holds 0, checked two-sided;
-        rows may be the row bytes, which bytes.index searches faster."""
-        inv = tuple(row.index(0) for row in rows)
-        for a, b in enumerate(inv):
-            if rows[b][a] != 0:
-                raise GroupError("element %d has no two-sided inverse" % a)
-        return inv
-
-    def _check_associativity(self) -> None:
-        """Light's test: row x*a is row x composed with row a, for every x
-        and each generator a.  The a that pass are closed under the product
-        in any magma, and extend_mask marks only products of generators, so
-        this checks every triple, at every order.  The scan names the first
-        triple that fails.
-        """
-        t = self.table
-        for a in self.generator_sequence():
-            ta = t[a]
-            for x, tx in enumerate(t):
-                row = t[tx[a]]
-                if row != tuple(map(tx.__getitem__, ta)):
-                    y = next(y for y, v in enumerate(row) if v != tx[ta[y]])
-                    raise GroupError("non-associative triple (%d, %d, %d)" % (x, a, y))
 
     # -- basic queries -------------------------------------------------
 
@@ -370,8 +317,8 @@ class FiniteGroup:
             n = self.order
             orders = tuple(sorted(self.element_orders()))
             abelian = self.is_abelian()
-            center = bin(self.center_mask()).count("1")
-            derived = bin(self.derived_mask()).count("1")
+            center = self.center_mask().bit_count()
+            derived = self.derived_mask().bit_count()
             class_sizes = tuple(sorted(map(len, self._conjugacy_classes())))
             self._fingerprint = (n, orders, abelian, center, derived, class_sizes)
         return self._fingerprint
@@ -561,13 +508,15 @@ class GroupHom:
         return Subgroup._of_mask(self.source, self.preimage_mask(1))
 
     def image_subgroup(self, H: Optional[Subgroup] = None) -> Subgroup:
+        """The image of H, the whole source by default: a subgroup, as a
+        homomorphism's image of one is, so it is built from its mask."""
         if H is None:
-            gens = tuple(set(self.image_of))
+            mask = (1 << self.source.order) - 1
         else:
             if H.group is not self.source:
                 raise GroupError("subgroup does not live in the source group")
-            gens = tuple({self.image_of[x] for x in H.elements})
-        return Subgroup(self.target, gens)
+            mask = H.mask
+        return Subgroup._of_mask(self.target, self.image_mask(mask))
 
     def image_mask(self, mask: int) -> int:
         out = 0
@@ -685,8 +634,7 @@ def build_group(spec: dict) -> FiniteGroup:
         for y, s in tree:
             row.append(right[s][row[y]])
         table.append(tuple(row))
-    inverse = tuple(row.index(0) for row in table)
-    return FiniteGroup._derived(tuple(table), tuple(map(str, elems)), inverse)
+    return FiniteGroup._derived(tuple(table), tuple(map(str, elems)))
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -915,10 +863,10 @@ def subgroup_masks_within(
     Subgroup._of_mask builds it.  The universe must be a subgroup, of
     order at most DEFAULT_ORDER_CAP.
     """
-    _check_order_cap(bin(universe).count("1"))
+    _check_order_cap(universe.bit_count())
     seeds = _lift_seeds(G, universe, normal, lift)
     built = _subgroups_within(G, seeds, universe & normal)
-    return sorted(built, key=lambda m: (bin(m).count("1"), G.elems_of_mask(m)))
+    return sorted(built, key=lambda m: (m.bit_count(), G.elems_of_mask(m)))
 
 
 def cosets(G: FiniteGroup, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -1177,7 +1125,7 @@ def epimorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group order must be positive")
-    return FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)])
+    return FiniteGroup._derived(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
@@ -1187,15 +1135,15 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
         return factors[0]
     A, rest = factors[0], direct_product(*factors[1:])
     na, nb = A.order, rest.order
-    table = [
-        [A.table[a1][a2] * nb + rest.table[b1][b2] for a2 in range(na) for b2 in range(nb)]
+    table = tuple(
+        tuple(A.table[a1][a2] * nb + rest.table[b1][b2] for a2 in range(na) for b2 in range(nb))
         for a1 in range(na)
         for b1 in range(nb)
-    ]
-    labels = [
+    )
+    labels = tuple(
         "(%s,%s)" % (A.label(a), rest.label(b)) for a in range(na) for b in range(nb)
-    ]
-    return FiniteGroup(table, labels=labels)
+    )
+    return FiniteGroup._derived(table, labels)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -1210,7 +1158,7 @@ def dihedral(n: int) -> FiniteGroup:
         r = (ra - rb) % n if fa else (ra + rb) % n
         return r + n * (fa != fb)
 
-    return FiniteGroup([[mul(a, b) for b in range(m)] for a in range(m)])
+    return FiniteGroup._derived(tuple(tuple(mul(a, b) for b in range(m)) for a in range(m)))
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -1230,7 +1178,7 @@ def dicyclic(n: int) -> FiniteGroup:
             return (ra - rb) % (2 * n) + 2 * n
         return (ra - rb + n) % (2 * n)
 
-    return FiniteGroup([[mul(a, b) for b in range(m)] for a in range(m)])
+    return FiniteGroup._derived(tuple(tuple(mul(a, b) for b in range(m)) for a in range(m)))
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -1276,8 +1224,8 @@ def semidirect_product(
             for x2 in range(N.order):
                 for h2 in range(nh):
                     row.append(N.table[x1][a1[x2]] * nh + H.table[h1][h2])
-            table.append(row)
-    labels = [
+            table.append(tuple(row))
+    labels = tuple(
         "(%s,%s)" % (N.label(x), H.label(h)) for x in range(N.order) for h in range(nh)
-    ]
-    return FiniteGroup(table, labels=labels)
+    )
+    return FiniteGroup._derived(tuple(table), labels)

@@ -185,7 +185,7 @@ class CompleteSystem:
             or self._rep_in[mask][rep] != rep
         ):
             raise GroupError("element is not in the universe")
-        return self.group.order // bin(mask).count("1")
+        return self.group.order // mask.bit_count()
 
     def class_reps(self, mask: int) -> tuple[int, ...]:
         return self._reps[mask]

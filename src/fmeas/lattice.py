@@ -68,8 +68,8 @@ class GaloisSetup:
 
     def qualifies(self, mask: int) -> bool:
         """Does the subgroup with this mask map onto Q, |H| |N| = |G| |H n N|?"""
-        meet = bin(mask & self.n_sub.mask).count("1")
-        return bin(mask).count("1") * self.n_sub.order == self.group.order * meet
+        meet = (mask & self.n_sub.mask).bit_count()
+        return mask.bit_count() * self.n_sub.order == self.group.order * meet
 
     def __repr__(self) -> str:
         return "GaloisSetup(|G|=%d, |N|=%d, n=%d)" % (
@@ -158,7 +158,7 @@ class SubextLattice:
         """
         if self._counts is None:
             n_mask, n = self.setup.n_sub.mask, self.setup.n
-            f = tuple(bin(H.mask & n_mask).count("1") ** n for H in self.members)
+            f = tuple((H.mask & n_mask).bit_count() ** n for H in self.members)
             g: list[int] = []
             for j, sub in enumerate(self.below):
                 gj = f[j] - sum(g[k] for k in sub)
@@ -198,9 +198,7 @@ def s_lattice(
             raise GroupError("confirm_n1 does not live in the setup group")
         if setup.n_sub.mask & confirm_n1.mask != setup.n_sub.mask:
             raise GroupError("confirm_n1 does not contain N")
-        alt = make_setup(
-            setup.group, confirm_n1.elements, setup.sigma_prime
-        )
+        alt = GaloisSetup(setup.group, confirm_n1, setup.sigma_prime)
         alt_members = set(
             subgroup_masks_within(
                 setup.group, k_subgroup.mask, alt.n_sub.mask, alt.sigma_prime

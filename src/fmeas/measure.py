@@ -183,7 +183,7 @@ def _hall_counts(
     n, n_mask = lattice.setup.n, lattice.setup.n_sub.mask
 
     def over(i: int) -> Optional[str]:
-        return _tuples_over(bin(lattice.members[i].mask & n_mask).count("1"), n, cap)
+        return _tuples_over((lattice.members[i].mask & n_mask).bit_count(), n, cap)
 
     if over(len(lattice.members) - 1) is not None:
         for i in rows:

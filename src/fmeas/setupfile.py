@@ -127,7 +127,7 @@ def load_setup(path: str) -> LoadedSetup:
         if not setup.qualifies(base.mask):
             raise _fail(path, raw, "base", "base subgroup does not map onto the quotient")
     else:
-        base = Subgroup(G, G.generator_sequence())
+        base = Subgroup._of_mask(G, (1 << G.order) - 1)
 
     events: Dict[str, tuple[Subgroup, ...]] = {}
     if "events" in data:

@@ -795,6 +795,34 @@ def test_measure_on_an_order_512_permutation_group_is_fast(tmp_path, capsys):
     assert elapsed < 5.0, "took %.2f s" % elapsed
 
 
+C257_TABLE = [[(a + b) % 257 for b in range(257)] for a in range(257)]
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        {"group": {"table": C257_TABLE}, "normal": [1], "sigma": [0], "base": []},
+        {
+            "group": {"table": [[0, 1], [1, 0]]},
+            "normal": [1],
+            "sigma": [0],
+            "tower": {"group": {"table": C257_TABLE}, "map": [[1, 0]]},
+        },
+    ],
+    ids=["group", "tower"],
+)
+def test_a_table_past_the_order_cap_exits_three(setup, tmp_path, capsys):
+    # a hand-written table is checked as one byte string per row, so it
+    # is held to order 256.  Before, C257's table was checked by scans:
+    # measure on its trivial base answered 1, and as the lower group of
+    # a tower the file failed on the map with exit 2
+    p = tmp_path / "c257.json"
+    p.write_text(json.dumps(setup))
+    rc, out, err = run_main(["measure", str(p)], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "error: multiplication tables capped at order 256 (got 257)\n"
+
+
 def test_measure_on_an_order_4096_permutation_group_is_fast(tmp_path):
     # the case above with a fourth factor, N the last three: D4^4 on 16
     # points, at the closure cap.  Composing every pair of permutations

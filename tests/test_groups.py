@@ -11,6 +11,7 @@ import setups
 from conftest import FIXTURES, count_enumerations, count_hom_builds, d4_power_generators
 from fmeas import groups
 from fmeas.groups import (
+    TABLE_ORDER_CAP,
     CapExceeded,
     FiniteGroup,
     GroupError,
@@ -248,11 +249,14 @@ def test_build_group_matches_the_composition_oracle(case, monkeypatch):
 @pytest.mark.parametrize("case", PERMUTATION_CASES)
 def test_permutation_groups_pass_the_full_checks(case, monkeypatch):
     # build_group reads the table off the Cayley graph and takes it
-    # without the table checks (FiniteGroup._derived); the checking
-    # constructor accepts it and agrees
+    # without the table checks (FiniteGroup._derived); the tests' oracle
+    # accepts it, and up to TABLE_ORDER_CAP so does the checking
+    # constructor, which agrees.  D4^3, of order 512, is past the cap
     G = build_group(permutation_spec(case, monkeypatch))
-    full = FiniteGroup([list(row) for row in G.table], labels=G.labels)
-    assert (full.table, full.labels, full._inverse) == (G.table, G.labels, G._inverse)
+    assert_passes_the_oracle(G)
+    if G.order <= TABLE_ORDER_CAP:
+        full = FiniteGroup([list(row) for row in G.table], labels=G.labels)
+        assert (full.table, full.labels, full._inverse) == (G.table, G.labels, G._inverse)
 
 
 def test_build_group_never_checks_a_permutation_table(monkeypatch):
@@ -265,6 +269,27 @@ def test_build_group_never_checks_a_permutation_table(monkeypatch):
     # a table spec still takes the checks
     with pytest.raises(AssertionError, match="checking constructor"):
         build_group({"table": [[0]]})
+
+
+def test_stock_groups_are_derived_and_pass_the_oracle(monkeypatch):
+    # cyclic, dihedral, dicyclic, direct_product and semidirect_product
+    # build their tables as groups' and take them without the table checks
+    # (FiniteGroup._derived), at every order; the tests' oracle accepts
+    # each table with the inverses it carries
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a stock table reached the checking constructor")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    makers = dict(corpus.BUILDERS, **LARGE_GROUPS)
+    makers["C2^9"] = lambda: direct_product(*[cyclic(2)] * 9)
+    orders = {}
+    for name, make in makers.items():
+        G = make()
+        assert_passes_the_oracle(G)
+        orders[name] = G.order
+    assert orders["C257"] == 257 and orders["C2^9"] == 512
+    with pytest.raises(AssertionError, match="checking constructor"):
+        FiniteGroup([[0]])
 
 
 def test_build_group_respects_closure_cap():
@@ -313,53 +338,51 @@ def test_associativity_check_accepts_large_cyclic_group():
     assert cyclic(70).order == 70
 
 
+def assert_capped(table):
+    """FiniteGroup refuses the table at the order cap, before any check."""
+    with pytest.raises(CapExceeded) as info:
+        FiniteGroup(table)
+    assert str(info.value) == "multiplication tables capped at order 256 (got %d)" % len(table)
+
+
 @pytest.mark.parametrize("n", [256, 258])
 def test_associativity_check_catches_a_loop_at_and_above_order_256(n):
     # cyclic(n) with the intercalate at rows 3 and 3 + n/2 and columns 5
-    # and 5 + n/2 swapped: the last order the byte route takes, and a
-    # loop past it
+    # and 5 + n/2 swapped: a loop at the largest order a table may have,
+    # and one past it, which the cap refuses
     h = n // 2
     table = swapped_intercalate(
         [[(a + b) % n for b in range(n)] for a in range(n)], 3, 3 + h, 5, 5 + h
     )
     assert is_loop(table)
-    assert not check_verdict(table)
+    if n <= TABLE_ORDER_CAP:
+        assert not check_verdict(table)
+    else:
+        assert_capped(table)
 
 
-def test_no_valid_table_takes_the_ordered_checks(monkeypatch):
-    # a byte route that refused every table would pass the other tests,
-    # as the ordered checks give every verdict, only slower: they are
-    # scans that name the first fault, with no faster pass that accepts.
-    # So valid tables of every corpus group from order 4, D4 x D4 and
-    # orders 255 and 256 must never reach them.  Below order 4 the
-    # ordered checks cost less than the byte route, and every table
-    # takes them
+def test_no_valid_table_runs_the_per_entry_scan(monkeypatch):
+    # a check that sent every table to the per-entry scan would pass the
+    # other tests, only slower, as the scan names each entry fault.  So
+    # valid tables of every corpus group, D4 x D4 and orders 255 and 256
+    # must pass the C-speed entry test; a table of int subclasses, which
+    # bytes() takes but the type count refuses, is scanned and accepted
     tables = [corpus.group(name).table for name in ALL_NAMES]
     tables.append(direct_product(dihedral(4), dihedral(4)).table)
-    tables += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (255, 256)]
+    tables += [cyclic(n).table for n in (255, 256)]
+    scanned = []
+    scan = groups._scan_entries
 
-    def refuse(self, *args):
-        raise AssertionError("a valid table reached the ordered checks")
+    def counted(rows, n):
+        scanned.append(n)
+        scan(rows, n)
 
-    monkeypatch.setattr(FiniteGroup, "_check_permutation_rows", refuse)
-    monkeypatch.setattr(FiniteGroup, "_check_associativity", refuse)
-    small = 0
+    monkeypatch.setattr(groups, "_scan_entries", counted)
     for table in tables:
-        if len(table) < 4:
-            with pytest.raises(AssertionError, match="reached the ordered checks"):
-                FiniteGroup([list(row) for row in table])
-            small += 1
-        else:
-            assert FiniteGroup([list(row) for row in table]).table == tuple(map(tuple, table))
-    assert small == 3  # C1, C2 and C3
-
-
-def test_a_byte_verdict_the_row_checks_contradict_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(FiniteGroup, "_light_bytes", lambda self, row_bytes: False)
-    with pytest.raises(RuntimeError, match="Light's test on bytes"):
-        FiniteGroup(corpus.group("S3").table)
-    # above order 256 the byte route is never asked
-    assert FiniteGroup(cyclic(257).table).order == 257
+        assert FiniteGroup([list(row) for row in table]).table == tuple(map(tuple, table))
+    assert scanned == []
+    assert FiniteGroup([[Index(v) for v in row] for row in cyclic(4).table]).order == 4
+    assert scanned == [4]
 
 
 # -- subgroups -----------------------------------------------------------
@@ -586,6 +609,25 @@ def test_subgroups_built_from_masks_match_their_closures(name):
         assert H.mask == direct.mask and H.elements == direct.elements
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_image_subgroups_match_their_closures(name):
+    # image_subgroup builds the image of a subgroup from its mask, as a
+    # homomorphism's image of a subgroup is one; on every projection of a
+    # corpus group it equals the subgroup the image elements generate
+    G = corpus.group(name)
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        whole = pi.image_subgroup()
+        direct = Subgroup(Q, set(pi.image_of))
+        assert (whole.mask, whole.elements) == (direct.mask, direct.elements)
+        for H in all_subgroups(G):
+            image = pi.image_subgroup(H)
+            direct = Subgroup(Q, {pi(x) for x in H.elements})
+            assert (image.mask, image.elements) == (direct.mask, direct.elements)
+    with pytest.raises(GroupError, match="does not live in the source group"):
+        pi.image_subgroup(Subgroup(cyclic(2), [1]))
+
+
 @pytest.mark.parametrize("name", SMALL_NAMES)
 def test_conjugate_by_matches_the_conjugated_elements(name):
     G = corpus.group(name)
@@ -642,6 +684,51 @@ def oracle_table_error(table):
     return None
 
 
+def oracle_group_error(table):
+    """The ordered scans' first message, or None for a group table:
+    oracle_table_error's, then Light's test in its right form, row x*a
+    against row x composed with row a for each a of a generating
+    sequence, naming the first triple (x, a, y) that fails.
+
+    The a that pass are closed under the product, and the sequence is
+    grown greedily, each a the least element not yet reached from 0 by
+    right multiplication by the earlier ones, so every element passes.
+    """
+    error = oracle_table_error(table)
+    if error is not None:
+        return error
+    t = [tuple(row) for row in table]
+    reached = [0]
+    seen = {0}
+    gens = []
+    for a in range(len(t)):
+        if a in seen:
+            continue
+        ta = t[a]
+        for x, tx in enumerate(t):
+            row = t[tx[a]]
+            if row != tuple(map(tx.__getitem__, ta)):
+                y = next(y for y, v in enumerate(row) if v != tx[ta[y]])
+                return "non-associative triple (%d, %d, %d)" % (x, a, y)
+        gens.append(a)
+        for x in reached:
+            for g in gens:
+                if t[x][g] not in seen:
+                    seen.add(t[x][g])
+                    reached.append(t[x][g])
+    return None
+
+
+def assert_passes_the_oracle(G):
+    """G's table passes the ordered scans, its labels are one per element
+    and distinct, and each inverse it carries is two-sided."""
+    t = G.table
+    assert oracle_group_error(t) is None
+    if G.labels is not None:
+        assert len(G.labels) == len(set(G.labels)) == G.order
+    assert all(t[a][b] == 0 == t[b][a] for a, b in enumerate(G._inverse))
+
+
 def corrupted_tables(G):
     """G's table with one fault of each kind the entry and row checks name."""
     n = G.order
@@ -689,14 +776,17 @@ ONE_SIDED_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2
 
 @pytest.mark.parametrize("k", [1, 51, 52])
 def test_one_sided_inverses_are_named_on_either_side_of_the_byte_route(k):
-    # the loop times C_k, of order 5, 255 (both on the byte route, where the
-    # inverses are read off the row bytes) and 260 (ordered checks alone)
+    # the loop times C_k, of order 5, 255 (the inverses read off the row
+    # bytes) and 260, past the order cap
     t = ONE_SIDED_LOOP
     table = [
         [t[a][b] * k + (i + j) % k for b in range(5) for j in range(k)]
         for a in range(5)
         for i in range(k)
     ]
+    if len(table) > TABLE_ORDER_CAP:
+        assert_capped(table)
+        return
     with pytest.raises(GroupError) as info:
         FiniteGroup(table)
     assert str(info.value) == "element %d has no two-sided inverse" % (2 * k)
@@ -706,8 +796,8 @@ def test_one_sided_inverses_are_named_on_either_side_of_the_byte_route(k):
 @pytest.mark.parametrize("name", ["C2xC2", "C4", "S3", "D4", "C6xC2xC2", "D4xD4"])
 def test_a_bool_in_a_valid_table_takes_the_ordered_checks(name):
     # bytes() takes True as 1 and False as 0, so a table with one of them
-    # in place of a 1 or a 0 passes every byte check but the type test of
-    # the entries, and gets the ordered checks' message
+    # in place of a 1 or a 0 passes every byte check but the type count
+    # of the entries, and the per-entry scan names it
     G = large_or_corpus_group(name)
     n = G.order
     for value, entry in [(1, True), (0, False)]:
@@ -748,7 +838,8 @@ def test_an_int_like_entry_takes_the_ordered_checks_at_every_placement(kind):
     # bytes() reads any __index__, so such an entry valued 2 or more once
     # passed every byte check at orders 4 to 256: the table was then built
     # or died with TypeError in extend_mask, as the placement fell, while
-    # orders 3 and 257 named the entry
+    # orders 3 and 257 named the entry.  The type count sends it to the
+    # per-entry scan
     base = cyclic(8).table
     for r in range(8):
         for c in range(8):
@@ -762,8 +853,13 @@ def test_an_int_like_entry_takes_the_ordered_checks_at_every_placement(kind):
 
 @pytest.mark.parametrize("n", [3, 256, 257])
 def test_an_int_like_entry_is_named_on_either_side_of_the_byte_route(n):
+    # named at order 3 and at the order cap; past it the cap refuses the
+    # table first
     table = [list(row) for row in cyclic(n).table]
     table[n - 1][n - 1] = entry = IntLike(table[n - 1][n - 1])
+    if n > TABLE_ORDER_CAP:
+        assert_capped(table)
+        return
     with pytest.raises(GroupError) as info:
         FiniteGroup(table)
     assert str(info.value) == "table entry %r is not an element index" % entry
@@ -771,7 +867,7 @@ def test_an_int_like_entry_is_named_on_either_side_of_the_byte_route(n):
 
 
 # groups past the corpus's largest order, 24, up to either side of the
-# largest order whose table is checked as bytes, 256
+# largest order a hand-written table may have, TABLE_ORDER_CAP = 256
 LARGE_GROUPS = {
     "C2^5": lambda: direct_product(*[cyclic(2)] * 5),
     "D4xD4": lambda: direct_product(dihedral(4), dihedral(4)),
@@ -791,6 +887,9 @@ def large_or_corpus_group(name):
 def test_table_checks_match_the_per_entry_oracle(name):
     G = large_or_corpus_group(name)
     for table in corrupted_tables(G):
+        if len(table) > TABLE_ORDER_CAP:
+            assert_capped(table)
+            continue
         want = oracle_table_error(table)
         try:
             FiniteGroup(table)
