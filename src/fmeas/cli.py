@@ -34,6 +34,7 @@ from .groups import (
 )
 from .invsys import (
     CompleteSystem,
+    _check_system_order,
     _level_kernel,
     complete_system,
     dual_embedding,
@@ -126,18 +127,24 @@ def cmd_embedding(args) -> int:
 
 
 def cmd_invsys(args) -> int:
+    """The complete system of the file's group, or of its level quotient
+    with --level: its dump with --dump, else its class and element
+    counts.  The counts need no system: its classes are the normal
+    subgroups N, and the class of N has [G:N] elements, its cosets.  They
+    are held to the cap of complete systems all the same."""
     loaded = load_setup(args.file)
     G = loaded.group
     if args.level is not None:
         G = level_quotient(G, args.level)
-    S = complete_system(G)
     if args.dump:
         # block by block, so no more than one block is held; the line cap
         # is checked before the first, so a capped dump prints nothing
-        sys.stdout.writelines(S.dump_blocks())
+        sys.stdout.writelines(complete_system(G).dump_blocks())
         return 0
-    print("classes = %d" % len(S.normals))
-    print("elements = %d" % len(S.universe))
+    _check_system_order(G)
+    normals = normal_subgroups(G)
+    print("classes = %d" % len(normals))
+    print("elements = %d" % sum(G.order // N.order for N in normals))
     if args.level is not None:
         print("level %d quotient: order %d" % (args.level, G.order))
     return 0

@@ -64,8 +64,10 @@ class CompleteSystem:
     literal subset of the parent's.  Relations are generated from those
     representatives and the group table, never stored.  _rep_in[N]
     names the coset of every group element, _reps[N] lists the names,
-    and _above[N] holds the family masks above N, in family order: C
-    and <= are generated from _above, and their sizes read off it.
+    and _above[N] is the bitset, over family positions, of the classes
+    above N, as up_sets gives it: C and <= are generated from _above,
+    decoding a class's bitset as they reach it, and their sizes read
+    off it undecoded.
     validate() checks these class data, which is to check the relations
     they generate, without expanding any.  Every system, a generated
     subsystem too, is built and checked here.
@@ -125,18 +127,38 @@ class CompleteSystem:
         for N in family:
             self._rep_in[N.mask], self._reps[N.mask] = cosets(group, N.mask)
         fam = list(self._reps)  # family order
-        self._above = {
-            n: tuple(map(fam.__getitem__, _mask_to_elems(up)))
-            for n, up in zip(fam, up_sets(group, fam))
-        }
+        self._above = dict(zip(fam, up_sets(group, fam)))
         self.universe = tuple((n, r) for n, rs in self._reps.items() for r in rs)
         self.one = (full, 0)
-        index = {mask: len(rs) for mask, rs in self._reps.items()}
+        # a class of index k has k cosets; runs[k] is the bitset of the
+        # classes of index k, so an up-set holds (up & runs[k]).bit_count()
+        index = [len(rs) for rs in self._reps.values()]
+        runs: Dict[int, int] = {}
+        for i, k in enumerate(index):
+            runs[k] = runs.get(k, 0) | 1 << i
         n_compat = n_leq = 0
-        for n, up in self._above.items():
-            n_compat += index[n] * len(up)
-            n_leq += index[n] * sum(map(index.__getitem__, up))
-        self._sizes = (n_compat, n_leq, sum(i * i for i in index.values()))
+        for k, up in zip(index, self._above.values()):
+            n_compat += k * up.bit_count()
+            n_leq += k * sum(j * (up & run).bit_count() for j, run in runs.items())
+        self._sizes = (n_compat, n_leq, sum(k * k for k in index))
+
+    @classmethod
+    def _carried(cls, S: "CompleteSystem", group: FiniteGroup) -> "CompleteSystem":
+        """S read on group, a copy of S.group on the same indices, as
+        S.group/{0} is: with one table the two have the same normal
+        subgroups and cosets, so every class datum, all integers, carries
+        across unchanged, and nothing is rebuilt or checked again."""
+        self = cls.__new__(cls)
+        self.group = group
+        self.normals = tuple(Subgroup._of_mask(group, N.mask) for N in S.normals)
+        self.universe, self.one, self._sizes = S.universe, S.one, S._sizes
+        self._rep_in, self._reps = dict(S._rep_in), dict(S._reps)
+        self._above, self._id_of = dict(S._above), dict(S._id_of)
+        return self
+
+    def _masks_above(self, mask: int) -> list[int]:
+        """The family masks above the class of this mask, in family order."""
+        return [self.normals[j].mask for j in _mask_to_elems(self._above[mask])]
 
     @property
     def compat(self) -> Relation:
@@ -152,7 +174,7 @@ class CompleteSystem:
 
     def _compat(self) -> Iterator[tuple[Element, Element]]:
         for N in self.normals:
-            above = [(m, self._rep_in[m]) for m in self._above[N.mask]]
+            above = [(m, self._rep_in[m]) for m in self._masks_above(N.mask)]
             for a in self._reps[N.mask]:
                 for m, to_m in above:
                     yield (N.mask, a), (m, to_m[a])
@@ -235,14 +257,14 @@ class CompleteSystem:
             sort = " sort=%d" % len(own)  # [G:N], the number of cosets
             yield block([name + sort for name in own])
         for mask, own in names.items():
-            above = [coset_names[m] for m in self._above[mask]]
+            above = [coset_names[m] for m in self._masks_above(mask)]
             lines: list[str] = []
             for a, name in zip(self._reps[mask], own):
                 head = "C " + name + " "
                 lines.extend(head + to_m[a] for to_m in above)
             yield block(lines)
         for mask, own in names.items():
-            above = [y for m in self._above[mask] for y in names[m]]
+            above = [y for m in self._masks_above(mask) for y in names[m]]
             for name in own:
                 head = "<= " + name + " "
                 yield head + ("\n" + head).join(above) + "\n"
@@ -269,10 +291,10 @@ class CompleteSystem:
           its name in the universe, and that P on the class is the
           product of G/N; so C is the projection graph wherever _above
           pairs two classes;
-        - each _above[N] is, in family order, the classes containing N:
-          one bitset over the family, compared with the one up_sets
-          gives, neither decoded; so <= is containment of the classes,
-          and C is defined exactly on the comparable pairs.
+        - each _above[N] is the bitset over the family of the classes
+          containing N, the one up_sets gives, compared undecoded; so
+          <= is containment of the classes, and C is defined exactly on
+          the comparable pairs.
         """
         G = self.group
         family = [N.mask for N in self.normals]
@@ -294,13 +316,8 @@ class CompleteSystem:
             fault = self._class_fault(n, columns, padded)
             if fault is not None:
                 raise GroupError(fault)
-        # _above[n] as bits over family positions, 0 for a mask outside
-        # the family: k bits add up to a k-bit up-set only when they are
-        # distinct and nonzero, and then ascend in family order
-        bit = {m: 1 << i for i, m in enumerate(family)}
         for n, up in zip(family, up_sets(G, family)):
-            bits = [bit.get(m, 0) for m in self._above[n]]
-            if sum(bits) != up or len(bits) != up.bit_count() or bits != sorted(bits):
+            if self._above[n] != up:
                 raise GroupError("<= does not match containment of the classes")
 
     def _class_fault(self, mask: int, columns: list[bytes], padded: list[bytes]) -> Optional[str]:
@@ -437,16 +454,25 @@ def dual_embedding(phi: GroupHom, target: Optional[CompleteSystem] = None) -> Sy
 
     Each coset h*M of H goes to its full preimage under phi, which is a
     coset of the preimage of M; every relation transfers verbatim.  The
-    target is the complete system of G, built here unless given.
+    target is the complete system of G, built here unless given.  The
+    source is the complete system of H, built here too, except when phi
+    is the identity on indices, as the projection onto G/{0} is: then H
+    has G's table, and its system is the target's, carried across, with
+    each element sent to itself.
     """
     if not phi.is_surjective:
         raise GroupError("dual embedding needs a surjective homomorphism")
     G, H = phi.source, phi.target
-    source = complete_system(H)
+    carried = phi.image_of == tuple(range(G.order))
+    source = None if carried else complete_system(H)
     if target is None:
         target = complete_system(G)
     elif target.group is not G or len(target.normals) != len(normal_subgroups(G)):
         raise GroupError("dual embedding target is not the complete system of the source group")
+    if carried:
+        # each coset is its own preimage, under the same name
+        source = CompleteSystem._carried(target, H)
+        return SystemEmbedding(source, target, {x: x for x in source.universe})
     least = {phi.image_of[g]: g for g in reversed(range(G.order))}  # least preimage of each h
     image_of: Dict[Element, Element] = {}
     for M in source.normals:

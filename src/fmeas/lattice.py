@@ -92,7 +92,11 @@ class SubextLattice:
     They are found as H = <L_H, H n N>: seeds generated by one element of
     K n sN for each coordinate s of a greedy subsequence of sigma whose
     images generate Q, closed upward by the elements of K n N; each is
-    closed once there and built from its mask, not closed again.
+    closed once there and built from its mask, not closed again.  When
+    K is the whole group and its subgroups are cached already, as
+    all_subgroups leaves them, no search runs: the members are the
+    cached subgroups that qualify, which all_subgroups lists in the
+    search's order.
 
     members[:n_maximal] are the minimal qualifying subgroups (the
     maximal fields); members[-1] is the base.  F_i <= F_j in the field
@@ -111,7 +115,12 @@ class SubextLattice:
         if not setup.qualifies(base.mask):
             raise GroupError("base subgroup does not map onto the quotient")
         # by order, then elements: every proper sub-member comes earlier
-        by_size = subgroup_masks_within(G, base.mask, setup.n_sub.mask, setup.sigma_prime)
+        if base.mask == (1 << G.order) - 1 and G._subgroups is not None:
+            found = [H for H in G._subgroups if setup.qualifies(H.mask)]
+        else:
+            masks = subgroup_masks_within(G, base.mask, setup.n_sub.mask, setup.sigma_prime)
+            found = [Subgroup._of_mask(G, mask) for mask in masks]
+        by_size = [H.mask for H in found]
         subs = [
             [k for k, mk in zip(range(j), by_size) if mk & mj == mk]
             for j, mj in enumerate(by_size)
@@ -123,7 +132,7 @@ class SubextLattice:
         position = sorted(range(len(order)), key=order.__getitem__)
         self.setup = setup
         self.base = base
-        self.members = tuple(Subgroup._of_mask(G, by_size[j]) for j in order)
+        self.members = tuple(found[j] for j in order)
         self.n_maximal = n_maximal
         self.index_of = {by_size[j]: i for i, j in enumerate(order)}
         self.below = tuple(tuple(sorted(map(position.__getitem__, subs[j]))) for j in order)

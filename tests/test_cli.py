@@ -674,10 +674,11 @@ def test_level_tower_builds_each_dual_embedding_once(tmp_path, capsys, monkeypat
 
 
 def test_level_routes_build_no_extra_system(capsys, monkeypatch):
-    # invsys --level builds only the quotient's system, as level_quotient
-    # reads N_i off the normal subgroups; the level tower projects onto
-    # each G/N_i and generates no subsystem, so on S3 it builds the
-    # suite's system and one source system per embedding
+    # invsys --level builds no system, as level_quotient reads N_i off the
+    # normal subgroups and the summary counts the quotient's; the level
+    # tower projects onto each G/N_i and generates no subsystem, so on S3
+    # it builds the suite's system and one source system per embedding
+    # but the last, onto G/{0}, whose system is the suite's carried across
     built, generated = [], []
     init, generate = invsys.CompleteSystem.__init__, invsys.generated_subsystem
 
@@ -696,12 +697,96 @@ def test_level_routes_build_no_extra_system(capsys, monkeypatch):
     s3 = str(FIXTURES / "s3.json")
     rc, out, err = run_main(["invsys", s3, "--level", "2"], capsys)
     assert (rc, out, err) == (0, (EXPECTED / "s3_level2.txt").read_text(), "")
-    assert built == [2]
-    built.clear()
+    assert built == []
     rc, out, err = run_main(["verify", s3, "--suite", "invsys"], capsys)
     assert (rc, err) == (0, "")
     assert out == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
-    assert (built, generated) == ([6, 1, 2, 6], [])
+    assert (built, generated) == ([6, 1, 2], [])
+
+
+def test_the_invsys_summary_builds_no_system(tmp_path, capsys, monkeypatch):
+    # classes and elements are counted off the normal subgroups; on C2^6
+    # the system they describe has 2,825 classes and 26,387 elements
+    built = []
+    init = invsys.CompleteSystem.__init__
+
+    def counting_init(self, group, normals):
+        built.append(group.order)
+        init(self, group, normals)
+
+    monkeypatch.setattr(invsys.CompleteSystem, "__init__", counting_init)
+    p = tmp_path / "c2_6.json"
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    p.write_text(json.dumps({"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}))
+    for path in (p, FIXTURES / "s3.json"):
+        for level in ([], ["--level", "2"]):
+            rc, out, err = run_main(["invsys", str(path)] + level, capsys)
+            assert (rc, err) == (0, "")
+            assert built == []
+    rc, out, err = run_main(["invsys", str(p)], capsys)
+    assert out == "classes = 2825\nelements = 26387\n"
+
+
+def summary_oracle(G):
+    """invsys's two lines for G, read off its complete system."""
+    S = invsys.complete_system(G)
+    return "classes = %d\nelements = %d\n" % (len(S.normals), len(S.universe))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(24)] + ["C2^6"])
+def test_the_invsys_summary_matches_the_built_system(name, tmp_path, capsys):
+    # plain, and at levels 1, 2 and |G|, against the system each describes
+    G = C2_6 if name == "C2^6" else corpus.group(name)
+    p = tmp_path / "group.json"
+    normal = list(G.generator_sequence())
+    p.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
+    levels = [2] if name == "C2^6" else [1, 2, G.order]
+    rc, out, err = run_main(["invsys", str(p)], capsys)
+    assert (rc, out, err) == (0, summary_oracle(G), "")
+    for j in levels:
+        Q = invsys.level_quotient(G, j)
+        rc, out, err = run_main(["invsys", str(p), "--level", str(j)], capsys)
+        want = summary_oracle(Q) + "level %d quotient: order %d\n" % (j, Q.order)
+        assert (rc, out, err) == (0, want, ""), j
+
+
+@pytest.mark.parametrize("level", [[], ["--level", "2"]])
+def test_the_invsys_summary_keeps_the_system_cap(level, tmp_path, capsys):
+    # S5 from permutations, order 120: counted or built, the system is capped
+    p = tmp_path / "s5.json"
+    perms = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+    G = groups.build_group({"permutations": perms})
+    normal = list(G.generator_sequence())
+    p.write_text(json.dumps({"group": {"permutations": perms}, "normal": normal, "sigma": [0]}))
+    rc, out, err = run_main(["invsys", str(p)] + level, capsys)
+    assert (rc, out) == (3, "")
+    assert err == "error: complete systems capped at group order 64 (got 120)\n"
+
+
+def lift_of(G, N):
+    """The least element of each coset of N named by G/N's generator sequence."""
+    Q, r = groups.quotient(G, N)
+    least = {q: g for g, q in reversed(list(enumerate(r.image_of)))}
+    return [least[q] for q in Q.generator_sequence()] or [0]
+
+
+@pytest.mark.parametrize("name", ["S4", "C6xC2xC2"])
+def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch):
+    # the cover routes list every subgroup of G; the base lattice, over
+    # the whole group, takes its members from that list, for every N;
+    # each run loads its own copy of G, with nothing cached
+    calls = count_enumerations(monkeypatch)
+    G = corpus.group(name)
+    p = tmp_path / "group.json"
+    for N in groups.normal_subgroups(G):
+        normal = list(N.canonical_generators())
+        setup = {"group": {"table": G.table}, "normal": normal, "sigma": lift_of(G, N)}
+        p.write_text(json.dumps(setup))
+        calls.clear()
+        rc, out, err = run_main(["verify", str(p), "--suite", "frattini"], capsys)
+        assert (rc, err) == (0, "")
+        assert "FAIL" not in out
+        assert len(calls) == 1, N
 
 
 @pytest.mark.parametrize("name,searches", [("C6xC2xC2", 1), ("S4", 0)])

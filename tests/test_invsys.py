@@ -217,11 +217,13 @@ def test_relation_sizes_and_up_sets_match_a_rescan(name):
     for T in (S, generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= 2])):
         for relation in (T.compat, T.leq, T.prod):
             assert len(relation) == sum(1 for _ in relation)
-        # each class's up-set as C's generator rescanned the tables per pass
+        # each class's up-set as C's generator rescanned the tables per
+        # pass, as a bitset over family positions and decoded
         assert list(T._above) == [N.mask for N in T.normals]
         for N in T.normals:
-            rescan = tuple(m for m, _ in T._rep_in.items() if N.mask & m == N.mask)
-            assert T._above[N.mask] == rescan
+            rescan = [m for m in T._rep_in if N.mask & m == N.mask]
+            assert T._above[N.mask] == sum(1 << list(T._rep_in).index(m) for m in rescan)
+            assert T._masks_above(N.mask) == rescan
 
 
 class Tracked(CompleteSystem):
@@ -255,17 +257,18 @@ def test_a_dropped_system_dies_without_the_cycle_collector(name):
 
 def expand_blocks(S):
     """C, <= and P from the class data, each coset named by its least
-    element, read off the table.  Their blocks: each pair (N, M) with M
-    in _above[N] sends each gN to gM under C and pairs every coset of N
-    with every coset of M under <=; each class N multiplies every pair
-    of cosets of N under P."""
+    element, read off the table.  Their blocks: each pair (N, M) with
+    M's family position a bit of _above[N] sends each gN to gM under C
+    and pairs every coset of N with every coset of M under <=; each
+    class N multiplies every pair of cosets of N under P."""
     G = S.group
     t = G.table
+    family = [N.mask for N in S.normals]
 
     def least(g, mask):
         return min(t[g][m] for m in G.elems_of_mask(mask))
 
-    pairs = [(n, m) for n, above in S._above.items() for m in above]
+    pairs = [(n, m) for n, up in S._above.items() for j, m in enumerate(family) if up >> j & 1]
     compat = [((n, a), (m, least(a, m))) for n, m in pairs for a in S.class_reps(n)]
     leq = [
         ((n, a), (m, b)) for n, m in pairs for a in S.class_reps(n) for b in S.class_reps(m)
@@ -319,23 +322,26 @@ def test_a_sound_system_is_checked_by_blocks_alone(name, monkeypatch):
 @pytest.mark.parametrize("kind", ["drop", "repeat", "flip", "foreign"])
 @pytest.mark.parametrize("name", ["C4", "C2xC2", "D4", "Q8", "C4xC2"])
 def test_validate_rejects_a_wrong_rectangle(name, kind):
-    # <= has one rectangle (N, M) per M in _above[N]; the first with N
-    # other than M is (N, G), the second class against the whole group
+    # <= has one rectangle (N, M) per bit of _above[N], at M's family
+    # position; the second class's first two are (N, G), bit 0, and
+    # (N, N), bit 1
     S = complete_system(corpus.group(name))
     full, n = list(S._above)[:2]
-    above = list(S._above[n])
-    assert above[0] == full
+    up = S._above[n]
+    assert up & 0b11 == 0b11
     if kind == "drop":
-        del above[0]
+        up ^= 1
     elif kind == "repeat":
-        above[1] = above[0]
+        # (N, N) written over by (N, G), which the bitset holds once
+        up ^= 0b10
     elif kind == "flip":
         # (N, G) turned into (G, N)
-        del above[0]
-        S._above[full] = (full, n)
+        up ^= 1
+        S._above[full] |= 0b10
     elif kind == "foreign":
-        above[0] = 0
-    S._above[n] = tuple(above)
+        # (N, G) turned into (N, M), M at a position past the family
+        up ^= 1 | 1 << len(S.normals)
+    S._above[n] = up
     with pytest.raises(GroupError, match="^<= does not match containment of the classes$"):
         S.validate()
 
@@ -386,32 +392,47 @@ def corrupt(S, kind, rng):
     """Give the class data of S one corruption of the named kind.
 
     The kinds are named by the relation the data then generate wrongly:
-    leq-* change one _above entry, from which <= and C are generated;
+    leq-* change the up-sets _above, from which <= and C are generated:
+    one bit of an up-set, one up-set in place of another, or the order
+    in which the classes' up-sets are listed;
     c-*, wrong-rep, swap-names and p-column change one class's coset map
     _rep_in, which C and P read; universe-* change the universe.
     """
     G = S.group
     if kind.startswith("leq-"):
+        family = list(S._above)
+        everyone = (1 << len(family)) - 1
+        if kind == "leq-shuffle":
+            # two classes' up-sets listed in each other's place
+            i, j = rng.sample(range(len(family)), 2)
+            family[i], family[j] = family[j], family[i]
+            S._above = {n: S._above[n] for n in family}
+            return
+        if kind == "leq-duplicate":
+            # one class's up-set written over another's
+            n, other = rng.sample(family, 2)
+            S._above[n] = S._above[other]
+            return
         if kind == "leq-flip":
             # a class below its own, as if a <= pair were flipped
-            n = rng.choice([n for n in S._above if n != 1])
-            new = 1  # the trivial subgroup, below every class
+            n = rng.choice([n for n in family if n != 1])
+            new = family.index(1)  # the trivial subgroup, below every class
+        elif kind == "leq-outside":
+            n = rng.choice(family)
+            new = len(family)  # a position past the family
         else:
-            n = rng.choice([n for n in S._above if len(S._above[n]) >= 2])
-            new = n | 1 << G.order  # holds the class, and more than the group
-        above = list(S._above[n])
-        i, j = rng.sample(range(len(above)), 2) if len(above) >= 2 else (0, 0)
+            n = rng.choice([n for n in family if S._above[n] != everyone])
+            new = rng.choice([j for j in range(len(family)) if not S._above[n] >> j & 1])
+        up = S._above[n]
+        i = rng.choice([j for j in range(len(family)) if up >> j & 1])
         if kind == "leq-drop":
-            del above[i]
-        elif kind == "leq-duplicate":
-            above.insert(i, above[i])
+            up ^= 1 << i
         elif kind in ("leq-flip", "leq-outside"):
-            above.insert(rng.randrange(len(above) + 1), new)
+            up |= 1 << new
         elif kind == "leq-swap":
-            above[i] = above[j]
-        elif kind == "leq-shuffle":
-            above[i], above[j] = above[j], above[i]
-        S._above[n] = tuple(above)
+            # the class at position i swapped for one not above n
+            up ^= 1 << i | 1 << new
+        S._above[n] = up
         return
     if kind.startswith("universe-"):
         universe = list(S.universe)
@@ -493,8 +514,9 @@ def assert_matches_the_oracle(S, kind, seed):
         assert got == want == ("pass", None)
         return
     assert got[0] == "GroupError", (seed, got)
-    # validate() is stronger than the oracle, which takes <= as a set, so
-    # that a reordered up-set passes; a class that is no subgroup, one
+    # validate() is stronger than the oracle, which reads each class's
+    # up-set by its key, so that up-sets listed out of family order
+    # pass; a class that is no subgroup, one
     # with too few cosets and one that is not normal are the other cases,
     # tested below
     if kind == "leq-shuffle":
@@ -596,7 +618,7 @@ def with_class_replaced(S, old, new):
     S._rep_in, S._reps = {}, {}
     for m in masks:
         S._rep_in[m], S._reps[m] = cosets(S.group, m)
-    S._above = {n: tuple(m for m in masks if n & m == n) for n in masks}
+    S._above = {n: sum(1 << j for j, m in enumerate(masks) if n & m == n) for n in masks}
     S.universe = tuple((n, r) for n, reps in S._reps.items() for r in reps)
 
 
@@ -635,7 +657,7 @@ def test_validate_rejects_a_class_beyond_the_group():
     S = complete_system(cyclic(4))
     S._reps = {moved(m): reps for m, reps in S._reps.items()}
     S._rep_in = {moved(m): to for m, to in S._rep_in.items()}
-    S._above = {moved(n): tuple(map(moved, up)) for n, up in S._above.items()}
+    S._above = {moved(n): up for n, up in S._above.items()}
     S.normals = tuple(types.SimpleNamespace(mask=m) for m in S._reps)
     S.universe = tuple((n, r) for n, reps in S._reps.items() for r in reps)
     with pytest.raises(GroupError, match="^C does not follow the canonical projection$"):
@@ -1095,6 +1117,56 @@ def test_dual_embedding_rejects_a_foreign_or_partial_target():
         dual_embedding(phi, complete_system(corpus.group("Q8")))
     with pytest.raises(GroupError, match="complete system of the source"):
         dual_embedding(phi, generated_subsystem(S, [x for x in S.universe if S.sort_of(x) <= 2]))
+
+
+def class_data(S):
+    """Every datum S is generated from, with its relation sizes."""
+    return (
+        [N.mask for N in S.normals],
+        S.universe,
+        S.one,
+        S._sizes,
+        S._rep_in,
+        S._reps,
+        S._above,
+        S._id_of,
+    )
+
+
+C2_6 = FiniteGroup([[a ^ b for b in range(64)] for a in range(64)])
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["C2^6"])
+def test_the_carried_system_of_g_mod_1_matches_a_built_one(name, monkeypatch):
+    # G/{0} is G on the same indices, so dual_embedding carries the
+    # target's class data across; complete_system(G/{0}) builds the same
+    # system, and the embedding through it is the same map
+    G = C2_6 if name == "C2^6" else corpus.group(name)
+    S = complete_system(G)
+    H, pi = quotient(G, Subgroup(G))
+    assert pi.image_of == tuple(range(G.order))
+    emb = dual_embedding(pi, S)
+    carried, built = emb.source, complete_system(H)
+    assert carried.group is H and all(N.group is H for N in carried.normals)
+    assert carried.normals == built.normals
+    assert class_data(carried) == class_data(built)
+    carried.validate()
+    if name == "C2^6":
+        # 10,425,879 <= pairs, past the dump's line cap either way
+        for T in (carried, built):
+            with pytest.raises(CapExceeded):
+                T.dump()
+    else:
+        assert carried.dump() == built.dump()
+    # the carried data are copies: changing them leaves S whole
+    carried._above[(1 << G.order) - 1] = 0
+    S.validate()
+    monkeypatch.setattr(
+        CompleteSystem, "_carried", classmethod(lambda cls, S, group: complete_system(group))
+    )
+    rebuilt = dual_embedding(pi, S)
+    assert rebuilt.source is not S and rebuilt.source.group is H
+    assert rebuilt.image_of == emb.image_of
 
 
 # -- dump format -----------------------------------------------------------------------

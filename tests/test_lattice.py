@@ -15,7 +15,15 @@ from fmeas.groups import (
     normal_subgroups,
     quotient,
 )
-from fmeas.lattice import SubextLattice, fix_field, make_setup, maximal_fields, s_lattice
+from fmeas import lattice as lattice_module
+from fmeas.lattice import (
+    GaloisSetup,
+    SubextLattice,
+    fix_field,
+    make_setup,
+    maximal_fields,
+    s_lattice,
+)
 from fmeas.measure import measure_event, mu1
 
 
@@ -297,6 +305,59 @@ def test_below_and_the_order_match_a_direct_scan():
         G = setup.group
         key = lambda m: (m not in minimal, bin(m).count("1"), G.elems_of_mask(m))
         assert masks == sorted(masks, key=key), tag
+
+
+def corpus_triples():
+    """(name, N, sigma) for every corpus group of order <= 24 and each of
+    its normal subgroups N, sigma the least element of each coset that
+    the quotient's generator sequence names."""
+    for name, G in corpus.classes_upto(24):
+        for N in normal_subgroups(G):
+            Q, r = quotient(G, N)
+            least = {q: g for g, q in reversed(list(enumerate(r.image_of)))}
+            sigma = [least[q] for q in Q.generator_sequence()] or [0]
+            yield name, N, sigma
+
+
+def test_members_from_cached_subgroups_match_the_enumerated_lattice():
+    # with the whole group as base, once G's subgroups are cached the
+    # members are the cached ones that qualify, with no second search;
+    # each route runs on its own copy of G, the enumeration on a copy
+    # with nothing cached
+    for name, N, sigma in corpus_triples():
+        fresh, cached = (FiniteGroup(N.group.table) for _ in range(2))
+        all_subgroups(cached)
+        lattices = []
+        for G in (fresh, cached):
+            setup = GaloisSetup(G, Subgroup._of_mask(G, N.mask), tuple(sigma))
+            lattices.append(SubextLattice(setup, Subgroup(G, range(G.order))))
+        assert fresh._subgroups is None
+        enumerated, read = lattices
+        tag = (name, N.elements)
+        assert [H.mask for H in read.members] == [H.mask for H in enumerated.members], tag
+        assert all(H.group is cached for H in read.members), tag
+        assert (read.below, read.n_maximal) == (enumerated.below, enumerated.n_maximal), tag
+
+
+def test_lattice_reads_cached_subgroups_only_over_the_whole_group(monkeypatch):
+    # a proper base still enumerates, cached or not; the whole group as
+    # base enumerates only while nothing is cached
+    calls = []
+    real = lattice_module.subgroup_masks_within
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(lattice_module, "subgroup_masks_within", counted)
+    G = FiniteGroup(corpus.group("C4xC2").table)
+    setup = make_setup(G, [1], (2,))
+    whole, K = Subgroup(G, range(G.order)), Subgroup(G, (2,))
+    SubextLattice(setup, whole)
+    all_subgroups(G)
+    SubextLattice(setup, whole)
+    SubextLattice(setup, K)
+    assert calls == [whole.mask, K.mask]
 
 
 def test_members_built_from_generators_match_their_elements():
