@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd
 from typing import Optional
 
 from .frattini import (
@@ -22,6 +21,7 @@ from .frattini import (
     is_frattini_restriction,
 )
 from .groups import (
+    DEFAULT_ORDER_CAP,
     CapExceeded,
     GroupError,
     GroupHom,
@@ -57,15 +57,16 @@ from .setupfile import LoadedSetup, load_setup
 SUITES = ("lifts", "markov", "tower", "frattini", "invsys", "all")
 
 
-def _fmt(x: Fraction) -> str:
-    """Lowest terms, integers without the denominator."""
-    if x.denominator == 1:
-        return "%d" % x.numerator
-    return "%d/%d" % (x.numerator, x.denominator)
+def _ratio(count: int, denominator: int) -> str:
+    """count / denominator in lowest terms, integers without the denominator."""
+    d = gcd(count, denominator)
+    if d == denominator:
+        return "%d" % (count // d)
+    return "%d/%d" % (count // d, denominator // d)
 
 
-def _vector_line(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
+def _vector_line(counts, denominator: int) -> str:
+    return ", ".join(_ratio(c, denominator) for c in counts)
 
 
 # -- commands -----------------------------------------------------------------
@@ -95,11 +96,12 @@ def cmd_measure(args) -> int:
     else:
         vector = mu_infinity(lat, cap=args.cap)
     if args.event is None:
-        print(_vector_line(vector.values))
+        print(_vector_line(vector.counts, vector.denominator))
         return 0
     if args.event not in loaded.events:
         raise GroupError('unknown event name "%s"' % args.event)
-    print(_fmt(measure_event(vector, loaded.events[args.event])))
+    mass = measure_event(vector, loaded.events[args.event])
+    print(_ratio(mass.numerator, mass.denominator))
     return 0
 
 
@@ -183,7 +185,9 @@ def _markov_checks(lat: SubextLattice, cap: int):
 
     Member i steps to member j, itself or one of below[i], with
     probability g[j] / f[i]; no transition matrix is built.  Every row is
-    held to the cap first, as transition_matrix would hold it.
+    held to the cap first, as transition_matrix would hold it.  The limit
+    and mu1 are read as counts over their denominators: signs and sums on
+    the counts, comparisons by cross-multiplying, and no Fraction made.
     """
     m = len(lat.members)
     f, g, below = _hall_counts(lat, cap, range(m))
@@ -203,28 +207,22 @@ def _markov_checks(lat: SubextLattice, cap: int):
             bad.append(i)
     yield "ergodic-equals-maximal", not bad, ["member %d" % i for i in bad]
 
-    # the limit as numerators a over one denominator D is a fixed point
-    # iff one integer step, which lands over D * f[-1], gives a * f[-1]
-    D = lcm(*(v.denominator for v in inf.values))
-    a = [v.numerator * (D // v.denominator) for v in inf.values]
+    # the limit's counts a over D are a fixed point iff one integer
+    # step, which lands over D * f[-1], gives a * f[-1]
+    a, D = inf.counts, inf.denominator
     stepped = _step(a, f, g, below)
     ok = stepped == [x * f[-1] for x in a]
-    yield "limit-fixed-point", ok, [] if ok else [
-        _vector_line(Fraction(x, D * f[-1]) for x in stepped)
-    ]
+    yield "limit-fixed-point", ok, [] if ok else [_vector_line(stepped, D * f[-1])]
 
-    bad = [
-        i
-        for i in range(m)
-        if (inf.values[i] > 0) != lat.is_maximal(i) or inf.values[i] < 0
-    ]
-    ok = not bad and sum(inf.values) == 1
-    yield "limit-support", ok, ["member %d value %s" % (i, _fmt(inf.values[i])) for i in bad]
+    # over a positive denominator a value has its count's sign
+    bad = [i for i in range(m) if (a[i] > 0) != lat.is_maximal(i) or a[i] < 0]
+    ok = not bad and sum(a) == D
+    yield "limit-support", ok, ["member %d value %s" % (i, _ratio(a[i], D)) for i in bad]
 
-    bad = [i for i in range(lat.n_maximal) if not 0 < one.values[i] <= inf.values[i]]
+    b, E = one.counts, one.denominator
+    bad = [i for i in range(lat.n_maximal) if not (0 < b[i] and b[i] * D <= a[i] * E)]
     yield "mu1-below-limit", not bad, [
-        "member %d: mu1 %s limit %s" % (i, _fmt(one.values[i]), _fmt(inf.values[i]))
-        for i in bad
+        "member %d: mu1 %s limit %s" % (i, _ratio(b[i], E), _ratio(a[i], D)) for i in bad
     ]
 
 
@@ -232,7 +230,11 @@ def _check_tower(lat: SubextLattice, pi: GroupHom, cap: int):
     report = pushforward_check(lat, pi, max_i=8, cap=cap)
     details = [
         "i=%s pushed=(%s) lower=(%s)"
-        % (label, _vector_line(pushed.values), _vector_line(lower.values))
+        % (
+            label,
+            _vector_line(pushed.counts, pushed.denominator),
+            _vector_line(lower.counts, lower.denominator),
+        )
         for label, pushed, lower, equal in report.entries
         if not equal
     ]
@@ -323,12 +325,15 @@ def _invsys_checks(loaded: LoadedSetup):
             embeddings[pi] = dual_embedding(pi, S)
         emb = embeddings[pi]
         image_by_sort = {i: list(map(emb, xs)) for i, xs in _universe_by_sort(emb.source).items()}
+        # the sets grow only at the sorts present, so each verdict holds
+        # from its sort up to the next one, or up to j
+        cuts = sorted(i for i in image_by_sort.keys() | by_sort.keys() if i <= j)
         image, want = set(), set()
-        for i in range(1, j + 1):
+        for i, nxt in zip(cuts, cuts[1:] + [j + 1]):
             image.update(image_by_sort.get(i, ()))
             want.update(by_sort.get(i, ()))
             if image != want:
-                bad.append("j=%d i=%d" % (j, i))
+                bad.extend("j=%d i=%d" % (j, k) for k in range(i, nxt))
     yield "level-tower", not bad, bad
 
 
@@ -337,8 +342,13 @@ def cmd_verify(args) -> int:
     if args.suite == "tower" and loaded.tower is None:
         raise GroupError("the file has no tower section")
     # one base lattice for every suite that reads it; the frattini suite
-    # on its own builds it after enumerating G, so the group's cap binds first
+    # on its own builds it after enumerating G, so the group's cap binds
+    # first, and the default suite lists G's subgroups before it, under
+    # the cap, so a lattice over G reads them; above it a tuple-cap error
+    # from lifts or markov still comes first
     lat = None
+    if args.suite == "all" and loaded.group.order <= DEFAULT_ORDER_CAP:
+        all_subgroups(loaded.group)
     if args.suite in ("lifts", "markov", "tower", "all"):
         lat = SubextLattice(loaded.setup, loaded.base)
     results = []

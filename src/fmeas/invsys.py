@@ -147,9 +147,11 @@ class CompleteSystem:
         """S read on group, a copy of S.group on the same indices, as
         S.group/{0} is: with one table the two have the same normal
         subgroups and cosets, so every class datum, all integers, carries
-        across unchanged, and nothing is rebuilt or checked again."""
+        across unchanged, and nothing is rebuilt, checked or decoded again."""
         self = cls.__new__(cls)
         self.group = group
+        # a mask names the same elements on the same indices
+        group._mask_elems.update((N.mask, N.elements) for N in S.normals)
         self.normals = tuple(Subgroup._of_mask(group, N.mask) for N in S.normals)
         self.universe, self.one, self._sizes = S.universe, S.one, S._sizes
         self._rep_in, self._reps = dict(S._rep_in), dict(S._reps)

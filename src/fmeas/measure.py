@@ -1,8 +1,10 @@
 """Measures on subextension lattices.
 
 Every measure takes the SubextLattice it lives on, built once by the
-caller, and returns a MeasureVector on it; measure_event sums any such
-vector over a set of members.  Every measure works from two integer
+caller, and returns a MeasureVector on it: integer counts over one
+common denominator, as the measure computes them, with the Fraction
+values built only when read; measure_event sums any such vector over a
+set of members.  Every measure works from two integer
 vectors per lattice: f[j], the number of translate tuples landing
 inside member j, and g[j], the number generating exactly member j, both
 from P. Hall's Eulerian-function inversion over the member poset rather
@@ -18,11 +20,14 @@ it, weighted by g[j]; iterated measures take such steps on integer
 numerators from the point mass at the base; the limit is a point mass
 if one member is maximal, else one pass from the base down over the
 base's row of the fundamental matrix, as integers over one common
-denominator.  The Fraction transition matrix is built only by
+denominator.  mu1 is g over f(K), mu_i its step numerators over f(K)^i,
+and mu_infinity its reduced numerators over the reduced product of the
+pivots.  The Fraction transition matrix is built only by
 transition_matrix.  pushforward_check takes the upper lattice of a
-tower and the epimorphism pi onto the lower group, and derives the
-lower level as the image of the upper one.  Every value is exact; no
-floating point enters the engine.
+tower and the epimorphism pi onto the lower group, derives the lower
+level as the image of the upper one, and compares the levels on
+integer counts.  Every value is exact; no floating point enters the
+engine.
 """
 
 from __future__ import annotations
@@ -54,9 +59,18 @@ def format_rational(value) -> str:
 
 
 class MeasureVector:
-    """An exact probability distribution over the members of one lattice."""
+    """An exact probability distribution over the members of one lattice.
 
-    __slots__ = ("lattice", "values")
+    The values are held as integer counts over one positive common
+    denominator: counts[i] / denominator is the mass of member i.  The
+    public constructor checks a list of rationals and derives both from
+    it, over the lcm of their denominators; the measures here build
+    theirs from the counts they prove (_of_counts), unchecked, and the
+    counts need not be in lowest terms.  values, the lowest-terms
+    Fraction tuple, is built the first time it is read.
+    """
+
+    __slots__ = ("lattice", "counts", "denominator", "_values")
 
     def __init__(self, lattice: SubextLattice, values: Sequence[Fraction]):
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
@@ -70,10 +84,32 @@ class MeasureVector:
         if any(v.numerator < 0 for v in vals):
             raise GroupError("measure values must be nonnegative")
         den = lcm(*(v.denominator for v in vals))
-        if sum(v.numerator * (den // v.denominator) for v in vals) != den:
+        counts = tuple(v.numerator * (den // v.denominator) for v in vals)
+        if sum(counts) != den:
             raise GroupError("measure values must sum to exactly 1")
         self.lattice = lattice
-        self.values = vals
+        self.counts = counts
+        self.denominator = den
+        self._values = vals
+
+    @classmethod
+    def _of_counts(
+        cls, lattice: SubextLattice, counts: Sequence[int], denominator: int
+    ) -> "MeasureVector":
+        """The measure counts / denominator, which its caller has proved, unchecked."""
+        self = cls.__new__(cls)
+        self.lattice = lattice
+        self.counts = tuple(counts)
+        self.denominator = denominator
+        self._values = None
+        return self
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            d = self.denominator
+            self._values = tuple(Fraction(c, d) for c in self.counts)
+        return self._values
 
     def __eq__(self, other) -> bool:
         # same member sets over the same group, same values; the setups
@@ -83,13 +119,19 @@ class MeasureVector:
             and self.lattice.setup.group is other.lattice.setup.group
             and tuple(H.mask for H in self.lattice.members)
             == tuple(H.mask for H in other.lattice.members)
-            and self.values == other.values
+            and _same(self, other)
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return "MeasureVector(%s)" % ", ".join(format_rational(v) for v in self.values)
+
+
+def _same(a: MeasureVector, b: MeasureVector) -> bool:
+    """Equal values, compared across the two denominators on integers."""
+    da, db = a.denominator, b.denominator
+    return all(x * db == y * da for x, y in zip(a.counts, b.counts))
 
 
 class TransitionMatrix:
@@ -229,10 +271,6 @@ def _point_mass(lattice: SubextLattice) -> list[int]:
     return [0] * (len(lattice.members) - 1) + [1]
 
 
-def _over(counts: Sequence[int], denominator: int) -> list[Fraction]:
-    return [Fraction(c, denominator) for c in counts]
-
-
 def mu1(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     """One-step distribution from the lattice's base K.
 
@@ -243,9 +281,9 @@ def mu1(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     tuples.  cap bounds the number of tuples |K n N|^n and is enforced
     loudly.
     """
-    base = len(lat.members) - 1
-    f, g, below = _hall_counts(lat, cap, (base,))
-    return MeasureVector(lat, _row(f, g, below, base))
+    f, g, _ = _hall_counts(lat, cap, (len(lat.members) - 1,))
+    # the base contains every member, so its row is all of g over f(K)
+    return MeasureVector._of_counts(lat, g, f[-1])
 
 
 def transition_matrix(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> TransitionMatrix:
@@ -284,7 +322,7 @@ def mu_i(lat: SubextLattice, i: int, *, cap: int = TUPLE_CAP) -> MeasureVector:
         for _ in range(i):
             counts = _step(counts, f, g, below)
         denominator = f[-1] ** i
-    return MeasureVector(lat, _over(counts, denominator))
+    return MeasureVector._of_counts(lat, counts, denominator)
 
 
 def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
@@ -309,7 +347,7 @@ def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     f, g, below = _hall_counts(lat, cap, range(m))
     ell = lat.n_maximal
     if ell == 1:
-        return MeasureVector(lat, [Fraction(1)] + [Fraction(0)] * (m - 1))
+        return MeasureVector._of_counts(lat, [1] + [0] * (m - 1), 1)
     D = prod(f[i] - g[i] for i in range(ell, m))
     if D == 0:
         raise RuntimeError("internal error: zero pivot in the absorbing solve")
@@ -325,15 +363,15 @@ def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     if not all(nums):
         raise RuntimeError("internal error: limit measure vanishes on a maximal member")
     common = gcd(D, *nums)
-    values = [Fraction(x // common, D // common) for x in nums]
-    return MeasureVector(lat, values + [Fraction(0)] * (m - ell))
+    return MeasureVector._of_counts(lat, [x // common for x in nums] + [0] * (m - ell), D // common)
 
 
 def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> Fraction:
     """The mass of a set of members under a measure vector.
 
     X holds members of the vector's lattice or their indices; each
-    member counts once.
+    member counts once.  The members' counts are summed as integers and
+    the one Fraction made is the sum over the vector's denominator.
     """
     lat = vector.lattice
     indices = set()
@@ -346,7 +384,8 @@ def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> F
             indices.add(x)
         else:
             raise GroupError("event entries must be members or member indices")
-    return sum((vector.values[i] for i in sorted(indices)), Fraction(0))
+    counts = vector.counts
+    return Fraction(sum(counts[i] for i in indices), vector.denominator)
 
 
 def pushforward_check(
@@ -363,7 +402,10 @@ def pushforward_check(
     image and so closed.  Members push along H -> pi(H), which always
     lands in the lower lattice.  Steps 0..max_i and the limit are
     compared exactly, each lattice's steps held to STEP_BITS_CAP as in
-    mu_i once its rows are held to the cap.  Equality is guaranteed when
+    mu_i once its rows are held to the cap.  The upper counts are summed
+    onto the lower members they push to as integers, over the upper
+    denominator, and each pair is compared by cross-multiplying; the
+    entries are MeasureVectors all the same.  Equality is guaranteed when
     ker(pi) lies inside the upper N (the levels then share one constant
     quotient); the report states the outcome either way.
     """
@@ -388,12 +430,13 @@ def pushforward_check(
             raise RuntimeError("internal error: pushed member missing from the lower lattice")
         image_index.append(j)
 
-    def pushed_vector(up_values: Sequence[Fraction]) -> MeasureVector:
-        out = [Fraction(0)] * len(low_lat.members)
-        for v, j in zip(up_values, image_index):
-            if v:
-                out[j] += v
-        return MeasureVector(low_lat, out)
+    def entry(label: str, counts: Sequence[int], denominator: int, lower: MeasureVector):
+        # upper counts summed onto the members they push to, as integers
+        out = [0] * len(low_lat.members)
+        for c, j in zip(counts, image_index):
+            out[j] += c
+        pushed = MeasureVector._of_counts(low_lat, out, denominator)
+        return label, pushed, lower, _same(pushed, lower)
 
     up_f, up_g, up_below = _hall_counts(lattice, cap, range(len(lattice.members)))
     low_f, low_g, low_below = _hall_counts(low_lat, cap, range(len(low_lat.members)))
@@ -403,14 +446,11 @@ def pushforward_check(
     c_up = _point_mass(lattice)
     c_low = _point_mass(low_lat)
     for i in range(max_i + 1):
-        pushed = pushed_vector(_over(c_up, up_f[-1] ** i))
-        lower_vec = MeasureVector(low_lat, _over(c_low, low_f[-1] ** i))
-        entries.append(("%d" % i, pushed, lower_vec, pushed.values == lower_vec.values))
+        lower = MeasureVector._of_counts(low_lat, c_low, low_f[-1] ** i)
+        entries.append(entry("%d" % i, c_up, up_f[-1] ** i, lower))
         if i < max_i:
             c_up = _step(c_up, up_f, up_g, up_below)
             c_low = _step(c_low, low_f, low_g, low_below)
     inf_up = mu_infinity(lattice, cap=cap)
-    inf_low = mu_infinity(low_lat, cap=cap)
-    pushed_inf = pushed_vector(inf_up.values)
-    entries.append(("inf", pushed_inf, inf_low, pushed_inf.values == inf_low.values))
+    entries.append(entry("inf", inf_up.counts, inf_up.denominator, mu_infinity(low_lat, cap=cap)))
     return PushforwardReport(pi, lattice, low_lat, entries)

@@ -13,17 +13,19 @@ checked line by line against the explicit Fraction-matrix route.
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fmeas
 from fmeas import cli, groups, invsys, measure
-from fmeas.cli import _fmt, _markov_checks, _vector_line, main
+from fmeas.cli import _markov_checks, main
 from fmeas.frattini import frattini_subgroup
 from fmeas.lattice import GaloisSetup, SubextLattice
 from fmeas.measure import TUPLE_CAP, MeasureVector, mu1, mu_infinity, transition_matrix
@@ -347,6 +349,26 @@ def test_lattice_beyond_the_order_cap_is_exit_three(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert err == "error: subgroup enumeration capped at order 64 (group has order 128)\n"
     assert elapsed < 10.0, "took %.2f s" % elapsed
+
+
+def test_verify_above_the_order_cap_keeps_its_error_precedence(tmp_path, capsys):
+    # C2^7 over a base of order 64: the lattice answers, the lifts suite's
+    # tuple cap binds before the frattini suite meets the order cap, and
+    # without it the order cap binds; the default suite lists G's
+    # subgroups first only under the cap
+    p = tmp_path / "c2_7_base.json"
+    table = [[a ^ b for b in range(128)] for a in range(128)]
+    setup = {
+        "group": {"table": table},
+        "normal": [1, 64],
+        "sigma": [2, 4, 8, 16, 32],
+        "base": [1, 2, 4, 8, 16, 32],
+    }
+    p.write_text(json.dumps(setup))
+    err = expect_error(["verify", str(p), "--cap", "31"], capsys, "over the cap", 3)
+    assert err == "error: member 32 needs 32 tuples, over the cap of 31\n"
+    err = expect_error(["verify", str(p)], capsys, "capped at order 64", 3)
+    assert err == "error: subgroup enumeration capped at order 64 (group has order 128)\n"
 
 
 def test_dump_over_the_line_cap_is_exit_three(monkeypatch, capsys):
@@ -673,6 +695,75 @@ def test_level_tower_builds_each_dual_embedding_once(tmp_path, capsys, monkeypat
         assert built == orders
 
 
+def level_tower_lines(G, S, embed):
+    """The level tower's detail lines from one comparison per level i,
+    1 to j: the slow route, with embed giving each level's embedding."""
+    by_sort = cli._universe_by_sort(S)
+    bad = []
+    for j in sorted({1, 2, G.order}):
+        emb = embed(groups.quotient(G, invsys._level_kernel(G, j))[1], S)
+        image_by_sort = {i: list(map(emb, xs)) for i, xs in cli._universe_by_sort(emb.source).items()}
+        image, want = set(), set()
+        for i in range(1, j + 1):
+            image.update(image_by_sort.get(i, ()))
+            want.update(by_sort.get(i, ()))
+            if image != want:
+                bad.append("j=%d i=%d" % (j, i))
+    return bad
+
+
+@pytest.mark.parametrize("name", ["C2xC2xC2", "S3", "D4", "C6xC2xC2"])
+def test_a_corrupted_level_tower_lists_every_failing_level(name, monkeypatch):
+    # each embedding's images of its first element of the second sort and
+    # its last element of the largest sort are swapped: the sets differ
+    # from that second sort up to, not including, the largest, and the
+    # tower, which compares once per sort, names every level between
+    real = cli.dual_embedding
+
+    def corrupted(pi, target=None):
+        emb = real(pi, target)
+        sorts = cli._universe_by_sort(emb.source)
+        if len(sorts) < 3:
+            return emb
+        keys = sorted(sorts)
+        x, y = sorts[keys[1]][0], sorts[keys[-1]][-1]
+        image_of = dict(emb.image_of)
+        image_of[x], image_of[y] = image_of[y], image_of[x]
+        return invsys.SystemEmbedding(emb.source, emb.target, image_of)
+
+    monkeypatch.setattr(cli, "dual_embedding", corrupted)
+    G = corpus.group(name)
+    loaded = types.SimpleNamespace(group=G)
+    got = {check: (ok, details) for check, ok, details in cli._invsys_checks(loaded)}
+    S = invsys.complete_system(G)
+    want = level_tower_lines(G, S, corrupted)
+    assert got["level-tower"] == (False, want)
+    # some failing level lies between two sorts
+    sorts = cli._universe_by_sort(S)
+    assert any(int(line.split("i=")[1]) not in sorts for line in want)
+
+
+def test_the_carried_system_decodes_each_mask_once(tmp_path, capsys, monkeypatch):
+    # C2^6 has 2,825 subgroups, all normal; each mask but the trivial one,
+    # which every group holds decoded, is decoded once, by G, and the
+    # system on G/{0} reads the elements G found
+    decoded = []
+    real = groups._mask_to_elems
+
+    def counting(mask):
+        decoded.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(groups, "_mask_to_elems", counting)
+    p = tmp_path / "c2_6.json"
+    table = [[a ^ b for b in range(64)] for a in range(64)]
+    p.write_text(json.dumps({"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}))
+    rc, out, err = run_main(["verify", str(p), "--suite", "invsys"], capsys)
+    assert (rc, err) == (0, "")
+    assert out == "PASS system-axioms\nPASS dual-round-trip\nPASS level-tower\n"
+    assert len(decoded) == len(set(decoded)) == 2824
+
+
 def test_level_routes_build_no_extra_system(capsys, monkeypatch):
     # invsys --level builds no system, as level_quotient reads N_i off the
     # normal subgroups and the summary counts the quotient's; the level
@@ -773,8 +864,8 @@ def lift_of(G, N):
 @pytest.mark.parametrize("name", ["S4", "C6xC2xC2"])
 def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch):
     # the cover routes list every subgroup of G; the base lattice, over
-    # the whole group, takes its members from that list, for every N;
-    # each run loads its own copy of G, with nothing cached
+    # the whole group, takes its members from that list, for every N and
+    # with every suite; each run loads its own copy of G, with nothing cached
     calls = count_enumerations(monkeypatch)
     G = corpus.group(name)
     p = tmp_path / "group.json"
@@ -787,6 +878,14 @@ def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch)
         assert (rc, err) == (0, "")
         assert "FAIL" not in out
         assert len(calls) == 1, N
+    # the default suite lists G's subgroups before its base lattice, so
+    # with N = G the lattice and the cover routes share one search
+    p.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
+    calls.clear()
+    rc, out, err = run_main(["verify", str(p)], capsys)
+    assert (rc, err) == (0, "")
+    assert "FAIL" not in out
+    assert [H.order for H in calls] == [G.order]
 
 
 @pytest.mark.parametrize("name,searches", [("C6xC2xC2", 1), ("S4", 0)])
@@ -1082,6 +1181,19 @@ def test_reachable_matches_a_naive_closure(rows):
     assert [[bool(reach[i] >> j & 1) for j in range(m)] for i in range(m)] == naive_reach(rows)
 
 
+def _fmt(x):
+    """A Fraction in lowest terms, integers without the denominator: the
+    oracle for every printed value, which the program prints from
+    integer counts over a denominator."""
+    if x.denominator == 1:
+        return "%d" % x.numerator
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _vector_line(values):
+    return ", ".join(_fmt(v) for v in values)
+
+
 def matrix_markov_checks(lat, inf, one):
     """The five markov checks over the explicit Fraction transition matrix,
     with a closure for reachability: the slow route, given the limit and
@@ -1197,6 +1309,50 @@ def test_markov_suite_fails_a_wrong_limit(monkeypatch, capsys):
         "  member 0: mu1 1/2 limit 0\n"
         "  member 1: mu1 1/2 limit 0\n"
     )
+
+
+def test_markov_suite_fails_a_limit_below_mu1(monkeypatch):
+    # a limit weighted 1, 2, 1, 2, ... over the maximal members is positive
+    # where it must be, but falls below mu1 on some of them
+    def tilted(lat, *, cap):
+        ell, m = lat.n_maximal, len(lat.members)
+        weights = [1 + i % 2 for i in range(ell)]
+        return MeasureVector(lat, [Fraction(w, sum(weights)) for w in weights] + [0] * (m - ell))
+
+    monkeypatch.setattr(cli, "mu_infinity", tilted)
+    below = 0
+    for tag, lat in markov_cases():
+        if lat.n_maximal < 2:
+            continue
+        got = list(_markov_checks(lat, TUPLE_CAP))
+        assert got == matrix_markov_checks(lat, tilted(lat, cap=TUPLE_CAP), mu1(lat)), tag
+        verdict = {name: ok for name, ok, _ in got}
+        assert verdict["limit-support"], tag
+        below += not verdict["mu1-below-limit"]
+    assert below > 50
+
+
+def test_printed_values_match_the_fraction_formatter(capsys):
+    # the program prints each value from its count and denominator; the
+    # Fraction formatter on the values is the oracle
+    for tag, _, _, lat in setups.corpus_lattices():
+        for v in (mu1(lat), measure.mu_i(lat, 3), mu_infinity(lat)):
+            assert cli._vector_line(v.counts, v.denominator) == _vector_line(v.values), tag
+    rng = random.Random(0)
+    for _ in range(2000):
+        p, q = rng.randint(-60, 60), rng.randint(1, 60)
+        assert cli._ratio(p, q) == _fmt(Fraction(p, q)), (p, q)
+    for name in VALID_FIXTURES:
+        path = str(FIXTURES / name)
+        loaded = load_setup(path)
+        lat = SubextLattice(loaded.setup, loaded.base)
+        for mode, vector in (("mu1", mu1(lat)), ("inf", mu_infinity(lat))):
+            rc, out, err = run_main(["measure", path, "--mode", mode], capsys)
+            assert (rc, out, err) == (0, _vector_line(vector.values) + "\n", ""), name
+            for event, X in loaded.events.items():
+                rc, out, err = run_main(["measure", path, "--mode", mode, "--event", event], capsys)
+                mass = sum((vector.values[i] for i in {lat.member_index(H) for H in X}), Fraction(0))
+                assert (rc, out, err) == (0, _fmt(mass) + "\n", ""), (name, event)
 
 
 @pytest.mark.parametrize("suite", ["markov", "all"])

@@ -1,6 +1,7 @@
 """Measure engine: an independent enumeration oracle, the worked
 examples, chain and limit invariants, and tower pushforwards."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -919,3 +920,99 @@ def test_tower_depth_zero_and_bad_depth():
     for flag in (True, False):
         with pytest.raises(GroupError, match="^max_i must be a nonnegative integer$"):
             pushforward_check(lat, pi, max_i=flag)
+
+
+# -- the integer route ---------------------------------------------------------------
+
+
+def corpus_vectors(lat):
+    """(label, vector) for mu1, mu_i with i = 0..8 and mu_infinity on lat."""
+    yield "mu1", mu1(lat)
+    for i in range(9):
+        yield "mu_%d" % i, mu_i(lat, i)
+    yield "inf", mu_infinity(lat)
+
+
+def test_measures_are_counts_over_one_denominator():
+    # every measure is built from its integer counts, unchecked: each must
+    # be a valid measure that the checking constructor accepts from its
+    # lowest-terms values, and equal to what it builds
+    for tag, _, _, lat in setups.corpus_lattices():
+        for label, v in corpus_vectors(lat):
+            where = "%s %s" % (tag, label)
+            assert len(v.counts) == len(lat.members), where
+            assert v.denominator > 0 and all(c >= 0 for c in v.counts), where
+            assert sum(v.counts) == v.denominator, where
+            assert v.values == tuple(F(c, v.denominator) for c in v.counts), where
+            assert all(type(x) is F for x in v.values), where
+            checked = MeasureVector(lat, v.values)
+            assert checked == v and v == checked, where
+            assert checked.values == v.values, where
+            assert checked.denominator == lcm(*(x.denominator for x in v.values)), where
+
+
+def test_measure_vector_equality_crosses_denominators():
+    setup, K, lat = setups.get("Klein-first")
+    half = MeasureVector(lat, [F(1, 2), F(1, 2), 0])
+    assert MeasureVector._of_counts(lat, [3, 3, 0], 6) == half
+    assert MeasureVector._of_counts(lat, [4, 2, 0], 6) != half
+    # values are built once, when first read, in lowest terms
+    v = MeasureVector._of_counts(lat, [2, 6, 0], 8)
+    assert v.values is v.values and v.values == (F(1, 4), F(3, 4), F(0))
+
+
+def test_measure_event_is_the_fraction_sum_of_its_values():
+    rng = random.Random(0)
+    for tag, _, _, lat in setups.corpus_lattices():
+        m = len(lat.members)
+        for label, v in corpus_vectors(lat):
+            for _ in range(3):
+                X = [i for i in range(m) if rng.random() < 0.5]
+                assert measure_event(v, X) == sum((v.values[i] for i in X), F(0)), (tag, label)
+
+
+def tower_cases():
+    """(tag, upper lattice, pi) for the towers above, then for every corpus
+    lattice over a group of order at most 8, its projection onto G/M for
+    every normal M: some kernels lie outside the upper N."""
+    whole = lambda G: Subgroup(G, range(G.order))
+    up, _, pi, K = c4_to_c2_tower()
+    yield "C4->C2", SubextLattice(up, K), pi
+    G = corpus.group("C2xC2")
+    for image in ([0, 1, 0, 1], [0, 0, 1, 1]):
+        yield "C2xC2 %s" % image, SubextLattice(make_setup(G, [2], (1,)), whole(G)), GroupHom(
+            G, cyclic(2), image
+        )
+    setup, K, lat = setups.get("S3-full")
+    G = setup.group
+    sign = [0 if G.element_order(x) in (1, 3) else 1 for x in range(6)]
+    yield "S3 sign", lat, GroupHom(G, cyclic(2), sign)
+    C6 = corpus.group("C6")
+    yield "C6->C2", SubextLattice(make_setup(C6, [1], (1,)), whole(C6)), GroupHom(
+        C6, cyclic(2), [x % 2 for x in range(6)]
+    )
+    for tag, setup, _, lat in setups.corpus_lattices():
+        G = setup.group
+        if G.order <= 8:
+            for M in normal_subgroups(G):
+                yield "%s ->> G/%s" % (tag, M.display_name()), lat, quotient(G, M)[1]
+
+
+def test_pushforward_flags_match_the_fraction_comparison():
+    # the pushed values, summed as Fractions over the upper values, and
+    # each flag, compared on Fraction tuples
+    unequal = 0
+    for tag, upper, pi in tower_cases():
+        report = pushforward_check(upper, pi)
+        low = report.lower_lattice
+        assert report.holds == all(e[3] for e in report.entries), tag
+        for label, pushed, lower, equal in report.entries:
+            vec = mu_infinity(upper) if label == "inf" else mu_i(upper, int(label))
+            want = [F(0)] * len(low.members)
+            for H, x in zip(upper.members, vec.values):
+                want[low.index_of[pi.image_mask(H.mask)]] += x
+            assert pushed.values == tuple(want), (tag, label)
+            assert lower == (mu_infinity(low) if label == "inf" else mu_i(low, int(label)))
+            assert equal == (pushed.values == lower.values), (tag, label)
+            unequal += not equal
+    assert unequal
