@@ -1,70 +1,17 @@
-"""Exact rational absorption measures on subextension lattices of finite groups."""
+"""Exact rational absorption measures on subextension lattices of finite groups.
 
-from .backend import BACKEND
-from .frattini import (
-    EmbeddingReport,
-    FrattiniReport,
-    frattini_subgroup,
-    has_embedding_property,
-    is_frattini_cover,
-    is_frattini_restriction,
-)
-from .groups import (
-    CapExceeded,
-    FiniteGroup,
-    GroupError,
-    GroupHom,
-    Subgroup,
-    all_subgroups,
-    build_group,
-    compose,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    epimorphisms,
-    generated_subgroup,
-    identity_hom,
-    image_classes,
-    isomorphic,
-    quotient,
-    semidirect_product,
-    symmetric,
-)
-from .invsys import (
-    CompleteSystem,
-    SystemEmbedding,
-    complete_system,
-    dual_embedding,
-    dual_group,
-    generated_subsystem,
-    level_quotient,
-    normal_family,
-)
-from .lattice import (
-    GaloisSetup,
-    SubextLattice,
-    fix_field,
-    make_setup,
-    maximal_fields,
-    s_lattice,
-)
-from .measure import (
-    TUPLE_CAP,
-    MeasureVector,
-    PushforwardReport,
-    TransitionMatrix,
-    format_rational,
-    measure_event,
-    mu1,
-    mu_i,
-    mu_infinity,
-    pushforward_check,
-    transition_matrix,
-)
-from .setupfile import LoadedSetup, SetupFileError, load_setup
+The exports are bound lazily (PEP 562): reading any name from the
+package, such as `fmeas.mu1` or `from fmeas import mu1`, imports every
+module of the library at once and binds every name in __all__.
+`import fmeas.cli` reads none, so a command loads only the modules the
+CLI imports; it loads the Frattini/embedding and inverse-system modules
+only for the commands and verify suites that run them.
+"""
 
 __version__ = "0.1.0"
+
+# the modules that define the exports; the CLI is loaded on its own
+_MODULES = ("backend", "frattini", "groups", "invsys", "lattice", "measure", "setupfile")
 
 __all__ = [
     "BACKEND",
@@ -123,3 +70,21 @@ __all__ = [
     "symmetric",
     "transition_matrix",
 ]
+
+
+def __getattr__(name: str):
+    """Import every module of the library and bind every export, then read name.
+
+    All at once, not one module per name: after the first read the
+    package holds what an eager import would have bound, every module
+    among them.
+    """
+    from importlib import import_module
+
+    spaces = [vars(import_module("." + module, __name__)) for module in _MODULES]
+    namespace = globals()
+    for export in __all__:
+        namespace[export] = next(space[export] for space in spaces if export in space)
+    if name in namespace:
+        return namespace[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -4,6 +4,9 @@ Commands: lattice, measure, verify, frattini, embedding, invsys.  All
 output is deterministic.
 Exit codes: 0 success, 2 validation error, 3 cap exceeded, 4 a
 verification suite reported a failure.
+The Frattini/embedding and inverse-system modules are imported inside
+the commands and verify suites that run them, so the other commands
+never load them.
 """
 
 from __future__ import annotations
@@ -14,12 +17,6 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
-from .frattini import (
-    frattini_subgroup,
-    has_embedding_property,
-    is_frattini_cover,
-    is_frattini_restriction,
-)
 from .groups import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
@@ -31,15 +28,6 @@ from .groups import (
     normal_subgroups,
     quotient,
     up_sets,
-)
-from .invsys import (
-    CompleteSystem,
-    _check_system_order,
-    _level_kernel,
-    complete_system,
-    dual_embedding,
-    dual_group,
-    level_quotient,
 )
 from .lattice import SubextLattice
 from .measure import (
@@ -106,6 +94,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_frattini(args) -> int:
+    from .frattini import frattini_subgroup
+
     loaded = load_setup(args.file)
     report = frattini_subgroup(loaded.group)
     phi = report.frattini_subgroup
@@ -116,6 +106,8 @@ def cmd_frattini(args) -> int:
 
 
 def cmd_embedding(args) -> int:
+    from .frattini import has_embedding_property
+
     loaded = load_setup(args.file)
     report = has_embedding_property(loaded.group, bound=args.bound)
     print("embedding property: %s" % ("true" if report.holds else "false"))
@@ -134,6 +126,8 @@ def cmd_invsys(args) -> int:
     counts.  The counts need no system: its classes are the normal
     subgroups N, and the class of N has [G:N] elements, its cosets.  They
     are held to the cap of complete systems all the same."""
+    from .invsys import _check_system_order, complete_system, level_quotient
+
     loaded = load_setup(args.file)
     G = loaded.group
     if args.level is not None:
@@ -250,6 +244,8 @@ def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
     is one, is among the large subgroups, so the scan runs largest
     first; the verdict does not depend on the order.
     """
+    from .frattini import frattini_subgroup, is_frattini_cover, is_frattini_restriction
+
     G = loaded.group
     proper = [(H.mask, H.order) for H in reversed(all_subgroups(G)) if H.order < G.order]
     projections = []
@@ -302,6 +298,8 @@ def _universe_by_sort(S: CompleteSystem) -> dict[int, list]:
 
 
 def _invsys_checks(loaded: LoadedSetup):
+    from .invsys import _level_kernel, complete_system, dual_embedding, dual_group
+
     G = loaded.group
     S = complete_system(G)
     try:

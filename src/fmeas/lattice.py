@@ -106,7 +106,7 @@ class SubextLattice:
     minimal members.
     """
 
-    __slots__ = ("setup", "base", "members", "n_maximal", "index_of", "below", "_counts")
+    __slots__ = ("setup", "base", "members", "n_maximal", "index_of", "below", "_counts", "_limit")
 
     def __init__(self, setup: GaloisSetup, base: Subgroup):
         G = setup.group
@@ -137,6 +137,8 @@ class SubextLattice:
         self.index_of = {by_size[j]: i for i, j in enumerate(order)}
         self.below = tuple(tuple(sorted(map(position.__getitem__, subs[j]))) for j in order)
         self._counts: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+        # the limit's (counts, denominator), solved once by measure.mu_infinity
+        self._limit: Optional[tuple[tuple[int, ...], int]] = None
 
     def __len__(self) -> int:
         return len(self.members)

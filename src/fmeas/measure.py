@@ -27,12 +27,13 @@ transition_matrix.  pushforward_check takes the upper lattice of a
 tower and the epimorphism pi onto the lower group, derives the lower
 level as the image of the upper one, and compares the levels on
 integer counts.  Every value is exact; no floating point enters the
-engine.
+engine.  The fractions module is imported only inside the functions
+that make a Fraction, so a command that prints from counts never loads
+it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
@@ -54,6 +55,8 @@ PRINTABLE = 10**4300
 
 def format_rational(value) -> str:
     """Serialize an exact rational as "p/q" in lowest terms with q >= 1."""
+    from fractions import Fraction
+
     f = Fraction(value)
     return "%d/%d" % (f.numerator, f.denominator)
 
@@ -73,6 +76,8 @@ class MeasureVector:
     __slots__ = ("lattice", "counts", "denominator", "_values")
 
     def __init__(self, lattice: SubextLattice, values: Sequence[Fraction]):
+        from fractions import Fraction
+
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if len(vals) != len(lattice.members):
             raise GroupError(
@@ -107,6 +112,8 @@ class MeasureVector:
     @property
     def values(self) -> tuple[Fraction, ...]:
         if self._values is None:
+            from fractions import Fraction
+
             d = self.denominator
             self._values = tuple(Fraction(c, d) for c in self.counts)
         return self._values
@@ -144,6 +151,8 @@ class TransitionMatrix:
     __slots__ = ("lattice", "rows", "n_maximal")
 
     def __init__(self, lattice: SubextLattice, rows: Sequence[Sequence[Fraction]]):
+        from fractions import Fraction
+
         m = len(lattice.members)
         clean = tuple(tuple(Fraction(v) for v in row) for row in rows)
         if len(clean) != m or any(len(row) != m for row in clean):
@@ -240,6 +249,8 @@ def _row(
     f: Sequence[int], g: Sequence[int], below: Sequence[Sequence[int]], i: int
 ) -> list[Fraction]:
     """mu1 rebased at member i: g[j] / f[i] on every member j inside member i."""
+    from fractions import Fraction
+
     row = [Fraction(0)] * len(f)
     for j in below[i]:
         row[j] = Fraction(g[j], f[i])
@@ -342,12 +353,23 @@ def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     division is exact, since u(i)'s denominator divides the pivots of
     the members containing i.  The limit is reduced by one gcd; it
     vanishes off the maximal members and is positive on each of them.
+    It is solved once per lattice and kept there, as the Hall counts
+    are; each call holds the rows to its own cap first.
     """
+    f, g, below = _hall_counts(lat, cap, range(len(lat.members)))
+    if lat._limit is None:
+        lat._limit = _absorbing_solve(lat, f, g, below)
+    return MeasureVector._of_counts(lat, *lat._limit)
+
+
+def _absorbing_solve(
+    lat: SubextLattice, f: Sequence[int], g: Sequence[int], below: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], int]:
+    """The limit's counts and denominator, by mu_infinity's one pass."""
     m = len(lat.members)
-    f, g, below = _hall_counts(lat, cap, range(m))
     ell = lat.n_maximal
     if ell == 1:
-        return MeasureVector._of_counts(lat, [1] + [0] * (m - 1), 1)
+        return (1,) + (0,) * (m - 1), 1
     D = prod(f[i] - g[i] for i in range(ell, m))
     if D == 0:
         raise RuntimeError("internal error: zero pivot in the absorbing solve")
@@ -363,7 +385,7 @@ def mu_infinity(lat: SubextLattice, *, cap: int = TUPLE_CAP) -> MeasureVector:
     if not all(nums):
         raise RuntimeError("internal error: limit measure vanishes on a maximal member")
     common = gcd(D, *nums)
-    return MeasureVector._of_counts(lat, [x // common for x in nums] + [0] * (m - ell), D // common)
+    return tuple(x // common for x in nums) + (0,) * (m - ell), D // common
 
 
 def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> Fraction:
@@ -373,6 +395,8 @@ def measure_event(vector: MeasureVector, X: Iterable[Union[Subgroup, int]]) -> F
     member counts once.  The members' counts are summed as integers and
     the one Fraction made is the sum over the vector's denominator.
     """
+    from fractions import Fraction
+
     lat = vector.lattice
     indices = set()
     for x in X:

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import fmeas
-from fmeas import cli, groups, invsys, measure
+from fmeas import cli, frattini, groups, invsys, measure
 from fmeas.cli import _markov_checks, main
 from fmeas.frattini import frattini_subgroup
 from fmeas.lattice import GaloisSetup, SubextLattice
@@ -677,13 +677,13 @@ def test_level_tower_builds_each_dual_embedding_once(tmp_path, capsys, monkeypat
     # so they share the projection onto G/{0} and its embedding; S3's
     # three levels have three meets
     built = []
-    real = cli.dual_embedding
+    real = invsys.dual_embedding
 
     def counting(pi, target=None):
         built.append(pi.target.order)
         return real(pi, target)
 
-    monkeypatch.setattr(cli, "dual_embedding", counting)
+    monkeypatch.setattr(invsys, "dual_embedding", counting)
     p = tmp_path / "c2_3.json"
     table = [[a ^ b for b in range(8)] for a in range(8)]
     p.write_text(json.dumps({"group": {"table": table}, "normal": [1, 2, 4], "sigma": [0]}))
@@ -718,7 +718,7 @@ def test_a_corrupted_level_tower_lists_every_failing_level(name, monkeypatch):
     # its last element of the largest sort are swapped: the sets differ
     # from that second sort up to, not including, the largest, and the
     # tower, which compares once per sort, names every level between
-    real = cli.dual_embedding
+    real = invsys.dual_embedding
 
     def corrupted(pi, target=None):
         emb = real(pi, target)
@@ -731,7 +731,7 @@ def test_a_corrupted_level_tower_lists_every_failing_level(name, monkeypatch):
         image_of[x], image_of[y] = image_of[y], image_of[x]
         return invsys.SystemEmbedding(emb.source, emb.target, image_of)
 
-    monkeypatch.setattr(cli, "dual_embedding", corrupted)
+    monkeypatch.setattr(invsys, "dual_embedding", corrupted)
     G = corpus.group(name)
     loaded = types.SimpleNamespace(group=G)
     got = {check: (ok, details) for check, ok, details in cli._invsys_checks(loaded)}
@@ -950,7 +950,7 @@ def test_frattini_cover_routes_match_the_ascending_scan(name, monkeypatch):
     oracle = ascending_cover_routes(G)
     loaded = types.SimpleNamespace(group=G)
     for negate in (False, True):
-        monkeypatch.setattr(cli, "is_frattini_cover", lambda pi: oracle[pi.preimage_mask(1)] ^ negate)
+        monkeypatch.setattr(frattini, "is_frattini_cover", lambda pi: oracle[pi.preimage_mask(1)] ^ negate)
         check, ok, details = next(cli._frattini_checks(loaded, None))
         assert check == "frattini-cover-routes"
         assert (ok, len(details)) == ((True, 0) if not negate else (False, len(oracle)))
@@ -977,7 +977,7 @@ def test_frattini_composition_lists_failing_chains_in_pair_order(name, tmp_path,
     p = tmp_path / "g.json"
     setup = {"group": {"table": G.table}, "normal": list(range(G.order)), "sigma": [0]}
     p.write_text(json.dumps(setup))
-    monkeypatch.setattr(cli, "is_frattini_cover", lambda phi: True)
+    monkeypatch.setattr(frattini, "is_frattini_cover", lambda phi: True)
     loaded = load_setup(str(p))
     G = loaded.group
     want = []
@@ -1332,6 +1332,31 @@ def test_markov_suite_fails_a_limit_below_mu1(monkeypatch):
     assert below > 50
 
 
+def test_verify_solves_each_lattice_limit_once(monkeypatch, capsys):
+    # the markov suite and the tower's pushforward check both read the base
+    # lattice's limit, and the check reads the lower lattice's: three
+    # mu_infinity calls on two lattices make two solves, one per lattice
+    calls, solved = [], []
+    real_limit, real_solve = measure.mu_infinity, measure._absorbing_solve
+
+    def counting_limit(lat, *, cap):
+        calls.append(lat)
+        return real_limit(lat, cap=cap)
+
+    def counting_solve(lat, f, g, below):
+        solved.append(lat)
+        return real_solve(lat, f, g, below)
+
+    monkeypatch.setattr(cli, "mu_infinity", counting_limit)
+    monkeypatch.setattr(measure, "mu_infinity", counting_limit)
+    monkeypatch.setattr(measure, "_absorbing_solve", counting_solve)
+    rc, out, err = run_main(["verify", str(FIXTURES / "c4_to_c2.json")], capsys)
+    assert (rc, err) == (0, "")
+    assert "FAIL" not in out and "PASS tower-pushforward\n" in out
+    assert len(calls) == 3 and len(set(map(id, calls))) == 2
+    assert len(solved) == len(set(map(id, solved))) == 2
+
+
 def test_printed_values_match_the_fraction_formatter(capsys):
     # the program prints each value from its count and denominator; the
     # Fraction formatter on the values is the oracle
@@ -1530,7 +1555,7 @@ MEASURE_PATH = [
 def test_frattini_suite_reports_cover_routes_that_disagree(monkeypatch, capsys):
     # a kernel route that calls every epimorphism a cover is wrong on
     # Z4 ->> 1, whose kernel <1> = Z4 is not inside Phi(Z4) = <2>
-    monkeypatch.setattr(cli, "is_frattini_cover", lambda phi: phi.is_surjective)
+    monkeypatch.setattr(frattini, "is_frattini_cover", lambda phi: phi.is_surjective)
     argv = ["verify", str(FIXTURES / "z4.json"), "--suite", "frattini"]
     rc, out, err = run_main(argv, capsys)
     assert (rc, err) == (4, "")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 import setups
+from fmeas import measure
 from fmeas.groups import (
     CapExceeded,
     FiniteGroup,
@@ -949,6 +950,27 @@ def test_measures_are_counts_over_one_denominator():
             assert checked == v and v == checked, where
             assert checked.values == v.values, where
             assert checked.denominator == lcm(*(x.denominator for x in v.values)), where
+
+
+def test_the_limit_is_solved_once_per_lattice(monkeypatch):
+    # a second call reads the limit kept on the lattice, and it equals the
+    # limit a new lattice over the same setup solves afresh
+    solved = []
+    real = measure._absorbing_solve
+
+    def counting(lat, f, g, below):
+        solved.append(lat)
+        return real(lat, f, g, below)
+
+    monkeypatch.setattr(measure, "_absorbing_solve", counting)
+    for tag, setup, K, _ in setups.corpus_lattices():
+        lat = SubextLattice(setup, K)
+        first, again = mu_infinity(lat), mu_infinity(lat)
+        assert solved == [lat], tag
+        fresh = mu_infinity(SubextLattice(setup, K))
+        assert (again.counts, again.denominator) == (first.counts, first.denominator), tag
+        assert (fresh.counts, fresh.denominator) == (first.counts, first.denominator), tag
+        solved.clear()
 
 
 def test_measure_vector_equality_crosses_denominators():
