@@ -43,13 +43,10 @@ __all__ = [
     "dual_embedding",
     "dual_group",
     "epimorphisms",
-    "fix_field",
     "format_rational",
     "frattini_subgroup",
-    "generated_subgroup",
     "generated_subsystem",
     "has_embedding_property",
-    "identity_hom",
     "image_classes",
     "is_frattini_cover",
     "is_frattini_restriction",
@@ -57,7 +54,6 @@ __all__ = [
     "level_quotient",
     "load_setup",
     "make_setup",
-    "maximal_fields",
     "measure_event",
     "mu1",
     "mu_i",

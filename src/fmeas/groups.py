@@ -21,7 +21,9 @@ to the full checks.
 Subgroups carry their elements both as a sorted tuple (the canonical,
 hashable form) and as a bitmask.  There is one closure routine,
 FiniteGroup.extend_mask, which grows <H, x> from a subgroup H one left
-coset of H at a time; closure_mask folds it over a generator list, and
+coset of H at a time; closure_mask folds it over a generator list,
+_greedy_generators over candidates until a target subgroup is reached
+(a group's generator sequence, a subgroup's canonical generators), and
 subgroup enumeration is a reverse search (Avis and Fukuda, 1996): each
 subgroup is reached from exactly one canonical seed along exactly one
 chain of extensions by elements of an extension set, each the least
@@ -359,17 +361,22 @@ class FiniteGroup:
         if self._gen_sequence is None:
             orders = self.element_orders()
             by_pref = sorted(range(self.order), key=lambda a: (-orders[a], a))
-            gens: list[int] = []
-            mask = 1
-            for a in by_pref:
-                if mask >> a & 1:
-                    continue
-                gens.append(a)
-                mask = self.extend_mask(mask, a)
-                if mask == (1 << self.order) - 1:
-                    break
-            self._gen_sequence = tuple(gens)
+            self._gen_sequence = self._greedy_generators(by_pref, (1 << self.order) - 1)
         return self._gen_sequence
+
+    def _greedy_generators(self, candidates: Iterable[int], target: int) -> tuple[int, ...]:
+        """The candidates, in their order, that each enlarge the subgroup
+        generated so far, up to the first that reaches the mask target."""
+        gens: list[int] = []
+        mask = 1
+        for x in candidates:
+            if mask >> x & 1:
+                continue
+            gens.append(x)
+            mask = self.extend_mask(mask, x)
+            if mask == target:
+                break
+        return tuple(gens)
 
 
 class Subgroup:
@@ -445,25 +452,9 @@ class Subgroup:
                     return False
         return True
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        G = self.group
-        if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < G.order:
-            raise GroupError("element %r is out of range" % (g,))
-        return Subgroup._of_mask(G, sum(1 << G.conj(g, x) for x in self.elements))
-
     def canonical_generators(self) -> tuple[int, ...]:
         """Least-index greedy generating sequence, for stable display names."""
-        G = self.group
-        gens: list[int] = []
-        mask = 1
-        for x in self.elements:
-            if mask >> x & 1:
-                continue
-            gens.append(x)
-            mask = G.extend_mask(mask, x)
-            if mask == self.mask:
-                break
-        return tuple(gens)
+        return self.group._greedy_generators(self.elements, self.mask)
 
     def display_name(self) -> str:
         """Stable name from the canonical generators, as "<g1,g2>"; the trivial subgroup is <>."""
@@ -524,17 +515,6 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         return Subgroup._of_mask(self.source, self.preimage_mask(1))
 
-    def image_subgroup(self, H: Optional[Subgroup] = None) -> Subgroup:
-        """The image of H, the whole source by default: a subgroup, as a
-        homomorphism's image of one is, so it is built from its mask."""
-        if H is None:
-            mask = (1 << self.source.order) - 1
-        else:
-            if H.group is not self.source:
-                raise GroupError("subgroup does not live in the source group")
-            mask = H.mask
-        return Subgroup._of_mask(self.target, self.image_mask(mask))
-
     def image_mask(self, mask: int) -> int:
         out = 0
         for x in self.source.elems_of_mask(mask):
@@ -574,10 +554,6 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     return GroupHom(
         inner.source, outer.target, tuple(outer.image_of[v] for v in inner.image_of)
     )
-
-
-def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(range(G.order)))
 
 
 # -- construction -------------------------------------------------------
@@ -652,11 +628,6 @@ def build_group(spec: dict) -> FiniteGroup:
             row.append(right[s][row[y]])
         table.append(tuple(row))
     return FiniteGroup._derived(tuple(table), tuple(map(str, elems)))
-
-
-def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Closure of gens under multiplication; empty gens give the trivial subgroup."""
-    return Subgroup(G, tuple(gens))
 
 
 def _subgroups_within(

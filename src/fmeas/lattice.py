@@ -221,22 +221,3 @@ def s_lattice(
             )
     return lattice
 
-
-def maximal_fields(lattice: SubextLattice) -> list[Subgroup]:
-    """Members that are minimal as subgroups (maximal as fields)."""
-    return list(lattice.members[: lattice.n_maximal])
-
-
-def fix_field(lattice: SubextLattice, elements: Sequence[int]) -> Optional[Subgroup]:
-    """The member generated by the elements, or None when it fails to qualify."""
-    G = lattice.setup.group
-    for x in elements:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < G.order:
-            raise GroupError("element %r is out of range" % (x,))
-        if not lattice.base.mask >> x & 1:
-            raise GroupError("element %d lies outside the base subgroup" % x)
-    mask = G.closure_mask(tuple(elements))
-    i = lattice.index_of.get(mask)
-    if i is None:
-        return None
-    return lattice.members[i]

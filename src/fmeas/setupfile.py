@@ -104,6 +104,8 @@ def load_setup(path: str) -> LoadedSetup:
             raw = fh.read()
     except OSError as e:
         raise SetupFileError("cannot read %s: %s" % (path, e.strerror)) from None
+    except UnicodeDecodeError:
+        raise SetupFileError("%s: not valid UTF-8" % path) from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -112,6 +114,9 @@ def load_setup(path: str) -> LoadedSetup:
         # an integer past CPython's limit on int-string conversion, which
         # json reports with no position
         raise SetupFileError("%s: not valid JSON: %s" % (path, e)) from None
+    except RecursionError:
+        # arrays or objects nested past the interpreter's recursion limit
+        raise SetupFileError("%s: not valid JSON: nested too deeply" % path) from None
     if not isinstance(data, dict):
         raise SetupFileError("%s:1: the top level must be an object" % path)
     for key in data:

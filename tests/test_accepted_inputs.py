@@ -4,7 +4,8 @@ Each fixture is mutated along each axis the setup file and the command
 line accept: long sigma tuples, very large --cap, --steps, --bound and
 --level, many generators, many events, very large ints and bools where
 element indices go, integers past CPython's 4,300-digit conversion
-limit, and a table past the order cap.  Every case must exit 0, 2, 3 or 4, with no
+limit, a table past the order cap, a byte that is not UTF-8, and arrays
+nested past the recursion limit.  Every case must exit 0, 2, 3 or 4, with no
 traceback, within a time and a memory bound.  The sweep holds a
 property, not an answer, so it needs no oracle.
 
@@ -74,12 +75,25 @@ print(json.dumps(results))
 """
 
 C257_TABLE = [[(a + b) % 257 for b in range(257)] for a in range(257)]
-# CPython converts no int of more than 4,300 digits from a string, so
-# json.loads refuses such a file with a plain ValueError.  A mutation
-# puts this marker where the integer goes, and the file is written with
-# the digits in its place
+# text json.dumps cannot write: a mutation puts a marker where it goes,
+# and the file is written with the text in its place.  CPython converts
+# no int of more than 4,300 digits from a string, so json.loads refuses
+# one with a plain ValueError; a 0xff byte is no UTF-8; and json.loads
+# meets the recursion limit in arrays nested 1,000 deep, as json.dumps
+# would in making them
 HUGE_INT = "<5000 digits>"
-HUGE_DIGITS = "9" * 5000
+NOT_UTF8 = "<byte ff>"
+NESTED = {"10^3": 10**3, "10^5": 10**5}
+RAW = {HUGE_INT: b"9" * 5000, NOT_UTF8: b'"\xff"'}
+RAW.update(("<nested %s>" % name, b"[" * depth + b"]" * depth) for name, depth in NESTED.items())
+
+
+def file_bytes(mutated):
+    """The mutated setup as a file, each marker replaced by its text."""
+    text = json.dumps(mutated).encode()
+    for marker, raw in RAW.items():
+        text = text.replace(json.dumps(marker).encode(), raw)
+    return text
 
 
 def stretched(values, length):
@@ -115,6 +129,9 @@ def file_mutations(data):
     yield "sigma-entry-10^30", dict(data, sigma=[10**30] + sigma)
     yield "sigma-entry-5000-digits", dict(data, sigma=[HUGE_INT] + sigma)
     yield "normal-entry-5000-digits", dict(data, normal=normal + [HUGE_INT])
+    yield "sigma-entry-byte-ff", dict(data, sigma=[NOT_UTF8] + sigma)
+    for name in NESTED:
+        yield "sigma-nested-" + name, dict(data, sigma=["<nested %s>" % name])
     yield "sigma-bool", dict(data, sigma=[True] + sigma)
     yield "normal-bool", dict(data, normal=normal + [False])
     yield "base-bool", dict(data, base=[True])
@@ -153,7 +170,7 @@ def sweep_cases(tmp_path):
             cases.append(("%s/%s" % (name, axis), argv[:1] + [str(path)] + argv[1:]))
         for axis, mutated in file_mutations(data):
             p = tmp_path / ("%s-%s.json" % (path.stem, axis))
-            p.write_text(json.dumps(mutated).replace(json.dumps(HUGE_INT), HUGE_DIGITS))
+            p.write_bytes(file_bytes(mutated))
             command = ["verify", "--suite", "tower"] if axis.startswith("tower") else ["measure"]
             cases.append(("%s/%s" % (name, axis), command[:1] + [str(p)] + command[1:]))
     # the longest sigma, on one fixture
@@ -183,7 +200,7 @@ def test_every_accepted_input_answers_or_refuses_in_bounds(tmp_path):
         if code not in (0, 2, 3, 4) or "Traceback" in err or peak_mb > CASE_PEAK_MB:
             failures.append((case, code, round(seconds, 2), peak_mb, err[-300:]))
         # the refusals that name the file: a table past the order cap at
-        # the line of its key, a file json cannot read without a line
+        # the line of its key, files that cannot be read without a line
         path = argv[1]
         if case.endswith("-order-257"):
             message = "error: %s:1: multiplication tables capped at order 256 (got 257)" % path
@@ -192,5 +209,11 @@ def test_every_accepted_input_answers_or_refuses_in_bounds(tmp_path):
         if case.endswith("-5000-digits"):
             message = "error: %s: not valid JSON: Exceeds the limit (4300 digits)" % path
             if code != 2 or not err.startswith(message):
+                failures.append((case, code, err[-300:]))
+        if case.endswith("-byte-ff"):
+            if (code, err) != (2, "error: %s: not valid UTF-8" % path):
+                failures.append((case, code, err[-300:]))
+        if "-nested-" in case:
+            if (code, err) != (2, "error: %s: not valid JSON: nested too deeply" % path):
                 failures.append((case, code, err[-300:]))
     assert failures == []

@@ -29,7 +29,6 @@ from fmeas.groups import (
     cyclic,
     direct_product,
     epimorphisms,
-    generated_subgroup,
     image_classes,
     normal_subgroups,
     quotient,
@@ -288,13 +287,13 @@ def test_maximal_subgroups_match_the_pairwise_scan(name):
 
 def test_cover_z4_onto_z2():
     G = cyclic(4)
-    _, pi = quotient(G, generated_subgroup(G, [2]))
+    _, pi = quotient(G, Subgroup(G, [2]))
     assert is_frattini_cover(pi)
 
 
 def test_cover_klein_onto_z2_fails():
     G = corpus.group("C2xC2")
-    _, pi = quotient(G, generated_subgroup(G, [2]))
+    _, pi = quotient(G, Subgroup(G, [2]))
     assert not is_frattini_cover(pi)
 
 

@@ -21,7 +21,6 @@ from fmeas.groups import (
     cosets,
     cyclic,
     direct_product,
-    identity_hom,
     isomorphic,
     quotient,
 )
@@ -1023,7 +1022,7 @@ def test_sort_restricted_universes_grow_monotonically(name):
 
 def test_identity_dualizes_to_identity():
     G = corpus.group("S3")
-    emb = dual_embedding(identity_hom(G))
+    emb = dual_embedding(GroupHom(G, G, range(G.order)))
     assert emb.image_of == {x: x for x in emb.source.universe}
 
 
@@ -1112,7 +1111,7 @@ def test_dual_embedding_into_a_given_system_matches_a_built_one(name):
 def test_dual_embedding_rejects_a_foreign_or_partial_target():
     G = corpus.group("D4")
     S = complete_system(G)
-    phi = identity_hom(G)
+    phi = GroupHom(G, G, range(G.order))
     with pytest.raises(GroupError, match="complete system of the source"):
         dual_embedding(phi, complete_system(corpus.group("Q8")))
     with pytest.raises(GroupError, match="complete system of the source"):

@@ -11,7 +11,6 @@ from fmeas.groups import (
     Subgroup,
     all_subgroups,
     cyclic,
-    generated_subgroup,
     normal_subgroups,
     quotient,
 )
@@ -19,9 +18,7 @@ from fmeas import lattice as lattice_module
 from fmeas.lattice import (
     GaloisSetup,
     SubextLattice,
-    fix_field,
     make_setup,
-    maximal_fields,
     s_lattice,
 )
 from fmeas.measure import measure_event, mu1
@@ -398,24 +395,24 @@ def test_member_names_are_distinct(name):
     assert len(set(names)) == len(names)
 
 
-# -- maximal_fields --------------------------------------------------------
+# -- maximal fields ----------------------------------------------------------
 
 
 def test_unique_maximal_field_when_quotient_trivial():
     _, _, lat = setups.get("Z2-full")
-    tops = maximal_fields(lat)
+    tops = lat.members[: lat.n_maximal]
     assert len(tops) == 1
     assert tops[0].elements == (0,)
 
 
 def test_klein_has_two_maximal_fields():
     _, _, lat = setups.get("Klein-first")
-    assert [H.elements for H in maximal_fields(lat)] == [(0, 1), (0, 3)]
+    assert [H.elements for H in lat.members[: lat.n_maximal]] == [(0, 1), (0, 3)]
 
 
 def test_s3_has_three_maximal_fields():
     setup, _, lat = setups.get("S3-A3")
-    tops = maximal_fields(lat)
+    tops = lat.members[: lat.n_maximal]
     assert len(tops) == 3
     G = setup.group
     for H in tops:
@@ -427,7 +424,7 @@ def test_s3_has_three_maximal_fields():
 def test_trivial_quotient_forces_trivial_top_subgroup(name):
     setup, _, lat = setups.get(name)
     if quotient(setup.group, setup.n_sub)[0].order == 1:
-        tops = maximal_fields(lat)
+        tops = lat.members[: lat.n_maximal]
         assert len(tops) == 1
         assert tops[0].order == 1
 
@@ -445,7 +442,7 @@ def test_every_lift_into_a_maximal_member_generates_it(name):
     setup, _, lat = setups.get(name)
     G = setup.group
     r_img = quotient(setup.group, setup.n_sub)[1].image_of
-    for H in maximal_fields(lat):
+    for H in lat.members[: lat.n_maximal]:
         cosets = [
             [h for h in H.elements if r_img[h] == r_img[s]]
             for s in setup.sigma_prime
@@ -476,33 +473,6 @@ def test_deterministic_lift_lands_in_the_right_cosets(name):
             assert len(meet) == len(meet_n)
             for l in meet:
                 assert {G.table[l][t] for t in meet_n} == meet
-
-
-# -- fix_field ---------------------------------------------------------------
-
-
-def test_fix_field_of_single_element():
-    _, _, lat = setups.get("Klein-first")
-    member = fix_field(lat, (1,))
-    assert member is not None
-    assert member.elements == (0, 1)
-
-
-def test_fix_field_absent_when_subgroup_fails_to_qualify():
-    _, _, lat = setups.get("Z4-g")
-    assert fix_field(lat, (2,)) is None
-
-
-def test_fix_field_of_base_generators():
-    setup, K, lat = setups.get("C4xC2-N4")
-    member = fix_field(lat, K.elements)
-    assert member == lat.members[-1]
-
-
-def test_fix_field_rejects_elements_outside_base():
-    _, _, lat = setups.get("C4xC2-subK")
-    with pytest.raises(GroupError, match="outside"):
-        fix_field(lat, (1,))
 
 
 # -- alternative constants validation ---------------------------------------
