@@ -58,7 +58,6 @@ __all__ = [
     "mu1",
     "mu_i",
     "mu_infinity",
-    "normal_family",
     "pushforward_check",
     "quotient",
     "s_lattice",

@@ -122,27 +122,30 @@ def cmd_embedding(args) -> int:
 
 def cmd_invsys(args) -> int:
     """The complete system of the file's group, or of its level quotient
-    with --level: its dump with --dump, else its class and element
-    counts.  The counts need no system: its classes are the normal
-    subgroups N, and the class of N has [G:N] elements, its cosets.  They
-    are held to the cap of complete systems all the same."""
-    from .invsys import _check_system_order, complete_system, level_quotient
+    G/N_i with --level i: its dump with --dump, else its class and
+    element counts.  The counts need no system and are read off G: by
+    the correspondence theorem the classes of G/N_i are the normal M of
+    G above N_i, and the class of M has [G:M] elements, its cosets.
+    They are held to the cap of complete systems all the same."""
+    from .invsys import _check_system_order, _level_kernel, complete_system, level_quotient
 
     loaded = load_setup(args.file)
     G = loaded.group
-    if args.level is not None:
-        G = level_quotient(G, args.level)
+    Q = G if args.level is None else level_quotient(G, args.level)
     if args.dump:
         # block by block, so no more than one block is held; the line cap
         # is checked before the first, so a capped dump prints nothing
-        sys.stdout.writelines(complete_system(G).dump_blocks())
+        sys.stdout.writelines(complete_system(Q).dump_blocks())
         return 0
     _check_system_order(G)
     normals = normal_subgroups(G)
-    print("classes = %d" % len(normals))
-    print("elements = %d" % sum(G.order // N.order for N in normals))
     if args.level is not None:
-        print("level %d quotient: order %d" % (args.level, G.order))
+        kernel = _level_kernel(G, args.level).mask
+        normals = [M for M in normals if M.mask & kernel == kernel]
+    print("classes = %d" % len(normals))
+    print("elements = %d" % sum(G.order // M.order for M in normals))
+    if args.level is not None:
+        print("level %d quotient: order %d" % (args.level, Q.order))
     return 0
 
 
@@ -236,42 +239,47 @@ def _check_tower(lat: SubextLattice, pi: GroupHom, cap: int):
 
 
 def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
-    """The cover routes compared once per projection G ->> G/N, then laws on them.
+    """The cover routes compared once per kernel N of G ->> G/N, then laws on them.
 
-    The library decides a cover by its kernel alone; the subgroup route
-    here asks that only G itself map onto G/N, that is, that no proper
-    H have HN = G, or |H| |N| = |G| |H n N|.  A supplement, when there
-    is one, is among the large subgroups, so the scan runs largest
-    first; the verdict does not depend on the order.
+    The library decides a cover by its kernel alone, so G/N is built
+    only where a law reads it; the subgroup route here asks that only G
+    itself map onto G/N, that is, that no proper H have HN = G, or
+    |H| |N| = |G| |H n N|.  A supplement, when there is one, is among
+    the large subgroups, so the scan runs largest first; the verdict
+    does not depend on the order.
     """
-    from .frattini import frattini_subgroup, is_frattini_cover, is_frattini_restriction
+    from .frattini import _covers, frattini_subgroup, is_frattini_restriction
 
     G = loaded.group
     proper = [(H.mask, H.order) for H in reversed(all_subgroups(G)) if H.order < G.order]
-    projections = []
+    normals = normal_subgroups(G)
+    covers = []
     routes_detail = []
-    for N in normal_subgroups(G):
-        _, pi = quotient(G, N)
-        cover = is_frattini_cover(pi)
+    for N in normals:
         n, n_mask = N.order, N.mask
+        cover = _covers(G, n_mask)
         only_g = not any(h * n == G.order * (m & n_mask).bit_count() for m, h in proper)
         if cover != only_g:
             routes_detail.append(
                 "kernel %s: internal error: kernel criterion and subgroup criterion disagree"
                 % N.display_name()
             )
-        projections.append((N, pi, cover))
+        covers.append(cover)
     yield "frattini-cover-routes", not routes_detail, routes_detail
 
     # for N1 in N2, G/N1 ->> G/N2 is onto with kernel p1(N2), so it covers
-    # iff N2 lies in the preimage of Phi(G/N1); the law reads it only where p1 covers
+    # iff N2 lies in the preimage of Phi(G/N1); the law reads that, and so
+    # builds G/N1, only where p1 covers
     bad = []
-    ups = up_sets(G, [N.mask for N, _, _ in projections])
-    for i, (N1, p1, cover1) in enumerate(projections):
-        pre = p1.preimage_mask(frattini_subgroup(p1.target).frattini_subgroup.mask if cover1 else 0)
-        for N2, _, cover2 in (projections[j] for j in _mask_to_elems(ups[i] & ~(1 << i))):
-            if cover2 != (cover1 and N2.mask & ~pre == 0):
-                bad.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
+    ups = up_sets(G, [N.mask for N in normals])
+    for i, (N1, cover1) in enumerate(zip(normals, covers)):
+        pre = 0
+        if cover1:
+            _, p1 = quotient(G, N1)
+            pre = p1.preimage_mask(frattini_subgroup(p1.target).frattini_subgroup.mask)
+        for j in _mask_to_elems(ups[i] & ~(1 << i)):
+            if covers[j] != (cover1 and normals[j].mask & ~pre == 0):
+                bad.append("chain %s then %s" % (N1.display_name(), normals[j].display_name()))
     yield "frattini-composition", not bad, bad
 
     if lat is None:

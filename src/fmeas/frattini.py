@@ -80,6 +80,12 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
     return report
 
 
+def _covers(G: FiniteGroup, kernel: int) -> bool:
+    """True iff G ->> G/N is a Frattini cover, N the normal subgroup with
+    the mask kernel: iff N lies inside Phi(G), a fact about N alone."""
+    return kernel & ~frattini_subgroup(G).frattini_subgroup.mask == 0
+
+
 def is_frattini_cover(phi: GroupHom) -> bool:
     """True iff phi is surjective with kernel inside the Frattini subgroup.
 
@@ -87,9 +93,7 @@ def is_frattini_cover(phi: GroupHom) -> bool:
     a kernel element outside Phi(G) is missed by some maximal subgroup M,
     and then M ker phi = G.
     """
-    if not phi.is_surjective:
-        return False
-    return phi.preimage_mask(1) & ~frattini_subgroup(phi.source).frattini_subgroup.mask == 0
+    return phi.is_surjective and _covers(phi.source, phi.preimage_mask(1))
 
 
 def is_frattini_restriction(H: Subgroup, r: GroupHom) -> bool:

@@ -46,9 +46,10 @@ as alpha o sigma reaches what alpha does for sigma in Aut(G).
 Quotients rest on three more routines, one of each kind: cosets names
 each coset gN by its least element, GroupHom.preimage_mask pulls a mask
 back, and up_sets lists the members of a family above each member.
-A quotient reads its subgroup lists off its parent's when those are
-known, and the normal subgroups of a non-abelian group are joined from
-its conjugacy classes, so neither searches.
+Each group has one route per subgroup list: its cache, else its own
+search, or for the normal subgroups of a non-abelian group, the normal
+members of its cached subgroups or, with none cached, joins of its
+conjugacy classes, with no search.
 Subgroup enumeration and isomorphism testing are supported up to order
 64.
 """
@@ -201,9 +202,6 @@ class FiniteGroup:
         self._gen_sequence: Optional[tuple[int, ...]] = None
         self._search_steps: Optional[list] = None  # _prefix_steps on the generator sequence
         self._frattini: Optional["FrattiniReport"] = None  # set by frattini_subgroup
-        # (G, mask of N, coset_of) when quotient built this group as G/N,
-        # so its subgroup lists can be read off G's
-        self._parent: Optional[tuple["FiniteGroup", int, tuple[int, ...]]] = None
 
     @classmethod
     def _derived(
@@ -739,44 +737,6 @@ def _ordered(G: FiniteGroup, masks: Iterable[int]) -> tuple[Subgroup, ...]:
     return tuple(sorted(subs, key=lambda H: (H.order, H.elements)))
 
 
-def _images(Q: FiniteGroup, members: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
-    """The images in Q = G/N of the members of G that contain N, ordered
-    like all_subgroups.  By the correspondence theorem they are each a
-    subgroup of Q, normal iff its member is, and each comes once."""
-    _, n_mask, coset_of = Q._parent
-    masks = []
-    for H in members:
-        if H.mask & n_mask == n_mask:
-            mask = 0
-            for x in H.elements:
-                mask |= 1 << coset_of[x]
-            masks.append(mask)
-    return _ordered(Q, masks)
-
-
-def _known_subgroups(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
-    """G's subgroups when no search is needed: cached, or read off those
-    of the group G is a quotient of, when they are known."""
-    if G._subgroups is None and G._parent is not None:
-        if _known_subgroups(G._parent[0]) is not None:
-            G._subgroups = _images(G, G._parent[0]._subgroups)
-    return G._subgroups
-
-
-def _known_normals(G: FiniteGroup) -> Optional[tuple[Subgroup, ...]]:
-    """G's normal subgroups when no search is needed: cached, filtered
-    from its known subgroups, or read off those of the group G is a
-    quotient of, when they are known."""
-    if G._normals is None:
-        subs = _known_subgroups(G)
-        if subs is not None:
-            # every subgroup of an abelian group is normal
-            G._normals = subs if G.is_abelian() else tuple(H for H in subs if H.is_normal())
-        elif G._parent is not None and _known_normals(G._parent[0]) is not None:
-            G._normals = _images(G, G._parent[0]._normals)
-    return G._normals
-
-
 def _normals_from_classes(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """The normal subgroups of G, ordered like all_subgroups, as the
     joins of the normal closures of its conjugacy classes.
@@ -804,33 +764,31 @@ def _normals_from_classes(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup exactly once, ordered by size then element tuple.
-
-    When quotient made G as P/N and the subgroups of P are known (cached,
-    or read off P's own parent in turn), they are the images of those
-    containing N; otherwise one reverse search lists them.
-    """
+    """Every subgroup exactly once, ordered by size then element tuple,
+    listed by one reverse search and cached on G."""
     # above the cap this raises, whether or not the subgroups are cached
     _check_order_cap(G.order)
-    subs = _known_subgroups(G)
-    if subs is None:
-        subs = G._subgroups = _ordered(G, _subgroups_within(G, [(1, 0)], (1 << G.order) - 1))
-    return subs
+    if G._subgroups is None:
+        G._subgroups = _ordered(G, _subgroups_within(G, [(1, 0)], (1 << G.order) - 1))
+    return G._subgroups
 
 
 def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """The normal subgroups, ordered like all_subgroups.
+    """The normal subgroups, ordered like all_subgroups, and cached on G.
 
-    With G's subgroups known, the normal ones among them; when quotient
-    made G as P/N and the normal subgroups of P are known, the images of
-    those containing N; otherwise every subgroup when G is abelian, and
-    the joins of the normal closures of G's conjugacy classes when not.
+    Every subgroup when G is abelian; else, with G's subgroups cached,
+    the normal ones among them, and without, the joins of the normal
+    closures of G's conjugacy classes.
     """
     _check_order_cap(G.order)
-    normals = _known_normals(G)
-    if normals is None:
-        normals = G._normals = all_subgroups(G) if G.is_abelian() else _normals_from_classes(G)
-    return normals
+    if G._normals is None:
+        if G.is_abelian():
+            G._normals = all_subgroups(G)
+        elif G._subgroups is not None:
+            G._normals = tuple(H for H in G._subgroups if H.is_normal())
+        else:
+            G._normals = _normals_from_classes(G)
+    return G._normals
 
 
 def subgroup_masks_within(
@@ -892,9 +850,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     Once N is known to be a normal subgroup of G, neither is checked
     again: G/N is a group and the projection g -> gN an epimorphism by
     construction (FiniteGroup._derived, GroupHom._onto).  The tests
-    hold both to the full checks.  G/N records G, N and the coset of
-    each element of G, so that all_subgroups and normal_subgroups of
-    G/N read their lists off G's when those are known.
+    hold both to the full checks.  The pair is cached on G by N's mask;
+    G/N holds only its table, labels and inverses, and lists its own
+    subgroups.
     """
     if N.group is not G:
         raise GroupError("subgroup does not live in the given group")
@@ -912,7 +870,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table = tuple(tuple(coset_of[t[a][b]] for b in reps) for a in reps)
     labels = tuple(G.label(r) + "N" for r in reps)
     Q = FiniteGroup._derived(table, labels, tuple(coset_of[inv[r]] for r in reps))
-    Q._parent = (G, N.mask, coset_of)
     pi = GroupHom._onto(G, Q, coset_of)
     G._quotients[N.mask] = (Q, pi)
     return Q, pi

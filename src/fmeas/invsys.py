@@ -37,11 +37,6 @@ DUMP_LINES_CAP = 1_000_000
 Element = Tuple[int, int]  # (mask of the normal subgroup, least coset element)
 
 
-def normal_family(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, ordered by index then element tuple."""
-    return tuple(sorted(normal_subgroups(G), key=lambda H: (G.order // H.order, H.elements)))
-
-
 class Relation:
     """A relation generated on demand: its tuples in dump order, and its size."""
 
@@ -384,7 +379,7 @@ def _level_kernel(G: FiniteGroup, i: int) -> Subgroup:
 def complete_system(G: FiniteGroup) -> CompleteSystem:
     """The full system over every normal subgroup of G."""
     _check_system_order(G)
-    return CompleteSystem(G, normal_family(G))
+    return CompleteSystem(G, normal_subgroups(G))
 
 
 def generated_subsystem(S: CompleteSystem, A: Iterable[Element]) -> CompleteSystem:

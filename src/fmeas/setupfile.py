@@ -66,23 +66,24 @@ class LoadedSetup:
         return "LoadedSetup(%r, order %d)" % (self.path, self.group.order)
 
 
-def _line_of(raw: str, key: str) -> int:
+def _line_of(raw: str, key: str, start: int = 1) -> int:
+    """The first line from line start on that holds "key", else start."""
     needle = '"%s"' % key
-    for i, line in enumerate(raw.splitlines(), start=1):
+    for i, line in enumerate(raw.splitlines()[start - 1 :], start=start):
         if needle in line:
             return i
-    return 1
+    return start
 
 
-def _fail(path: str, raw: str, key: str, msg: str) -> SetupFileError:
-    return SetupFileError("%s:%d: %s" % (path, _line_of(raw, key), msg))
+def _fail(path: str, raw: str, key: str, msg: str, start: int = 1) -> SetupFileError:
+    return SetupFileError("%s:%d: %s" % (path, _line_of(raw, key, start), msg))
 
 
-def _int_list(value, path: str, raw: str, key: str) -> list[int]:
+def _int_list(value, path: str, raw: str, key: str, start: int = 1) -> list[int]:
     if not isinstance(value, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
     ):
-        raise _fail(path, raw, key, '"%s" must be a list of integers' % key)
+        raise _fail(path, raw, key, '"%s" must be a list of integers' % key, start)
     return value
 
 
@@ -152,21 +153,23 @@ def load_setup(path: str) -> LoadedSetup:
         ev = data["events"]
         if not isinstance(ev, dict):
             raise _fail(path, raw, "events", '"events" must be an object')
+        # an event is looked for from the "events" key on, so one named
+        # like an earlier key is not reported at that key's line
+        start = _line_of(raw, "events")
         for name, entries in ev.items():
             if not isinstance(entries, list):
-                raise _fail(path, raw, name, 'event "%s" must list subgroups' % name)
+                raise _fail(path, raw, name, 'event "%s" must list subgroups' % name, start)
             subs = []
             for gens in entries:
-                member_gens = _int_list(gens, path, raw, name)
+                member_gens = _int_list(gens, path, raw, name, start)
                 try:
                     S = Subgroup(G, member_gens)
                 except GroupError as e:
-                    raise _fail(path, raw, name, 'event "%s": %s' % (name, e))
+                    raise _fail(path, raw, name, 'event "%s": %s' % (name, e), start)
                 # the lattice members are the base's subgroups that qualify
                 if S.mask & base.mask != S.mask or not setup.qualifies(S.mask):
-                    raise _fail(
-                        path, raw, name, 'event "%s": subgroup is not a lattice member' % name
-                    )
+                    msg = 'event "%s": subgroup is not a lattice member' % name
+                    raise _fail(path, raw, name, msg, start)
                 subs.append(S)
             events[name] = tuple(subs)
 

@@ -2,7 +2,7 @@
 from pathlib import Path
 
 from fmeas import groups
-from fmeas.groups import GroupHom
+from fmeas.groups import GroupHom, normal_subgroups
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -18,6 +18,12 @@ def d4_power_generators(k):
             perm[4 * f : 4 * f + 4] = [4 * f + v for v in p4]
             gens.append(perm)
     return gens
+
+
+def normal_family(G):
+    """All normal subgroups, ordered by index then element tuple: the
+    order of a complete system's family."""
+    return tuple(sorted(normal_subgroups(G), key=lambda H: (G.order // H.order, H.elements)))
 
 
 def count_hom_builds(monkeypatch):

@@ -36,7 +36,6 @@ from fmeas.invsys import (
     dual_embedding,
     dual_group,
     generated_subsystem,
-    normal_family,
 )
 from fmeas.lattice import GaloisSetup, SubextLattice, make_setup
 from fmeas.measure import (
@@ -49,7 +48,7 @@ from fmeas.measure import (
 )
 
 import corpus
-from conftest import FIXTURES
+from conftest import FIXTURES, normal_family
 from test_cli import EXPECTED, GOLDEN_CASES
 from test_frattini import memoized_subgroup_cover
 

@@ -861,13 +861,23 @@ def lift_of(G, N):
     return [least[q] for q in Q.generator_sequence()] or [0]
 
 
+def level_orders(G):
+    """The orders of G/N_1 and G/N_2, the level quotients whose systems the
+    invsys suite builds: elementary abelian 2-groups, so each lists its
+    normal subgroups by one search of its own."""
+    return [G.order // invsys._level_kernel(G, j).order for j in (1, 2)]
+
+
 @pytest.mark.parametrize("name", ["S4", "C6xC2xC2"])
 def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch):
     # the cover routes list every subgroup of G; the base lattice, over
     # the whole group, takes its members from that list, for every N and
-    # with every suite; each run loads its own copy of G, with nothing cached
+    # with every suite; the composition law searches G/1 once, the only
+    # G/N1 it reads, as Phi(G) = 1; each run loads its own copy of G, with
+    # nothing cached
     calls = count_enumerations(monkeypatch)
     G = corpus.group(name)
+    assert frattini_subgroup(G).frattini_subgroup.order == 1
     p = tmp_path / "group.json"
     for N in groups.normal_subgroups(G):
         normal = list(N.canonical_generators())
@@ -877,33 +887,40 @@ def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch)
         rc, out, err = run_main(["verify", str(p), "--suite", "frattini"], capsys)
         assert (rc, err) == (0, "")
         assert "FAIL" not in out
-        assert len(calls) == 1, N
+        assert [H.order for H in calls] == [G.order, G.order], N
+        assert calls[0] is not calls[1]
     # the default suite lists G's subgroups before its base lattice, so
-    # with N = G the lattice and the cover routes share one search
+    # with N = G the lattice and the cover routes share one search; then
+    # G/1 for the composition law and the invsys suite's level quotients
     p.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
     calls.clear()
     rc, out, err = run_main(["verify", str(p)], capsys)
     assert (rc, err) == (0, "")
     assert "FAIL" not in out
-    assert [H.order for H in calls] == [G.order]
+    assert [H.order for H in calls] == [G.order, G.order] + level_orders(G)
 
 
 @pytest.mark.parametrize("name,searches", [("C6xC2xC2", 1), ("S4", 0)])
 def test_structure_commands_enumerate_at_most_once(name, searches, tmp_path, capsys, monkeypatch):
     # the abelian group's normal subgroups are all its subgroups, found by
-    # one reverse search; S4's are joined from its conjugacy classes; every
-    # quotient in the level tower reads its lists off the group's
+    # one reverse search; S4's are joined from its conjugacy classes; the
+    # suite's level tower searches G/N_1 and G/N_2 once each, and the
+    # level command counts off G's normal subgroups, searching no quotient
     calls = count_enumerations(monkeypatch)
     G = corpus.group(name)
     p = tmp_path / "group.json"
     normal = list(G.generator_sequence())
     p.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
-    for argv in (["verify", str(p), "--suite", "invsys"], ["invsys", str(p), "--level", "2"]):
+    runs = [
+        (["verify", str(p), "--suite", "invsys"], level_orders(G)),
+        (["invsys", str(p), "--level", "2"], []),
+    ]
+    for argv, levels in runs:
         calls.clear()
         rc, out, err = run_main(argv, capsys)
         assert (rc, err) == (0, "")
         assert "FAIL" not in out
-        assert [H.order for H in calls] == [G.order] * searches, argv
+        assert [H.order for H in calls] == [G.order] * searches + levels, argv
 
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
@@ -943,29 +960,61 @@ C2_6 = groups.FiniteGroup([[a ^ b for b in range(64)] for a in range(64)])
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(24)] + ["C2^6"])
 def test_frattini_cover_routes_match_the_ascending_scan(name, monkeypatch):
-    # the kernel route replaced by the ascending scan's verdict, and then
+    # the kernel verdict replaced by the ascending scan's, and then
     # by its negation: the check passes, and then fails on every normal N,
     # only if the largest-first scan gives that verdict on each of them
     G = C2_6 if name == "C2^6" else corpus.group(name)
     oracle = ascending_cover_routes(G)
     loaded = types.SimpleNamespace(group=G)
     for negate in (False, True):
-        monkeypatch.setattr(frattini, "is_frattini_cover", lambda pi: oracle[pi.preimage_mask(1)] ^ negate)
+        monkeypatch.setattr(frattini, "_covers", lambda G, kernel: oracle[kernel] ^ negate)
         check, ok, details = next(cli._frattini_checks(loaded, None))
         assert check == "frattini-cover-routes"
         assert (ok, len(details)) == ((True, 0) if not negate else (False, len(oracle)))
 
 
 def test_frattini_suite_builds_only_the_projections(monkeypatch, capsys):
-    # one derived GroupHom per normal subgroup of S3 (1, A3 and S3), each
-    # the projection G ->> G/N that quotient builds without the hom check;
+    # on S3, Phi(G) = 1: one derived GroupHom for G ->> G/1, which the
+    # composition law reads, and one for the setup's N = A3, the
+    # restriction check's; quotient builds each without the hom check,
     # the chains N1 < N2 build no map of their own, and nothing runs the
     # checking constructor
     checked, derived = count_hom_builds(monkeypatch)
     rc, _, err = run_main(["verify", str(FIXTURES / "s3.json"), "--suite", "frattini"], capsys)
     assert (rc, err) == (0, "")
-    assert sorted(derived) == [(6, 1), (6, 2), (6, 6)]
+    assert sorted(derived) == [(6, 2), (6, 6)]
     assert checked == []
+
+
+@pytest.mark.parametrize("name", ["s3.json", "Q8", "C2^6"])
+def test_frattini_suite_builds_a_quotient_per_covering_kernel(name, tmp_path, monkeypatch, capsys):
+    # G/N is built for each N inside Phi(G), whose Phi(G/N) the
+    # composition law reads, and for the setup's N: on S3, G/1 and G/A3;
+    # on Q8 with N = G, G/1, G/Z and G/G; on C2^6 with N = G, G/1 and G/G
+    if name == "s3.json":
+        p = FIXTURES / name
+    else:
+        G = C2_6 if name == "C2^6" else corpus.group(name)
+        p = tmp_path / "g.json"
+        setup = {"group": {"table": G.table}, "normal": list(range(G.order)), "sigma": [0]}
+        p.write_text(json.dumps(setup))
+    built = []
+    onto = groups.GroupHom._onto.__func__
+
+    def counted(cls, source, target, image_of):
+        built.append(sum(1 << x for x, v in enumerate(image_of) if v == 0))
+        return onto(cls, source, target, image_of)
+
+    monkeypatch.setattr(groups.GroupHom, "_onto", classmethod(counted))
+    rc, out, err = run_main(["verify", str(p), "--suite", "frattini"], capsys)
+    assert (rc, err) == (0, "") and "FAIL" not in out
+    loaded = load_setup(str(p))
+    G = loaded.group
+    phi = frattini_subgroup(G).frattini_subgroup.mask
+    inside = [N.mask for N in groups.normal_subgroups(G) if N.mask & ~phi == 0]
+    setup_n = loaded.setup.n_sub.mask
+    assert built == inside + [setup_n] * (setup_n not in inside)
+    assert len(built) == {"s3.json": 2, "Q8": 3, "C2^6": 2}[name]
 
 
 @pytest.mark.parametrize("name", ["C2xC2xC2", "D4", "Q8", "S4"])
@@ -977,7 +1026,7 @@ def test_frattini_composition_lists_failing_chains_in_pair_order(name, tmp_path,
     p = tmp_path / "g.json"
     setup = {"group": {"table": G.table}, "normal": list(range(G.order)), "sigma": [0]}
     p.write_text(json.dumps(setup))
-    monkeypatch.setattr(frattini, "is_frattini_cover", lambda phi: True)
+    monkeypatch.setattr(frattini, "_covers", lambda G, kernel: True)
     loaded = load_setup(str(p))
     G = loaded.group
     want = []
@@ -1542,6 +1591,25 @@ def test_event_that_is_not_a_lattice_member_is_a_file_error(args, tmp_path, caps
         assert err == 'error: %s:%d: event "bad": subgroup is not a lattice member\n' % (p, line)
 
 
+def test_event_named_like_an_earlier_key_is_reported_at_its_own_line(tmp_path, capsys):
+    # the event "normal" is on line 6, below the "normal" key on line 3;
+    # an event is searched for from the "events" key's line on
+    p = tmp_path / "ev.json"
+    p.write_text(
+        "{\n"
+        '  "group": {"permutations": [[1, 0, 2], [1, 2, 0]]},\n'
+        '  "normal": [2],\n'
+        '  "sigma": [1],\n'
+        '  "events": {\n'
+        '    "normal": [[9]]\n'
+        "  }\n"
+        "}\n"
+    )
+    rc, out, err = run_main(["measure", str(p)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == 'error: %s:6: event "normal": generator 9 is out of range\n' % p
+
+
 MEASURE_PATH = [
     ["lattice"],
     ["measure", "--mode", "mu1"],
@@ -1553,9 +1621,9 @@ MEASURE_PATH = [
 
 
 def test_frattini_suite_reports_cover_routes_that_disagree(monkeypatch, capsys):
-    # a kernel route that calls every epimorphism a cover is wrong on
+    # a kernel verdict that calls every kernel a cover is wrong on
     # Z4 ->> 1, whose kernel <1> = Z4 is not inside Phi(Z4) = <2>
-    monkeypatch.setattr(frattini, "is_frattini_cover", lambda phi: phi.is_surjective)
+    monkeypatch.setattr(frattini, "_covers", lambda G, kernel: True)
     argv = ["verify", str(FIXTURES / "z4.json"), "--suite", "frattini"]
     rc, out, err = run_main(argv, capsys)
     assert (rc, err) == (4, "")
@@ -1588,8 +1656,9 @@ def test_measure_path_builds_no_quotient(monkeypatch, capsys):
             # klein_weak's tower fails its pushforward check on purpose
             assert rc in (0, 4) and err == "", argv
             assert calls == [], argv
-    # the wrapper does see the frattini suite's projections
+    # the wrapper does see the frattini suite's projections: by N = 1,
+    # Phi(S3), for the composition law, and by the setup's N = A3
     p = FIXTURES / "s3.json"
     assert run_main(["verify", str(p), "--suite", "frattini"], capsys)[0] == 0
-    G = load_setup(str(p)).group
-    assert {N.mask for _, N in calls} == {N.mask for N in groups.normal_subgroups(G)}
+    loaded = load_setup(str(p))
+    assert {N.mask for _, N in calls} == {1, loaded.setup.n_sub.mask}

@@ -348,6 +348,24 @@ def test_middle_map_covers_iff_n2_lies_over_the_quotients_frattini(name):
                 assert got == oracle_middle_cover(G, N1, N2), (N1.elements, N2.elements)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES + ["C2^6"])
+def test_a_covering_kernel_pulls_the_quotients_frattini_back_to_the_groups(name):
+    # for N inside Phi(G), p^-1(Phi(G/N)) = Phi(G): every maximal
+    # subgroup of G holds Phi(G), so N, and the maximal subgroups of G/N
+    # are their images.  The Frattini suite's composition law reads
+    # Phi(G/N) on exactly these N
+    if name == "C2^6":
+        G = FiniteGroup([[a ^ b for b in range(64)] for a in range(64)])
+    else:
+        G = corpus.group(name)
+    phi = frattini_subgroup(G).frattini_subgroup.mask
+    inside = [N for N in normal_subgroups(G) if N.mask & ~phi == 0]
+    assert inside[0].order == 1
+    for N in inside:
+        Q, pi = quotient(G, N)
+        assert pi.preimage_mask(frattini_subgroup(Q).frattini_subgroup.mask) == phi, N.elements
+
+
 def test_cover_reads_the_cached_frattini_subgroup_only(monkeypatch):
     # fresh copies of the corpus groups, so no earlier test's caches count
     calls = []

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import corpus
 import setups
-from conftest import FIXTURES, count_enumerations, count_hom_builds, d4_power_generators
+from conftest import (
+    FIXTURES,
+    count_enumerations,
+    count_hom_builds,
+    d4_power_generators,
+    normal_family,
+)
 from fmeas import groups
 from fmeas.groups import (
     _image_kernels,
@@ -36,7 +42,6 @@ from fmeas.groups import (
     up_sets,
 )
 from fmeas.frattini import frattini_subgroup
-from fmeas.invsys import normal_family
 from fmeas.lattice import make_setup
 from fmeas.measure import measure_event, mu_infinity
 
@@ -1055,9 +1060,8 @@ def test_normal_subgroups_match_the_is_normal_filter(name):
 
 
 def fresh_group(name):
-    """A new group on the table of the named one, with empty caches and
-    no quotient parent: corpus groups are memoized, so their lists may
-    already be cached."""
+    """A new group on the table of the named one, with empty caches:
+    corpus groups are memoized, so their lists may already be cached."""
     return FiniteGroup(large_or_corpus_group(name).table)
 
 
@@ -1065,55 +1069,55 @@ def element_lists(subgroups):
     return [H.elements for H in subgroups]
 
 
-def assert_lists_match_a_parentless_copy(Q):
-    plain = FiniteGroup(Q.table)
-    assert element_lists(all_subgroups(Q)) == element_lists(all_subgroups(plain))
-    assert element_lists(normal_subgroups(Q)) == element_lists(normal_subgroups(plain))
+def corresponding(members, kernel, image_of):
+    """The element tuples of the images of the members that contain the
+    kernel mask, ordered like all_subgroups.  By the correspondence
+    theorem these are the subgroups of the image, or its normal
+    subgroups when the members are the normal ones, each once."""
+    images = {
+        tuple(sorted({image_of[x] for x in H.elements}))
+        for H in members
+        if H.mask & kernel == kernel
+    }
+    return sorted(images, key=lambda elements: (len(elements), elements))
+
+
+def quotient_tower(G):
+    """Per normal N of G, (G/N, pi, N) and (Q2, rho o pi, its kernel): G/N
+    with its projection, then a quotient Q2 of G/N, by its least
+    nontrivial normal subgroup M, with the composite G ->> Q2."""
+    for N in normal_subgroups(G):
+        Q, pi = quotient(G, N)
+        normals = normal_subgroups(Q)
+        M = normals[min(1, len(normals) - 1)]
+        Q2, rho = quotient(Q, M)
+        yield Q, pi.image_of, N.mask
+        yield Q2, tuple(rho.image_of[q] for q in pi.image_of), pi.preimage_mask(M.mask)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ["C2^5"])
-def test_quotient_subgroups_read_off_the_parent_match_enumeration(name, monkeypatch):
-    # with G's subgroups cached, each G/N and a quotient of it read both
-    # lists off them, enumerating nothing, in the order enumeration on a
-    # parentless copy of the same table gives
+def test_quotient_subgroups_read_off_the_parent_match_enumeration(name):
+    # each G/N and a quotient of it search their own subgroups, with G's
+    # cached, and list the images of G's subgroups above the kernel, in order
     G = fresh_group(name)
-    all_subgroups(G)
-    calls = count_enumerations(monkeypatch)
-    for N in normal_subgroups(G):
-        Q, _ = quotient(G, N)
-        subs, normals = all_subgroups(Q), normal_subgroups(Q)
-        # a quotient of the quotient, by its least nontrivial normal subgroup
-        M = normals[min(1, len(normals) - 1)]
-        Q2, _ = quotient(Q, M)
-        subs2, normals2 = all_subgroups(Q2), normal_subgroups(Q2)
-        assert calls == []
-        assert all(H.group is Q for H in subs + normals)
-        assert all(H.group is Q2 for H in subs2 + normals2)
-        assert_lists_match_a_parentless_copy(Q)
-        assert_lists_match_a_parentless_copy(Q2)
-        calls.clear()
+    subs = all_subgroups(G)
+    for Q, image_of, kernel in quotient_tower(G):
+        searched = all_subgroups(Q)
+        assert all(H.group is Q for H in searched)
+        assert element_lists(searched) == corresponding(subs, kernel, image_of)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_quotient_normal_subgroups_read_off_the_parent_normals(name, monkeypatch):
-    # with only G's normal subgroups known, G/N and a quotient of it read
-    # their normal subgroups off them; all_subgroups of G/N then
-    # enumerates G/N, never the larger G
+def test_quotient_normal_subgroups_read_off_the_parent_normals(name):
+    # each G/N and a quotient of it find their own normal subgroups, with
+    # G's cached, by class joins or the abelian search, and list the
+    # images of G's normal subgroups above the kernel, in order
     G = fresh_group(name)
-    normal_subgroups(G)
-    calls = count_enumerations(monkeypatch)
-    for N in normal_subgroups(G):
-        Q, _ = quotient(G, N)
-        normals = normal_subgroups(Q)
-        Q2, _ = quotient(Q, normals[min(1, len(normals) - 1)])
-        normal_subgroups(Q2)
-        if not G.is_abelian():
-            # an abelian G enumerated itself, so its quotients read both lists
-            assert (calls, Q._subgroups, Q2._subgroups) == ([], None, None)
-        assert_lists_match_a_parentless_copy(Q)
-        assert_lists_match_a_parentless_copy(Q2)
-        assert G not in calls
-        calls.clear()
+    normals = normal_subgroups(G)
+    for Q, image_of, kernel in quotient_tower(G):
+        found = normal_subgroups(Q)
+        assert all(H.group is Q for H in found)
+        assert element_lists(found) == corresponding(normals, kernel, image_of)
 
 
 @pytest.mark.parametrize(

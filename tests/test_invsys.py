@@ -10,6 +10,7 @@ from typing import Dict
 import pytest
 
 import corpus
+from conftest import normal_family
 from fmeas import invsys
 from fmeas.groups import (
     CapExceeded,
@@ -34,7 +35,6 @@ from fmeas.invsys import (
     dual_group,
     generated_subsystem,
     level_quotient,
-    normal_family,
 )
 
 ALL_NAMES = sorted(corpus.BUILDERS)
