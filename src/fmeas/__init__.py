@@ -49,7 +49,6 @@ __all__ = [
     "has_embedding_property",
     "image_classes",
     "is_frattini_cover",
-    "is_frattini_restriction",
     "isomorphic",
     "level_quotient",
     "load_setup",

@@ -24,6 +24,7 @@ from .groups import (
     GroupHom,
     _mask_to_elems,
     all_subgroups,
+    cosets,
     isomorphic,
     normal_subgroups,
     quotient,
@@ -239,55 +240,71 @@ def _check_tower(lat: SubextLattice, pi: GroupHom, cap: int):
 
 
 def _frattini_checks(loaded: LoadedSetup, lat: Optional[SubextLattice]):
-    """The cover routes compared once per kernel N of G ->> G/N, then laws on them.
+    """Three laws of Frattini covers, read off G's one subgroup list
+    through one criterion: some proper H above A has HN = G, that is,
+    |H| |N| = |G| |H n N|.
 
-    The library decides a cover by its kernel alone, so G/N is built
-    only where a law reads it; the subgroup route here asks that only G
-    itself map onto G/N, that is, that no proper H have HN = G, or
-    |H| |N| = |G| |H n N|.  A supplement, when there is one, is among
-    the large subgroups, so the scan runs largest first; the verdict
-    does not depend on the order.
+    G ->> G/N covers iff no proper H has HN = G, so the kernel verdict
+    is compared with the criterion at A = 1.  For N1 in N2, G/N1 ->>
+    G/N2 covers iff no proper H above N1 has HN2 = G, by the
+    correspondence theorem, so the composition law builds no quotient.
+    A lattice member is maximal iff no proper subgroup strictly inside
+    it meets every coset of N, read off the cosets and not off the
+    lattice's own test.  A supplement, when there is one, is among the
+    large subgroups, so the first two lines scan largest first, and a
+    sub-member among the small ones, so the last scans smallest first;
+    no verdict depends on the order.
     """
-    from .frattini import _covers, frattini_subgroup, is_frattini_restriction
+    from .frattini import _covers
 
     G = loaded.group
-    proper = [(H.mask, H.order) for H in reversed(all_subgroups(G)) if H.order < G.order]
+    proper = [(H.mask, H.order) for H in all_subgroups(G)[:-1]]
+    largest_first = proper[::-1]
     normals = normal_subgroups(G)
-    covers = []
+
+    def supplemented(above, N) -> bool:
+        return any(h * N.order == G.order * (m & N.mask).bit_count() for m, h in above)
+
+    covers, alone = [], []
     routes_detail = []
     for N in normals:
-        n, n_mask = N.order, N.mask
-        cover = _covers(G, n_mask)
-        only_g = not any(h * n == G.order * (m & n_mask).bit_count() for m, h in proper)
+        cover = _covers(G, N.mask)
+        only_g = not supplemented(largest_first, N)
         if cover != only_g:
             routes_detail.append(
                 "kernel %s: internal error: kernel criterion and subgroup criterion disagree"
                 % N.display_name()
             )
         covers.append(cover)
+        alone.append(only_g)
     yield "frattini-cover-routes", not routes_detail, routes_detail
 
-    # for N1 in N2, G/N1 ->> G/N2 is onto with kernel p1(N2), so it covers
-    # iff N2 lies in the preimage of Phi(G/N1); the law reads that, and so
-    # builds G/N1, only where p1 covers
+    # G ->> G/N2 is G ->> G/N1 then G/N1 ->> G/N2, and the second is
+    # asked only where the first covers; from N1 = 1, normals[0], it is
+    # G ->> G/N2 itself, which the subgroup route above answered
     bad = []
     ups = up_sets(G, [N.mask for N in normals])
     for i, (N1, cover1) in enumerate(zip(normals, covers)):
-        pre = 0
         if cover1:
-            _, p1 = quotient(G, N1)
-            pre = p1.preimage_mask(frattini_subgroup(p1.target).frattini_subgroup.mask)
+            above = [(m, h) for m, h in largest_first if m & N1.mask == N1.mask]
         for j in _mask_to_elems(ups[i] & ~(1 << i)):
-            if covers[j] != (cover1 and normals[j].mask & ~pre == 0):
-                bad.append("chain %s then %s" % (N1.display_name(), normals[j].display_name()))
+            N2 = normals[j]
+            through = cover1 and (alone[j] if i == 0 else not supplemented(above, N2))
+            if covers[j] != through:
+                bad.append("chain %s then %s" % (N1.display_name(), N2.display_name()))
     yield "frattini-composition", not bad, bad
 
     if lat is None:
         lat = SubextLattice(loaded.setup, loaded.base)
-    _, r = quotient(G, loaded.setup.n_sub)
+    to_least, reps = cosets(G, loaded.setup.n_sub.mask)
+    coset_masks = dict.fromkeys(reps, 0)
+    for g, rep in enumerate(to_least):
+        coset_masks[rep] |= 1 << g
+    supplements = [(m, h) for m, h in proper if all(m & c for c in coset_masks.values())]
     bad = []
     for i, H in enumerate(lat.members):
-        if lat.is_maximal(i) != is_frattini_restriction(H, r):
+        restriction = not any(h < H.order and m & H.mask == m for m, h in supplements)
+        if lat.is_maximal(i) != restriction:
             bad.append("member %d %s" % (i, lat.member_name(i)))
     yield "maximal-equals-frattini-restriction", not bad, bad
 

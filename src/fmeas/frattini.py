@@ -6,9 +6,13 @@ and Jarden, Field Arithmetic, the chapter on Frattini covers), so the
 cover check is one mask test against the cached Frattini subgroup.
 That subgroup is the meet of the maximal subgroups, found largest
 first: every proper subgroup lies in a maximal one, so a subgroup is
-maximal iff no larger maximal subgroup contains it.  The report is
-cached on its group, like the group's subgroup list, so it lives and
-dies with the group.
+maximal iff no larger maximal subgroup contains it.  It reads G's
+subgroup list, and so the list's order cap.  The report is cached on
+its group, like the group's subgroup list, so it lives and dies with
+the group.  The other laws of Frattini covers (no proper subgroup maps
+onto the target, covers compose, a Frattini restriction is a minimal
+subgroup onto the target) are read off the same list by the verify
+suite, not by a search of their own.
 
 The embedding-property search lists Epi(G, B) for no image B.  Each
 image class B comes with its kernels K and one map gamma_K: G ->> B per
@@ -33,17 +37,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .groups import (
-    DEFAULT_ORDER_CAP,
     EPIMORPHISM_CAP,
     CapExceeded,
     FiniteGroup,
-    GroupError,
     GroupHom,
     Subgroup,
-    _check_order_cap,
     _epimorphism_search,
     _image_kernels,
-    _subgroups_within,
     all_subgroups,
     epimorphisms,
 )
@@ -68,8 +68,6 @@ def frattini_subgroup(G: FiniteGroup) -> FrattiniReport:
     """Intersection of all maximal proper subgroups; all of G when G is trivial."""
     if G._frattini is not None:
         return G._frattini
-    if G.order > DEFAULT_ORDER_CAP:
-        raise CapExceeded("Frattini computation capped at order %d" % DEFAULT_ORDER_CAP)
     maximal, mask = [], (1 << G.order) - 1
     for H in reversed(all_subgroups(G)[:-1]):  # largest first, G left out
         if not any(H.mask & M.mask == H.mask for M in maximal):
@@ -94,25 +92,6 @@ def is_frattini_cover(phi: GroupHom) -> bool:
     and then M ker phi = G.
     """
     return phi.is_surjective and _covers(phi.source, phi.preimage_mask(1))
-
-
-def is_frattini_restriction(H: Subgroup, r: GroupHom) -> bool:
-    """True iff no proper subgroup of H still maps onto the target of r.
-
-    The subgroups of H are searched lazily, the trivial one first, and
-    the search stops at the first proper one that maps onto the target.
-    """
-    G = H.group
-    if r.source is not G:
-        raise GroupError("r is not defined on the parent group of H")
-    full_target = (1 << r.target.order) - 1
-    if r.image_mask(H.mask) != full_target:
-        raise GroupError("restriction of r to H is not surjective")
-    _check_order_cap(H.order)
-    for mask in _subgroups_within(G, [(1, 0)], H.mask):
-        if mask != H.mask and r.image_mask(mask) == full_target:
-            return False
-    return True
 
 
 class EmbeddingReport:

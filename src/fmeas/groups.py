@@ -1054,8 +1054,6 @@ def _image_kernels(G: FiniteGroup) -> list[tuple[FiniteGroup, list[tuple[int, by
     so its own iso is the identity.  Every epimorphism G ->> B is
     theta o gamma_K for exactly one K and one theta in Aut(B).
     """
-    if G.order > DEFAULT_ORDER_CAP:
-        raise CapExceeded("image enumeration capped at order %d" % DEFAULT_ORDER_CAP)
     classes: list[tuple[FiniteGroup, list[tuple[int, bytes]]]] = []
     for N in normal_subgroups(G):
         Q, pi = quotient(G, N)

@@ -1,8 +1,9 @@
 # keeps the tests directory importable (corpus.py helpers)
+import sys
 from pathlib import Path
 
 from fmeas import groups
-from fmeas.groups import GroupHom, normal_subgroups
+from fmeas.groups import GroupError, GroupHom, normal_subgroups
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,7 +48,7 @@ def count_hom_builds(monkeypatch):
 
 def count_enumerations(monkeypatch):
     """The groups whose subgroups _subgroups_within searches from now on,
-    once per call."""
+    once per call, wrapped at every fmeas module that binds it."""
     calls = []
     real = groups._subgroups_within
 
@@ -55,5 +56,30 @@ def count_enumerations(monkeypatch):
         calls.append(G)
         return real(G, seeds, extend)
 
-    monkeypatch.setattr(groups, "_subgroups_within", counted)
+    for name, module in list(sys.modules.items()):
+        if (name == "fmeas" or name.startswith("fmeas.")) and getattr(
+            module, "_subgroups_within", None
+        ) is real:
+            monkeypatch.setattr(module, "_subgroups_within", counted)
     return calls
+
+
+def is_frattini_restriction(H, r):
+    """True iff no proper subgroup of H still maps onto the target of r.
+
+    The subgroups of H are searched lazily, the trivial one first, and
+    the search stops at the first proper one that maps onto the target:
+    the oracle for the verify suite's restriction check, which reads the
+    subgroups meeting every coset of the kernel off G's subgroup list.
+    """
+    G = H.group
+    if r.source is not G:
+        raise GroupError("r is not defined on the parent group of H")
+    full_target = (1 << r.target.order) - 1
+    if r.image_mask(H.mask) != full_target:
+        raise GroupError("restriction of r to H is not surjective")
+    groups._check_order_cap(H.order)
+    for mask in groups._subgroups_within(G, [(1, 0)], H.mask):
+        if mask != H.mask and r.image_mask(mask) == full_target:
+            return False
+    return True

@@ -15,11 +15,7 @@ from fractions import Fraction
 import pytest
 
 from fmeas.cli import main
-from fmeas.frattini import (
-    frattini_subgroup,
-    is_frattini_cover,
-    is_frattini_restriction,
-)
+from fmeas.frattini import frattini_subgroup, is_frattini_cover
 from fmeas.groups import (
     GroupHom,
     Subgroup,
@@ -48,7 +44,7 @@ from fmeas.measure import (
 )
 
 import corpus
-from conftest import FIXTURES, normal_family
+from conftest import FIXTURES, is_frattini_restriction, normal_family
 from test_cli import EXPECTED, GOLDEN_CASES
 from test_frattini import memoized_subgroup_cover
 

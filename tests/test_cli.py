@@ -33,7 +33,13 @@ from fmeas.setupfile import load_setup
 
 import corpus
 import setups
-from conftest import FIXTURES, count_enumerations, count_hom_builds, d4_power_generators
+from conftest import (
+    FIXTURES,
+    count_enumerations,
+    count_hom_builds,
+    d4_power_generators,
+    is_frattini_restriction,
+)
 from test_invsys import oracle_dump
 
 EXPECTED = FIXTURES / "expected"
@@ -349,6 +355,17 @@ def test_lattice_beyond_the_order_cap_is_exit_three(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert err == "error: subgroup enumeration capped at order 64 (group has order 128)\n"
     assert elapsed < 10.0, "took %.2f s" % elapsed
+
+
+@pytest.mark.parametrize("argv", [["frattini"], ["embedding", "--bound", "72"]])
+def test_frattini_layer_above_the_order_cap_names_the_enumeration_cap(argv, tmp_path, capsys):
+    # the Frattini subgroup and the image classes read G's subgroup
+    # lists, so the enumeration's own order cap is the one that binds
+    p = tmp_path / "c72.json"
+    table = [[(a + b) % 72 for b in range(72)] for a in range(72)]
+    p.write_text(json.dumps({"group": {"table": table}, "normal": [1], "sigma": [0]}))
+    err = expect_error(argv[:1] + [str(p)] + argv[1:], capsys, "capped at order 64", 3)
+    assert err == "error: subgroup enumeration capped at order 64 (group has order 72)\n"
 
 
 def test_verify_above_the_order_cap_keeps_its_error_precedence(tmp_path, capsys):
@@ -872,9 +889,9 @@ def level_orders(G):
 def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch):
     # the cover routes list every subgroup of G; the base lattice, over
     # the whole group, takes its members from that list, for every N and
-    # with every suite; the composition law searches G/1 once, the only
-    # G/N1 it reads, as Phi(G) = 1; each run loads its own copy of G, with
-    # nothing cached
+    # with every suite; the composition law and the restriction check
+    # read the same list, and search no quotient and no member; each run
+    # loads its own copy of G, with nothing cached
     calls = count_enumerations(monkeypatch)
     G = corpus.group(name)
     assert frattini_subgroup(G).frattini_subgroup.order == 1
@@ -887,17 +904,17 @@ def test_the_frattini_suite_enumerates_once(name, tmp_path, capsys, monkeypatch)
         rc, out, err = run_main(["verify", str(p), "--suite", "frattini"], capsys)
         assert (rc, err) == (0, "")
         assert "FAIL" not in out
-        assert [H.order for H in calls] == [G.order, G.order], N
-        assert calls[0] is not calls[1]
+        assert [H.order for H in calls] == [G.order], N
+        assert calls[0] is not G
     # the default suite lists G's subgroups before its base lattice, so
-    # with N = G the lattice and the cover routes share one search; then
-    # G/1 for the composition law and the invsys suite's level quotients
+    # with N = G the lattice and the Frattini suite share one search; then
+    # the invsys suite's level quotients
     p.write_text(json.dumps({"group": {"table": G.table}, "normal": normal, "sigma": [0]}))
     calls.clear()
     rc, out, err = run_main(["verify", str(p)], capsys)
     assert (rc, err) == (0, "")
     assert "FAIL" not in out
-    assert [H.order for H in calls] == [G.order, G.order] + level_orders(G)
+    assert [H.order for H in calls] == [G.order] + level_orders(G)
 
 
 @pytest.mark.parametrize("name,searches", [("C6xC2xC2", 1), ("S4", 0)])
@@ -925,10 +942,8 @@ def test_structure_commands_enumerate_at_most_once(name, searches, tmp_path, cap
 
 def test_frattini_suite_at_the_order_cap_is_fast(tmp_path, capsys):
     # C2^6 with N = G: 2,825 subgroups, all normal, and 92,881 chains
-    # N1 < N2, read off up-sets and each decided by one mask test; about
-    # 3 to 4 s on a 2-core x86-64 machine (CPython 3.11), against 4 to 5 s
-    # with a pairwise scan for the chains, and 8 to 10 s with a pairwise
-    # scan for the maximal subgroups and a map built per chain
+    # N1 < N2, read off up-sets; about 0.4 to 0.6 s on a 2-core x86-64
+    # machine (CPython 3.11), most of it the lattice's containments
     p = tmp_path / "c2_6.json"
     table = [[a ^ b for b in range(64)] for a in range(64)]
     setup = {"group": {"table": table}, "normal": [1, 2, 4, 8, 16, 32], "sigma": [0]}
@@ -974,23 +989,23 @@ def test_frattini_cover_routes_match_the_ascending_scan(name, monkeypatch):
 
 
 def test_frattini_suite_builds_only_the_projections(monkeypatch, capsys):
-    # on S3, Phi(G) = 1: one derived GroupHom for G ->> G/1, which the
-    # composition law reads, and one for the setup's N = A3, the
-    # restriction check's; quotient builds each without the hom check,
-    # the chains N1 < N2 build no map of their own, and nothing runs the
-    # checking constructor
+    # on S3 the three laws read G's subgroup list alone: the composition
+    # law and the restriction check build no projection, the chains
+    # N1 < N2 no map of their own, and nothing runs the checking
+    # constructor
     checked, derived = count_hom_builds(monkeypatch)
     rc, _, err = run_main(["verify", str(FIXTURES / "s3.json"), "--suite", "frattini"], capsys)
     assert (rc, err) == (0, "")
-    assert sorted(derived) == [(6, 2), (6, 6)]
+    assert derived == []
     assert checked == []
 
 
 @pytest.mark.parametrize("name", ["s3.json", "Q8", "C2^6"])
 def test_frattini_suite_builds_a_quotient_per_covering_kernel(name, tmp_path, monkeypatch, capsys):
-    # G/N is built for each N inside Phi(G), whose Phi(G/N) the
-    # composition law reads, and for the setup's N: on S3, G/1 and G/A3;
-    # on Q8 with N = G, G/1, G/Z and G/G; on C2^6 with N = G, G/1 and G/G
+    # no G/N is built: the composition law decides G/N1 ->> G/N2 by the
+    # subgroups of G above N1, and the restriction check reads the cosets
+    # of the setup's N, so neither S3, nor Q8, whose Phi(G) = Z is a
+    # covering kernel, nor C2^6 with N = G builds a projection
     if name == "s3.json":
         p = FIXTURES / name
     else:
@@ -1008,20 +1023,16 @@ def test_frattini_suite_builds_a_quotient_per_covering_kernel(name, tmp_path, mo
     monkeypatch.setattr(groups.GroupHom, "_onto", classmethod(counted))
     rc, out, err = run_main(["verify", str(p), "--suite", "frattini"], capsys)
     assert (rc, err) == (0, "") and "FAIL" not in out
-    loaded = load_setup(str(p))
-    G = loaded.group
-    phi = frattini_subgroup(G).frattini_subgroup.mask
-    inside = [N.mask for N in groups.normal_subgroups(G) if N.mask & ~phi == 0]
-    setup_n = loaded.setup.n_sub.mask
-    assert built == inside + [setup_n] * (setup_n not in inside)
-    assert len(built) == {"s3.json": 2, "Q8": 3, "C2^6": 2}[name]
+    assert built == []
 
 
-@pytest.mark.parametrize("name", ["C2xC2xC2", "D4", "Q8", "S4"])
+@pytest.mark.parametrize("name", [name for name, G in corpus.classes_upto(24) if G.order > 1])
 def test_frattini_composition_lists_failing_chains_in_pair_order(name, tmp_path, monkeypatch):
     # every projection claimed a cover: the law then fails exactly on the
     # chains N1 < N2 with N2 outside p1^-1(Phi(G/N1)), and the detail lines
-    # come in the order of the pairwise scan over the normal subgroups
+    # come in the order of the pairwise scan over the normal subgroups;
+    # on C4xC2, N1 = 1xC2 lies outside Phi(G) = 2C4x1, yet G/N1 ->> G/(2C4xC2)
+    # covers
     G = corpus.group(name)
     p = tmp_path / "g.json"
     setup = {"group": {"table": G.table}, "normal": list(range(G.order)), "sigma": [0]}
@@ -1040,6 +1051,34 @@ def test_frattini_composition_lists_failing_chains_in_pair_order(name, tmp_path,
     got = {check: (ok, details) for check, ok, details in cli._frattini_checks(loaded, None)}
     assert want
     assert got["frattini-composition"] == (False, want)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus.classes_upto(24)] + ["C2^6"])
+def test_restriction_check_lists_exactly_the_flipped_members(name, tmp_path, monkeypatch, capsys):
+    # is_maximal answers the reverse-search oracle's verdict, flipped on
+    # every third member: the check then fails on exactly those members,
+    # only if its own verdict is the oracle's on every member; every
+    # normal N with a greedy lift, and N = G on C2^6
+    G = C2_6 if name == "C2^6" else corpus.group(name)
+    normals = [groups.all_subgroups(G)[-1]] if name == "C2^6" else groups.normal_subgroups(G)
+    p = tmp_path / "g.json"
+    for N in normals:
+        normal = list(N.canonical_generators())
+        setup = {"group": {"table": G.table}, "normal": normal, "sigma": lift_of(G, N)}
+        p.write_text(json.dumps(setup))
+        loaded = load_setup(str(p))
+        lat = SubextLattice(loaded.setup, loaded.base)
+        r = groups.quotient(loaded.group, loaded.setup.n_sub)[1]
+        oracle = [is_frattini_restriction(H, r) for H in lat.members]
+        flipped = range(0, len(oracle), 3)
+        monkeypatch.setattr(
+            SubextLattice, "is_maximal", lambda self, i: oracle[i] != (i % 3 == 0)
+        )
+        rc, out, err = run_main(["verify", str(p), "--suite", "frattini"], capsys)
+        want = ["FAIL maximal-equals-frattini-restriction"]
+        want += ["  member %d %s" % (i, lat.member_name(i)) for i in flipped]
+        assert (rc, err) == (4, ""), N
+        assert out.splitlines()[2:] == want, N
 
 
 def test_measure_on_an_order_512_permutation_group_is_fast(tmp_path, capsys):
@@ -1656,9 +1695,9 @@ def test_measure_path_builds_no_quotient(monkeypatch, capsys):
             # klein_weak's tower fails its pushforward check on purpose
             assert rc in (0, 4) and err == "", argv
             assert calls == [], argv
-    # the wrapper does see the frattini suite's projections: by N = 1,
-    # Phi(S3), for the composition law, and by the setup's N = A3
+    # the wrapper does see the invsys suite's projections onto its levels
     p = FIXTURES / "s3.json"
-    assert run_main(["verify", str(p), "--suite", "frattini"], capsys)[0] == 0
-    loaded = load_setup(str(p))
-    assert {N.mask for _, N in calls} == {1, loaded.setup.n_sub.mask}
+    assert run_main(["verify", str(p), "--suite", "invsys"], capsys)[0] == 0
+    G = load_setup(str(p)).group
+    levels = {invsys._level_kernel(G, j).mask for j in (1, 2, G.order)}
+    assert calls and {N.mask for _, N in calls} == levels

@@ -6,7 +6,8 @@ import pytest
 
 import corpus
 import setups
-from fmeas import frattini
+from conftest import is_frattini_restriction
+from fmeas import frattini, groups
 from fmeas.frattini import (
     _automorphism_chain,
     _automorphisms,
@@ -15,7 +16,6 @@ from fmeas.frattini import (
     frattini_subgroup,
     has_embedding_property,
     is_frattini_cover,
-    is_frattini_restriction,
 )
 from fmeas.groups import (
     CapExceeded,
@@ -457,14 +457,14 @@ def test_lazy_restriction_matches_the_list_scan_on_every_corpus_lattice():
 def test_restriction_stops_at_the_first_subgroup_onto_the_target(monkeypatch):
     # onto the trivial group, the trivial subgroup, yielded first, answers
     searched = []
-    real = frattini._subgroups_within
+    real = groups._subgroups_within
 
     def counted(G, seeds, extend):
         for mask in real(G, seeds, extend):
             searched.append(mask)
             yield mask
 
-    monkeypatch.setattr(frattini, "_subgroups_within", counted)
+    monkeypatch.setattr(groups, "_subgroups_within", counted)
     G = corpus.group("C2^4")
     _, r = quotient(G, Subgroup(G, range(16)))
     assert not is_frattini_restriction(Subgroup(G, range(16)), r)

@@ -4,7 +4,7 @@ import pytest
 
 import corpus
 import setups
-from fmeas.frattini import is_frattini_restriction
+from conftest import is_frattini_restriction
 from fmeas.groups import (
     FiniteGroup,
     GroupError,
